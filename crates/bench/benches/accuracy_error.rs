@@ -7,12 +7,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcnet_experiments::comparison::accuracy_report;
-use mcnet_experiments::figures::figure4;
+use mcnet_experiments::figures::figure4_replicated;
 use mcnet_experiments::report::accuracy_to_markdown;
 use mcnet_experiments::EvaluationEffort;
 
 fn bench_accuracy(c: &mut Criterion) {
-    let panels = figure4(EvaluationEffort::Quick, true, 2006).expect("figure 4");
+    let panels = figure4_replicated(EvaluationEffort::Quick, 1, 2006).expect("figure 4").panels;
     for panel in &panels {
         let acc = accuracy_report(panel, 0.7);
         println!("\n{}", accuracy_to_markdown(&panel.title, &acc));

@@ -1,22 +1,14 @@
 //! Fig. 3: mean message latency vs offered traffic for organization A
 //! (N = 1120, m = 8), M ∈ {32, 64} flits, L_m ∈ {256, 512} bytes.
 //!
-//! The bench prints the regenerated analysis-vs-simulation table once (quick effort)
-//! and then measures the cost of the analytical sweep for each panel.
+//! The bench measures the cost of the analytical sweep for each panel; the
+//! `figures` binary regenerates the figure itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcnet_bench::{model_latency, sweep_fractions, traffic};
-use mcnet_experiments::figures::figure3;
-use mcnet_experiments::report::panel_to_markdown;
-use mcnet_experiments::EvaluationEffort;
 use mcnet_system::organizations;
 
 fn bench_fig3(c: &mut Criterion) {
-    // Regenerate the figure data (analysis + quick simulation) as the artifact.
-    for panel in figure3(EvaluationEffort::Quick, true, 2006).expect("figure 3") {
-        println!("\n{}", panel_to_markdown(&panel));
-    }
-
     let system = organizations::table1_org_a();
     let mut group = c.benchmark_group("fig3_analysis_sweep");
     for (m, max_rate) in [(32usize, 5.0e-4), (64usize, 2.5e-4)] {

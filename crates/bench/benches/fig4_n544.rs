@@ -3,16 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcnet_bench::{model_latency, sweep_fractions, traffic};
-use mcnet_experiments::figures::figure4;
-use mcnet_experiments::report::panel_to_markdown;
-use mcnet_experiments::EvaluationEffort;
 use mcnet_system::organizations;
 
 fn bench_fig4(c: &mut Criterion) {
-    for panel in figure4(EvaluationEffort::Quick, true, 2006).expect("figure 4") {
-        println!("\n{}", panel_to_markdown(&panel));
-    }
-
     let system = organizations::table1_org_b();
     let mut group = c.benchmark_group("fig4_analysis_sweep");
     for (m, max_rate) in [(32usize, 1.0e-3), (64usize, 5.0e-4)] {

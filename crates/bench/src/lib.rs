@@ -8,8 +8,8 @@
 //! | bench target | paper artifact / ablation |
 //! |---|---|
 //! | `table1_organizations` | Table 1 |
-//! | `fig3_n1120` | Fig. 3 (both panels) |
-//! | `fig4_n544` | Fig. 4 (both panels) |
+//! | `fig3_n1120` | Fig. 3 (analytical sweep of both panels) |
+//! | `fig4_n544` | Fig. 4 (analytical sweep of both panels) |
 //! | `accuracy_error` | the accuracy claim (model vs simulation) |
 //! | `ablation_heterogeneity` | A1: heterogeneous vs homogeneous organizations |
 //! | `ablation_variance_approx` | A2: Draper–Ghosh variance term |

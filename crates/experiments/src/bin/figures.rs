@@ -1,23 +1,25 @@
-//! The paper-scale figure driver: regenerates Figs. 3 and 4 with **replicated**
+//! The figure driver: regenerates Figs. 3 and 4 with **replicated**
 //! simulation points over the reused-engine fast path.
 //!
-//! Where the `fig3`/`fig4` bins run one simulation per traffic point, this
-//! driver runs `--reps` independent replications per point (seeds
+//! The driver runs `--reps` independent replications per point (seeds
 //! `seed … seed+reps-1`) through `Scenario::sweep_replicated`, which threads
 //! one per-worker engine pool through the whole sweep — the replication fast
-//! path end to end. Each figure is emitted twice: a markdown table for humans
-//! and a JSON document for machines, the latter carrying an FNV digest that
-//! pins every simulated delivery stream (two invocations at the same effort,
-//! seed and replication count must byte-match).
+//! path end to end; `--reps 0` draws the analytical curves only. Each figure
+//! is emitted twice: a markdown table for humans, ending with the
+//! model-vs-simulation accuracy of every panel, and a JSON document for
+//! machines, the latter carrying an FNV digest that pins every simulated
+//! delivery stream (two invocations at the same effort, seed and replication
+//! count must byte-match).
 //!
 //! Usage: `figures [quick|standard|paper] [--reps N] [--seed S] [--fig 3|4]
 //!                 [--out DIR]`
 //!
 //! Defaults: paper effort, 3 replications, seed 2006, both figures, output
-//! under `target/figures/`.
+//! under `target/figures/`. `--reps 0` skips the simulation.
 
+use mcnet_experiments::comparison::accuracy_report;
 use mcnet_experiments::figures::{figure3_replicated, figure4_replicated, ReplicatedFigure};
-use mcnet_experiments::report::{panel_to_json, panel_to_markdown};
+use mcnet_experiments::report::{accuracy_to_markdown, panel_to_json, panel_to_markdown};
 use mcnet_experiments::EvaluationEffort;
 use mcnet_sim::json::{object, Json};
 use std::path::PathBuf;
@@ -31,7 +33,7 @@ fn main() {
         Some(other) => usage(&format!("unknown effort {other:?}")),
     };
     let reps = flag_value(&args, "--reps").map_or(3, |v| {
-        v.parse().unwrap_or_else(|_| usage(&format!("--reps takes a positive integer, got {v:?}")))
+        v.parse().unwrap_or_else(|_| usage(&format!("--reps takes an integer, got {v:?}")))
     });
     let seed = flag_value(&args, "--seed").map_or(2006, |v| {
         v.parse().unwrap_or_else(|_| usage(&format!("--seed takes an integer, got {v:?}")))
@@ -40,9 +42,6 @@ fn main() {
         flag_value(&args, "--out").map_or_else(|| "target/figures".to_string(), str::to_string),
     );
     let which = flag_value(&args, "--fig");
-    if reps == 0 {
-        usage("--reps must be at least 1");
-    }
 
     let effort_name = match effort {
         EvaluationEffort::Quick => "quick",
@@ -77,12 +76,21 @@ fn main() {
             markdown.push_str(&panel_to_markdown(panel));
             markdown.push('\n');
         }
-        markdown.push_str(&format!(
-            "*{reps} replications per point, seeds {seed}…{}; stream digest \
-             `{:016x}`.*\n",
-            seed + reps as u64 - 1,
-            figure.digest
-        ));
+        if reps == 0 {
+            markdown.push_str("*Analytical model only.*\n");
+        } else {
+            markdown.push_str(&format!(
+                "*{reps} replications per point, seeds {seed}…{}; stream digest \
+                 `{:016x}`.*\n",
+                seed + reps as u64 - 1,
+                figure.digest
+            ));
+            for panel in &figure.panels {
+                let accuracy = accuracy_report(panel, 0.7);
+                markdown.push('\n');
+                markdown.push_str(&accuracy_to_markdown(&panel.title, &accuracy));
+            }
+        }
 
         let json = object([
             ("figure", Json::String(name.to_string())),

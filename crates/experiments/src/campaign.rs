@@ -328,9 +328,10 @@ impl Campaign {
                 (r.index, scenario, signature)
             })
             .collect();
-        let outcomes = mcnet_system::parallel::parallel_map_with(
+        let mut caches: Vec<(u64, Option<Simulation>)> = Vec::new();
+        let outcomes = mcnet_system::parallel::parallel_map_reusing(
             work,
-            || (0u64, None::<Simulation>),
+            &mut caches,
             |cache, _, (index, scenario, signature)| {
                 if cache.0 != signature {
                     cache.1 = None;

@@ -7,7 +7,7 @@
 
 use crate::{EvaluationEffort, Result};
 use mcnet_model::{AnalyticalModel, ModelError, ModelOptions};
-use mcnet_sim::{ReplicatedReport, Scenario, SimError, SimReport};
+use mcnet_sim::{ReplicatedReport, Scenario, SimError};
 use mcnet_system::sweep::FigureSweep;
 use mcnet_system::{organizations, MultiClusterSystem, TrafficConfig};
 use serde::{Deserialize, Serialize};
@@ -67,63 +67,6 @@ impl FigurePanel {
     }
 }
 
-/// Builds one curve: sweep `λ_g`, evaluate the model, and (optionally) simulate.
-///
-/// The simulations run through [`Scenario::sweep_outcomes`], which fans the
-/// independent traffic points over a bounded worker pool (capped at the
-/// machine's available parallelism). Every point gets the deterministic seed
-/// `seed + index`, and results are aggregated in sweep order — the produced
-/// series is bit-identical regardless of how the points interleave across
-/// threads, and bit-identical to the historical per-point `run_simulation`
-/// loop.
-pub fn build_series(
-    system: &MultiClusterSystem,
-    sweep: &FigureSweep,
-    effort: EvaluationEffort,
-    run_sims: bool,
-    seed: u64,
-) -> Result<FigureSeries> {
-    let sweep = sweep.with_points(effort.sweep_points());
-    let rates = sweep.rates()?;
-
-    // Analytical pass: independent, cheap, deterministic model evaluations.
-    let analyses = mcnet_system::parallel::parallel_map(sweep.configs()?, |_, traffic| {
-        analysis_latency(system, &traffic)
-    });
-
-    // Simulation pass: one declarative scenario swept over the rate grid.
-    let simulations: Vec<Option<(f64, f64)>> = if run_sims {
-        let scenario = Scenario::builder()
-            .tree(system.clone())
-            .traffic(sweep.template()?)
-            .config(effort.sim_config(seed))
-            .build()?;
-        scenario
-            .sweep_outcomes(&rates)?
-            .into_iter()
-            .map(sim_point)
-            .collect::<std::result::Result<_, SimError>>()?
-    } else {
-        vec![None; rates.len()]
-    };
-
-    let mut points = Vec::with_capacity(rates.len());
-    for ((rate, analysis), simulation) in rates.iter().zip(analyses).zip(simulations) {
-        points.push(SeriesPoint {
-            rate: *rate,
-            analysis: analysis?,
-            simulation: simulation.map(|(mean, _)| mean),
-            sim_std_error: simulation.map(|(_, err)| err),
-        });
-    }
-    Ok(FigureSeries {
-        label: format!("Lm={}", sweep.flit_bytes),
-        message_flits: sweep.message_flits,
-        flit_bytes: sweep.flit_bytes,
-        points,
-    })
-}
-
 /// A figure produced by the replicated paper-scale driver: the panels plus
 /// one digest pinning every simulated delivery stream the figure contains.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,15 +88,17 @@ fn fold_digest(fold: &mut u64, digest: u64) {
     }
 }
 
-/// Like [`build_series`], but with `reps` independent replications per traffic
-/// point — the shape of the paper-scale figure driver. The whole sweep runs
-/// through [`Scenario::sweep_replicated`], so one per-worker engine pool is
-/// warmed by the first point and merely *reset* for every following
-/// replication: a curve of `P` points × `reps` replications builds
-/// `min(workers, reps)` engines, total. Each point reports the mean over its
-/// replication means and the standard error across replications; points where
-/// any replication exhausts its event budget (deep saturation) are omitted,
-/// exactly like [`build_series`].
+/// Builds one curve: sweep `λ_g`, evaluate the model, and simulate `reps`
+/// independent replications per traffic point — the shape of the paper-scale
+/// figure driver. `reps = 0` draws the analytical curve only.
+///
+/// The whole sweep runs through [`Scenario::sweep_replicated`], so one
+/// per-worker engine pool is warmed by the first point and merely *reset* for
+/// every following replication: a curve of `P` points × `reps` replications
+/// builds `min(workers, reps)` engines, total. Each point reports the mean over
+/// its replication means and the standard error across replications; points
+/// where any replication exhausts its event budget (deep saturation) are
+/// omitted rather than failing the figure.
 pub fn build_series_replicated(
     system: &MultiClusterSystem,
     sweep: &FigureSweep,
@@ -169,16 +114,23 @@ pub fn build_series_replicated(
         analysis_latency(system, &traffic)
     });
 
-    let scenario = Scenario::builder()
-        .tree(system.clone())
-        .traffic(sweep.template()?)
-        .config(effort.sim_config(seed))
-        .build()?;
-    let replicated = scenario.sweep_replicated(&rates, reps)?;
+    let simulations: Vec<Option<(f64, f64)>> = if reps == 0 {
+        vec![None; rates.len()]
+    } else {
+        let scenario = Scenario::builder()
+            .tree(system.clone())
+            .traffic(sweep.template()?)
+            .config(effort.sim_config(seed))
+            .build()?;
+        scenario
+            .sweep_replicated(&rates, reps)?
+            .into_iter()
+            .map(|outcome| replicated_point(outcome, fold))
+            .collect::<std::result::Result<_, SimError>>()?
+    };
 
     let mut points = Vec::with_capacity(rates.len());
-    for ((rate, analysis), outcome) in rates.iter().zip(analyses).zip(replicated) {
-        let simulation = replicated_point(outcome, fold)?;
+    for ((rate, analysis), simulation) in rates.iter().zip(analyses).zip(simulations) {
         points.push(SeriesPoint {
             rate: *rate,
             analysis: analysis?,
@@ -222,8 +174,8 @@ fn replicated_point(
     }
 }
 
-/// [`build_panel`] with replications: every series of the panel goes through
-/// [`build_series_replicated`].
+/// Builds one panel (one organization and message length, one series per
+/// flit size) through [`build_series_replicated`].
 pub fn build_panel_replicated(
     title: &str,
     system: &MultiClusterSystem,
@@ -240,7 +192,8 @@ pub fn build_panel_replicated(
     Ok(FigurePanel { title: title.to_string(), system: system.summary(), series })
 }
 
-/// [`figure3`] through the replicated driver: every point simulated `reps`
+/// The paper's Fig. 3: organization A (`N = 1120`, `m = 8`), panels for `M = 32`
+/// and `M = 64`, each with `L_m ∈ {256, 512}`; every point simulated `reps`
 /// times (seeds `seed … seed+reps-1`) over a reused engine pool.
 pub fn figure3_replicated(
     effort: EvaluationEffort,
@@ -272,7 +225,8 @@ pub fn figure3_replicated(
     Ok(ReplicatedFigure { panels, digest: fold })
 }
 
-/// [`figure4`] through the replicated driver: every point simulated `reps`
+/// The paper's Fig. 4: organization B (`N = 544`, `m = 4`), panels for `M = 32`
+/// and `M = 64`, each with `L_m ∈ {256, 512}`; every point simulated `reps`
 /// times (seeds `seed … seed+reps-1`) over a reused engine pool.
 pub fn figure4_replicated(
     effort: EvaluationEffort,
@@ -313,139 +267,57 @@ fn analysis_latency(system: &MultiClusterSystem, traffic: &TrafficConfig) -> Res
     }
 }
 
-/// Maps one swept simulation outcome to `(mean, std_error)`, treating deep
-/// saturation (an exhausted event budget) as a missing point rather than a
-/// failure of the whole figure.
-fn sim_point(
-    outcome: std::result::Result<SimReport, SimError>,
-) -> std::result::Result<Option<(f64, f64)>, SimError> {
-    match outcome {
-        Ok(report) => Ok(Some((report.mean_latency, report.latency_std_error))),
-        Err(SimError::EventBudgetExhausted { .. }) => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-/// Evaluates a single traffic point with both the model and (optionally) the simulator.
-pub fn evaluate_point(
-    system: &MultiClusterSystem,
-    traffic: &TrafficConfig,
-    effort: EvaluationEffort,
-    run_sims: bool,
-    seed: u64,
-) -> Result<SeriesPoint> {
-    let analysis = analysis_latency(system, traffic)?;
-    let simulation = if run_sims {
-        let scenario = Scenario::builder()
-            .tree(system.clone())
-            .traffic(*traffic)
-            .config(effort.sim_config(seed))
-            .build()?;
-        sim_point(scenario.run())?
-    } else {
-        None
-    };
-    Ok(SeriesPoint {
-        rate: traffic.generation_rate,
-        analysis,
-        simulation: simulation.map(|(mean, _)| mean),
-        sim_std_error: simulation.map(|(_, err)| err),
-    })
-}
-
-/// Builds one panel (two flit sizes) for a given organization and message length.
-pub fn build_panel(
-    title: &str,
-    system: &MultiClusterSystem,
-    sweeps: &[FigureSweep],
-    effort: EvaluationEffort,
-    run_sims: bool,
-    seed: u64,
-) -> Result<FigurePanel> {
-    let mut series = Vec::with_capacity(sweeps.len());
-    for sweep in sweeps {
-        series.push(build_series(system, sweep, effort, run_sims, seed)?);
-    }
-    Ok(FigurePanel { title: title.to_string(), system: system.summary(), series })
-}
-
-/// The paper's Fig. 3: organization A (`N = 1120`, `m = 8`), panels for `M = 32` and
-/// `M = 64`, each with `L_m ∈ {256, 512}`.
-pub fn figure3(effort: EvaluationEffort, run_sims: bool, seed: u64) -> Result<Vec<FigurePanel>> {
-    let system = organizations::table1_org_a();
-    Ok(vec![
-        build_panel(
-            "Fig. 3 (left): N=1120, m=8, M=32",
-            &system,
-            &[FigureSweep::fig3_m32(256.0), FigureSweep::fig3_m32(512.0)],
-            effort,
-            run_sims,
-            seed,
-        )?,
-        build_panel(
-            "Fig. 3 (right): N=1120, m=8, M=64",
-            &system,
-            &[FigureSweep::fig3_m64(256.0), FigureSweep::fig3_m64(512.0)],
-            effort,
-            run_sims,
-            seed,
-        )?,
-    ])
-}
-
-/// The paper's Fig. 4: organization B (`N = 544`, `m = 4`), panels for `M = 32` and
-/// `M = 64`, each with `L_m ∈ {256, 512}`.
-pub fn figure4(effort: EvaluationEffort, run_sims: bool, seed: u64) -> Result<Vec<FigurePanel>> {
-    let system = organizations::table1_org_b();
-    Ok(vec![
-        build_panel(
-            "Fig. 4 (left): N=544, m=4, M=32",
-            &system,
-            &[FigureSweep::fig4_m32(256.0), FigureSweep::fig4_m32(512.0)],
-            effort,
-            run_sims,
-            seed,
-        )?,
-        build_panel(
-            "Fig. 4 (right): N=544, m=4, M=64",
-            &system,
-            &[FigureSweep::fig4_m64(256.0), FigureSweep::fig4_m64(512.0)],
-            effort,
-            run_sims,
-            seed,
-        )?,
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One quick curve of Org B, M=32, Lm=256 with `reps` replications per
+    /// point, and the digest fold it left behind.
+    fn org_b_series(reps: usize, seed: u64) -> (FigureSeries, u64) {
+        let system = organizations::table1_org_b();
+        let sweep = FigureSweep::fig4_m32(256.0);
+        let mut fold = FNV_OFFSET;
+        let series = build_series_replicated(
+            &system,
+            &sweep,
+            EvaluationEffort::Quick,
+            reps,
+            seed,
+            &mut fold,
+        )
+        .unwrap();
+        (series, fold)
+    }
+
     #[test]
     fn analysis_only_series_has_expected_shape() {
-        // Model-only sweep of Org B, M=32, Lm=256: latency grows with rate and may
-        // saturate at the top of the range.
-        let system = organizations::table1_org_b();
-        let series =
-            build_series(&system, &FigureSweep::fig4_m32(256.0), EvaluationEffort::Quick, false, 1)
-                .unwrap();
+        // `reps = 0` is the model-only curve: no simulated point, nothing
+        // folded into the digest, and the very analysis values the simulated
+        // curve of the same sweep carries — strictly increasing with the rate.
+        let (series, fold) = org_b_series(0, 7);
         assert_eq!(series.points.len(), EvaluationEffort::Quick.sweep_points());
-        assert!(series.points[0].analysis.is_some());
         assert!(series.points.iter().all(|p| p.simulation.is_none()));
+        assert_eq!(fold, FNV_OFFSET, "an analysis-only series folded a digest");
+        let (simulated, _) = org_b_series(2, 7);
+        let bits = |s: &FigureSeries| {
+            s.points.iter().map(|p| p.analysis.map(f64::to_bits)).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&series), bits(&simulated));
+        assert!(series.points[0].analysis.is_some());
         let values: Vec<f64> = series.points.iter().filter_map(|p| p.analysis).collect();
         assert!(values.windows(2).all(|w| w[1] > w[0]), "latency must be increasing");
     }
 
     #[test]
     fn point_with_simulation_produces_both_numbers() {
-        let system = organizations::small_test_org();
-        let traffic = TrafficConfig::uniform(16, 256.0, 5e-4).unwrap();
-        let p = evaluate_point(&system, &traffic, EvaluationEffort::Quick, true, 3).unwrap();
+        let (series, _) = org_b_series(2, 3);
+        let p = series.points[0];
         assert!(p.analysis.is_some());
         assert!(p.simulation.is_some());
         assert!(p.sim_std_error.unwrap() > 0.0);
-        // Model and simulation agree within a factor of two at this low load (the
-        // close-agreement claim is exercised properly by the integration tests).
+        // Model and simulation agree within a factor of three at the lowest
+        // load (the close-agreement claim is exercised properly by the
+        // integration tests).
         let a = p.analysis.unwrap();
         let s = p.simulation.unwrap();
         assert!(a > 0.3 * s && a < 3.0 * s, "analysis {a} vs simulation {s}");
@@ -453,20 +325,10 @@ mod tests {
 
     #[test]
     fn replicated_series_reports_spread_and_digest() {
-        // One quick replicated curve of Org B, M=32, Lm=256: every unsaturated
-        // point carries a replication mean and a cross-replication standard
-        // error, and the digest fold moves off its FNV offset basis.
-        let system = organizations::table1_org_b();
-        let mut fold = FNV_OFFSET;
-        let series = build_series_replicated(
-            &system,
-            &FigureSweep::fig4_m32(256.0),
-            EvaluationEffort::Quick,
-            2,
-            7,
-            &mut fold,
-        )
-        .unwrap();
+        // Every unsaturated point carries a replication mean and a
+        // cross-replication standard error, and the digest fold moves off its
+        // FNV offset basis.
+        let (series, fold) = org_b_series(2, 7);
         assert_eq!(series.points.len(), EvaluationEffort::Quick.sweep_points());
         let simulated: Vec<_> = series.points.iter().filter(|p| p.simulation.is_some()).collect();
         assert!(!simulated.is_empty(), "every quick point saturated");
@@ -478,20 +340,22 @@ mod tests {
     fn saturation_produces_none_not_error() {
         let system = organizations::table1_org_b();
         let traffic = TrafficConfig::uniform(32, 256.0, 5e-3).unwrap();
-        let p = evaluate_point(&system, &traffic, EvaluationEffort::Quick, false, 1).unwrap();
-        assert!(p.analysis.is_none());
+        assert_eq!(analysis_latency(&system, &traffic).unwrap(), None);
     }
 
     #[test]
     fn panel_carries_saturation_summary() {
         let system = organizations::table1_org_b();
-        let panel = build_panel(
+        let sweeps = [FigureSweep::fig4_m32(256.0)];
+        let mut fold = FNV_OFFSET;
+        let panel = build_panel_replicated(
             "test",
             &system,
-            &[FigureSweep::fig4_m32(256.0)],
+            &sweeps,
             EvaluationEffort::Quick,
-            false,
+            0,
             1,
+            &mut fold,
         )
         .unwrap();
         let sat = panel.analysis_saturation_points();

@@ -3,14 +3,14 @@
 //! The evaluation harness: for every table and figure of the paper's validation section
 //! (and for the additional ablations listed in `DESIGN.md`), this crate builds the
 //! workload, runs both the analytical model (`mcnet-model`) and the discrete-event
-//! simulator (`mcnet-sim`), and renders the result as CSV and markdown.
+//! simulator (`mcnet-sim`), and renders the result as JSON and markdown.
 //!
 //! | artifact | builder | binary |
 //! |----------|---------|--------|
 //! | Table 1 (system organizations) | [`table1::table1_summary`] | `table1` |
-//! | Fig. 3 (N=1120, m=8, M∈{32,64}, L_m∈{256,512}) | [`figures::figure3`] | `fig3` |
-//! | Fig. 4 (N=544, m=4, M∈{32,64}, L_m∈{256,512}) | [`figures::figure4`] | `fig4` |
-//! | Accuracy claim (model vs simulation error) | [`comparison::accuracy_report`] | `accuracy` |
+//! | Fig. 3 (N=1120, m=8, M∈{32,64}, L_m∈{256,512}) | [`figures::figure3_replicated`] | `figures` |
+//! | Fig. 4 (N=544, m=4, M∈{32,64}, L_m∈{256,512}) | [`figures::figure4_replicated`] | `figures` |
+//! | Accuracy claim (model vs simulation error) | [`comparison::accuracy_report`] | `figures` |
 //! | Ablation A1: heterogeneity vs homogeneous | [`ablations::heterogeneity_ablation`] | `ablation_heterogeneity` |
 //! | Ablation A2: Draper–Ghosh variance | [`ablations::variance_ablation`] | (bench) |
 //! | Ablation A3: model vs simulation cost | [`ablations::cost_comparison`] | (bench) |

@@ -1,4 +1,4 @@
-//! Rendering experiment results as CSV and markdown.
+//! Rendering experiment results as JSON and markdown.
 //!
 //! The binaries in `src/bin/` print these renderings to stdout so results can be
 //! redirected into files, diffed between runs and pasted into EXPERIMENTS.md.
@@ -37,45 +37,6 @@ fn point_to_json(p: &SeriesPoint) -> Json {
         ("simulation", opt(p.simulation)),
         ("sim_std_error", opt(p.sim_std_error)),
     ])
-}
-
-/// Renders a figure panel as CSV: one row per traffic point, one column pair
-/// (analysis, simulation) per series.
-pub fn panel_to_csv(panel: &FigurePanel) -> String {
-    let mut out = String::new();
-    let mut header = String::from("rate");
-    for s in &panel.series {
-        let _ = write!(header, ",analysis_{0},simulation_{0}", s.label.replace('=', ""));
-    }
-    out.push_str(&header);
-    out.push('\n');
-    let rows = panel.series.iter().map(|s| s.points.len()).max().unwrap_or(0);
-    for i in 0..rows {
-        let rate = panel
-            .series
-            .iter()
-            .filter_map(|s| s.points.get(i))
-            .map(|p| p.rate)
-            .next()
-            .unwrap_or(f64::NAN);
-        let mut row = format!("{rate:.6e}");
-        for s in &panel.series {
-            let p = s.points.get(i);
-            let fmt = |v: Option<f64>| match v {
-                Some(x) => format!("{x:.4}"),
-                None => String::new(),
-            };
-            let _ = write!(
-                row,
-                ",{},{}",
-                fmt(p.and_then(|p| p.analysis)),
-                fmt(p.and_then(|p| p.simulation))
-            );
-        }
-        out.push_str(&row);
-        out.push('\n');
-    }
-    out
 }
 
 /// Renders a figure panel as a markdown table.
@@ -191,16 +152,6 @@ mod tests {
                 ],
             }],
         }
-    }
-
-    #[test]
-    fn csv_rendering_contains_all_points() {
-        let csv = panel_to_csv(&panel());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("analysis_Lm256"));
-        assert!(lines[1].contains("100.0000"));
-        assert!(lines[2].ends_with(",,"), "missing values render as empty cells");
     }
 
     #[test]

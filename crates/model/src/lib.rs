@@ -79,8 +79,6 @@
 
 pub mod backend;
 pub mod concentrator;
-pub mod curves;
-pub mod homogeneous;
 pub mod inter;
 pub mod intra;
 pub mod multicluster;

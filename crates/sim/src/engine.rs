@@ -119,42 +119,11 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds a simulation over the paper's multi-cluster tree fabric.
-    pub fn new(
-        system: &MultiClusterSystem,
-        traffic_cfg: &TrafficConfig,
-        config: &SimConfig,
-    ) -> Result<Self> {
-        Self::new_with(system, traffic_cfg, config, None)
-    }
-
-    /// Builds a tree-fabric simulation with an optional fault-injection plan.
-    /// `new(…)` is exactly `new_with(…, None)`; a `Some` plan schedules its
+    /// Builds a simulation over the paper's multi-cluster tree fabric under a
+    /// routing policy ([`RoutingPolicy::Deterministic`] or
+    /// [`RoutingPolicy::RandomizedUpDown`]), a traffic source and an optional
+    /// fault-injection plan. A `Some` plan schedules its
     /// `ChannelDown`/`ChannelUp` events up front and arms the retry policy.
-    pub fn new_with(
-        system: &MultiClusterSystem,
-        traffic_cfg: &TrafficConfig,
-        config: &SimConfig,
-        faults: Option<&FaultPlan>,
-    ) -> Result<Self> {
-        Self::new_routed(system, traffic_cfg, config, faults, RoutingPolicy::Deterministic)
-    }
-
-    /// Builds a tree-fabric simulation under an explicit routing policy
-    /// ([`RoutingPolicy::Deterministic`] or [`RoutingPolicy::RandomizedUpDown`]).
-    pub fn new_routed(
-        system: &MultiClusterSystem,
-        traffic_cfg: &TrafficConfig,
-        config: &SimConfig,
-        faults: Option<&FaultPlan>,
-        policy: RoutingPolicy,
-    ) -> Result<Self> {
-        Self::new_full(system, traffic_cfg, config, faults, policy, &TrafficSourceSpec::Poisson)
-    }
-
-    /// Builds a tree-fabric simulation under an explicit routing policy *and*
-    /// traffic source ([`TrafficSourceSpec`]). `new_routed(…)` is exactly
-    /// `new_full(…, &TrafficSourceSpec::Poisson)`.
     pub fn new_full(
         system: &MultiClusterSystem,
         traffic_cfg: &TrafficConfig,
@@ -165,59 +134,12 @@ impl Simulation {
     ) -> Result<Self> {
         let backend = FabricBackend::tree_with(system, traffic_cfg, policy)?;
         let cluster_ranges = Poisson::cluster_ranges_of(system);
-        let traffic = source.build(traffic_cfg, system.total_nodes(), cluster_ranges.clone())?;
-        Self::from_backend(
-            backend,
-            traffic,
-            source.clone(),
-            cluster_ranges,
-            traffic_cfg,
-            config,
-            faults,
-        )
+        Self::from_backend(backend, cluster_ranges, source, traffic_cfg, config, faults)
     }
 
-    /// Builds a simulation over a k-ary n-cube (torus) fabric.
-    pub fn new_torus(
-        torus: &TorusSystem,
-        traffic_cfg: &TrafficConfig,
-        config: &SimConfig,
-    ) -> Result<Self> {
-        Self::new_torus_with(torus, traffic_cfg, config, None)
-    }
-
-    /// Builds a torus-fabric simulation with an optional fault-injection plan
-    /// (see [`new_with`](Self::new_with)).
-    pub fn new_torus_with(
-        torus: &TorusSystem,
-        traffic_cfg: &TrafficConfig,
-        config: &SimConfig,
-        faults: Option<&FaultPlan>,
-    ) -> Result<Self> {
-        Self::new_torus_routed(torus, traffic_cfg, config, faults, RoutingPolicy::Deterministic)
-    }
-
-    /// Builds a torus-fabric simulation under an explicit routing policy
-    /// ([`RoutingPolicy::Deterministic`] or [`RoutingPolicy::AdaptiveTorus`]).
-    pub fn new_torus_routed(
-        torus: &TorusSystem,
-        traffic_cfg: &TrafficConfig,
-        config: &SimConfig,
-        faults: Option<&FaultPlan>,
-        policy: RoutingPolicy,
-    ) -> Result<Self> {
-        Self::new_torus_full(
-            torus,
-            traffic_cfg,
-            config,
-            faults,
-            policy,
-            &TrafficSourceSpec::Poisson,
-        )
-    }
-
-    /// Builds a torus-fabric simulation under an explicit routing policy *and*
-    /// traffic source (see [`new_full`](Self::new_full)).
+    /// Builds a simulation over a k-ary n-cube (torus) fabric under a routing
+    /// policy ([`RoutingPolicy::Deterministic`] or
+    /// [`RoutingPolicy::AdaptiveTorus`]); otherwise as [`new_full`](Self::new_full).
     pub fn new_torus_full(
         torus: &TorusSystem,
         traffic_cfg: &TrafficConfig,
@@ -228,40 +150,25 @@ impl Simulation {
     ) -> Result<Self> {
         let backend = FabricBackend::cube_with(torus, traffic_cfg, policy)?;
         let cluster_ranges = torus.neighborhood_ranges();
-        let traffic = source.build(traffic_cfg, torus.total_nodes(), cluster_ranges.clone())?;
-        Self::from_backend(
-            backend,
-            traffic,
-            source.clone(),
-            cluster_ranges,
-            traffic_cfg,
-            config,
-            faults,
-        )
+        Self::from_backend(backend, cluster_ranges, source, traffic_cfg, config, faults)
     }
 
-    /// Builds the simulation state shared by every backend: route table, channel
-    /// pool, per-node Poisson processes.
+    /// Builds the simulation state shared by every backend — route table,
+    /// channel pool, traffic source over the node partition `cluster_ranges`
+    /// — and ends in the same [`rewind`](Self::rewind) as [`reset`](Self::reset).
     fn from_backend(
         backend: FabricBackend,
-        traffic: Box<dyn TrafficSource>,
-        source_spec: TrafficSourceSpec,
         cluster_ranges: Vec<(usize, usize)>,
+        source: &TrafficSourceSpec,
         traffic_cfg: &TrafficConfig,
         config: &SimConfig,
         faults: Option<&FaultPlan>,
     ) -> Result<Self> {
+        let nodes = backend.total_nodes();
+        let traffic = source.build(traffic_cfg, nodes, cluster_ranges.clone())?;
         config.validate()?;
         let routes = RouteTable::build(&backend)?;
         let pool = backend.channel_pool();
-        let expected_scale = traffic_cfg.message_flits as f64 * backend.drain_scale();
-        let stats = SimStats::new(config.warmup_messages, config.measured_messages, expected_scale);
-        // Finite sources (trace replay) cap the run at their record count: the
-        // run then delivers exactly the trace, whatever the protocol asks for.
-        let mut generation_target = stats.generation_target(config.drain_messages);
-        if let Some(limit) = traffic.message_limit() {
-            generation_target = generation_target.min(limit);
-        }
         // Pending events stay bounded by 2·nodes + channels (one HeaderAdvance
         // per crossing message — its source's injection channel is held; one
         // TailArrived per draining message — its destination's ejection channel
@@ -269,7 +176,6 @@ impl Simulation {
         // carry no event). The calendar queue sizes itself to that load during
         // ramp-up, recalibrating its bucket width as it grows — pre-sizing it
         // would only be torn down again (see EventQueue::new docs).
-        let nodes = backend.total_nodes();
         let policy = backend.routing_policy();
         let mut sim = Simulation {
             backend,
@@ -285,52 +191,27 @@ impl Simulation {
             // (generation is open-loop). The hint covers the common case.
             messages: MessageSlab::with_capacity(nodes),
             traffic,
-            source_spec,
+            source_spec: source.clone(),
             cluster_ranges,
-            stats,
-            rng: SmallRng::seed_from_u64(config.seed),
+            // Per-run fields start as placeholders: `rewind` sizes the
+            // statistics, seeds the RNG streams and sets the run targets.
+            stats: SimStats::new(0, 0, 0.0),
+            rng: SmallRng::seed_from_u64(0),
             message_flits: traffic_cfg.message_flits as f64,
             flit_bytes: traffic_cfg.flit_bytes,
-            generation_target,
-            max_events: config.max_events,
-            fault_max_attempts: FaultPlan::DEFAULT_MAX_ATTEMPTS,
-            fault_retry_base: FaultPlan::DEFAULT_RETRY_BASE,
+            generation_target: 0,
+            max_events: 0,
+            fault_max_attempts: 0,
+            fault_retry_base: 0.0,
             policy,
-            route_rng: SmallRng::seed_from_u64(config.seed ^ ROUTE_RNG_SEED_OFFSET),
+            route_rng: SmallRng::seed_from_u64(0),
             adaptive: Vec::new(),
             hop_scratch: Vec::new(),
             cand_scratch: Vec::new(),
             local_scratch: Vec::new(),
             global_scratch: Vec::new(),
         };
-        // Prime every node's arrival process in node order (for the Poisson
-        // source this is the same RNG draw order as the per-node Generate
-        // events the seed engine scheduled). A `None` means the node never
-        // generates (e.g. absent from a trace) and is simply not armed.
-        for node in 0..nodes {
-            if let Some(t) = sim.traffic.next_arrival(&mut sim.rng, node, 0.0) {
-                sim.arrivals.push(t, node as u32);
-            }
-        }
-        // Materialize the fault plan: every resolved target channel gets its
-        // own timed down/up event (switch faults fan out to the whole incident
-        // set). Fault-free runs take none of this — the event mix, RNG draw
-        // order and statistics stay bit-identical to the pre-fault engine.
-        if let Some(plan) = faults {
-            plan.validate()?;
-            sim.fault_max_attempts = plan.max_attempts;
-            sim.fault_retry_base = plan.retry_base;
-            sim.stats.enable_windows(plan.window);
-            for fault in plan.resolve(&sim.backend)? {
-                for &channel in &fault.channels {
-                    let kind = match fault.action {
-                        FaultAction::Down => EventKind::ChannelDown { channel },
-                        FaultAction::Up => EventKind::ChannelUp { channel },
-                    };
-                    sim.queue.schedule_at(fault.at, kind);
-                }
-            }
-        }
+        sim.rewind(config, faults)?;
         Ok(sim)
     }
 
@@ -347,9 +228,8 @@ impl Simulation {
     /// Reset-then-run is bit-identical to building a fresh simulation with
     /// the same parameters: every reused structure either rewinds to its
     /// exact post-construction state or is layout-transparent by contract
-    /// (the calendar queue's pop order, the route arena's offsets). The RNG
-    /// streams are reseeded and the arrival heap re-primed in the same node
-    /// order as construction.
+    /// (the calendar queue's pop order, the route arena's offsets), and both
+    /// paths end in the same per-run set-up.
     ///
     /// Fails if the message geometry (flit count or flit length) differs from
     /// the one the fabric's channel times were built with — such a change
@@ -402,24 +282,40 @@ impl Simulation {
         // carried state only rewinds cleanly from quiescence.
         debug_assert_eq!(self.messages.live(), 0, "reset with messages still in flight");
         self.messages.clear();
+        self.adaptive.clear();
+        self.rewind(config, faults)
+    }
+
+    /// The per-run set-up both construction and [`reset`](Self::reset) end
+    /// in, over an empty arrival heap and event calendar: sizes the
+    /// statistics, sets the run targets, seeds the RNG streams, primes the
+    /// arrival processes and materializes the fault plan.
+    fn rewind(&mut self, config: &SimConfig, faults: Option<&FaultPlan>) -> Result<()> {
         let expected_scale = self.message_flits * self.backend.drain_scale();
         self.stats.reset(config.warmup_messages, config.measured_messages, expected_scale);
+        self.max_events = config.max_events;
+        self.fault_max_attempts = FaultPlan::DEFAULT_MAX_ATTEMPTS;
+        self.fault_retry_base = FaultPlan::DEFAULT_RETRY_BASE;
+        self.rng = SmallRng::seed_from_u64(config.seed);
+        self.route_rng = SmallRng::seed_from_u64(config.seed ^ ROUTE_RNG_SEED_OFFSET);
+        // Finite sources (trace replay) cap the run at their record count: the
+        // run then delivers exactly the trace, whatever the protocol asks for.
         self.generation_target = self.stats.generation_target(config.drain_messages);
         if let Some(limit) = self.traffic.message_limit() {
             self.generation_target = self.generation_target.min(limit);
         }
-        self.max_events = config.max_events;
-        self.rng = SmallRng::seed_from_u64(config.seed);
-        self.route_rng = SmallRng::seed_from_u64(config.seed ^ ROUTE_RNG_SEED_OFFSET);
-        self.fault_max_attempts = FaultPlan::DEFAULT_MAX_ATTEMPTS;
-        self.fault_retry_base = FaultPlan::DEFAULT_RETRY_BASE;
-        self.adaptive.clear();
-        // Re-prime the arrival processes in the same draw order as construction.
+        // Prime every node's arrival process in node order. A `None` means the
+        // node never generates (e.g. absent from a trace) and is simply not
+        // armed.
         for node in 0..self.backend.total_nodes() {
             if let Some(t) = self.traffic.next_arrival(&mut self.rng, node, 0.0) {
                 self.arrivals.push(t, node as u32);
             }
         }
+        // Materialize the fault plan: every resolved target channel gets its
+        // own timed down/up event (switch faults fan out to the whole incident
+        // set). Fault-free runs take none of this — the event mix, RNG draw
+        // order and statistics stay bit-identical to the pre-fault engine.
         if let Some(plan) = faults {
             plan.validate()?;
             self.fault_max_attempts = plan.max_attempts;
@@ -527,13 +423,6 @@ impl Simulation {
             } else {
                 let event = self.queue.pop().expect("checked above");
                 match event.kind {
-                    // Generation is batched through the arrival queue; the
-                    // engine never schedules Generate events, and handling one
-                    // here would re-arm the *arrival-queue minimum* (an
-                    // arbitrary node) instead of this event's node.
-                    EventKind::Generate { .. } => {
-                        unreachable!("Generate events are batched in the ArrivalQueue")
-                    }
                     EventKind::HeaderAdvance { message } => self.handle_header_advance(message),
                     EventKind::ChannelFree { channel } => self.handle_channel_free(channel),
                     EventKind::TailArrived { message } => self.handle_tail_arrived(message),
@@ -1033,6 +922,30 @@ mod tests {
         }
     }
 
+    /// A tree-fabric engine over the Poisson source.
+    fn tree_sim(
+        system: &MultiClusterSystem,
+        traffic: &TrafficConfig,
+        config: &SimConfig,
+        faults: Option<&FaultPlan>,
+        policy: RoutingPolicy,
+    ) -> Simulation {
+        let source = TrafficSourceSpec::Poisson;
+        Simulation::new_full(system, traffic, config, faults, policy, &source).unwrap()
+    }
+
+    /// A torus-fabric engine over the Poisson source.
+    fn torus_sim(
+        torus: &TorusSystem,
+        traffic: &TrafficConfig,
+        config: &SimConfig,
+        faults: Option<&FaultPlan>,
+        policy: RoutingPolicy,
+    ) -> Simulation {
+        let source = TrafficSourceSpec::Poisson;
+        Simulation::new_torus_full(torus, traffic, config, faults, policy, &source).unwrap()
+    }
+
     /// Runs the simulation to completion and condenses everything the report
     /// layer reads into a comparable fingerprint.
     fn run_fingerprint(sim: &mut Simulation) -> (u64, u64, u64, u64, u64, u64) {
@@ -1104,14 +1017,12 @@ mod tests {
                 (&traffic_a, &cfg_a, Some(&tree_faults)),
                 (&traffic_a, &cfg_a, None),
             ];
-            let mut reused =
-                Simulation::new_routed(&system, legs[0].0, legs[0].1, legs[0].2, policy).unwrap();
+            let mut reused = tree_sim(&system, legs[0].0, legs[0].1, legs[0].2, policy);
             for (i, (traffic, config, faults)) in legs.into_iter().enumerate() {
                 if i > 0 {
                     reused.reset(traffic, &TrafficSourceSpec::Poisson, config, faults).unwrap();
                 }
-                let mut fresh =
-                    Simulation::new_routed(&system, traffic, config, faults, policy).unwrap();
+                let mut fresh = tree_sim(&system, traffic, config, faults, policy);
                 assert_eq!(
                     run_fingerprint(&mut reused),
                     run_fingerprint(&mut fresh),
@@ -1128,15 +1039,12 @@ mod tests {
                 (&traffic_a, &cfg_a, Some(&torus_faults)),
                 (&traffic_a, &cfg_a, None),
             ];
-            let mut reused =
-                Simulation::new_torus_routed(&torus, legs[0].0, legs[0].1, legs[0].2, policy)
-                    .unwrap();
+            let mut reused = torus_sim(&torus, legs[0].0, legs[0].1, legs[0].2, policy);
             for (i, (traffic, config, faults)) in legs.into_iter().enumerate() {
                 if i > 0 {
                     reused.reset(traffic, &TrafficSourceSpec::Poisson, config, faults).unwrap();
                 }
-                let mut fresh =
-                    Simulation::new_torus_routed(&torus, traffic, config, faults, policy).unwrap();
+                let mut fresh = torus_sim(&torus, traffic, config, faults, policy);
                 assert_eq!(
                     run_fingerprint(&mut reused),
                     run_fingerprint(&mut fresh),
@@ -1151,7 +1059,7 @@ mod tests {
         let system = organizations::small_test_org();
         let traffic = TrafficConfig::uniform(8, 256.0, 1e-3).unwrap();
         let cfg = small_config();
-        let mut sim = Simulation::new(&system, &traffic, &cfg).unwrap();
+        let mut sim = tree_sim(&system, &traffic, &cfg, None, RoutingPolicy::Deterministic);
         sim.run().unwrap();
         // Different flit count and different flit size both need a rebuild.
         let longer = TrafficConfig::uniform(16, 256.0, 1e-3).unwrap();
@@ -1161,7 +1069,7 @@ mod tests {
         // A failed reset leaves the engine untouched: a compatible reset
         // afterwards still reproduces the fresh run exactly.
         sim.reset(&traffic, &TrafficSourceSpec::Poisson, &cfg, None).unwrap();
-        let mut fresh = Simulation::new(&system, &traffic, &cfg).unwrap();
+        let mut fresh = tree_sim(&system, &traffic, &cfg, None, RoutingPolicy::Deterministic);
         assert_eq!(run_fingerprint(&mut sim), run_fingerprint(&mut fresh));
     }
 
@@ -1169,7 +1077,8 @@ mod tests {
     fn all_generated_messages_are_delivered() {
         let system = organizations::small_test_org();
         let traffic = TrafficConfig::uniform(8, 256.0, 5e-4).unwrap();
-        let mut sim = Simulation::new(&system, &traffic, &small_config()).unwrap();
+        let mut sim =
+            tree_sim(&system, &traffic, &small_config(), None, RoutingPolicy::Deterministic);
         sim.run().unwrap();
         assert_eq!(sim.stats().generated(), 500);
         assert_eq!(sim.stats().delivered(), 500);
@@ -1204,7 +1113,7 @@ mod tests {
             seed: 3,
             max_events: 5_000_000,
         };
-        let mut sim = Simulation::new(&system, &traffic, &cfg).unwrap();
+        let mut sim = tree_sim(&system, &traffic, &cfg, None, RoutingPolicy::Deterministic);
         sim.run().unwrap();
         let t_cn = 0.276;
         let t_cs = 0.522;
@@ -1225,13 +1134,13 @@ mod tests {
         let cfg = small_config();
         let low = {
             let traffic = TrafficConfig::uniform(8, 256.0, 1e-4).unwrap();
-            let mut sim = Simulation::new(&system, &traffic, &cfg).unwrap();
+            let mut sim = tree_sim(&system, &traffic, &cfg, None, RoutingPolicy::Deterministic);
             sim.run().unwrap();
             sim.stats().mean_latency()
         };
         let high = {
             let traffic = TrafficConfig::uniform(8, 256.0, 8e-3).unwrap();
-            let mut sim = Simulation::new(&system, &traffic, &cfg).unwrap();
+            let mut sim = tree_sim(&system, &traffic, &cfg, None, RoutingPolicy::Deterministic);
             sim.run().unwrap();
             sim.stats().mean_latency()
         };
@@ -1244,7 +1153,7 @@ mod tests {
         let traffic = TrafficConfig::uniform(8, 256.0, 1e-3).unwrap();
         let mean = |seed: u64| {
             let cfg = SimConfig { seed, ..small_config() };
-            let mut sim = Simulation::new(&system, &traffic, &cfg).unwrap();
+            let mut sim = tree_sim(&system, &traffic, &cfg, None, RoutingPolicy::Deterministic);
             sim.run().unwrap();
             sim.stats().mean_latency()
         };
@@ -1257,7 +1166,7 @@ mod tests {
         let system = organizations::small_test_org();
         let traffic = TrafficConfig::uniform(8, 256.0, 1e-3).unwrap();
         let cfg = SimConfig { max_events: 100, ..small_config() };
-        let mut sim = Simulation::new(&system, &traffic, &cfg).unwrap();
+        let mut sim = tree_sim(&system, &traffic, &cfg, None, RoutingPolicy::Deterministic);
         assert!(matches!(sim.run(), Err(SimError::EventBudgetExhausted { .. })));
     }
 
@@ -1274,8 +1183,13 @@ mod tests {
         plan.max_attempts = 3;
         plan.retry_base = 100.0;
         let run = || {
-            let mut sim =
-                Simulation::new_with(&system, &traffic, &small_config(), Some(&plan)).unwrap();
+            let mut sim = tree_sim(
+                &system,
+                &traffic,
+                &small_config(),
+                Some(&plan),
+                RoutingPolicy::Deterministic,
+            );
             sim.run().unwrap();
             sim
         };
@@ -1302,8 +1216,7 @@ mod tests {
         let torus = mcnet_system::TorusSystem::new(4, 2).unwrap();
         let traffic = TrafficConfig::uniform(8, 256.0, 4e-3).unwrap();
         let policy = RoutingPolicy::AdaptiveTorus { adaptive_vcs: 1 };
-        let mut sim =
-            Simulation::new_torus_routed(&torus, &traffic, &small_config(), None, policy).unwrap();
+        let mut sim = torus_sim(&torus, &traffic, &small_config(), None, policy);
         sim.run().unwrap();
         assert_eq!(sim.stats().generated(), 500);
         assert_eq!(sim.stats().delivered(), 500);
@@ -1329,8 +1242,7 @@ mod tests {
         let policy = RoutingPolicy::AdaptiveTorus { adaptive_vcs: 1 };
         let digest = |seed: u64| {
             let cfg = SimConfig { seed, ..small_config() };
-            let mut sim =
-                Simulation::new_torus_routed(&torus, &traffic, &cfg, None, policy).unwrap();
+            let mut sim = torus_sim(&torus, &traffic, &cfg, None, policy);
             sim.run().unwrap();
             sim.stats().digest()
         };
@@ -1350,9 +1262,7 @@ mod tests {
         let torus = mcnet_system::TorusSystem::new(8, 1).unwrap();
         let traffic = TrafficConfig::uniform(8, 256.0, 1e-6).unwrap();
         let run = |policy| {
-            let mut sim =
-                Simulation::new_torus_routed(&torus, &traffic, &small_config(), None, policy)
-                    .unwrap();
+            let mut sim = torus_sim(&torus, &traffic, &small_config(), None, policy);
             sim.run().unwrap();
             sim
         };
@@ -1367,14 +1277,8 @@ mod tests {
     fn randomized_updown_delivers_everything_and_counts_misroutes() {
         let system = organizations::small_test_org();
         let traffic = TrafficConfig::uniform(8, 256.0, 1e-3).unwrap();
-        let mut sim = Simulation::new_routed(
-            &system,
-            &traffic,
-            &small_config(),
-            None,
-            RoutingPolicy::RandomizedUpDown,
-        )
-        .unwrap();
+        let mut sim =
+            tree_sim(&system, &traffic, &small_config(), None, RoutingPolicy::RandomizedUpDown);
         sim.run().unwrap();
         assert_eq!(sim.stats().generated(), 500);
         assert_eq!(sim.stats().delivered(), 500);
@@ -1392,14 +1296,7 @@ mod tests {
         let traffic = TrafficConfig::uniform(8, 256.0, 1e-3).unwrap();
         let digest = |seed: u64| {
             let cfg = SimConfig { seed, ..small_config() };
-            let mut sim = Simulation::new_routed(
-                &system,
-                &traffic,
-                &cfg,
-                None,
-                RoutingPolicy::RandomizedUpDown,
-            )
-            .unwrap();
+            let mut sim = tree_sim(&system, &traffic, &cfg, None, RoutingPolicy::RandomizedUpDown);
             sim.run().unwrap();
             sim.stats().digest()
         };
@@ -1411,7 +1308,8 @@ mod tests {
     fn intra_and_inter_classes_are_both_observed() {
         let system = organizations::small_test_org();
         let traffic = TrafficConfig::uniform(8, 256.0, 1e-3).unwrap();
-        let mut sim = Simulation::new(&system, &traffic, &small_config()).unwrap();
+        let mut sim =
+            tree_sim(&system, &traffic, &small_config(), None, RoutingPolicy::Deterministic);
         sim.run().unwrap();
         let intra = sim.stats().class_summary(crate::message::MessageClass::Intra);
         let inter = sim.stats().class_summary(crate::message::MessageClass::Inter);

@@ -55,15 +55,9 @@ pub type MessageId = u32;
 /// message actually waits for the channel. Message generation does not appear
 /// here either: per-node Poisson arrivals live in the engine's dedicated
 /// [`crate::arrivals::ArrivalQueue`] and never round-trip the future-event
-/// list (the [`Generate`](EventKind::Generate) variant remains for tests and
-/// external schedulers).
+/// list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// A node generates its next message.
-    Generate {
-        /// Global node index.
-        node: u32,
-    },
     /// The header flit of a message has finished crossing the channel it last acquired
     /// and now attempts to acquire the next channel of its segment (or, if the segment
     /// is finished, starts draining).
@@ -556,12 +550,12 @@ mod tests {
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule_in(3.0, EventKind::Generate { node: 3 });
-        q.schedule_in(1.0, EventKind::Generate { node: 1 });
-        q.schedule_in(2.0, EventKind::Generate { node: 2 });
+        q.schedule_in(3.0, EventKind::ChannelFree { channel: 3 });
+        q.schedule_in(1.0, EventKind::ChannelFree { channel: 1 });
+        q.schedule_in(2.0, EventKind::ChannelFree { channel: 2 });
         let order: Vec<u32> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
-                EventKind::Generate { node } => node,
+                EventKind::ChannelFree { channel } => channel,
                 _ => unreachable!(),
             })
             .collect();
@@ -573,12 +567,12 @@ mod tests {
     #[test]
     fn ties_break_by_insertion_order() {
         let mut q = EventQueue::new();
-        for node in 0..10u32 {
-            q.schedule_at(5.0, EventKind::Generate { node });
+        for channel in 0..10u32 {
+            q.schedule_at(5.0, EventKind::ChannelFree { channel });
         }
         let order: Vec<u32> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
-                EventKind::Generate { node } => node,
+                EventKind::ChannelFree { channel } => channel,
                 _ => unreachable!(),
             })
             .collect();
@@ -594,7 +588,7 @@ mod tests {
         let first = q.pop().unwrap();
         assert_eq!(q.now(), first.time);
         // Scheduling relative to the new now.
-        q.schedule_in(0.5, EventKind::Generate { node: 9 });
+        q.schedule_in(0.5, EventKind::ChannelFree { channel: 9 });
         let mut last = q.now();
         while let Some(e) = q.pop() {
             assert!(e.time >= last);
@@ -605,12 +599,12 @@ mod tests {
     #[test]
     fn peek_matches_pop_and_is_stable() {
         let mut q = EventQueue::new();
-        q.schedule_in(4.0, EventKind::Generate { node: 4 });
-        q.schedule_in(2.0, EventKind::Generate { node: 2 });
+        q.schedule_in(4.0, EventKind::ChannelFree { channel: 4 });
+        q.schedule_in(2.0, EventKind::ChannelFree { channel: 2 });
         assert_eq!(q.peek_time(), Some(2.0));
         assert_eq!(q.peek_time(), Some(2.0), "peek must not consume");
         // An insert below the cached minimum takes over the peek.
-        q.schedule_in(1.0, EventKind::Generate { node: 1 });
+        q.schedule_in(1.0, EventKind::ChannelFree { channel: 1 });
         assert_eq!(q.peek_time(), Some(1.0));
         assert_eq!(q.pop().unwrap().time, 1.0);
         assert_eq!(q.peek_time(), Some(2.0));
@@ -622,11 +616,11 @@ mod tests {
     #[test]
     fn advance_to_moves_the_clock_between_events() {
         let mut q = EventQueue::new();
-        q.schedule_in(5.0, EventKind::Generate { node: 0 });
+        q.schedule_in(5.0, EventKind::ChannelFree { channel: 0 });
         q.advance_to(3.0);
         assert_eq!(q.now(), 3.0);
         // Scheduling is relative to the advanced clock.
-        q.schedule_in(1.0, EventKind::Generate { node: 1 });
+        q.schedule_in(1.0, EventKind::ChannelFree { channel: 1 });
         let first = q.pop().unwrap();
         assert_eq!(first.time, 4.0);
         assert_eq!(q.pop().unwrap().time, 5.0);
@@ -637,7 +631,7 @@ mod tests {
     #[should_panic(expected = "invalid event delay")]
     fn negative_delay_panics() {
         let mut q = EventQueue::new();
-        q.schedule_in(-1.0, EventKind::Generate { node: 0 });
+        q.schedule_in(-1.0, EventKind::ChannelFree { channel: 0 });
     }
 
     #[test]
@@ -645,9 +639,9 @@ mod tests {
     #[should_panic(expected = "scheduled in the past")]
     fn past_scheduling_panics() {
         let mut q = EventQueue::new();
-        q.schedule_in(5.0, EventKind::Generate { node: 0 });
+        q.schedule_in(5.0, EventKind::ChannelFree { channel: 0 });
         q.pop();
-        q.schedule_at(1.0, EventKind::Generate { node: 1 });
+        q.schedule_at(1.0, EventKind::ChannelFree { channel: 1 });
     }
 
     #[test]
@@ -667,7 +661,7 @@ mod tests {
         assert_eq!(q.num_buckets(), MIN_BUCKETS);
         // Push far past 2 events/bucket: the calendar must grow.
         for i in 0..400u32 {
-            q.schedule_at(i as f64 * 0.5, EventKind::Generate { node: i });
+            q.schedule_at(i as f64 * 0.5, EventKind::ChannelFree { channel: i });
         }
         assert!(q.num_buckets() >= 128, "grew to {}", q.num_buckets());
         assert!(q.bucket_width() > 0.0);
@@ -689,8 +683,8 @@ mod tests {
         // scans; pops must stay correctly ordered and the width must adapt.
         let mut q = EventQueue::new();
         for i in 0..40u32 {
-            q.schedule_at(f64::from(i) * 1e4, EventKind::Generate { node: i });
-            q.schedule_at(f64::from(i) * 1e4 + 1e-3, EventKind::Generate { node: 1000 + i });
+            q.schedule_at(f64::from(i) * 1e4, EventKind::ChannelFree { channel: i });
+            q.schedule_at(f64::from(i) * 1e4 + 1e-3, EventKind::ChannelFree { channel: 1000 + i });
         }
         let mut last = -1.0f64;
         let mut count = 0;
@@ -717,9 +711,9 @@ mod tests {
         let mut q = EventQueue::new();
         q.set_width_for_test(width);
         let t0 = 860.0 * width; // brings `now` within one year of day 867
-        q.schedule_at(t0, EventKind::Generate { node: 0 });
-        q.schedule_at(a, EventKind::Generate { node: 1 });
-        q.schedule_at(a + 0.5, EventKind::Generate { node: 2 }); // day 868
+        q.schedule_at(t0, EventKind::ChannelFree { channel: 0 });
+        q.schedule_at(a, EventKind::ChannelFree { channel: 1 });
+        q.schedule_at(a + 0.5, EventKind::ChannelFree { channel: 2 }); // day 868
         assert_eq!(q.pop().unwrap().time, t0);
         let second = q.pop().unwrap();
         assert_eq!(second.time, a, "boundary-exact event popped out of order");
@@ -736,7 +730,10 @@ mod tests {
         // crosses grow and shrink thresholds repeatedly.
         for round in 0..6 {
             for i in 0..100u32 {
-                q.schedule_in(0.01 + f64::from(i % 17) * 0.3, EventKind::Generate { node: i });
+                q.schedule_in(
+                    0.01 + f64::from(i % 17) * 0.3,
+                    EventKind::ChannelFree { channel: i },
+                );
                 scheduled += 1;
             }
             for _ in 0..(40 + round * 10) {

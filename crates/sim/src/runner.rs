@@ -222,23 +222,10 @@ pub struct ReplicatedReport {
 
 /// The shared replication driver: fans per-replication configs over the
 /// worker pool and aggregates in replication order, for any backend's
-/// single-run function. Each worker thread carries one engine cache slot, so
-/// a run function built on [`Scenario::run_point_reusing`] resets one engine
-/// per worker instead of allocating one per replication.
-/// [`Scenario::replicate`] is the public face.
-pub(crate) fn replicate_with<F>(
-    config: &SimConfig,
-    replications: usize,
-    run: F,
-) -> Result<ReplicatedReport>
-where
-    F: Fn(&mut Option<Simulation>, SimConfig) -> Result<SimReport> + Sync,
-{
-    replicate_pooled(config, replications, &mut Vec::new(), run)
-}
-
-/// [`replicate_with`] against a caller-held slot pool: the per-worker engine
-/// caches live in `slots` and survive the call, so a driver running many
+/// single-run function. Each worker thread carries one engine cache slot from
+/// `slots`, so a run function built on [`Scenario::run_point_reusing`] resets
+/// one engine per worker instead of allocating one per replication. The
+/// caches survive the call, so a driver running many
 /// replication sets back to back (a replicated sweep, a campaign column)
 /// builds exactly `max_workers()` engines over its whole lifetime instead of
 /// one set per batch. `N` replications on `W` workers build at most `W`
@@ -272,7 +259,7 @@ where
 
 /// Aggregates per-replication reports (in replication order) into a
 /// [`ReplicatedReport`] — the one aggregation both the pool-fanned
-/// [`replicate_with`] and the sequential
+/// [`replicate_pooled`] and the sequential
 /// [`Scenario::execute_reusing`](crate::scenario::Scenario::execute_reusing)
 /// path share, so a campaign cell and a standalone `replicate` produce
 /// bit-identical aggregates from the same per-replication reports.

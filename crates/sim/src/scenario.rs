@@ -38,7 +38,7 @@ use crate::engine::Simulation;
 use crate::fault::FaultPlan;
 use crate::json::{object, Json};
 use crate::policy::RoutingPolicy;
-use crate::runner::{replicate_with, report_from, ReplicatedReport, SimConfig, SimReport};
+use crate::runner::{replicate_pooled, report_from, ReplicatedReport, SimConfig, SimReport};
 use crate::traffic_source::TrafficSourceSpec;
 use crate::{Result, SimError};
 use mcnet_model::{ModelBackend, ModelOptions, ModelReport};
@@ -150,7 +150,7 @@ impl Scenario {
     /// Runs the scenario once. Bit-identical to the legacy
     /// `run_simulation` / `run_torus_simulation` at the same inputs.
     pub fn run(&self) -> Result<SimReport> {
-        self.run_point(&self.traffic, &self.config)
+        self.run_point_reusing(&mut None, &self.traffic, &self.config)
     }
 
     /// Runs `n` independent replications (seeds `seed`, `seed+1`, …) on the
@@ -158,7 +158,7 @@ impl Scenario {
     /// bit-identical to the legacy `run_replications` /
     /// `run_torus_replications` contract.
     pub fn replicate(&self, n: usize) -> Result<ReplicatedReport> {
-        replicate_with(&self.config, n, |slot, cfg| {
+        replicate_pooled(&self.config, n, &mut Vec::new(), |slot, cfg| {
             self.run_point_reusing(slot, &self.traffic, &cfg)
         })
     }
@@ -221,9 +221,9 @@ impl Scenario {
     /// grid — a silent empty report used to be the failure mode).
     pub fn sweep_outcomes(&self, rates: &[f64]) -> Result<Vec<Result<SimReport>>> {
         let configs = self.materialize_grid(rates)?;
-        Ok(mcnet_system::parallel::parallel_map_with(
+        Ok(mcnet_system::parallel::parallel_map_reusing(
             configs,
-            || None,
+            &mut Vec::new(),
             |slot, i, traffic| {
                 let config =
                     SimConfig { seed: self.config.seed.wrapping_add(i as u64), ..self.config };
@@ -254,7 +254,7 @@ impl Scenario {
         Ok(configs
             .into_iter()
             .map(|traffic| {
-                crate::runner::replicate_pooled(&self.config, n, &mut slots, |slot, cfg| {
+                replicate_pooled(&self.config, n, &mut slots, |slot, cfg| {
                     self.run_point_reusing(slot, &traffic, &cfg)
                 })
             })
@@ -394,8 +394,8 @@ impl Scenario {
         })
     }
 
-    /// Builds the engine for one run — the fabric dispatch shared by the
-    /// fresh and the engine-reusing run paths.
+    /// Builds the engine for one run — the fabric dispatch behind
+    /// [`Scenario::run_point_reusing`].
     fn build_sim(&self, traffic: &TrafficConfig, config: &SimConfig) -> Result<Simulation> {
         let faults = self.faults.as_ref();
         match &self.fabric {
@@ -414,19 +414,14 @@ impl Scenario {
     }
 
     /// One simulation run at an explicit traffic point and protocol — the
-    /// primitive every public entry point reduces to.
-    fn run_point(&self, traffic: &TrafficConfig, config: &SimConfig) -> Result<SimReport> {
-        let mut sim = self.build_sim(traffic, config)?;
-        report_from(&mut sim, traffic, config)
-    }
-
-    /// [`Scenario::run_point`] against a per-worker engine cache: a cached
-    /// engine is [`reset`](Simulation::reset) in place (reusing all of its
-    /// grown allocations); a missing or incompatible one is built fresh and
-    /// cached. Bit-identical to `run_point` by the reset contract — the cache
-    /// only changes how much the run allocates. The slot must only ever be
-    /// fed runs of this same scenario (same fabric and routing policy); sweep
-    /// and replication workers hold one slot per thread for exactly that use.
+    /// primitive every public entry point reduces to — against an engine
+    /// cache: a cached engine is [`reset`](Simulation::reset) in place
+    /// (reusing all of its grown allocations); a missing or incompatible one
+    /// is built fresh and cached. A fresh and a reset engine give bit-identical
+    /// reports by the reset contract — the cache only changes how much the run
+    /// allocates. The slot must only ever be fed runs of this same scenario
+    /// (same fabric and routing policy); sweep and replication workers hold
+    /// one slot per thread for exactly that use, a single run an empty one.
     pub(crate) fn run_point_reusing(
         &self,
         slot: &mut Option<Simulation>,

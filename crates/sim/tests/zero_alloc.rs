@@ -54,7 +54,10 @@ fn steady_state_replication_runs_do_not_allocate() {
     let base = SimConfig::quick(100);
     let seeds: [u64; 3] = [100, 101, 102];
 
-    let mut sim = Simulation::new(&system, &traffic, &base).unwrap();
+    let policy = mcnet_sim::RoutingPolicy::Deterministic;
+    let mut sim =
+        Simulation::new_full(&system, &traffic, &base, None, policy, &TrafficSourceSpec::Poisson)
+            .unwrap();
     sim.run().unwrap();
 
     // Warm-up: two full passes over the measured seed set. The first pass

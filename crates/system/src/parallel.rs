@@ -35,48 +35,21 @@ where
     U: Send,
     F: Fn(usize, T) -> U + Sync,
 {
-    parallel_map_with(items, || (), |(), i, item| f(i, item))
+    parallel_map_reusing(items, &mut Vec::new(), |(), i, item| f(i, item))
 }
 
-/// [`parallel_map`] with reusable per-worker state: `init` runs once on each
-/// worker thread and the resulting value is threaded mutably through every
-/// item that worker claims.
+/// [`parallel_map`] with reusable per-worker state that outlives the call:
+/// each worker thread owns one slot of `slots` and threads it mutably through
+/// every item it claims. The caller keeps the slot vector and passes it back
+/// for the next batch, so an engine (or any other arena) warmed up by one
+/// sweep point keeps its capacity for every following point instead of being
+/// dropped at the batch boundary. Missing slots are default-constructed on
+/// demand and the vector never shrinks.
 ///
-/// This is the scheduling shape of allocation reuse: a worker that processes
-/// many simulation runs keeps one engine (or other scratch arena) alive in
-/// `S` and resets it between items instead of reallocating. The determinism
-/// contract is unchanged — and therefore demands that the *value* of each
-/// result stays a function of `(index, item)` only: `S` may cache arenas and
-/// buffers, never anything that leaks into results, since which items share a
-/// worker (and in what order) is scheduling-dependent.
-pub fn parallel_map_with<T, U, S, I, F>(items: Vec<T>, init: I, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, T) -> U + Sync,
-{
-    let workers = max_workers().min(items.len());
-    if workers <= 1 {
-        let mut state = init();
-        return items.into_iter().enumerate().map(|(i, item)| f(&mut state, i, item)).collect();
-    }
-    let mut states: Vec<S> = (0..workers).map(|_| init()).collect();
-    run_pool(items, &mut states, workers, &f)
-}
-
-/// [`parallel_map_with`] where the per-worker states outlive the call: the
-/// caller owns the slot vector and passes it back for the next batch, so an
-/// engine (or any other arena) warmed up by one sweep point keeps its
-/// capacity for every following point instead of being dropped at the batch
-/// boundary. Missing slots are default-constructed on demand and the vector
-/// never shrinks.
-///
-/// Same determinism contract as [`parallel_map_with`]: result `i` must be a
-/// pure function of `(i, items[i])` — the slots may cache allocations, never
-/// anything that leaks into results, since which items (and now even which
-/// *batches*) share a slot is scheduling-dependent.
+/// The determinism contract is unchanged — and therefore demands that result
+/// `i` stays a pure function of `(i, items[i])`: the slots may cache arenas
+/// and buffers, never anything that leaks into results, since which items
+/// (and even which *batches*) share a slot is scheduling-dependent.
 pub fn parallel_map_reusing<T, U, S, F>(items: Vec<T>, slots: &mut Vec<S>, f: F) -> Vec<U>
 where
     T: Send,
@@ -92,40 +65,47 @@ where
         let state = &mut slots[0];
         return items.into_iter().enumerate().map(|(i, item)| f(state, i, item)).collect();
     }
-    run_pool(items, slots, workers, &f)
-}
 
-/// The shared pool body: fans `items` over `workers` scoped threads, each
-/// owning one of the first `workers` entries of `states` exclusively for the
-/// duration of the scope, and returns results in input order.
-fn run_pool<T, U, S, F>(items: Vec<T>, states: &mut [S], workers: usize, f: &F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    S: Send,
-    F: Fn(&mut S, usize, T) -> U + Sync,
-{
+    // The pool: `workers` scoped threads, each owning one of the first
+    // `workers` slots exclusively for the duration of the scope, claiming
+    // items by atomic index and filling results by input position.
     let n = items.len();
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
-        let (slots, results, next) = (&slots, &results, &next);
-        for state in states.iter_mut().take(workers) {
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("work slot poisoned")
-                    .take()
-                    .expect("work item claimed twice");
-                let out = f(state, i, item);
-                *results[i].lock().expect("result slot poisoned") = Some(out);
-            });
+        let (work, results, next, f) = (&work, &results, &next, &f);
+        let handles: Vec<_> = slots
+            .iter_mut()
+            .take(workers)
+            .map(|state| {
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let item = work[i]
+                        .lock()
+                        .expect("work slot poisoned")
+                        .take()
+                        .expect("work item claimed twice");
+                    let out = f(state, i, item);
+                    *results[i].lock().expect("result slot poisoned") = Some(out);
+                })
+            })
+            .collect();
+        // Join inside the scope and re-raise the first worker's own panic:
+        // left to the scope, it would re-panic with a generic message and
+        // drop the payload.
+        let mut panic = None;
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
         }
     });
 
@@ -185,19 +165,16 @@ mod tests {
 
     #[test]
     fn per_worker_state_is_initialized_once_per_thread_and_reused() {
-        // Each worker tags its results with its own monotonically increasing
-        // counter: every item sees a state that was used `>= 1` times, the
-        // number of distinct states is bounded by the worker count, and the
-        // result values remain a pure function of the input item.
-        let out = parallel_map_with(
-            (0..200usize).collect::<Vec<_>>(),
-            || 0usize,
-            |seen, i, item| {
-                *seen += 1;
-                assert_eq!(i, item);
-                (item * 2, std::thread::current().id())
-            },
-        );
+        // Each worker threads its own counter through every item it claims:
+        // the number of distinct states is bounded by the worker count, the
+        // counters add up to the item count, and the result values remain a
+        // pure function of the input item.
+        let mut slots: Vec<usize> = Vec::new();
+        let out = parallel_map_reusing((0..200usize).collect(), &mut slots, |seen, i, item| {
+            *seen += 1;
+            assert_eq!(i, item);
+            (item * 2, std::thread::current().id())
+        });
         assert_eq!(out.len(), 200);
         let mut threads = HashSet::new();
         for (i, (v, thread)) in out.iter().enumerate() {
@@ -205,20 +182,19 @@ mod tests {
             threads.insert(*thread);
         }
         assert!(threads.len() <= max_workers());
+        assert!(slots.len() <= max_workers());
+        assert_eq!(slots.iter().sum::<usize>(), 200);
     }
 
     #[test]
     fn inline_fallback_threads_one_state_through_every_item() {
         // Zero/one items run inline on the caller's thread with a single state.
-        assert!(parallel_map_with(Vec::<u8>::new(), || 0, |_, _, x| x).is_empty());
-        let out = parallel_map_with(
-            vec![5u8],
-            || 41,
-            |s: &mut i32, i, x| {
-                *s += 1;
-                (i, x, *s)
-            },
-        );
+        let mut slots = vec![41];
+        assert!(parallel_map_reusing(Vec::<u8>::new(), &mut slots, |_, _, x| x).is_empty());
+        let out = parallel_map_reusing(vec![5u8], &mut slots, |s: &mut i32, i, x| {
+            *s += 1;
+            (i, x, *s)
+        });
         assert_eq!(out, vec![(0, 5, 42)]);
     }
 

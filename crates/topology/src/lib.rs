@@ -30,9 +30,7 @@
 //! * [`updown::UpDownRouting`] — a generic Up*/Down* spanning-tree router used as a
 //!   correctness baseline for the NCA router;
 //! * [`kary_ncube::KaryNCube`] — the k-ary n-cube topology of the prior-art models
-//!   the paper builds on (used for baseline/ablation benchmarks);
-//! * [`properties`] — structural invariants (port budgets, bisection width, diameter)
-//!   used by the test-suite and by property-based tests.
+//!   the paper builds on (used for baseline/ablation benchmarks).
 //!
 //! ## Quick example
 //!
@@ -59,7 +57,6 @@ pub mod distance;
 pub mod graph;
 pub mod ids;
 pub mod kary_ncube;
-pub mod properties;
 pub mod routing;
 pub mod tree;
 pub mod updown;

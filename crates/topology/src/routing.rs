@@ -674,4 +674,51 @@ mod tests {
             .unwrap();
         assert!(!channels.is_empty());
     }
+
+    #[test]
+    fn root_apexes_are_used_evenly() {
+        // Over all ordered pairs whose NCA route climbs to the root level,
+        // destination-digit ascent selection uses every root switch as the
+        // apex equally often.
+        let tree = MPortNTree::new(8, 2).unwrap();
+        let router = NcaRouter::new(&tree);
+        let mut counts = vec![0usize; tree.num_roots()];
+        for src in tree.nodes() {
+            for dst in tree.nodes().filter(|&d| d != src) {
+                let path = router.route(src, dst).unwrap();
+                if path.ascending_links == tree.levels() {
+                    counts[path.apex().unwrap().index()] += 1;
+                }
+            }
+        }
+        assert!(counts[0] > 0);
+        assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
+    }
+
+    #[test]
+    fn uniform_traffic_is_balanced_on_switch_links() {
+        // Under uniform all-to-all traffic every switch↔switch channel is used
+        // and no channel carries more than 4× the least loaded one: the
+        // deterministic routing creates no hot links.
+        let tree = MPortNTree::new(4, 3).unwrap();
+        let router = NcaRouter::new(&tree);
+        let mut loads = vec![0usize; tree.graph().num_channels()];
+        for src in tree.nodes() {
+            for dst in tree.nodes().filter(|&d| d != src) {
+                for ch in &router.route(src, dst).unwrap().channels {
+                    loads[ch.index()] += 1;
+                }
+            }
+        }
+        let switch_loads: Vec<usize> = tree
+            .graph()
+            .channels()
+            .filter(|(_, ch)| ch.kind == ChannelKind::SwitchSwitch)
+            .map(|(id, _)| loads[id.index()])
+            .collect();
+        let max = *switch_loads.iter().max().unwrap();
+        let min = *switch_loads.iter().min().unwrap();
+        assert!(min > 0, "every switch-switch channel is used under all-to-all");
+        assert!(max <= 4 * min, "per-channel load imbalance too large: max={max}, min={min}");
+    }
 }

@@ -680,4 +680,27 @@ mod tests {
         assert_eq!(counts[2], (k - 1) * k);
         assert_eq!(counts[3], tree.num_nodes() - 1 - (k - 1) - (k - 1) * k);
     }
+
+    #[test]
+    fn every_level_boundary_has_full_bisection() {
+        // Every level boundary (boundary 0 is node↔leaf, boundary l+1 sits
+        // above switch level l) carries exactly 2N unidirectional channels —
+        // N per direction, which is what full bisection bandwidth requires.
+        for &(m, n) in &[(8usize, 1usize), (8, 2), (8, 3), (4, 3), (4, 4), (4, 5)] {
+            let tree = MPortNTree::new(m, n).unwrap();
+            let mut per_boundary = vec![0usize; n];
+            for (_, ch) in tree.graph().channels() {
+                let boundary = match (ch.from.switch(), ch.to.switch()) {
+                    (Some(a), Some(b)) => {
+                        let la = tree.switch_level(a).unwrap().index();
+                        let lb = tree.switch_level(b).unwrap().index();
+                        la.min(lb) + 1
+                    }
+                    _ => 0,
+                };
+                per_boundary[boundary] += 1;
+            }
+            assert!(per_boundary.iter().all(|&c| c == 2 * tree.num_nodes()), "({m},{n})");
+        }
+    }
 }

@@ -1,12 +1,11 @@
 //! Model validation in miniature: sweep the offered traffic on the paper's Org B and
 //! print analysis vs simulation side by side — a fast, self-contained version of the
-//! paper's Fig. 4 methodology (use the `fig3`/`fig4` binaries of `mcnet-experiments`
-//! for the full protocol).
+//! paper's Fig. 4 methodology (use the `figures` binary of `mcnet-experiments` for
+//! the full protocol).
 //!
 //! Run with: `cargo run --release --example validate_model [-- <points>]`
 
-use mcnet::experiments::figures::evaluate_point;
-use mcnet::experiments::EvaluationEffort;
+use mcnet::sim::{Scenario, SimConfig, SimError};
 use mcnet::system::{organizations, TrafficConfig};
 
 fn main() {
@@ -18,9 +17,21 @@ fn main() {
     for i in 1..=points {
         let rate = 8.0e-4 * i as f64 / points as f64;
         let traffic = TrafficConfig::uniform(32, 256.0, rate).expect("valid traffic");
-        let point = evaluate_point(&system, &traffic, EvaluationEffort::Quick, true, 2006)
-            .expect("evaluation succeeds");
-        let (a, s) = (point.analysis, point.simulation);
+        let scenario = Scenario::builder()
+            .tree(system.clone())
+            .traffic(traffic)
+            .config(SimConfig::quick(2006))
+            .build()
+            .expect("valid scenario");
+        // Saturation on either side shows up as a missing value.
+        let a = match scenario.evaluate() {
+            Err(SimError::ModelSaturated { .. }) => None,
+            r => Some(r.expect("model evaluation succeeds").mean_latency),
+        };
+        let s = match scenario.run() {
+            Err(SimError::EventBudgetExhausted { .. }) => None,
+            r => Some(r.expect("simulation succeeds").mean_latency),
+        };
         let err = match (a, s) {
             (Some(a), Some(s)) if s > 0.0 => format!("{:.1}%", (a - s).abs() / s * 100.0),
             _ => "-".into(),

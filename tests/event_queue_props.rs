@@ -48,7 +48,7 @@ fn check_equivalence(ops: &[(u32, u32)], quantum: f64, scale: u32) {
         if op % 4 != 0 {
             // Schedule (3/4 of operations): delay in {0, quantum, 2·quantum, …}.
             let delay = f64::from(payload % scale) * quantum;
-            let kind = EventKind::Generate { node: payload };
+            let kind = EventKind::ChannelFree { channel: payload };
             calendar.schedule_in(delay, kind);
             reference.schedule_in(delay, kind);
         } else {
@@ -128,7 +128,7 @@ proptest! {
                     0 => EventKind::ChannelDown { channel: payload },
                     1 => EventKind::ChannelUp { channel: payload },
                     2 => EventKind::Retransmit { message: payload },
-                    _ => EventKind::Generate { node: payload },
+                    _ => EventKind::ChannelFree { channel: payload },
                 };
                 calendar.schedule_in(delay, kind);
                 reference.schedule_in(delay, kind);

@@ -4,7 +4,7 @@
 
 use mcnet::sim::engine::Simulation;
 use mcnet::sim::routes::RouteTable;
-use mcnet::sim::{FabricBackend, Scenario, SimConfig, SimReport};
+use mcnet::sim::{FabricBackend, RoutingPolicy, Scenario, SimConfig, SimReport, TrafficSourceSpec};
 use mcnet::system::{TorusSystem, TrafficConfig};
 use mcnet::topology::NodeId;
 
@@ -213,7 +213,9 @@ fn torus_zero_load_latency_matches_closed_form() {
 fn torus_channels_all_free_after_drain() {
     let torus = TorusSystem::new(3, 2).unwrap();
     let traffic = TrafficConfig::uniform(8, 256.0, 2e-3).unwrap();
-    let mut sim = Simulation::new_torus(&torus, &traffic, &quick(3)).unwrap();
+    let (policy, source) = (RoutingPolicy::Deterministic, TrafficSourceSpec::Poisson);
+    let mut sim =
+        Simulation::new_torus_full(&torus, &traffic, &quick(3), None, policy, &source).unwrap();
     sim.run().unwrap();
     assert_eq!(sim.stats().generated(), sim.stats().delivered());
     assert_eq!(sim.pool().busy_count(sim.now()), 0, "leaked channel occupancy");
@@ -230,7 +232,6 @@ fn adaptive_routing_beats_dimension_order_under_saturated_hotspot_load() {
     // achieved saturation throughput; spreading the hot-spot detour load over
     // every minimal candidate buys 4–7% across seeds (measured at quick
     // protocol), gated at >2% per seed.
-    use mcnet::sim::RoutingPolicy;
     use mcnet::system::TrafficPattern;
     let torus = TorusSystem::new(8, 2).unwrap();
     let traffic = TrafficConfig::uniform(16, 256.0, 4e-2)
