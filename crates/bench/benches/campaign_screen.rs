@@ -3,11 +3,11 @@
 //! `campaign_model_screen`: the analytical pre-screen — one batched
 //! `ModelBackend::evaluate_batch` over a 64-point rate grid versus 64
 //! pointwise `evaluate` calls on the same backend and traffic. The batched
-//! path builds the rate-independent structure once, rebinds every rate over
-//! it and memoizes the per-class journey computations within each point,
-//! which is what makes screening thousands of campaign cells cheap; the
-//! pointwise row is kept so the speedup recorded in PERFORMANCE.md stays
-//! measurable from `BENCH_results.json` (ratio of the two `ms_per_run` rows).
+//! path builds the rate-independent structure once and rebinds every rate
+//! over it; both paths memoize the per-class journey computations within each
+//! point, which is what makes screening thousands of campaign cells cheap.
+//! CI fails if the pointwise row's `min_ms` exceeds 1.5× the batched row's in
+//! `BENCH_results.json`, so a pointwise path that loses the memo shows up.
 //!
 //! `campaign_run_reuse`: the zero-alloc cell execution — a block of same-fabric
 //! cells at different seeds run through one cached engine

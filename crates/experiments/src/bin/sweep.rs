@@ -5,7 +5,7 @@
 //!
 //! Usage: `sweep [a|b]`
 
-use mcnet_model::{multicluster::saturation_rate, AnalyticalModel, ModelOptions};
+use mcnet_model::{ModelBackend, ModelOptions};
 use mcnet_system::sweep::geometry_grid;
 use mcnet_system::{organizations, TrafficConfig};
 
@@ -16,16 +16,18 @@ fn main() {
         _ => organizations::table1_org_b(),
     };
     println!("# Design-space sweep for {}", system.summary());
+    let backend = ModelBackend::Tree(system);
     println!("| M (flits) | L_m (bytes) | latency @ 1e-4 | saturation λ_g |");
     println!("|---|---|---|---|");
     for (flits, bytes) in geometry_grid(&[16, 32, 64, 128], &[128.0, 256.0, 512.0]) {
         let traffic = TrafficConfig::uniform(flits, bytes, 1e-4).expect("valid traffic");
-        let latency = AnalyticalModel::new(&system, &traffic)
+        let latency = backend
+            .mean_latency(&traffic, ModelOptions::default())
             .expect("model builds")
-            .total_latency()
             .map(|l| format!("{l:.1}"))
             .unwrap_or_else(|| "saturated".into());
-        let sat = saturation_rate(&system, flits, bytes, ModelOptions::default(), 1e-1, 1e-7)
+        let sat = backend
+            .saturation_rate(&traffic, ModelOptions::default(), 1e-1, 1e-7)
             .map(|s| format!("{s:.2e}"))
             .unwrap_or_else(|_| "-".into());
         println!("| {flits} | {bytes} | {latency} | {sat} |");

@@ -10,7 +10,7 @@
 //! builds one of these from the same `Fabric` that drives the simulator, which
 //! is what lets a single serialized scenario run through either world.
 
-use crate::multicluster::{AnalyticalModel, SweepEvaluator};
+use crate::multicluster::AnalyticalModel;
 use crate::options::ModelOptions;
 use crate::torus::{TorusLatencyReport, TorusModel};
 use crate::{LatencyReport, ModelError, Result};
@@ -137,10 +137,13 @@ impl ModelBackend {
     ) -> Result<Vec<Result<ModelReport>>> {
         match self {
             ModelBackend::Tree(system) => {
-                let mut sweep = SweepEvaluator::with_options(system, template, options)?;
+                let mut model = AnalyticalModel::with_options(system, template, options)?;
                 Ok(rates
                     .iter()
-                    .map(|&rate| Ok(ModelReport::from_tree(sweep.evaluate_at(rate)?)))
+                    .map(|&rate| {
+                        model.set_rate(rate)?;
+                        Ok(ModelReport::from_tree(model.evaluate()?))
+                    })
                     .collect())
             }
             ModelBackend::Torus(torus) => {
@@ -302,13 +305,7 @@ mod tests {
         assert_eq!(batch.len(), rates.len());
         for (&rate, slot) in rates.iter().zip(&batch) {
             let traffic = template.with_rate(rate).unwrap();
-            match (backend.evaluate(&traffic, options), slot) {
-                (Ok(single), Ok(batched)) => assert_eq!(&single, batched, "rate {rate}"),
-                (Err(ModelError::Saturated { .. }), Err(ModelError::Saturated { .. })) => {}
-                (single, batched) => {
-                    panic!("rate {rate}: pointwise {single:?} vs batched {batched:?}")
-                }
-            }
+            assert_eq!(&backend.evaluate(&traffic, options), slot, "rate {rate}");
         }
     }
 
@@ -340,16 +337,9 @@ mod tests {
         let tree = ModelBackend::Tree(organizations::table1_org_b());
         let template = TrafficConfig::uniform(32, 256.0, 1e-4).unwrap();
         let sat_tree = tree.find_saturation_rate(&template, ModelOptions::default(), 1e-4).unwrap();
-        // Must agree with the historical tree-only search.
-        let reference = crate::multicluster::saturation_rate(
-            &organizations::table1_org_b(),
-            32,
-            256.0,
-            ModelOptions::default(),
-            1e-2,
-            1e-7,
-        )
-        .unwrap();
+        assert_eq!(sat_tree, 9.7216796875e-4);
+        // Must agree with Org B's knee bisected from [0, 1e-2] to 1e-7.
+        let reference = 9.72137451171875e-4;
         assert!((sat_tree - reference).abs() / reference < 1e-2, "{sat_tree} vs {reference}");
 
         let torus = ModelBackend::Torus(TorusSystem::new(4, 2).unwrap());

@@ -40,7 +40,7 @@ pub struct InterClusterLatency {
 }
 
 /// The per-destination quantities of one `(source, v)` journey.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct PairLatency {
     network: f64,
     wait: f64,
@@ -49,60 +49,40 @@ struct PairLatency {
     max_utilization: f64,
 }
 
-/// The complete bitwise input of one pair journey. Everything `pair_latency`
-/// reads besides the globals (hop cache, channel times, options) is captured
-/// here, so two pairs with equal keys produce bit-identical `PairLatency`
+/// The source side of a pair journey's bitwise input: what `pair_latency`
+/// reads from the source cluster alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SourceKey {
+    levels: usize,
+    per_node_ecn1_rate: u64,
+}
+
+/// The rest of a pair journey's bitwise input: the destination's depth and the
+/// pair's channel rates. With the [`SourceKey`] it captures everything
+/// `pair_latency` reads besides the globals (hop cache, channel times,
+/// options), so two pairs with equal keys produce bit-identical `PairLatency`
 /// values — the cluster indices themselves only surface in error payloads,
 /// and an error aborts the whole evaluation at its first occurrence either way.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PairKey {
-    levels_src: usize,
     levels_dst: usize,
-    per_node_ecn1_rate: u64,
     lambda_ecn1: u64,
     lambda_icn2: u64,
     eta_ecn1: u64,
     eta_icn2: u64,
 }
 
-/// Memo of pair journeys keyed by their complete bitwise inputs, for sweeping
-/// one system over many rate points: heterogeneous organizations repeat the
-/// same few (source class, destination class) journey shapes across the
-/// `C·(C−1)` ordered pairs, so each distinct shape is solved once per rate
-/// point instead of once per pair. A linear scan beats hashing here — real
-/// organizations have a handful of classes (Org B: 9 for 240 pairs).
+/// Memo of pair journeys keyed by their complete bitwise inputs:
+/// heterogeneous organizations repeat the same few (source class, destination
+/// class) journey shapes across the `C·(C−1)` ordered pairs, so each distinct
+/// shape is solved once per evaluation instead of once per pair (Org B: 9 for
+/// 240 pairs). Journeys are grouped by their source side, so a lookup scans at
+/// most the source classes plus one row of at most `C − 1` destinations —
+/// linear scans that beat hashing at these sizes and stay cheap even when no
+/// two clusters share a class.
 #[derive(Debug, Default)]
-pub struct PairJourneyMemo {
-    entries: Vec<(PairKey, PairLatency)>,
-}
-
-impl PairJourneyMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Forgets every cached journey; call between rate points (the keys are
-    /// rate-dependent, so stale entries can never be hit, but dropping them
-    /// keeps the scan short).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-impl std::fmt::Debug for PairKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PairKey")
-            .field("levels_src", &self.levels_src)
-            .field("levels_dst", &self.levels_dst)
-            .finish_non_exhaustive()
-    }
-}
-
-impl std::fmt::Debug for PairLatency {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PairLatency").field("network", &self.network).finish_non_exhaustive()
-    }
+pub(crate) struct PairJourneyMemo {
+    rows: Vec<(SourceKey, Vec<(PairKey, PairLatency)>)>,
 }
 
 /// Computes the inter-cluster latency seen by messages originating in cluster `source`.
@@ -114,21 +94,10 @@ impl std::fmt::Debug for PairLatency {
 /// this cluster actually goes there (destinations that receive none of this
 /// cluster's traffic are skipped entirely, so a saturated but unused pair
 /// journey cannot poison the average).
-pub fn inter_cluster_latency(
-    rates: &SystemRates,
-    hops: &HopCache,
-    source: usize,
-    times: &ChannelTimes,
-    options: &ModelOptions,
-) -> Result<InterClusterLatency> {
-    inter_cluster_latency_impl(rates, hops, source, times, options, None)
-}
-
-/// [`inter_cluster_latency`] with a cross-call journey memo: bit-identical
-/// results, but each distinct pair-journey shape is solved only once per rate
-/// point. Used by the batched sweep evaluator; the memo must be cleared when
-/// the rates change.
-pub fn inter_cluster_latency_memoized(
+///
+/// Each distinct pair journey is solved once per memo. Errors are never
+/// cached, so the first failing pair is always computed (and reported) fresh.
+pub(crate) fn inter_cluster_latency(
     rates: &SystemRates,
     hops: &HopCache,
     source: usize,
@@ -136,19 +105,19 @@ pub fn inter_cluster_latency_memoized(
     options: &ModelOptions,
     memo: &mut PairJourneyMemo,
 ) -> Result<InterClusterLatency> {
-    inter_cluster_latency_impl(rates, hops, source, times, options, Some(memo))
-}
-
-fn inter_cluster_latency_impl(
-    rates: &SystemRates,
-    hops: &HopCache,
-    source: usize,
-    times: &ChannelTimes,
-    options: &ModelOptions,
-    mut memo: Option<&mut PairJourneyMemo>,
-) -> Result<InterClusterLatency> {
     let num_clusters = rates.clusters().len();
     let weights = rates.destination_weights(source);
+    let src = rates.cluster(source);
+    let source_key =
+        SourceKey { levels: src.levels, per_node_ecn1_rate: src.per_node_ecn1_rate.to_bits() };
+    let row = match memo.rows.iter().position(|(k, _)| *k == source_key) {
+        Some(row) => row,
+        None => {
+            memo.rows.push((source_key, Vec::new()));
+            memo.rows.len() - 1
+        }
+    };
+    let journeys = &mut memo.rows[row].1;
 
     let mut network_sum = 0.0;
     let mut wait_sum = 0.0;
@@ -167,18 +136,13 @@ fn inter_cluster_latency_impl(
             Some(w) if w[v] > 0.0 => w[v],
             Some(_) => continue,
         };
-        let pair = match memo.as_deref_mut() {
-            None => pair_latency(rates, hops, source, v, times, options)?,
-            Some(memo) => {
-                let key = pair_key(rates, source, v);
-                match memo.entries.iter().find(|(k, _)| *k == key) {
-                    Some((_, cached)) => *cached,
-                    None => {
-                        let fresh = pair_latency(rates, hops, source, v, times, options)?;
-                        memo.entries.push((key, fresh));
-                        fresh
-                    }
-                }
+        let key = pair_key(rates, source, v);
+        let pair = match journeys.iter().find(|(k, _)| *k == key) {
+            Some((_, cached)) => *cached,
+            None => {
+                let fresh = pair_latency(rates, hops, source, v, times, options)?;
+                journeys.push((key, fresh));
+                fresh
             }
         };
         max_utilization = max_utilization.max(pair.max_utilization);
@@ -206,15 +170,12 @@ fn inter_cluster_latency_impl(
     })
 }
 
-/// The memo key of the `(source, v)` journey: everything `pair_latency` reads
-/// from the rates, as raw bits.
+/// The destination side of the `(source, v)` journey's memo key: everything
+/// `pair_latency` reads from the rates besides the [`SourceKey`], as raw bits.
 fn pair_key(rates: &SystemRates, source: usize, v: usize) -> PairKey {
-    let src = rates.cluster(source);
     let pair = rates.pair(source, v);
     PairKey {
-        levels_src: src.levels,
         levels_dst: rates.cluster(v).levels,
-        per_node_ecn1_rate: src.per_node_ecn1_rate.to_bits(),
         lambda_ecn1: pair.lambda_ecn1.to_bits(),
         lambda_icn2: pair.lambda_icn2.to_bits(),
         eta_ecn1: pair.eta_ecn1.to_bits(),
@@ -279,6 +240,17 @@ mod tests {
     use super::*;
     use mcnet_system::{organizations, NetworkTechnology, TrafficConfig};
 
+    /// One source cluster's latency on an empty memo.
+    fn fresh_latency(
+        rates: &SystemRates,
+        hops: &HopCache,
+        source: usize,
+        times: &ChannelTimes,
+        options: &ModelOptions,
+    ) -> Result<InterClusterLatency> {
+        inter_cluster_latency(rates, hops, source, times, options, &mut PairJourneyMemo::default())
+    }
+
     fn setup(rate: f64) -> (SystemRates, HopCache, ChannelTimes) {
         let sys = organizations::table1_org_b();
         let traffic = TrafficConfig::uniform(32, 256.0, rate).unwrap();
@@ -292,8 +264,7 @@ mod tests {
     #[test]
     fn components_add_up() {
         let (rates, hops, times) = setup(1e-4);
-        let lat =
-            inter_cluster_latency(&rates, &hops, 0, &times, &ModelOptions::default()).unwrap();
+        let lat = fresh_latency(&rates, &hops, 0, &times, &ModelOptions::default()).unwrap();
         assert!((lat.total - (lat.network + lat.source_wait + lat.tail)).abs() < 1e-12);
         assert!(lat.network > 0.0 && lat.tail > 0.0);
         assert!(lat.concentrator_wait > 0.0);
@@ -303,13 +274,13 @@ mod tests {
     #[test]
     fn inter_latency_exceeds_intra_latency() {
         let (rates, hops, times) = setup(1e-4);
-        let inter =
-            inter_cluster_latency(&rates, &hops, 0, &times, &ModelOptions::default()).unwrap();
+        let inter = fresh_latency(&rates, &hops, 0, &times, &ModelOptions::default()).unwrap();
         let intra = crate::intra::intra_cluster_latency(
             rates.cluster(0),
             hops.cluster(rates.cluster(0).levels),
             &times,
             &ModelOptions::default(),
+            &mut crate::intra::IntraJourneyMemo::default(),
         )
         .unwrap();
         assert!(inter.total > intra.total, "three networks cost more than one");
@@ -319,8 +290,8 @@ mod tests {
     fn latency_grows_with_load() {
         let (r1, h1, t1) = setup(1e-4);
         let (r2, h2, t2) = setup(8e-4);
-        let low = inter_cluster_latency(&r1, &h1, 11, &t1, &ModelOptions::default()).unwrap();
-        let high = inter_cluster_latency(&r2, &h2, 11, &t2, &ModelOptions::default()).unwrap();
+        let low = fresh_latency(&r1, &h1, 11, &t1, &ModelOptions::default()).unwrap();
+        let high = fresh_latency(&r2, &h2, 11, &t2, &ModelOptions::default()).unwrap();
         assert!(high.total > low.total);
         assert!(high.concentrator_wait > low.concentrator_wait);
     }
@@ -328,9 +299,8 @@ mod tests {
     #[test]
     fn concentrator_can_be_excluded() {
         let (rates, hops, times) = setup(2e-4);
-        let with =
-            inter_cluster_latency(&rates, &hops, 0, &times, &ModelOptions::default()).unwrap();
-        let without = inter_cluster_latency(
+        let with = fresh_latency(&rates, &hops, 0, &times, &ModelOptions::default()).unwrap();
+        let without = fresh_latency(
             &rates,
             &hops,
             0,
@@ -348,7 +318,7 @@ mod tests {
     fn saturation_at_high_load_is_reported() {
         // At λ_g = 5e-3 the Org B concentrators are far past saturation.
         let (rates, hops, times) = setup(5e-3);
-        let err = inter_cluster_latency(&rates, &hops, 11, &times, &ModelOptions::default());
+        let err = fresh_latency(&rates, &hops, 11, &times, &ModelOptions::default());
         assert!(err.is_err());
     }
 
@@ -357,10 +327,8 @@ mod tests {
         // Messages from a big cluster see more ECN1 contention (larger λ_E1) but the
         // same ICN2; totals must differ between a 16-node and a 64-node source.
         let (rates, hops, times) = setup(4e-4);
-        let small =
-            inter_cluster_latency(&rates, &hops, 0, &times, &ModelOptions::default()).unwrap();
-        let big =
-            inter_cluster_latency(&rates, &hops, 11, &times, &ModelOptions::default()).unwrap();
+        let small = fresh_latency(&rates, &hops, 0, &times, &ModelOptions::default()).unwrap();
+        let big = fresh_latency(&rates, &hops, 11, &times, &ModelOptions::default()).unwrap();
         assert!((small.total - big.total).abs() > 1e-9);
     }
 }

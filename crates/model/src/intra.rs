@@ -44,28 +44,16 @@ struct IntraKey {
 
 /// Memo of intra-cluster latencies keyed by their complete bitwise inputs:
 /// clusters of the same size see identical ICN1 loads under the paper's
-/// uniform spreading, so each distinct size is solved once per rate point.
+/// uniform spreading, so each distinct size is solved once per evaluation.
 #[derive(Debug, Default)]
-pub struct IntraJourneyMemo {
+pub(crate) struct IntraJourneyMemo {
     entries: Vec<(IntraKey, IntraClusterLatency)>,
 }
 
-impl IntraJourneyMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Forgets every cached latency; call between rate points.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-/// [`intra_cluster_latency`] with a cross-call memo: bit-identical results,
-/// one computation per distinct cluster class per rate point. The memo must be
-/// cleared when the rates change.
-pub fn intra_cluster_latency_memoized(
+/// Computes the intra-cluster latency of cluster `i`, solving each distinct
+/// [`IntraKey`] once per memo. Errors are never cached, so the first failing
+/// cluster is always computed (and reported) fresh.
+pub(crate) fn intra_cluster_latency(
     rates: &ClusterRates,
     hops: &HopDistribution,
     times: &ChannelTimes,
@@ -81,18 +69,7 @@ pub fn intra_cluster_latency_memoized(
     if let Some((_, cached)) = memo.entries.iter().find(|(k, _)| *k == key) {
         return Ok(*cached);
     }
-    let fresh = intra_cluster_latency(rates, hops, times, options)?;
-    memo.entries.push((key, fresh));
-    Ok(fresh)
-}
 
-/// Computes the intra-cluster latency of cluster `i`.
-pub fn intra_cluster_latency(
-    rates: &ClusterRates,
-    hops: &HopDistribution,
-    times: &ChannelTimes,
-    options: &ModelOptions,
-) -> Result<IntraClusterLatency> {
     let network = service::mean_intra_network_latency(hops, rates.eta_icn1, times)?;
     service::check_channel_utilization(&network, Some(rates.cluster))?;
 
@@ -109,13 +86,15 @@ pub fn intra_cluster_latency(
     )?;
 
     let tail = tail::intra_tail_time(hops, times);
-    Ok(IntraClusterLatency {
+    let fresh = IntraClusterLatency {
         network: network.latency,
         source_wait,
         tail,
         total: source_wait + network.latency + tail,
         max_channel_utilization: network.max_utilization,
-    })
+    };
+    memo.entries.push((key, fresh));
+    Ok(fresh)
 }
 
 #[cfg(test)]
@@ -123,6 +102,16 @@ mod tests {
     use super::*;
     use crate::rates::SystemRates;
     use mcnet_system::{organizations, NetworkTechnology, TrafficConfig};
+
+    /// One cluster's latency on an empty memo.
+    fn fresh_latency(
+        rates: &ClusterRates,
+        hops: &HopDistribution,
+        times: &ChannelTimes,
+        options: &ModelOptions,
+    ) -> Result<IntraClusterLatency> {
+        intra_cluster_latency(rates, hops, times, options, &mut IntraJourneyMemo::default())
+    }
 
     fn setup(rate: f64) -> (SystemRates, ChannelTimes) {
         let sys = organizations::table1_org_a();
@@ -136,8 +125,8 @@ mod tests {
     fn components_add_up() {
         let (rates, times) = setup(1e-4);
         let hops = HopDistribution::paper(8, 3);
-        let lat = intra_cluster_latency(rates.cluster(31), &hops, &times, &ModelOptions::default())
-            .unwrap();
+        let lat =
+            fresh_latency(rates.cluster(31), &hops, &times, &ModelOptions::default()).unwrap();
         assert!((lat.total - (lat.network + lat.source_wait + lat.tail)).abs() < 1e-12);
         assert!(lat.network > 0.0 && lat.tail > 0.0 && lat.source_wait >= 0.0);
         assert!(lat.max_channel_utilization < 1.0);
@@ -148,10 +137,8 @@ mod tests {
         let hops = HopDistribution::paper(8, 3);
         let (r1, t1) = setup(5e-5);
         let (r2, t2) = setup(4e-4);
-        let low =
-            intra_cluster_latency(r1.cluster(31), &hops, &t1, &ModelOptions::default()).unwrap();
-        let high =
-            intra_cluster_latency(r2.cluster(31), &hops, &t2, &ModelOptions::default()).unwrap();
+        let low = fresh_latency(r1.cluster(31), &hops, &t1, &ModelOptions::default()).unwrap();
+        let high = fresh_latency(r2.cluster(31), &hops, &t2, &ModelOptions::default()).unwrap();
         assert!(high.total > low.total);
         assert!(high.source_wait >= low.source_wait);
     }
@@ -162,8 +149,7 @@ mod tests {
         // switch-to-switch hops exist.
         let (rates, times) = setup(1e-4);
         let hops = HopDistribution::paper(8, 1);
-        let lat = intra_cluster_latency(rates.cluster(0), &hops, &times, &ModelOptions::default())
-            .unwrap();
+        let lat = fresh_latency(rates.cluster(0), &hops, &times, &ModelOptions::default()).unwrap();
         assert!((lat.network - times.message_node_time()).abs() < 1e-9);
         assert!((lat.tail - times.t_cn).abs() < 1e-12);
     }
@@ -173,11 +159,9 @@ mod tests {
         let (rates, times) = setup(2e-4);
         let hops = HopDistribution::paper(8, 3);
         let per_node =
-            intra_cluster_latency(rates.cluster(31), &hops, &times, &ModelOptions::default())
-                .unwrap();
+            fresh_latency(rates.cluster(31), &hops, &times, &ModelOptions::default()).unwrap();
         let literal =
-            intra_cluster_latency(rates.cluster(31), &hops, &times, &ModelOptions::literal())
-                .unwrap();
+            fresh_latency(rates.cluster(31), &hops, &times, &ModelOptions::literal()).unwrap();
         assert!(literal.source_wait > per_node.source_wait);
     }
 }

@@ -91,7 +91,7 @@ pub mod tail;
 pub mod torus;
 
 pub use backend::{ModelBackend, ModelDetail, ModelReport};
-pub use multicluster::{AnalyticalModel, ClusterLatency, LatencyReport, SweepEvaluator};
+pub use multicluster::{AnalyticalModel, ClusterLatency, LatencyReport};
 pub use options::{ModelOptions, SourceQueueRate, TorusRouting};
 pub use torus::{TorusLatencyReport, TorusModel};
 

@@ -1,8 +1,15 @@
 //! The top-level analytical model: per-cluster mixture and system-wide average
-//! (Eqs. 35–36), plus the saturation-point search used by the evaluation harness.
+//! (Eqs. 35–36).
+//!
+//! Every evaluation memoizes its journeys by their complete bitwise inputs:
+//! each distinct cluster class and `(source class, destination class)` pair
+//! journey is solved once per evaluation instead of once per cluster/pair
+//! (Org B: 9 distinct pair journeys behind 240 ordered pairs). The memo keys
+//! hold every input bit of a journey and errors are never cached, so reports
+//! and saturation errors are exactly those of solving every journey.
 
-use crate::inter::{self, InterClusterLatency};
-use crate::intra::{self, IntraClusterLatency};
+use crate::inter::{self, InterClusterLatency, PairJourneyMemo};
+use crate::intra::{self, IntraClusterLatency, IntraJourneyMemo};
 use crate::options::ModelOptions;
 use crate::rates::{HopCache, SystemRates};
 use crate::service::ChannelTimes;
@@ -152,14 +159,6 @@ impl<'a> AnalyticalModel<'a> {
 
     /// Evaluates the latency of a single cluster (Eq. 35).
     pub fn cluster_latency(&self, cluster: usize) -> Result<ClusterLatency> {
-        self.cluster_latency_impl(cluster, None)
-    }
-
-    fn cluster_latency_impl(
-        &self,
-        cluster: usize,
-        memos: Option<(&mut intra::IntraJourneyMemo, &mut inter::PairJourneyMemo)>,
-    ) -> Result<ClusterLatency> {
         if cluster >= self.system.num_clusters() {
             return Err(ModelError::InvalidConfiguration {
                 reason: format!(
@@ -168,37 +167,35 @@ impl<'a> AnalyticalModel<'a> {
                 ),
             });
         }
+        self.cluster_latency_memoized(
+            cluster,
+            &mut IntraJourneyMemo::default(),
+            &mut PairJourneyMemo::default(),
+        )
+    }
+
+    fn cluster_latency_memoized(
+        &self,
+        cluster: usize,
+        intra_memo: &mut IntraJourneyMemo,
+        pair_memo: &mut PairJourneyMemo,
+    ) -> Result<ClusterLatency> {
         let c = self.rates.cluster(cluster);
-        let cluster_hops = self.hops.cluster(c.levels);
-        let (intra, inter) = match memos {
-            None => (
-                intra::intra_cluster_latency(c, cluster_hops, &self.times, &self.options)?,
-                inter::inter_cluster_latency(
-                    &self.rates,
-                    &self.hops,
-                    cluster,
-                    &self.times,
-                    &self.options,
-                )?,
-            ),
-            Some((intra_memo, pair_memo)) => (
-                intra::intra_cluster_latency_memoized(
-                    c,
-                    cluster_hops,
-                    &self.times,
-                    &self.options,
-                    intra_memo,
-                )?,
-                inter::inter_cluster_latency_memoized(
-                    &self.rates,
-                    &self.hops,
-                    cluster,
-                    &self.times,
-                    &self.options,
-                    pair_memo,
-                )?,
-            ),
-        };
+        let intra = intra::intra_cluster_latency(
+            c,
+            self.hops.cluster(c.levels),
+            &self.times,
+            &self.options,
+            intra_memo,
+        )?;
+        let inter = inter::inter_cluster_latency(
+            &self.rates,
+            &self.hops,
+            cluster,
+            &self.times,
+            &self.options,
+            pair_memo,
+        )?;
         let p_o = c.outgoing_probability;
         let mean_latency =
             (1.0 - p_o) * intra.total + p_o * (inter.total + inter.concentrator_wait);
@@ -216,19 +213,13 @@ impl<'a> AnalyticalModel<'a> {
     /// Evaluates the full model (Eq. 36). Fails with [`ModelError::Saturated`] when any
     /// queue or channel of the model is saturated at this load.
     pub fn evaluate(&self) -> Result<LatencyReport> {
-        self.evaluate_impl(None)
-    }
-
-    fn evaluate_impl(
-        &self,
-        mut memos: Option<(&mut intra::IntraJourneyMemo, &mut inter::PairJourneyMemo)>,
-    ) -> Result<LatencyReport> {
+        let mut intra_memo = IntraJourneyMemo::default();
+        let mut pair_memo = PairJourneyMemo::default();
         let mut clusters = Vec::with_capacity(self.system.num_clusters());
         let mut total = 0.0;
         let mut max_util: f64 = 0.0;
         for i in 0..self.system.num_clusters() {
-            let cl =
-                self.cluster_latency_impl(i, memos.as_mut().map(|(a, b)| (&mut **a, &mut **b)))?;
+            let cl = self.cluster_latency_memoized(i, &mut intra_memo, &mut pair_memo)?;
             total += cl.weight * cl.mean_latency;
             max_util = max_util
                 .max(cl.intra.max_channel_utilization)
@@ -248,95 +239,6 @@ impl<'a> AnalyticalModel<'a> {
     pub fn total_latency(&self) -> Option<f64> {
         self.evaluate().ok().map(|r| r.total_latency)
     }
-}
-
-/// A model bound for sweeping many rate points over one system: rebinds the
-/// rates between points ([`AnalyticalModel::set_rate`]) and memoizes the
-/// journey computations within each point, so every distinct cluster class and
-/// `(source class, destination class)` pair journey is solved once per point
-/// instead of once per cluster/pair. The report of [`SweepEvaluator::evaluate_at`]
-/// is bit-identical to a fresh `AnalyticalModel` evaluated at that rate — the
-/// memo keys capture the complete bitwise inputs of each journey — which is
-/// what makes `ModelBackend::evaluate_batch` cheap on heterogeneous
-/// organizations (Org B: 9 distinct pair journeys behind 240 ordered pairs).
-#[derive(Debug)]
-pub struct SweepEvaluator<'a> {
-    model: AnalyticalModel<'a>,
-    intra_memo: intra::IntraJourneyMemo,
-    pair_memo: inter::PairJourneyMemo,
-}
-
-impl<'a> SweepEvaluator<'a> {
-    /// Wraps an already-built model.
-    pub fn new(model: AnalyticalModel<'a>) -> Self {
-        SweepEvaluator {
-            model,
-            intra_memo: intra::IntraJourneyMemo::new(),
-            pair_memo: inter::PairJourneyMemo::new(),
-        }
-    }
-
-    /// Builds the model and the sweep state in one step.
-    pub fn with_options(
-        system: &'a MultiClusterSystem,
-        traffic: &TrafficConfig,
-        options: ModelOptions,
-    ) -> Result<Self> {
-        Ok(Self::new(AnalyticalModel::with_options(system, traffic, options)?))
-    }
-
-    /// The model in its current rate binding.
-    pub fn model(&self) -> &AnalyticalModel<'a> {
-        &self.model
-    }
-
-    /// Rebinds the rates to `rate` and evaluates the full model there,
-    /// bit-identical to [`AnalyticalModel::evaluate`] on a model freshly built
-    /// at that rate.
-    pub fn evaluate_at(&mut self, rate: f64) -> Result<LatencyReport> {
-        self.model.set_rate(rate)?;
-        self.intra_memo.clear();
-        self.pair_memo.clear();
-        self.model.evaluate_impl(Some((&mut self.intra_memo, &mut self.pair_memo)))
-    }
-}
-
-/// Finds the saturation generation rate of a system for a given message geometry by
-/// bisection: the largest `λ_g` (within `tolerance`) at which the model still has a
-/// steady state. `upper_bound` must be a rate at which the model is saturated.
-pub fn saturation_rate(
-    system: &MultiClusterSystem,
-    message_flits: usize,
-    flit_bytes: f64,
-    options: ModelOptions,
-    upper_bound: f64,
-    tolerance: f64,
-) -> Result<f64> {
-    let evaluate = |rate: f64| -> Result<bool> {
-        let traffic =
-            TrafficConfig::uniform(message_flits, flit_bytes, rate).map_err(ModelError::from)?;
-        match AnalyticalModel::with_options(system, &traffic, options)?.evaluate() {
-            Ok(_) => Ok(true),
-            Err(ModelError::Saturated { .. }) => Ok(false),
-            Err(e) => Err(e),
-        }
-    };
-    if evaluate(upper_bound)? {
-        return Err(ModelError::InvalidConfiguration {
-            reason: format!("the model is not saturated at the upper bound {upper_bound}"),
-        });
-    }
-    let mut lo = 0.0;
-    let mut hi = upper_bound;
-    while hi - lo > tolerance {
-        let mid = 0.5 * (lo + hi);
-        if evaluate(mid)? {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Ok(lo)
 }
 
 #[cfg(test)]
@@ -445,7 +347,11 @@ mod tests {
     #[test]
     fn saturation_search_brackets_the_knee() {
         let sys = organizations::table1_org_b();
-        let sat = saturation_rate(&sys, 32, 256.0, ModelOptions::default(), 1e-2, 1e-6).unwrap();
+        let template = TrafficConfig::uniform(32, 256.0, 1e-4).unwrap();
+        let sat = crate::ModelBackend::Tree(sys.clone())
+            .saturation_rate(&template, ModelOptions::default(), 1e-2, 1e-6)
+            .unwrap();
+        assert_eq!(sat, 9.716796875e-4);
         // The curve must still be evaluable slightly below and saturated above.
         let below = TrafficConfig::uniform(32, 256.0, sat * 0.95).unwrap();
         assert!(AnalyticalModel::new(&sys, &below).unwrap().evaluate().is_ok());
@@ -458,7 +364,9 @@ mod tests {
     #[test]
     fn saturation_search_rejects_bad_upper_bound() {
         let sys = organizations::table1_org_b();
-        assert!(saturation_rate(&sys, 32, 256.0, ModelOptions::default(), 1e-6, 1e-7).is_err());
+        let template = TrafficConfig::uniform(32, 256.0, 1e-4).unwrap();
+        let tree = crate::ModelBackend::Tree(sys);
+        assert!(tree.saturation_rate(&template, ModelOptions::default(), 1e-6, 1e-7).is_err());
     }
 
     #[test]

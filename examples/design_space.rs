@@ -7,8 +7,7 @@
 //!
 //! Run with: `cargo run --release --example design_space`
 
-use mcnet::model::multicluster::saturation_rate;
-use mcnet::model::{AnalyticalModel, ModelOptions};
+use mcnet::model::{AnalyticalModel, ModelBackend, ModelOptions};
 use mcnet::system::{organizations, ClusterSpec, MultiClusterSystem, TrafficConfig};
 
 fn evaluate(label: &str, system: &MultiClusterSystem) {
@@ -18,7 +17,8 @@ fn evaluate(label: &str, system: &MultiClusterSystem) {
         .total_latency()
         .map(|l| format!("{l:.1}"))
         .unwrap_or_else(|| "saturated".into());
-    let sat = saturation_rate(system, 32, 256.0, ModelOptions::default(), 1e-1, 1e-7)
+    let sat = ModelBackend::Tree(system.clone())
+        .saturation_rate(&traffic, ModelOptions::default(), 1e-1, 1e-7)
         .map(|s| format!("{s:.2e}"))
         .unwrap_or_else(|_| "-".into());
     println!(

@@ -3,8 +3,7 @@
 //!
 //! Run with: `cargo run --release --example saturation_analysis`
 
-use mcnet::model::multicluster::saturation_rate;
-use mcnet::model::{AnalyticalModel, ModelError, ModelOptions};
+use mcnet::model::{AnalyticalModel, ModelBackend, ModelError, ModelOptions};
 use mcnet::system::sweep::geometry_grid;
 use mcnet::system::{organizations, TrafficConfig};
 
@@ -14,10 +13,13 @@ fn main() {
         ("Org B (N=544, m=4)", organizations::table1_org_b()),
     ] {
         println!("## {name}\n");
+        let backend = ModelBackend::Tree(system.clone());
         println!("| M (flits) | L_m (bytes) | saturation λ_g | first saturating component |");
         println!("|---|---|---|---|");
         for (flits, bytes) in geometry_grid(&[32, 64], &[256.0, 512.0]) {
-            let sat = saturation_rate(&system, flits, bytes, ModelOptions::default(), 1e-1, 1e-7)
+            let template = TrafficConfig::uniform(flits, bytes, 1e-4).expect("valid traffic");
+            let sat = backend
+                .saturation_rate(&template, ModelOptions::default(), 1e-1, 1e-7)
                 .expect("saturation search converges");
             // Evaluate slightly past saturation to see which component trips first.
             let traffic = TrafficConfig::uniform(flits, bytes, sat * 1.02).expect("valid traffic");

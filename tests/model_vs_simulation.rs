@@ -90,19 +90,25 @@ fn both_model_and_simulation_grow_with_load() {
     }
 }
 
+/// The tree model's saturation rate for one message geometry.
+fn tree_saturation_rate(system: MultiClusterSystem, flits: usize, bytes: f64) -> f64 {
+    let template = TrafficConfig::uniform(flits, bytes, 1e-4).unwrap();
+    ModelBackend::Tree(system)
+        .saturation_rate(&template, ModelOptions::default(), 1e-1, 1e-7)
+        .unwrap()
+}
+
 #[test]
 fn doubling_message_length_roughly_halves_the_saturation_rate() {
     // Structural property visible in both Fig. 3 and Fig. 4: the M=64 panels saturate
     // at about half the offered traffic of the M=32 panels.
-    use mcnet::model::multicluster::saturation_rate;
-    let system = organizations::table1_org_b();
-    let sat32 = saturation_rate(&system, 32, 256.0, ModelOptions::default(), 1e-1, 1e-7).unwrap();
-    let sat64 = saturation_rate(&system, 64, 256.0, ModelOptions::default(), 1e-1, 1e-7).unwrap();
+    let sat32 = tree_saturation_rate(organizations::table1_org_b(), 32, 256.0);
+    let sat64 = tree_saturation_rate(organizations::table1_org_b(), 64, 256.0);
     let ratio = sat32 / sat64;
     assert!((1.8..=2.2).contains(&ratio), "saturation ratio {ratio}");
     // Doubling the flit size has the same effect as doubling the flit count, to first
     // order (both double the message transfer time).
-    let sat512 = saturation_rate(&system, 32, 512.0, ModelOptions::default(), 1e-1, 1e-7).unwrap();
+    let sat512 = tree_saturation_rate(organizations::table1_org_b(), 32, 512.0);
     let ratio = sat32 / sat512;
     assert!((1.7..=2.3).contains(&ratio), "flit-size saturation ratio {ratio}");
 }
@@ -112,25 +118,8 @@ fn org_a_saturates_at_lower_per_node_rate_than_org_b() {
     // The larger system (N=1120) funnels more aggregate traffic through its
     // concentrators and therefore saturates at a lower per-node generation rate —
     // visible in the paper as Fig. 3's x-axis ending well below Fig. 4's.
-    use mcnet::model::multicluster::saturation_rate;
-    let a = saturation_rate(
-        &organizations::table1_org_a(),
-        32,
-        256.0,
-        ModelOptions::default(),
-        1e-1,
-        1e-7,
-    )
-    .unwrap();
-    let b = saturation_rate(
-        &organizations::table1_org_b(),
-        32,
-        256.0,
-        ModelOptions::default(),
-        1e-1,
-        1e-7,
-    )
-    .unwrap();
+    let a = tree_saturation_rate(organizations::table1_org_a(), 32, 256.0);
+    let b = tree_saturation_rate(organizations::table1_org_b(), 32, 256.0);
     assert!(a < b, "Org A saturation {a} should be below Org B saturation {b}");
 }
 
