@@ -15,6 +15,7 @@
 //! | `ablation_variance_approx` | A2: Draper–Ghosh variance term |
 //! | `model_vs_sim_cost` | A3: model evaluation vs simulation cost |
 //! | `topology_routing` | substrate: route construction throughput |
+//! | `event_queue` | substrate: future-event list hold cost at depths 32 and 1,024 |
 //! | `simulator_throughput` | substrate: event-processing throughput (tree backend) |
 //! | `torus_throughput` | substrate: event-processing throughput (k-ary n-cube backend) |
 

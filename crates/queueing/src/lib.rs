@@ -19,9 +19,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`mg1`] | M/G/1 queue: utilisation, waiting time, residence time, stability |
-//! | [`mm1`] | M/M/1 special case (used for sanity cross-checks) |
-//! | [`md1`] | M/D/1 special case (used by the variance-approximation ablation) |
+//! | [`mg1`] | M/G/1 queue: utilisation, waiting time, residence time, stability (M/M/1 and M/D/1 are its exponential- and deterministic-service cases) |
 //! | [`birth_death`] | finite birth–death chains and the blocking-probability approximation |
 //! | [`poisson`] | Poisson processes: exponential inter-arrivals, thinning, merging |
 //! | [`distributions`] | service-time descriptors (mean / variance / squared coefficient of variation) |
@@ -35,9 +33,7 @@
 
 pub mod birth_death;
 pub mod distributions;
-pub mod md1;
 pub mod mg1;
-pub mod mm1;
 pub mod poisson;
 pub mod stats;
 

@@ -119,13 +119,18 @@ mod tests {
 
     #[test]
     fn matches_md1_closed_form() {
-        // For deterministic service W = ρ·x̄ / (2(1-ρ)).
-        let xbar = 2.0;
-        let lambda = 0.3;
-        let q = MG1Queue::new(lambda, ServiceTime::deterministic(xbar).unwrap()).unwrap();
-        let rho = lambda * xbar;
-        let expected = rho * xbar / (2.0 * (1.0 - rho));
-        assert!((q.waiting_time().unwrap() - expected).abs() < 1e-12);
+        // For deterministic service W = ρ·x̄ / (2(1-ρ)), half the M/M/1 wait
+        // at the same utilisation; residence adds one service time.
+        for (lambda, xbar) in [(0.3, 2.0), (0.3, 2.5), (0.7, 1.0), (3e-2, 32.0 * 0.522)] {
+            let q = MG1Queue::new(lambda, ServiceTime::deterministic(xbar).unwrap()).unwrap();
+            let rho = lambda * xbar;
+            let expected = rho * xbar / (2.0 * (1.0 - rho));
+            assert!((q.waiting_time().unwrap() - expected).abs() < 1e-12);
+            assert!((q.residence_time().unwrap() - (expected + xbar)).abs() < 1e-12);
+            let mm1 = MG1Queue::new(lambda, ServiceTime::exponential(xbar).unwrap()).unwrap();
+            let ratio = q.waiting_time().unwrap() / mm1.waiting_time().unwrap();
+            assert!((ratio - 0.5).abs() < 1e-12);
+        }
     }
 
     #[test]
@@ -137,6 +142,12 @@ mod tests {
         let rho = lambda * xbar;
         let expected = rho * xbar / (1.0 - rho);
         assert!((q.waiting_time().unwrap() - expected).abs() < 1e-12);
+        // Textbook values, λ = 2, μ = 3: ρ = 2/3, W = 2/3, T = 1, L = 2.
+        let q = MG1Queue::new(2.0, ServiceTime::exponential(1.0 / 3.0).unwrap()).unwrap();
+        assert!((q.utilization() - 2.0 / 3.0).abs() < 1e-12);
+        assert!((q.waiting_time().unwrap() - 2.0 / 3.0).abs() < 1e-12);
+        assert!((q.residence_time().unwrap() - 1.0).abs() < 1e-12);
+        assert!((q.mean_customers().unwrap() - 2.0).abs() < 1e-12);
     }
 
     #[test]

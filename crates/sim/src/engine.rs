@@ -173,9 +173,9 @@ impl Simulation {
         // per crossing message — its source's injection channel is held; one
         // TailArrived per draining message — its destination's ejection channel
         // is held; at most one ChannelFree per channel; waiters and arrivals
-        // carry no event). The calendar queue sizes itself to that load during
-        // ramp-up, recalibrating its bucket width as it grows — pre-sizing it
-        // would only be torn down again (see EventQueue::new docs).
+        // carry no event). In practice it stays far below that bound (16–37
+        // events on organization B at the paper protocol), so the event heap
+        // simply grows to its peak and keeps that capacity across resets.
         let policy = backend.routing_policy();
         let mut sim = Simulation {
             backend,
@@ -217,7 +217,7 @@ impl Simulation {
 
     /// Rewinds a finished simulation for a fresh run over the **same fabric,
     /// routing policy and message geometry**, reusing every grown allocation:
-    /// the event calendar, the channel pool and its waiter arena, the message
+    /// the future-event heap, the channel pool and its waiter arena, the message
     /// slab, the interned route table (with its scratch free lists), the
     /// per-node arrival heap, the latency histogram and the adaptive scratch
     /// buffers. The traffic rate and pattern, the seed, the measurement
@@ -228,7 +228,7 @@ impl Simulation {
     /// Reset-then-run is bit-identical to building a fresh simulation with
     /// the same parameters: every reused structure either rewinds to its
     /// exact post-construction state or is layout-transparent by contract
-    /// (the calendar queue's pop order, the route arena's offsets), and both
+    /// (the event queue's (time, seq) pop order, the route arena's offsets), and both
     /// paths end in the same per-run set-up.
     ///
     /// Fails if the message geometry (flit count or flit length) differs from
@@ -287,7 +287,7 @@ impl Simulation {
     }
 
     /// The per-run set-up both construction and [`reset`](Self::reset) end
-    /// in, over an empty arrival heap and event calendar: sizes the
+    /// in, over an empty arrival heap and event queue: sizes the
     /// statistics, sets the run targets, seeds the RNG streams, primes the
     /// arrival processes and materializes the fault plan.
     fn rewind(&mut self, config: &SimConfig, faults: Option<&FaultPlan>) -> Result<()> {

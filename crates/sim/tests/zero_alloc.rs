@@ -1,7 +1,7 @@
 //! Pins the replication fast path at **zero steady-state allocations**.
 //!
 //! The engine's contract (`Simulation::reset`) is that every per-run
-//! structure — the event calendar and its rebuild scratch, the channel pool
+//! structure — the future-event heap, the channel pool
 //! and waiter arena, the message slab, the interned route table, the arrival
 //! heap, the histogram bins and the adaptive scratch buffers — retains its
 //! grown capacity across runs. This test enforces the contract at the

@@ -6,7 +6,7 @@
 //! downstream users (and the examples in `examples/`) need a single dependency:
 //!
 //! * [`topology`] — m-port n-tree fat-trees, NCA / Up*/Down* routing, k-ary n-cubes;
-//! * [`queueing`] — M/G/1 / M/M/1 / M/D/1 queues, birth–death chains, statistics;
+//! * [`queueing`] — M/G/1 queues, birth–death chains, statistics;
 //! * [`system`] — cluster / network / traffic configuration, Table 1 organizations;
 //! * [`model`] — the paper's analytical mean-latency model (Eqs. 1–36) + extensions;
 //! * [`sim`] — the flit-level discrete-event wormhole simulator used for validation;

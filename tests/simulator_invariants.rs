@@ -125,9 +125,9 @@ fn fixed_seed_golden_values_are_pinned() {
     // change), rather than slipping through as noise. Values are bit-stable
     // across debug and release profiles.
     //
-    // The calendar-queue + compact-lifecycle engine (PR 3) passes these
-    // constants unchanged: the calendar queue is pop-order-identical to the
-    // reference heap by contract (tests/event_queue_props.rs), the arrival
+    // Swapping the future-event list's internals or compacting the message
+    // lifecycle passes these constants unchanged: the event queue pops in
+    // (time, seq) order by contract (tests/event_queue_props.rs), the arrival
     // queue preserves the RNG draw order, and retiring delivered messages
     // does not touch scheduling — so even the event count is bit-stable.
     let system = organizations::small_test_org();

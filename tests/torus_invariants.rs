@@ -104,8 +104,9 @@ fn fixed_seed_torus_golden_values_are_pinned() {
     // introduction (the fabric-backend abstraction PR): any future change to
     // channel numbering, VC selection, event scheduling or route interning
     // that alters torus results must consciously update these constants.
-    // The calendar-queue + compact-lifecycle engine (PR 3) passes them
-    // unchanged — see the matching note in simulator_invariants.rs.
+    // Swapping the future-event list's internals or compacting the message
+    // lifecycle passes them unchanged — see the matching note in
+    // simulator_invariants.rs.
     let torus = TorusSystem::new(4, 2).unwrap();
     let traffic = TrafficConfig::uniform(16, 256.0, 1e-3).unwrap();
     let r = run(&torus, &traffic, &quick(77));
