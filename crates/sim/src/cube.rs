@@ -148,18 +148,11 @@ impl CubeFabric {
         self.vcs - self.escape_vcs
     }
 
-    /// The ring coordinate of `node` in dimension `dim`.
-    #[inline]
-    fn digit(&self, node: usize, dim: usize) -> usize {
-        let k = self.torus.radix();
-        (node / k.pow(dim as u32)) % k
-    }
-
     /// `true` if taking `hop` out of `from` crosses its ring's wrap-around
     /// (dateline) edge — the event that forces the escape class onto VC1.
     #[inline]
     pub fn hop_wraps(&self, from: usize, hop: &CubeHop) -> bool {
-        self.cube.hop_crosses_dateline(self.digit(from, hop.dimension), hop.direction)
+        self.cube.hop_crosses_dateline(self.cube.digit(from, hop.dimension), hop.direction)
     }
 
     /// The adaptive-class channel ids of one hop leaving `from` (empty on a

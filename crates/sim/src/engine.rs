@@ -522,32 +522,40 @@ impl Simulation {
     }
 
     /// Builds the route entry of a randomized up\*/down\* tree message: a fresh
-    /// legal path drawn from the candidate set into a scratch region. The
-    /// deterministic entry for the pair supplies the (randomization-invariant)
-    /// length, bottleneck and cluster metadata — and the reference path against
-    /// which misroutes are counted.
+    /// legal path drawn from the candidate set into a scratch region.
     fn randomized_entry(&mut self, src: usize, dst: usize) -> RouteEntry {
+        let det = self.draw_random_path(src, dst);
+        let route = self.routes.alloc_scratch(det.route.len());
+        self.routes.fill_scratch(route, &self.global_scratch);
+        RouteEntry { route, ..det }
+    }
+
+    /// Draws a fresh randomized up\*/down\* path for `src → dst` into
+    /// `global_scratch`, counting a misroute when it differs from the pair's
+    /// deterministic path. Returns that deterministic entry, which supplies the
+    /// (randomization-invariant) length, bottleneck and cluster metadata.
+    fn draw_random_path(&mut self, src: usize, dst: usize) -> RouteEntry {
         let det = self.routes.entry(&self.backend, src, dst);
-        let mut local = std::mem::take(&mut self.local_scratch);
-        let mut out = std::mem::take(&mut self.global_scratch);
-        {
-            let fabric = self.backend.as_tree().expect("RandomizedUpDown runs on the tree backend");
-            let rng = &mut self.route_rng;
-            fabric
-                .build_random_path_into(src, dst, &mut local, &mut out, &mut |n| {
-                    rng.gen_range(0..n)
-                })
-                .expect("randomized path construction failed for a routed pair");
-        }
-        debug_assert_eq!(out.len(), det.route.len(), "randomized path length drifted");
-        if out.as_slice() != self.routes.channels(det.route) {
+        let fabric = self.backend.as_tree().expect("RandomizedUpDown runs on the tree backend");
+        let rng = &mut self.route_rng;
+        fabric
+            .build_random_path_into(
+                src,
+                dst,
+                &mut self.local_scratch,
+                &mut self.global_scratch,
+                &mut |n| rng.gen_range(0..n),
+            )
+            .expect("randomized path construction failed for a routed pair");
+        debug_assert_eq!(
+            self.global_scratch.len(),
+            det.route.len(),
+            "randomized path length drifted"
+        );
+        if self.global_scratch.as_slice() != self.routes.channels(det.route) {
             self.stats.record_misroute();
         }
-        let route = self.routes.alloc_scratch(out.len());
-        self.routes.fill_scratch(route, &out);
-        self.local_scratch = local;
-        self.global_scratch = out;
-        RouteEntry { route, ..det }
+        det
     }
 
     /// Chooses and requests the next link channel of an adaptive-torus message
@@ -764,31 +772,9 @@ impl Simulation {
                 st.wrapped = 0;
             }
             RoutingPolicy::RandomizedUpDown => {
-                let (src, dst) = {
-                    let st = &self.adaptive[id as usize];
-                    (st.src as usize, st.dst as usize)
-                };
-                let route = self.messages[id].route;
-                let det = self.routes.entry(&self.backend, src, dst);
-                let mut local = std::mem::take(&mut self.local_scratch);
-                let mut out = std::mem::take(&mut self.global_scratch);
-                {
-                    let fabric =
-                        self.backend.as_tree().expect("RandomizedUpDown runs on the tree backend");
-                    let rng = &mut self.route_rng;
-                    fabric
-                        .build_random_path_into(src, dst, &mut local, &mut out, &mut |n| {
-                            rng.gen_range(0..n)
-                        })
-                        .expect("randomized path construction failed for a routed pair");
-                }
-                debug_assert_eq!(out.len(), route.len(), "randomized path length drifted");
-                if out.as_slice() != self.routes.channels(det.route) {
-                    self.stats.record_misroute();
-                }
-                self.routes.fill_scratch(route, &out);
-                self.local_scratch = local;
-                self.global_scratch = out;
+                let st = self.adaptive[id as usize];
+                self.draw_random_path(st.src as usize, st.dst as usize);
+                self.routes.fill_scratch(self.messages[id].route, &self.global_scratch);
             }
         }
         self.request_next_channel(id);

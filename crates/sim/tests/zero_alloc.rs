@@ -1,17 +1,31 @@
-//! Pins the replication fast path at **zero steady-state allocations**.
+//! Pins the replication fast path at **zero steady-state allocations**, for
+//! every routing policy.
 //!
 //! The engine's contract (`Simulation::reset`) is that every per-run
 //! structure — the future-event heap, the channel pool
 //! and waiter arena, the message slab, the interned route table, the arrival
 //! heap, the histogram bins and the adaptive scratch buffers — retains its
-//! grown capacity across runs. This test enforces the contract at the
-//! allocator: after a short warm-up over the same seed set, re-running the
-//! very same replication loop must hit the global allocator **zero** times.
+//! grown capacity across runs, and that every route walk the engine runs per
+//! message (adaptive torus hops, randomized up\*/down\* paths) decodes its
+//! digits on the stack. This test enforces the contract at the allocator:
+//! after a short warm-up over the same seed set, re-running the very same
+//! replication loop must hit the global allocator **zero** times — on the
+//! deterministic tree, on the adaptive torus under an ON-OFF source and on
+//! the randomized up\*/down\* tree.
+//!
+//! Two faulted legs (a torus link outage and a tree bridge outage) pin the
+//! degraded-mode path: materializing the fault plan costs a small constant
+//! per reset, while the aborts, retransmissions and re-routes of thousands of
+//! delivered messages allocate nothing.
 //!
 //! The counting allocator lives in this dedicated integration-test binary
 //! (one `#[test]`, so no concurrent test pollutes the counters). The library
 //! itself remains free of `unsafe`; only this harness shims the allocator.
 
+use mcnet_sim::engine::Simulation;
+use mcnet_sim::fault::{BridgeUnit, FaultAction, FaultEvent, FaultPlan, FaultTarget, RingDir};
+use mcnet_sim::{RoutingPolicy, SimConfig, TrafficSourceSpec};
+use mcnet_system::{organizations, TorusSystem, TrafficConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -43,51 +57,127 @@ fn allocation_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed) + REALLOCS.load(Ordering::Relaxed)
 }
 
+/// One engine's replication loop: warm-up passes, then a measured pass.
+struct Leg {
+    sim: Simulation,
+    traffic: TrafficConfig,
+    source: TrafficSourceSpec,
+    faults: Option<FaultPlan>,
+}
+
+/// Allocations and delivered messages of one measured pass.
+struct Measured {
+    allocations: u64,
+    delivered: u64,
+}
+
+const SEEDS: [u64; 3] = [100, 101, 102];
+
+impl Leg {
+    fn pass(&mut self, base: &SimConfig) -> u64 {
+        let mut delivered = 0;
+        for &seed in &SEEDS {
+            let cfg = SimConfig { seed, ..*base };
+            self.sim.reset(&self.traffic, &self.source, &cfg, self.faults.as_ref()).unwrap();
+            self.sim.run().unwrap();
+            delivered += self.sim.stats().delivered();
+        }
+        delivered
+    }
+
+    /// Warm-up: two full passes over the measured seed set. The first pass
+    /// grows every arena to the high-water mark of these exact runs (the route
+    /// table interns lazily, so each seed's destination pairs materialize on
+    /// first use); the second pass proves the mark is stable before measuring.
+    /// Then three more reset+run replications over the same seeds, counted.
+    fn measure(mut self, base: &SimConfig) -> Measured {
+        self.sim.run().unwrap();
+        for _ in 0..2 {
+            self.pass(base);
+        }
+        let before = allocation_count();
+        assert!(before > 0, "counting allocator is not wired in");
+        let delivered = self.pass(base);
+        Measured { allocations: allocation_count() - before, delivered }
+    }
+}
+
 #[test]
 fn steady_state_replication_runs_do_not_allocate() {
-    use mcnet_sim::engine::Simulation;
-    use mcnet_sim::{SimConfig, TrafficSourceSpec};
-    use mcnet_system::{organizations, TrafficConfig};
-
-    let system = organizations::small_test_org();
-    let traffic = TrafficConfig::uniform(32, 256.0, 2e-3).unwrap();
     let base = SimConfig::quick(100);
-    let seeds: [u64; 3] = [100, 101, 102];
+    let org = organizations::small_test_org();
+    let torus = TorusSystem::new(8, 2).unwrap();
+    let adaptive = RoutingPolicy::AdaptiveTorus { adaptive_vcs: 2 };
+    let on_off = TrafficSourceSpec::OnOff { duty: 0.5, mean_on: None };
+    let outage = |target| {
+        let at = |at, action| FaultEvent { at, target, action };
+        FaultPlan::new(vec![at(5_000.0, FaultAction::Down), at(20_000.0, FaultAction::Up)])
+    };
+    let tree_leg = |policy, rate, source: TrafficSourceSpec, faults: Option<FaultPlan>| {
+        let traffic = TrafficConfig::uniform(32, 256.0, rate).unwrap();
+        let sim =
+            Simulation::new_full(&org, &traffic, &base, faults.as_ref(), policy, &source).unwrap();
+        Leg { sim, traffic, source, faults }
+    };
+    let torus_leg = |source: TrafficSourceSpec, faults: Option<FaultPlan>| {
+        let traffic = TrafficConfig::uniform(32, 256.0, 1e-3).unwrap();
+        let sim =
+            Simulation::new_torus_full(&torus, &traffic, &base, faults.as_ref(), adaptive, &source)
+                .unwrap();
+        Leg { sim, traffic, source, faults }
+    };
 
-    let policy = mcnet_sim::RoutingPolicy::Deterministic;
-    let mut sim =
-        Simulation::new_full(&system, &traffic, &base, None, policy, &TrafficSourceSpec::Poisson)
-            .unwrap();
-    sim.run().unwrap();
-
-    // Warm-up: two full passes over the measured seed set. The first pass
-    // grows every arena to the high-water mark of these exact runs (the route
-    // table interns lazily, so each seed's destination pairs materialize on
-    // first use); the second pass proves the mark is stable before measuring.
-    for _ in 0..2 {
-        for &seed in &seeds {
-            let cfg = SimConfig { seed, ..base };
-            sim.reset(&traffic, &TrafficSourceSpec::Poisson, &cfg, None).unwrap();
-            sim.run().unwrap();
-        }
+    // Fault-free legs: every routing policy runs allocation-free.
+    let fault_free = [
+        (
+            "deterministic tree",
+            tree_leg(RoutingPolicy::Deterministic, 2e-3, TrafficSourceSpec::Poisson, None),
+        ),
+        ("adaptive torus, ON-OFF", torus_leg(on_off.clone(), None)),
+        (
+            "randomized up*/down* tree",
+            tree_leg(RoutingPolicy::RandomizedUpDown, 2e-3, TrafficSourceSpec::Poisson, None),
+        ),
+    ];
+    for (label, leg) in fault_free {
+        let m = leg.measure(&base);
+        eprintln!("{label}: {} allocations, {} delivered", m.allocations, m.delivered);
+        assert!(m.delivered > 0, "{label}: measured runs delivered nothing");
+        assert_eq!(
+            m.allocations, 0,
+            "{label}: steady-state reset+run allocated {} times across 3 replications; \
+             a per-run arena lost its capacity retention or a route walker allocates",
+            m.allocations
+        );
     }
 
-    // Measured region: three more reset+run replications over the same seeds.
-    let before = allocation_count();
-    assert!(before > 0, "counting allocator is not wired in");
-    let mut delivered = 0u64;
-    for &seed in &seeds {
-        let cfg = SimConfig { seed, ..base };
-        sim.reset(&traffic, &TrafficSourceSpec::Poisson, &cfg, None).unwrap();
-        sim.run().unwrap();
-        delivered += sim.events_processed();
+    // Faulted legs: materializing the fault plan on each reset costs a small
+    // constant; the messages themselves (aborts, retransmits, re-routes)
+    // allocate nothing, so the count must not scale with traffic.
+    let link = FaultTarget::TorusLink { node: 9, dim: 0, dir: RingDir::Plus };
+    let bridge = FaultTarget::Bridge { cluster: 0, unit: BridgeUnit::Concentrator };
+    let faulted = [
+        ("adaptive torus, link outage", torus_leg(on_off, Some(outage(link)))),
+        (
+            "deterministic tree, bridge outage",
+            tree_leg(
+                RoutingPolicy::Deterministic,
+                1e-3,
+                TrafficSourceSpec::Poisson,
+                Some(outage(bridge)),
+            ),
+        ),
+    ];
+    for (label, leg) in faulted {
+        let m = leg.measure(&base);
+        let per_reset = m.allocations / SEEDS.len() as u64;
+        eprintln!("{label}: {} allocations, {} delivered", m.allocations, m.delivered);
+        assert!(m.delivered >= 1_000, "{label}: only {} messages delivered", m.delivered);
+        assert!(
+            per_reset <= 16,
+            "{label}: {per_reset} allocations per reset+run over {} deliveries; \
+             the faulted message path allocates",
+            m.delivered
+        );
     }
-    let grew = allocation_count() - before;
-
-    assert!(delivered > 0, "measured runs processed no events");
-    assert_eq!(
-        grew, 0,
-        "steady-state reset+run allocated {grew} times across 3 replications; \
-         a per-run arena lost its capacity retention"
-    );
 }

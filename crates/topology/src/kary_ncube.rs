@@ -115,16 +115,17 @@ impl KaryNCube {
 
     /// Minimal hop distance between two nodes (sum of per-dimension ring distances).
     pub fn distance(&self, a: NodeId, b: NodeId) -> Result<usize> {
-        let ca = self.coordinates(a)?;
-        let cb = self.coordinates(b)?;
-        Ok(ca
-            .iter()
-            .zip(&cb)
-            .map(|(&x, &y)| {
-                let d = x.abs_diff(y);
-                d.min(self.k - d)
-            })
-            .sum())
+        self.check(a)?;
+        self.check(b)?;
+        let (mut x, mut y) = (a.index(), b.index());
+        let mut total = 0;
+        for _ in 0..self.n {
+            let d = (x % self.k).abs_diff(y % self.k);
+            total += d.min(self.k - d);
+            x /= self.k;
+            y /= self.k;
+        }
+        Ok(total)
     }
 
     /// Deterministic dimension-order route from `src` to `dst`.
@@ -137,25 +138,28 @@ impl KaryNCube {
     /// Appends the dimension-order route from `src` to `dst` to `out` without
     /// allocating when `out` has capacity — the buffer-reusing walker consumed
     /// by the simulator's route-interning arena (mirroring
-    /// [`crate::routing::NcaRouter::route_into`]).
+    /// [`crate::routing::NcaRouter::route_into`]). Digits are read off the node
+    /// indices by `%`/`/`; no coordinate vector is built.
     pub fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<CubeHop>) -> Result<()> {
         if src == dst {
             return Err(TopologyError::SelfRouting { node: src });
         }
-        let mut current = self.coordinates(src)?;
-        let target = self.coordinates(dst)?;
-        for dim in 0..self.n {
-            while current[dim] != target[dim] {
-                let forward = (target[dim] + self.k - current[dim]) % self.k;
-                let backward = self.k - forward;
-                let direction: i8 = if forward <= backward { 1 } else { -1 };
-                current[dim] = if direction == 1 {
-                    (current[dim] + 1) % self.k
-                } else {
-                    (current[dim] + self.k - 1) % self.k
-                };
-                out.push(CubeHop { dimension: dim, direction, node: self.node_at(&current)? });
+        self.check(src)?;
+        self.check(dst)?;
+        let mut cur = src.index();
+        let (mut rest_src, mut rest_dst) = (cur, dst.index());
+        let mut stride = 1;
+        for dimension in 0..self.n {
+            let (from, to) = (rest_src % self.k, rest_dst % self.k);
+            let (direction, steps) = self.ring_way(from, to);
+            let mut digit = from;
+            for _ in 0..steps {
+                (cur, digit) = self.step(cur, digit, stride, direction);
+                out.push(CubeHop { dimension, direction, node: NodeId::from_index(cur) });
             }
+            rest_src /= self.k;
+            rest_dst /= self.k;
+            stride *= self.k;
         }
         Ok(())
     }
@@ -175,24 +179,56 @@ impl KaryNCube {
         dst: NodeId,
         out: &mut Vec<CubeHop>,
     ) -> Result<()> {
-        let cur = self.coordinates(current)?;
-        let target = self.coordinates(dst)?;
-        for dim in 0..self.n {
-            if cur[dim] == target[dim] {
-                continue;
+        self.check(current)?;
+        self.check(dst)?;
+        let cur = current.index();
+        let (mut rest_cur, mut rest_dst) = (cur, dst.index());
+        let mut stride = 1;
+        for dimension in 0..self.n {
+            let (from, to) = (rest_cur % self.k, rest_dst % self.k);
+            if from != to {
+                let (direction, _) = self.ring_way(from, to);
+                let (next, _) = self.step(cur, from, stride, direction);
+                out.push(CubeHop { dimension, direction, node: NodeId::from_index(next) });
             }
-            let forward = (target[dim] + self.k - cur[dim]) % self.k;
-            let backward = self.k - forward;
-            let direction: i8 = if forward <= backward { 1 } else { -1 };
-            let mut next = cur.clone();
-            next[dim] = if direction == 1 {
-                (cur[dim] + 1) % self.k
-            } else {
-                (cur[dim] + self.k - 1) % self.k
-            };
-            out.push(CubeHop { dimension: dim, direction, node: self.node_at(&next)? });
+            rest_cur /= self.k;
+            rest_dst /= self.k;
+            stride *= self.k;
         }
         Ok(())
+    }
+
+    /// The direction and hop count of the shorter way from ring digit `from`
+    /// to `to`, ties broken forward (`+1`). Zero hops when they coincide.
+    #[inline]
+    fn ring_way(&self, from: usize, to: usize) -> (i8, usize) {
+        let forward = (to + self.k - from) % self.k;
+        let backward = self.k - forward;
+        if forward <= backward {
+            (1, forward)
+        } else {
+            (-1, backward)
+        }
+    }
+
+    /// One hop from node index `node`, whose digit in the hop's dimension is
+    /// `digit` and whose index stride there is `stride`, in `direction` with
+    /// ring wrap. Returns the next node index and its digit.
+    #[inline]
+    fn step(&self, node: usize, digit: usize, stride: usize, direction: i8) -> (usize, usize) {
+        let last = self.k - 1;
+        match (direction == 1, digit) {
+            (true, d) if d == last => (node - last * stride, 0),
+            (true, d) => (node + stride, d + 1),
+            (false, 0) => (node + last * stride, last),
+            (false, d) => (node - stride, d - 1),
+        }
+    }
+
+    /// The ring coordinate (digit) of node index `node` in dimension `dim`.
+    #[inline]
+    pub fn digit(&self, node: usize, dim: usize) -> usize {
+        (node / self.k.pow(dim as u32)) % self.k
     }
 
     /// Whether a hop departing a node whose digit in the hop's dimension is
@@ -218,10 +254,11 @@ impl KaryNCube {
     /// both the simulator's cube fabric and the analytical torus model, so the
     /// two layers cannot drift apart on VC selection.
     pub fn dateline_vcs(&self, src: NodeId, hops: &[CubeHop]) -> Result<Vec<u8>> {
-        let mut digits = self.coordinates(src)?;
+        self.check(src)?;
         let mut vcs = Vec::with_capacity(hops.len());
         let mut wrapped_dim = usize::MAX; // routes correct dimensions upwards
         let mut wrapped = false;
+        let mut from = src.index();
         for hop in hops {
             if hop.dimension != wrapped_dim {
                 wrapped_dim = hop.dimension;
@@ -229,10 +266,10 @@ impl KaryNCube {
             }
             // The digit the hop departs from decides whether it crosses the
             // ring's wrap-around edge.
-            wrapped = wrapped || self.hop_crosses_dateline(digits[hop.dimension], hop.direction);
+            wrapped = wrapped
+                || self.hop_crosses_dateline(self.digit(from, hop.dimension), hop.direction);
             vcs.push(wrapped as u8);
-            let d = &mut digits[hop.dimension];
-            *d = if hop.direction == 1 { (*d + 1) % self.k } else { (*d + self.k - 1) % self.k };
+            from = hop.node.index();
         }
         Ok(vcs)
     }

@@ -69,7 +69,8 @@ impl Path {
 /// in practice.
 const MAX_LEVELS: usize = 64;
 
-/// A small fixed-capacity switch word, so route walking never allocates.
+/// A small fixed-capacity digit word (a switch word or a node's digits), so
+/// route walking never allocates.
 #[derive(Clone, Copy)]
 struct WordBuf {
     buf: [u8; MAX_LEVELS],
@@ -77,11 +78,15 @@ struct WordBuf {
 }
 
 impl WordBuf {
-    fn from_digits(digits: &[u8]) -> Self {
-        assert!(digits.len() <= MAX_LEVELS, "tree deeper than {MAX_LEVELS} levels");
+    /// The `len` base-`k` digits of `value`, least significant first.
+    fn decode(mut value: usize, k: usize, len: usize) -> Self {
+        assert!(len <= MAX_LEVELS, "tree deeper than {MAX_LEVELS} levels");
         let mut buf = [0u8; MAX_LEVELS];
-        buf[..digits.len()].copy_from_slice(digits);
-        WordBuf { buf, len: digits.len() }
+        for digit in &mut buf[..len] {
+            *digit = (value % k) as u8;
+            value /= k;
+        }
+        WordBuf { buf, len }
     }
 
     #[inline]
@@ -94,6 +99,37 @@ impl WordBuf {
     #[inline]
     fn as_slice(&self) -> &[u8] {
         &self.buf[..self.len]
+    }
+}
+
+/// A node address decoded onto the stack: the allocation-free counterpart of
+/// [`crate::tree::NodeAddress`] the walkers read digits from.
+#[derive(Clone, Copy)]
+struct StackNode {
+    node: NodeId,
+    half: u8,
+    /// Digits `d_0 … d_{n-1}`, least significant first.
+    digits: WordBuf,
+}
+
+impl StackNode {
+    fn decode(tree: &MPortNTree, node: NodeId) -> Result<Self> {
+        tree.check_node(node)?;
+        let half_size = tree.num_nodes() / 2;
+        let digits = WordBuf::decode(node.index() % half_size, tree.arity(), tree.levels());
+        Ok(StackNode { node, half: (node.index() / half_size) as u8, digits })
+    }
+
+    #[inline]
+    fn digit(&self, i: usize) -> u8 {
+        self.digits.buf[i]
+    }
+
+    /// The word of the node's leaf switch: digits `d_1 … d_{n-1}`.
+    fn leaf_word(&self) -> WordBuf {
+        let mut word = WordBuf { buf: [0u8; MAX_LEVELS], len: self.digits.len - 1 };
+        word.buf[..word.len].copy_from_slice(&self.digits.as_slice()[1..]);
+        word
     }
 }
 
@@ -202,10 +238,10 @@ impl<'a> NcaRouter<'a> {
     /// of inter-cluster messages on the destination-cluster side.
     pub fn route_from_root(&self, root: SwitchId, dst: NodeId) -> Result<Path> {
         self.check_root(root)?;
-        let dst_addr = self.tree.node_address(dst)?;
+        let dst = StackNode::decode(self.tree, dst)?;
         let mut channels = Vec::new();
         let mut switches = vec![root];
-        self.walk_descent(root, self.tree.levels() - 1, &dst_addr, &mut channels, &mut |sw| {
+        self.walk_descent(root, self.root_word(root), &dst, &mut channels, &mut |sw| {
             switches.push(sw)
         })?;
         let links = channels.len();
@@ -220,8 +256,13 @@ impl<'a> NcaRouter<'a> {
         out: &mut Vec<ChannelId>,
     ) -> Result<()> {
         self.check_root(root)?;
-        let dst_addr = self.tree.node_address(dst)?;
-        self.walk_descent(root, self.tree.levels() - 1, &dst_addr, out, &mut |_| {})
+        let dst = StackNode::decode(self.tree, dst)?;
+        self.walk_descent(root, self.root_word(root), &dst, out, &mut |_| {})
+    }
+
+    /// The word of a root switch (whose index is its word value).
+    fn root_word(&self, root: SwitchId) -> WordBuf {
+        WordBuf::decode(root.index(), self.tree.arity(), self.tree.levels() - 1)
     }
 
     fn check_root(&self, root: SwitchId) -> Result<()> {
@@ -242,77 +283,76 @@ impl<'a> NcaRouter<'a> {
         dst: NodeId,
         out: &mut Vec<ChannelId>,
         emit_switch: &mut dyn FnMut(SwitchId),
-        mut pick: Option<&mut dyn FnMut(usize) -> usize>,
+        pick: Option<&mut dyn FnMut(usize) -> usize>,
     ) -> Result<()> {
-        let tree = self.tree;
-        let n = tree.levels();
-        let src_addr = tree.node_address(src)?;
-        let dst_addr = tree.node_address(dst)?;
+        let n = self.tree.levels();
+        let s = StackNode::decode(self.tree, src)?;
+        let d = StackNode::decode(self.tree, dst)?;
         if src == dst {
             return Err(TopologyError::SelfRouting { node: src });
         }
 
-        let j = MPortNTree::hop_count_addr(&src_addr, &dst_addr, n);
-        let nca_level = j - 1;
+        let j = MPortNTree::hop_count_addr(
+            (s.half, s.digits.as_slice()),
+            (d.half, d.digits.as_slice()),
+            n,
+        );
         out.reserve(2 * j);
 
         // Ascending phase: injection link plus `j - 1` switch-to-switch links.
-        out.push(tree.injection_channel(src)?);
-        let mut current = tree.leaf_switch_of(src)?;
-        emit_switch(current);
-        let mut word = WordBuf::from_digits(&src_addr.digits[1..]);
-        for level in 0..nca_level {
-            // The up-channel index chosen at `level` becomes word position `level` of
-            // the next switch. Using destination digit `level` (rather than `level+1`)
-            // keeps the route deterministic while giving every destination — including
-            // destinations sharing a leaf switch — its own descending path, which is
-            // what balances traffic across the redundant down links of the fat-tree.
-            // A caller-provided `pick` replaces that digit rule with its own choice
-            // (randomized Up*/Down* selection); the arity bounds the index either way.
-            let k = self.tree.arity();
-            let u = match pick.as_mut() {
-                Some(p) => p(k).min(k - 1),
-                None => dst_addr.digits[level] as usize,
-            };
-            let ch =
-                tree.up_channel(current, u).expect("non-root switches always have k up channels");
-            out.push(ch);
-            word.set(level, u as u8);
-            current = if level + 1 == n - 1 {
-                tree.root_switch(word.as_slice())
-            } else {
-                tree.inner_switch(src_addr.half, (level + 1) as u8, word.as_slice())
-            };
-            emit_switch(current);
-        }
+        // The up-channel index chosen at `level` becomes word position `level` of
+        // the next switch. Using destination digit `level` (rather than `level+1`)
+        // keeps the route deterministic while giving every destination — including
+        // destinations sharing a leaf switch — its own descending path, which is
+        // what balances traffic across the redundant down links of the fat-tree.
+        // A caller-provided `pick` replaces that digit rule with its own choice
+        // (randomized Up*/Down* selection); the arity bounds the index either way.
+        let (nca, word) = self.ascend(&s, j - 1, &d, out, emit_switch, pick)?;
 
         // Descending phase: `j - 1` switch-to-switch links plus the ejection link.
-        self.walk_descent(current, nca_level, &dst_addr, out, emit_switch)
+        self.walk_descent(nca, word, &d, out, emit_switch)
     }
 
     /// Core ascent walker: appends the injection channel and all up-links onto `out`,
-    /// reporting traversed switches, and returns the root switch reached.
+    /// reporting traversed switches, and returns the root switch reached. Without
+    /// `pick` the up-port choices are the source's own digits.
     fn walk_ascent(
         &self,
         src: NodeId,
         out: &mut Vec<ChannelId>,
         emit_switch: &mut dyn FnMut(SwitchId),
-        mut pick: Option<&mut dyn FnMut(usize) -> usize>,
+        pick: Option<&mut dyn FnMut(usize) -> usize>,
     ) -> Result<SwitchId> {
+        let s = StackNode::decode(self.tree, src)?;
+        out.reserve(self.tree.levels());
+        let levels = self.tree.levels() - 1;
+        Ok(self.ascend(&s, levels, &s, out, emit_switch, pick)?.0)
+    }
+
+    /// Ascends from `src` through `levels` up-links, appending the injection
+    /// channel and every up-channel onto `out`. Up-port `level` is
+    /// `pick(k)` (clamped to the arity) or, without `pick`, digit `level` of
+    /// `digits_of`. Returns the switch reached and its word.
+    fn ascend(
+        &self,
+        src: &StackNode,
+        levels: usize,
+        digits_of: &StackNode,
+        out: &mut Vec<ChannelId>,
+        emit_switch: &mut dyn FnMut(SwitchId),
+        mut pick: Option<&mut dyn FnMut(usize) -> usize>,
+    ) -> Result<(SwitchId, WordBuf)> {
         let tree = self.tree;
         let n = tree.levels();
-        let src_addr = tree.node_address(src)?;
-
-        out.reserve(n);
-        out.push(tree.injection_channel(src)?);
-        let mut current = tree.leaf_switch_of(src)?;
+        let k = tree.arity();
+        out.push(tree.injection_channel(src.node)?);
+        let mut current = tree.leaf_switch_of(src.node)?;
         emit_switch(current);
-        let mut word = WordBuf::from_digits(&src_addr.digits[1..]);
-        for level in 0..n.saturating_sub(1) {
-            let k = tree.arity();
+        let mut word = src.leaf_word();
+        for level in 0..levels {
             let u = match pick.as_mut() {
                 Some(p) => p(k).min(k - 1),
-                None => src_addr.digits[level] as usize,
+                None => digits_of.digit(level) as usize,
             };
             let ch =
                 tree.up_channel(current, u).expect("non-root switches always have k up channels");
@@ -321,61 +361,57 @@ impl<'a> NcaRouter<'a> {
             current = if level + 1 == n - 1 {
                 tree.root_switch(word.as_slice())
             } else {
-                tree.inner_switch(src_addr.half, (level + 1) as u8, word.as_slice())
+                tree.inner_switch(src.half, (level + 1) as u8, word.as_slice())
             };
             emit_switch(current);
         }
-        Ok(current)
+        Ok((current, word))
     }
 
-    /// Core descent walker from `from` (a switch at `from_level`) down to the
-    /// destination node: appends the switch-to-switch hops and the final ejection
-    /// channel onto `out`, reporting the switch reached after every hop.
+    /// Core descent walker from `from` (an ancestor of `dst` whose word is
+    /// `word`) down to the destination node: appends the switch-to-switch hops
+    /// and the final ejection channel onto `out`, reporting the switch reached
+    /// after every hop.
     fn walk_descent(
         &self,
         from: SwitchId,
-        from_level: usize,
-        dst_addr: &crate::tree::NodeAddress,
+        mut word: WordBuf,
+        dst: &StackNode,
         out: &mut Vec<ChannelId>,
         emit_switch: &mut dyn FnMut(SwitchId),
     ) -> Result<()> {
         let tree = self.tree;
         let n = tree.levels();
         let k = tree.arity();
-        let dst = tree.node_id(dst_addr)?;
         let mut current = from;
-        let mut level = from_level;
-        let mut word = match tree.switch_address(current)? {
-            crate::tree::SwitchAddress::Root { word } => WordBuf::from_digits(&word),
-            crate::tree::SwitchAddress::Inner { word, .. } => WordBuf::from_digits(&word),
-        };
+        let mut level = tree.switch_level(from)?.0 as usize;
         while level > 0 {
-            let digit = dst_addr.digits[level] as usize;
+            let digit = dst.digit(level) as usize;
             let port = if level == n - 1 {
                 // Root switches interleave halves on their down ports.
-                dst_addr.half as usize * k + digit
+                dst.half as usize * k + digit
             } else {
                 digit
             };
             let ch = tree.down_channel(current, port).expect("descent ports are always wired");
             out.push(ch);
             level -= 1;
-            word.set(level, dst_addr.digits[level + 1]);
+            word.set(level, dst.digit(level + 1));
             current = if level == n - 1 {
                 tree.root_switch(word.as_slice())
             } else {
-                tree.inner_switch(dst_addr.half, level as u8, word.as_slice())
+                tree.inner_switch(dst.half, level as u8, word.as_slice())
             };
             emit_switch(current);
         }
         let ejection = if n == 1 {
-            tree.down_channel(current, dst_addr.half as usize * k + dst_addr.digits[0] as usize)
+            tree.down_channel(current, dst.half as usize * k + dst.digit(0) as usize)
                 .expect("single-switch trees wire all node ports")
         } else {
-            tree.down_channel(current, dst_addr.digits[0] as usize)
+            tree.down_channel(current, dst.digit(0) as usize)
                 .expect("leaf switches wire all node ports")
         };
-        debug_assert_eq!(tree.ejection_channel(dst)?, ejection);
+        debug_assert_eq!(tree.ejection_channel(dst.node)?, ejection);
         out.push(ejection);
         Ok(())
     }

@@ -384,18 +384,23 @@ impl MPortNTree {
         }
         let a = Self::decode_node(src.index(), self.k, self.n);
         let b = Self::decode_node(dst.index(), self.k, self.n);
-        Ok(Self::hop_count_addr(&a, &b, self.n))
+        Ok(Self::hop_count_addr((a.half, &a.digits), (b.half, &b.digits), self.n))
     }
 
-    pub(crate) fn hop_count_addr(a: &NodeAddress, b: &NodeAddress, n: usize) -> usize {
-        if a.half != b.half {
+    /// [`MPortNTree::hop_count`] over two decoded `(half, digits)` addresses.
+    pub(crate) fn hop_count_addr(
+        (a_half, a): (u8, &[u8]),
+        (b_half, b): (u8, &[u8]),
+        n: usize,
+    ) -> usize {
+        if a_half != b_half {
             return n;
         }
         // Same half: the NCA level is the smallest L such that the leaf-switch words
         // agree on all positions >= L; the word of a node consists of digits 1..n.
         let mut nca_level = 0usize;
         for pos in (1..n).rev() {
-            if a.digits[pos] != b.digits[pos] {
+            if a[pos] != b[pos] {
                 nca_level = pos; // positions pos.. differ at `pos` => L = pos
                 break;
             }
@@ -426,11 +431,7 @@ impl MPortNTree {
     }
 
     pub(crate) fn encode_word(word: &[u8], k: usize) -> usize {
-        let mut v = 0usize;
-        for (i, &d) in word.iter().enumerate() {
-            v += d as usize * upow(k, i as u32);
-        }
-        v
+        word.iter().rev().fold(0, |v, &d| v * k + d as usize)
     }
 
     /// Leaf switch id of a node address.
@@ -476,7 +477,7 @@ impl MPortNTree {
         SwitchId::from_index(Self::encode_word(word, self.k))
     }
 
-    fn check_node(&self, node: NodeId) -> Result<()> {
+    pub(crate) fn check_node(&self, node: NodeId) -> Result<()> {
         if node.index() >= self.num_nodes {
             Err(TopologyError::NodeOutOfRange { node, num_nodes: self.num_nodes })
         } else {
