@@ -1,9 +1,13 @@
 //! Substrate bench: m-port n-tree construction and NCA route computation throughput
 //! for the tree sizes that appear in the paper's organizations, plus the k-ary n-cube
-//! baseline topology of the prior-art models, and the per-message walkers of the
-//! adaptive routing policies (torus candidate hops, randomized up*/down* paths).
+//! baseline topology of the prior-art models, the per-message walkers of the
+//! adaptive routing policies (torus candidate hops, randomized up*/down* paths), and
+//! the simulator's per-message route composition.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mcnet_sim::routes::RouteTable;
+use mcnet_sim::FabricBackend;
+use mcnet_system::{organizations, TorusSystem, TrafficConfig};
 use mcnet_topology::kary_ncube::KaryNCube;
 use mcnet_topology::routing::NcaRouter;
 use mcnet_topology::{MPortNTree, NodeId};
@@ -96,9 +100,63 @@ fn bench_topology(c: &mut Criterion) {
     routing.finish();
 }
 
+/// 4,096 distinct-endpoint pairs of a backend, drawn by xorshift and kept when
+/// `keep(src_cluster, dst_cluster)` holds.
+fn sample_pairs(backend: &FabricBackend, keep: fn(u32, u32) -> bool) -> Vec<(usize, usize)> {
+    let n = backend.total_nodes() as u64;
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut draw = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n) as usize
+    };
+    let mut pairs = Vec::with_capacity(4096);
+    while pairs.len() < 4096 {
+        let (src, dst) = (draw(), draw());
+        if src == dst {
+            continue;
+        }
+        let path = backend.build_path(src, dst).unwrap();
+        if keep(path.src_cluster, path.dst_cluster) {
+            pairs.push((src, dst));
+        }
+    }
+    pairs
+}
+
+/// Per-message route composition as the engine runs it: each iteration
+/// composes one route into a recycled region of the route arena and releases
+/// it, so the time per iteration is the cost per generated message.
+fn bench_route_composition(c: &mut Criterion) {
+    let traffic = TrafficConfig::uniform(32, 256.0, 1e-4).unwrap();
+    let org_b = FabricBackend::tree(&organizations::table1_org_b(), &traffic).unwrap();
+    let torus = FabricBackend::cube(&TorusSystem::new(16, 2).unwrap(), &traffic).unwrap();
+    let cases = [
+        ("org_b_inter", &org_b, sample_pairs(&org_b, |s, d| s != d)),
+        ("org_b_intra", &org_b, sample_pairs(&org_b, |s, d| s == d)),
+        ("torus_16ary_2cube", &torus, sample_pairs(&torus, |_, _| true)),
+    ];
+    let mut group = c.benchmark_group("route_composition");
+    for (name, backend, pairs) in cases {
+        let mut table = RouteTable::build(backend).unwrap();
+        let mut next = 0;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let (src, dst) = pairs[next % pairs.len()];
+                next += 1;
+                let entry = table.entry(backend, src, dst);
+                table.release_scratch(entry.route);
+                std::hint::black_box(entry.bottleneck)
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_topology
+    targets = bench_topology, bench_route_composition
 }
 criterion_main!(benches);

@@ -3,8 +3,8 @@
 //! The wormhole engine ([`crate::engine::Simulation`]) needs surprisingly
 //! little from the network it simulates: a dense global channel-id space with
 //! per-flit times (to size the [`ChannelPool`]), a way to materialise the
-//! channel itinerary of any `(src, dst)` pair (consumed through the
-//! route-interning arena of [`crate::routes::RouteTable`]), and a coarse
+//! channel itinerary of any `(src, dst)` pair (composed per message by
+//! [`crate::routes::RouteTable`]), and a coarse
 //! node-partition ("cluster") used for the intra/inter latency split and the
 //! locality traffic pattern. [`FabricBackend`] captures exactly that surface,
 //! with two implementations:
@@ -219,7 +219,7 @@ impl FabricBackend {
     }
 
     /// Builds the itinerary of one message from scratch (the per-message
-    /// reference computation; the engine goes through the interned
+    /// reference computation; the engine composes routes through
     /// [`crate::routes::RouteTable`] instead).
     pub fn build_path(&self, src: usize, dst: usize) -> Result<Itinerary> {
         match self {

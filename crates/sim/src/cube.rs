@@ -3,7 +3,7 @@
 //!
 //! [`CubeFabric`] materialises a [`TorusSystem`] into the same dense global
 //! channel-id space the tree fabric uses, so the engine's occupancy table,
-//! route-interning arena and lazy-release machinery run unchanged over it:
+//! route arena and lazy-release machinery run unchanged over it:
 //!
 //! * **Link channels** — one id per unidirectional router↔router link *and
 //!   virtual channel*. For `k > 2` every directed link carries two virtual
@@ -20,8 +20,7 @@
 //!   space, crossed first and last by every message. As in the tree fabric the
 //!   injection channel is held for the message's entire network latency, which
 //!   keeps the source queue the M/G/1 station the analytical lineage assumes,
-//!   and makes every `(src, dst)` itinerary unique (a prerequisite of the
-//!   per-pair interning arena).
+//!   and makes every `(src, dst)` itinerary unique.
 //!
 //! Per-flit times mirror the tree's channel-kind mapping: injection/ejection
 //! channels are node↔router connections at `t_cn`, link channels are
@@ -64,7 +63,7 @@ pub struct CubeFabric {
 
 impl CubeFabric {
     /// Builds the deterministic torus fabric (escape VCs only — the channel
-    /// numbering every interned route and pinned digest depends on).
+    /// numbering every composed route and pinned digest depends on).
     pub fn build(torus: &TorusSystem, traffic: &TrafficConfig) -> Result<Self> {
         Self::build_with(torus, traffic, 0)
     }
@@ -203,7 +202,7 @@ impl CubeFabric {
     /// The channel id of one routed hop leaving `from`, on the virtual channel
     /// selected by the dateline discipline (`vc` is 0 before the ring's wrap
     /// edge, 1 from the wrap hop onwards; always 0 for `k = 2`). Exposed so
-    /// equivalence tests can check interned routes against
+    /// equivalence tests can check composed routes against
     /// [`KaryNCube::route`] channel-by-channel.
     pub fn link_channel(&self, from: usize, hop: &CubeHop, vc: u32) -> GlobalChannelId {
         let dir_idx = if self.dirs == 1 || hop.direction == 1 { 0u32 } else { 1u32 };
@@ -265,9 +264,10 @@ impl CubeFabric {
 
     /// Appends the globalized itinerary of `src → dst` (injection, dimension-order
     /// link channels on dateline-selected VCs, ejection) to `out`, reusing
-    /// `hop_scratch` for the topology walk. This is the route the interning
-    /// table materialises into its arena; [`CubeFabric::build_path`] is the
-    /// freshly-allocated verification view of the same computation.
+    /// `hop_scratch` for the topology walk. The route table composes every
+    /// deterministic torus message with it, allocation-free once both buffers
+    /// have grown; [`CubeFabric::build_path`] is the freshly-allocated
+    /// verification view of the same computation.
     pub fn route_into(
         &self,
         src: usize,
@@ -282,8 +282,10 @@ impl CubeFabric {
         // The dateline VC of every hop comes from the topology layer — the one
         // shared definition the analytical torus model also consumes. `vcs == 1`
         // fabrics (k = 2) get all-zero VCs from the same helper.
-        let datelines =
-            self.cube.dateline_vcs(NodeId::from_index(src), hop_scratch).map_err(SimError::from)?;
+        let datelines = self
+            .cube
+            .dateline_vcs_iter(NodeId::from_index(src), hop_scratch)
+            .map_err(SimError::from)?;
         out.push(self.injection(src));
         let mut from = src;
         for (hop, vc) in hop_scratch.iter().zip(datelines) {
@@ -296,8 +298,8 @@ impl CubeFabric {
     }
 
     /// Builds the wormhole itinerary for a message from node `src` to node `dst`
-    /// from scratch — the per-message reference computation the interned route
-    /// table is checked against.
+    /// from scratch — the per-message reference computation the route table's
+    /// composed routes are checked against.
     pub fn build_path(&self, src: usize, dst: usize) -> Result<Itinerary> {
         if src == dst {
             return Err(SimError::InvalidConfiguration {

@@ -35,7 +35,7 @@ use crate::event::{EventKind, EventQueue, MessageId};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::message::{MessageSlab, MessageState};
 use crate::policy::RoutingPolicy;
-use crate::routes::{RouteEntry, RouteTable};
+use crate::routes::{RouteEntry, RouteMeta, RouteTable};
 use crate::runner::SimConfig;
 use crate::stats::{Delivery, SimStats};
 use crate::traffic::Poisson;
@@ -116,6 +116,8 @@ pub struct Simulation {
     cand_scratch: Vec<(GlobalChannelId, u8)>,
     local_scratch: Vec<mcnet_topology::graph::ChannelId>,
     global_scratch: Vec<GlobalChannelId>,
+    /// The deterministic path a randomized draw is compared against.
+    reference_scratch: Vec<GlobalChannelId>,
 }
 
 impl Simulation {
@@ -210,6 +212,7 @@ impl Simulation {
             cand_scratch: Vec::new(),
             local_scratch: Vec::new(),
             global_scratch: Vec::new(),
+            reference_scratch: Vec::new(),
         };
         sim.rewind(config, faults)?;
         Ok(sim)
@@ -218,9 +221,9 @@ impl Simulation {
     /// Rewinds a finished simulation for a fresh run over the **same fabric,
     /// routing policy and message geometry**, reusing every grown allocation:
     /// the future-event heap, the channel pool and its waiter arena, the message
-    /// slab, the interned route table (with its scratch free lists), the
-    /// per-node arrival heap, the latency histogram and the adaptive scratch
-    /// buffers. The traffic rate and pattern, the seed, the measurement
+    /// slab, the route arena (with its region free lists), the per-node
+    /// arrival heap, the latency histogram and the adaptive scratch buffers.
+    /// The traffic rate and pattern, the seed, the measurement
     /// protocol and the fault plan may all change between runs — which is
     /// exactly the shape of a replication loop or a campaign sweep, where a
     /// reused engine allocates like a single run.
@@ -349,7 +352,7 @@ impl Simulation {
         &self.pool
     }
 
-    /// The interned route table (for diagnostics and equivalence tests).
+    /// The route table (for diagnostics and equivalence tests).
     pub fn routes(&self) -> &RouteTable {
         &self.routes
     }
@@ -449,14 +452,13 @@ impl Simulation {
             self.arrivals.clear(); // generation phase is over; let the network drain
             return;
         }
-        // Sample the message. Under deterministic routing the route is a pure
-        // table lookup: the itinerary was interned into the route-table arena
-        // ahead of time (or, for a first-seen inter-cluster pair, is composed
-        // from precomputed segments by memcpy) — no routing algorithm runs and
-        // no per-message allocation happens here. Adaptive policies carve a
-        // recycled scratch region of the same arena instead (fully materialised
-        // at generation for randomized tree paths; committed hop by hop at
-        // acquisition for the adaptive torus).
+        // Sample the message, then give it a recycled region of the route
+        // arena, which it holds until delivery or drop. Deterministic routes
+        // are composed into it: tree inter-cluster pairs copy precomputed
+        // segments, the rest run an allocation-free walker. Randomized tree
+        // paths are drawn whole into it here; adaptive torus hops are
+        // committed into it one by one at acquisition. No per-message
+        // allocation happens on any of these paths.
         let dst = self.traffic.destination(&mut self.rng, node);
         let entry = match self.policy {
             RoutingPolicy::Deterministic => self.routes.entry(&self.backend, node, dst),
@@ -524,18 +526,18 @@ impl Simulation {
     /// Builds the route entry of a randomized up\*/down\* tree message: a fresh
     /// legal path drawn from the candidate set into a scratch region.
     fn randomized_entry(&mut self, src: usize, dst: usize) -> RouteEntry {
-        let det = self.draw_random_path(src, dst);
-        let route = self.routes.alloc_scratch(det.route.len());
+        let meta = self.draw_random_path(src, dst);
+        let route = self.routes.alloc_scratch(self.global_scratch.len());
         self.routes.fill_scratch(route, &self.global_scratch);
-        RouteEntry { route, ..det }
+        meta.with_route(route)
     }
 
     /// Draws a fresh randomized up\*/down\* path for `src → dst` into
     /// `global_scratch`, counting a misroute when it differs from the pair's
-    /// deterministic path. Returns that deterministic entry, which supplies the
-    /// (randomization-invariant) length, bottleneck and cluster metadata.
-    fn draw_random_path(&mut self, src: usize, dst: usize) -> RouteEntry {
-        let det = self.routes.entry(&self.backend, src, dst);
+    /// deterministic path. Returns the deterministic path's metadata: the
+    /// bottleneck and clusters do not depend on the randomization.
+    fn draw_random_path(&mut self, src: usize, dst: usize) -> RouteMeta {
+        let det = self.routes.compose_into(&self.backend, src, dst, &mut self.reference_scratch);
         let fabric = self.backend.as_tree().expect("RandomizedUpDown runs on the tree backend");
         let rng = &mut self.route_rng;
         fabric
@@ -549,10 +551,10 @@ impl Simulation {
             .expect("randomized path construction failed for a routed pair");
         debug_assert_eq!(
             self.global_scratch.len(),
-            det.route.len(),
+            self.reference_scratch.len(),
             "randomized path length drifted"
         );
-        if self.global_scratch.as_slice() != self.routes.channels(det.route) {
+        if self.global_scratch != self.reference_scratch {
             self.stats.record_misroute();
         }
         det
@@ -783,12 +785,10 @@ impl Simulation {
     fn handle_tail_arrived(&mut self, id: MessageId) {
         let now = self.queue.now();
         // The message's work is done: fold it into the statistics (and the run
-        // digest) and recycle its slot. No per-message state outlives delivery.
-        // Adaptive scratch routes go back to the arena's free lists here.
+        // digest) and recycle its slot and its route region. No per-message
+        // state outlives delivery.
         let msg = self.messages.remove(id);
-        if !self.policy.is_deterministic() {
-            self.routes.release_scratch(msg.route);
-        }
+        self.routes.release_scratch(msg.route);
         self.stats.record_delivery(Delivery {
             gen_id: msg.gen_id,
             class: msg.class(),
@@ -876,9 +876,7 @@ impl Simulation {
         if failures >= self.fault_max_attempts {
             let now = self.queue.now();
             let msg = self.messages.remove(id);
-            if !self.policy.is_deterministic() {
-                self.routes.release_scratch(msg.route);
-            }
+            self.routes.release_scratch(msg.route);
             self.stats.record_drop(msg.class(), msg.measured, now);
         } else {
             let msg = &mut self.messages[id];

@@ -19,7 +19,7 @@
 //!
 //! The engine itself is network-agnostic: everything it needs from the fabric —
 //! a dense global channel-id space with per-flit times, itinerary construction
-//! (consumed through the interning [`routes::RouteTable`] arena) and a coarse
+//! (composed per message by [`routes::RouteTable`]) and a coarse
 //! node partition for the intra/inter latency split — is captured by
 //! [`backend::FabricBackend`]. Two backends implement that surface:
 //!

@@ -1,12 +1,12 @@
 //! In-flight message records and their slot-reusing store.
 //!
-//! Each message references its precomputed channel itinerary as an interned
-//! [`RouteRef`] into the simulation's [`crate::routes::RouteTable`] arena (the
-//! wormhole path through one or — for inter-cluster messages — all three
-//! networks and the two bridge buffers), together with its progress along that
-//! itinerary and the timestamps needed for latency accounting. Holding an
-//! `(offset, len)` arena slice instead of an owned `Vec` keeps message
-//! generation allocation-free.
+//! Each message references its channel itinerary as a [`RouteRef`]: its own
+//! region of the simulation's [`crate::routes::RouteTable`] arena, composed at
+//! generation and recycled at delivery or drop (the wormhole path through one
+//! or — for inter-cluster messages — all three networks and the two bridge
+//! buffers). The record also holds its progress along that itinerary and the
+//! timestamps needed for latency accounting. Holding an `(offset, len)` arena
+//! slice instead of an owned `Vec` keeps message generation allocation-free.
 //!
 //! The record is deliberately small (compile-time-checked at ≤ 40 bytes): the
 //! cluster indices are 16-bit, the traffic class is derived from them instead
@@ -40,8 +40,8 @@ pub struct MessageState {
     pub generation_time: f64,
     /// The slowest per-flit channel time on the path (drain bottleneck).
     pub bottleneck_time: f64,
-    /// The full ordered channel list the worm must acquire, as an interned slice
-    /// of the route table arena.
+    /// The full ordered channel list the worm must acquire, as the message's
+    /// own region of the route table arena.
     pub route: RouteRef,
     /// Cluster of the source node (16-bit: see [`RouteEntry`]'s packing contract).
     pub src_cluster: u16,
@@ -69,7 +69,7 @@ pub struct MessageState {
 const _: () = assert!(std::mem::size_of::<MessageState>() <= 40, "MessageState grew past 40B");
 
 impl MessageState {
-    /// Creates a new, not-yet-started message from a resolved route-table entry.
+    /// Creates a new, not-yet-started message from its route-table entry.
     pub fn new(entry: RouteEntry, generation_time: f64, measured: bool, gen_id: u32) -> Self {
         debug_assert!(!entry.route.is_empty(), "messages always cross at least one channel");
         debug_assert!(

@@ -2,10 +2,10 @@
 //!
 //! The engine supports three policies:
 //!
-//! * [`RoutingPolicy::Deterministic`] — the PR 1/3 contract: every `(src, dst)`
-//!   pair resolves to one interned arena slice (dimension-order + dateline VCs
-//!   on the torus, the NCA route on the tree). Bit-identical to all previous
-//!   releases and allocation-free after a pair's first lookup.
+//! * [`RoutingPolicy::Deterministic`] — every `(src, dst)` pair has one fixed
+//!   itinerary (dimension-order + dateline VCs on the torus, the NCA route on
+//!   the tree), composed per message into a recycled region of the route
+//!   arena. Bit-identical to all previous releases and allocation-free.
 //! * [`RoutingPolicy::AdaptiveTorus`] — Duato-style minimal-adaptive routing on
 //!   the k-ary n-cube. Each directed link carries `adaptive_vcs` extra virtual
 //!   channels with no routing restriction; the existing Dally–Seitz dateline
@@ -32,7 +32,7 @@ pub const DEFAULT_ADAPTIVE_VCS: u8 = 1;
 /// How message itineraries are chosen (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutingPolicy {
-    /// One interned deterministic itinerary per `(src, dst)` pair.
+    /// One fixed deterministic itinerary per `(src, dst)` pair.
     #[default]
     Deterministic,
     /// Minimal-adaptive torus routing with Duato escape channels.
@@ -49,7 +49,7 @@ impl RoutingPolicy {
     /// per-VC bandwidth share without adding routing freedom on minimal paths.
     pub const MAX_ADAPTIVE_VCS: u8 = 4;
 
-    /// `true` for the deterministic (interned-route) policy.
+    /// `true` for the deterministic (fixed-route) policy.
     #[inline]
     pub fn is_deterministic(self) -> bool {
         matches!(self, RoutingPolicy::Deterministic)

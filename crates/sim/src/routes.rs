@@ -1,56 +1,45 @@
-//! Interned route storage: every `(src, dst)` itinerary as a slice of one flat arena.
+//! Route composition: every message's itinerary in its own recycled region of
+//! one flat arena.
 //!
-//! The wormhole engine used to call `Fabric::build_path` for every generated
-//! message, which re-ran the routing algorithm and allocated several fresh
-//! `Vec`s per message. The [`RouteTable`] removes all of that from the hot path,
-//! for **either fabric backend** ([`FabricBackend::Tree`] or
-//! [`FabricBackend::Cube`]):
+//! The engine resolves each message's channel itinerary through the
+//! [`RouteTable`] of its fabric backend ([`FabricBackend::Tree`] or
+//! [`FabricBackend::Cube`]). Nothing is stored per `(src, dst)` pair: at
+//! generation a message composes its route into a region of the arena, and it
+//! hands the region back at delivery or drop.
 //!
-//! * **One flat arena.** All itineraries live in a single `Vec<GlobalChannelId>`;
-//!   a route is a [`RouteRef`] — an `(offset, len)` pair — and resolving it is a
-//!   bounds-checked slice of the arena.
-//! * **Shared segments (tree).** Tree inter-cluster paths are the concatenation
+//! * **One flat arena.** A route is a [`RouteRef`], an `(offset, len)` pair,
+//!   and resolving it is a bounds-checked slice of the arena. The arena starts
+//!   with the tree's shared segments; per-message regions follow them.
+//! * **Shared segments (tree).** A tree inter-cluster path is the concatenation
 //!   `ascent(src) ⊕ concentrator ⊕ icn2(c_s, c_d) ⊕ dispatcher ⊕ descent(dst)`.
-//!   The three variable segments are computed once per node / cluster pair at
-//!   build time (`2N + C²` routing calls), so materialising an inter-cluster
-//!   pair afterwards is a handful of `memcpy`s — the routing algorithm never
-//!   runs for it again. Intra-cluster pairs (whose single-network routes cannot
-//!   be composed from shared segments) are routed straight into the arena
-//!   through the allocation-free `NcaRouter::route_into` walker on first use.
-//! * **Direct walks (cube).** Torus routes have no shareable middle segment
-//!   (every hop's channel id depends on the node it leaves), so a first-seen
-//!   pair runs the dimension-order walker straight into the arena through
-//!   [`CubeFabric::route_into`], reusing one hop scratch buffer; like the tree
-//!   path this allocates nothing per message after the first lookup.
-//! * **Interned entries.** A pair's itinerary is materialised on its first
-//!   lookup and interned forever: every subsequent message between the same
-//!   `(src, dst)` resolves to the *same* arena slice, so each distinct pair
-//!   occupies storage exactly once no matter how many messages use it.
-//!   (Full-path deduplication across *different* pairs would never fire: a
-//!   node's injection and ejection channels make every pair's path unique, in
-//!   both backends.)
-//! * **Precomputed metadata.** The drain bottleneck (slowest per-flit channel
-//!   time) and the source/destination clusters (sub-ring neighborhoods for the
-//!   torus) are stored per entry, so `handle_generate` never scans a path.
+//!   The three variable segments are computed once per node or cluster pair at
+//!   build time (`2N + C²` routing calls), so composing an inter-cluster route
+//!   is three slice copies plus the two bridge ids. Intra-cluster routes share
+//!   no segment; they run the allocation-free `NcaRouter::route_into` walker.
+//! * **Direct walks (cube).** A torus route has no shareable middle segment
+//!   (every hop's channel id depends on the node it leaves), so it runs the
+//!   allocation-free dimension-order walker
+//!   [`crate::cube::CubeFabric::route_into`].
+//! * **Recycled regions.** Released regions go to per-length free lists and are
+//!   reused before the arena grows, so the arena holds the `O(N + C²)` segments
+//!   plus the peak in-flight population's routes. Adaptive policies carve their
+//!   regions from the same lists and write their own channel choices into them.
+//! * **Metadata with the route.** The drain bottleneck (slowest per-flit channel
+//!   time) and the source/destination clusters (sub-ring neighborhoods on the
+//!   torus) come out of the composition, so `handle_generate` never scans a
+//!   path.
 //!
-//! The per-pair entry index is three flat arrays (packed route word, packed
-//! cluster word, bottleneck) whose zero bit-pattern is the "unmaterialised"
-//! sentinel — `vec![0; n]` lowers to `alloc_zeroed`, so even the `N²` index of
-//! a 1000-node fabric costs fresh zero pages rather than a memset, and only
-//! pages of pairs actually used are ever touched.
-//!
-//! Lookups after a pair's first are allocation-free reads. The table produces
-//! channel sequences identical to [`FabricBackend::build_path`] for every pair
-//! (covered by equivalence tests here, in `tests/property_tests.rs` and in
-//! `tests/torus_invariants.rs`), and it consumes nothing from the simulation
-//! RNG — so swapping per-message route construction for the table is
-//! bit-transparent to engine results.
+//! A composed route is identical to [`FabricBackend::build_path`] for every
+//! pair (covered by equivalence tests here, in `tests/property_tests.rs` and in
+//! `tests/torus_invariants.rs`), and composing consumes nothing from the
+//! simulation RNG, so where a route's channels sit in the arena never reaches
+//! the engine's results.
 
 use crate::backend::FabricBackend;
 use crate::channels::GlobalChannelId;
-use crate::cube::CubeFabric;
 use crate::fabric::{Fabric, Itinerary};
 use crate::{Result, SimError};
+use mcnet_topology::graph::ChannelId;
 use mcnet_topology::kary_ncube::CubeHop;
 use mcnet_topology::routing::NcaRouter;
 use mcnet_topology::NodeId;
@@ -59,8 +48,8 @@ use mcnet_topology::NodeId;
 ///
 /// The offset is 32-bit so the whole reference packs into 6 bytes inside the
 /// compact [`crate::message::MessageState`]; an arena of more than 2³²
-/// channels (hundreds of millions of distinct pairs) is rejected at interning
-/// time rather than silently truncated.
+/// channels is rejected when a region is carved rather than silently
+/// truncated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteRef {
     offset: u32,
@@ -74,17 +63,47 @@ impl RouteRef {
         self.len as usize
     }
 
-    /// `true` if the route crosses no channel (never the case for real entries).
+    /// `true` if the route crosses no channel (never the case for real routes).
     #[inline]
     pub fn is_empty(self) -> bool {
         self.len == 0
     }
+
+    /// The route's index range in the arena.
+    #[inline]
+    fn range(self) -> std::ops::Range<usize> {
+        self.offset as usize..self.offset as usize + self.len as usize
+    }
 }
 
-/// One resolved `(src, dst)` table entry.
+/// What a composed route carries besides its channels.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RouteMeta {
+    /// Slowest per-flit channel time on the path (drain bottleneck).
+    pub bottleneck: f64,
+    /// Source cluster (tree) / sub-ring neighborhood (torus) index.
+    pub src_cluster: u32,
+    /// Destination cluster (tree) / sub-ring neighborhood (torus) index.
+    pub dst_cluster: u32,
+}
+
+impl RouteMeta {
+    /// The entry of a message whose channels live in `route`.
+    #[inline]
+    pub fn with_route(self, route: RouteRef) -> RouteEntry {
+        RouteEntry {
+            route,
+            bottleneck: self.bottleneck,
+            src_cluster: self.src_cluster,
+            dst_cluster: self.dst_cluster,
+        }
+    }
+}
+
+/// One message's route: its arena region plus the route metadata.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteEntry {
-    /// The interned channel sequence.
+    /// The message's region of the arena.
     pub route: RouteRef,
     /// Slowest per-flit channel time on the path (drain bottleneck).
     pub bottleneck: f64,
@@ -97,13 +116,9 @@ pub struct RouteEntry {
 /// A precomputed path fragment (ascent, descent or ICN2 crossing).
 #[derive(Debug, Clone, Copy)]
 struct Segment {
-    offset: u32,
-    len: u16,
+    route: RouteRef,
     bottleneck: f64,
 }
-
-const LEN_BITS: u32 = 16;
-const LEN_MASK: u64 = (1 << LEN_BITS) - 1;
 
 /// Tree-backend precompute: the shared inter-cluster segments plus the cluster
 /// geometry needed to compose them.
@@ -116,196 +131,232 @@ struct TreeSegments {
     /// Per-`(src_cluster, dst_cluster)` ICN2 crossing.
     icn2: Vec<Segment>,
     clusters: usize,
-    /// Half-open global-node ranges `[start, end)` of each cluster, in order.
-    cluster_bounds: Vec<(usize, usize)>,
+    /// Cluster of every global node.
+    node_cluster: Vec<u32>,
+    /// First global node of every cluster.
+    cluster_start: Vec<usize>,
     /// Concentrator/dispatcher channel ids, `[concentrate(c), dispatch(c)]` per cluster.
     bridges: Vec<[GlobalChannelId; 2]>,
     /// Per-flit time of the bridge resources (the switch channel time).
     bridge_flit: f64,
-    /// Scratch buffer reused by intra-pair materialisation.
-    scratch: Vec<mcnet_topology::graph::ChannelId>,
+    /// Reused buffer of the intra-cluster walks.
+    walk: Vec<ChannelId>,
 }
 
 impl TreeSegments {
-    /// The cluster a node belongs to (binary search over the cluster bounds).
-    fn cluster_of(&self, node: usize) -> usize {
-        self.cluster_bounds
-            .binary_search_by(|probe| {
-                use std::cmp::Ordering;
-                if node < probe.0 {
-                    Ordering::Greater
-                } else if node >= probe.1 {
-                    Ordering::Less
-                } else {
-                    Ordering::Equal
-                }
-            })
-            .expect("node belongs to some cluster")
-    }
-}
-
-/// Backend-specific first-lookup machinery.
-#[derive(Debug, Clone)]
-enum Materializer {
-    Tree(TreeSegments),
-    /// The cube needs no precompute — only a reusable hop scratch buffer.
-    Cube {
-        hop_scratch: Vec<CubeHop>,
-    },
-}
-
-/// The interned all-pairs route table of one [`FabricBackend`].
-#[derive(Debug, Clone)]
-pub struct RouteTable {
-    nodes: usize,
-    arena: Vec<GlobalChannelId>,
-    /// Per-pair `offset << 16 | len`; `0` means "not materialised yet" (a real
-    /// entry always has `len >= 1`).
-    route_packed: Vec<u64>,
-    /// Per-pair `src_cluster << 16 | dst_cluster`, valid once materialised.
-    cluster_packed: Vec<u32>,
-    /// Per-pair drain bottleneck, valid once materialised.
-    bottleneck: Vec<f64>,
-    materializer: Materializer,
-    /// Number of entries materialised so far, for diagnostics.
-    materialized: usize,
-    /// Free lists of recycled per-message scratch regions, indexed by region
-    /// length in channels. Only offsets handed out by [`RouteTable::alloc_scratch`]
-    /// ever land here, so interned entries are never recycled.
-    scratch_free: Vec<Vec<u32>>,
-    /// Scratch regions currently allocated (live adaptive messages).
-    scratch_live: usize,
-    /// High-water mark of simultaneously live scratch regions, for diagnostics.
-    scratch_peak: usize,
-}
-
-impl RouteTable {
-    /// Builds the table for a fabric backend. For the tree this precomputes the
-    /// shared inter-cluster segments (`2N + C²` routing calls); for the cube no
-    /// precompute is needed. Either way the per-pair index starts zeroed and
-    /// itineraries are interned on first lookup.
-    pub fn build(backend: &FabricBackend) -> Result<Self> {
-        let nodes = backend.total_nodes();
-        let mut table = RouteTable {
-            nodes,
-            arena: Vec::new(),
-            route_packed: vec![0u64; nodes * nodes],
-            cluster_packed: vec![0u32; nodes * nodes],
-            bottleneck: vec![0.0f64; nodes * nodes],
-            materializer: match backend {
-                FabricBackend::Tree(_) => Materializer::Tree(TreeSegments {
-                    ascent: Vec::with_capacity(nodes),
-                    descent: Vec::with_capacity(nodes),
-                    icn2: Vec::new(),
-                    clusters: 0,
-                    cluster_bounds: Vec::new(),
-                    bridges: Vec::new(),
-                    bridge_flit: 0.0,
-                    scratch: Vec::new(),
-                }),
-                FabricBackend::Cube(_) => Materializer::Cube { hop_scratch: Vec::new() },
-            },
-            materialized: 0,
-            scratch_free: Vec::new(),
-            scratch_live: 0,
-            scratch_peak: 0,
-        };
-        if let FabricBackend::Tree(fabric) = backend {
-            table.precompute_tree_segments(fabric)?;
-        }
-        Ok(table)
-    }
-
-    /// Fills in the tree backend's shared segments (ascents, descents, ICN2
-    /// crossings, bridge ids and cluster bounds).
-    fn precompute_tree_segments(&mut self, fabric: &Fabric) -> Result<()> {
+    /// Precomputes the shared segments of a tree fabric into `arena` (ascents,
+    /// descents, ICN2 crossings) along with the bridge ids and cluster bounds.
+    fn build(fabric: &Fabric, arena: &mut Vec<GlobalChannelId>) -> Result<Self> {
         let system = fabric.system();
         let nodes = system.total_nodes();
         let clusters = system.num_clusters();
-
         let mut segments = TreeSegments {
             ascent: Vec::with_capacity(nodes),
             descent: Vec::with_capacity(nodes),
-            icn2: vec![Segment { offset: 0, len: 0, bottleneck: 0.0 }; clusters * clusters],
+            icn2: Vec::with_capacity(clusters * clusters),
             clusters,
-            cluster_bounds: (0..clusters)
-                .map(|c| {
-                    let r = system.node_range(c).expect("cluster index in range");
-                    (r.start, r.end)
-                })
-                .collect(),
+            node_cluster: Vec::with_capacity(nodes),
+            cluster_start: Vec::with_capacity(clusters),
             bridges: (0..clusters)
                 .map(|c| [fabric.bridges().concentrate(c), fabric.bridges().dispatch(c)])
                 .collect(),
             bridge_flit: fabric.t_cs(),
-            scratch: Vec::new(),
+            walk: Vec::new(),
         };
-
-        let mut scratch: Vec<mcnet_topology::graph::ChannelId> = Vec::new();
+        let mut scratch = Vec::new();
 
         // ECN1 ascent and descent segments, one of each per node. The descent
         // starts at the node's *home* root switch — the same balanced root its
         // own ascents use — matching `Fabric::build_path`.
         for cluster in 0..clusters {
             let range = system.node_range(cluster).map_err(SimError::from)?;
+            segments.cluster_start.push(range.start);
+            segments.node_cluster.extend(std::iter::repeat_n(cluster as u32, range.len()));
             let net = fabric.ecn1(cluster);
             let router = NcaRouter::new(net.tree());
             for local in 0..range.len() {
                 let node = NodeId::from_index(local);
-
                 scratch.clear();
                 let root = router.ascent_into(node, &mut scratch).map_err(SimError::from)?;
-                let ascent =
-                    Self::intern_segment(&mut self.arena, fabric, net.channel_base(), &scratch);
-
+                segments.ascent.push(Segment::append(arena, fabric, net.channel_base(), &scratch));
                 scratch.clear();
                 router.descent_into(root, node, &mut scratch).map_err(SimError::from)?;
-                let descent =
-                    Self::intern_segment(&mut self.arena, fabric, net.channel_base(), &scratch);
-
-                segments.ascent.push(ascent);
-                segments.descent.push(descent);
+                segments.descent.push(Segment::append(arena, fabric, net.channel_base(), &scratch));
             }
         }
         debug_assert_eq!(segments.ascent.len(), nodes);
 
-        // ICN2 crossings, one per ordered cluster pair.
+        // ICN2 crossings, one per ordered cluster pair (the diagonal stays empty).
         let net = fabric.icn2();
         let router = NcaRouter::new(net.tree());
         for c1 in 0..clusters {
             for c2 in 0..clusters {
-                if c1 == c2 {
-                    continue;
-                }
                 scratch.clear();
-                router
-                    .route_into(NodeId::from_index(c1), NodeId::from_index(c2), &mut scratch)
-                    .map_err(SimError::from)?;
-                segments.icn2[c1 * clusters + c2] =
-                    Self::intern_segment(&mut self.arena, fabric, net.channel_base(), &scratch);
+                if c1 != c2 {
+                    router
+                        .route_into(NodeId::from_index(c1), NodeId::from_index(c2), &mut scratch)
+                        .map_err(SimError::from)?;
+                }
+                segments.icn2.push(Segment::append(arena, fabric, net.channel_base(), &scratch));
             }
         }
-
-        self.materializer = Materializer::Tree(segments);
-        Ok(())
+        Ok(segments)
     }
 
-    /// Appends a globalized channel sequence to the arena, returning its segment.
-    fn intern_segment(
+    /// Writes the route `src → dst` into `out`: the shared segments of an
+    /// inter-cluster pair, or a fresh ICN1 walk of an intra-cluster one.
+    fn compose(
+        &mut self,
+        arena: &[GlobalChannelId],
+        fabric: &Fabric,
+        src: usize,
+        dst: usize,
+        out: &mut Vec<GlobalChannelId>,
+    ) -> RouteMeta {
+        let src_cluster = self.node_cluster[src];
+        let dst_cluster = self.node_cluster[dst];
+        let bottleneck = if src_cluster == dst_cluster {
+            let cluster = src_cluster as usize;
+            let start = self.cluster_start[cluster];
+            let net = fabric.icn1(cluster);
+            self.walk.clear();
+            NcaRouter::new(net.tree())
+                .route_into(
+                    NodeId::from_index(src - start),
+                    NodeId::from_index(dst - start),
+                    &mut self.walk,
+                )
+                .expect("in-range distinct nodes are always routable");
+            append_global(out, fabric, net.channel_base(), &self.walk)
+        } else {
+            let ascent = self.ascent[src];
+            let icn2 = self.icn2[src_cluster as usize * self.clusters + dst_cluster as usize];
+            let descent = self.descent[dst];
+            out.extend_from_slice(&arena[ascent.route.range()]);
+            out.push(self.bridges[src_cluster as usize][0]);
+            out.extend_from_slice(&arena[icn2.route.range()]);
+            out.push(self.bridges[dst_cluster as usize][1]);
+            out.extend_from_slice(&arena[descent.route.range()]);
+            ascent.bottleneck.max(icn2.bottleneck).max(descent.bottleneck).max(self.bridge_flit)
+        };
+        RouteMeta { bottleneck, src_cluster, dst_cluster }
+    }
+}
+
+impl Segment {
+    /// Appends a segment's globalized channels to the arena.
+    fn append(
         arena: &mut Vec<GlobalChannelId>,
         fabric: &Fabric,
         channel_base: u32,
-        channels: &[mcnet_topology::graph::ChannelId],
+        channels: &[ChannelId],
     ) -> Segment {
         let offset = arena.len() as u32;
-        let mut bottleneck = 0.0f64;
-        for ch in channels {
-            let global = channel_base + ch.0;
-            bottleneck = bottleneck.max(fabric.flit_time(global));
-            arena.push(global);
-        }
+        let bottleneck = append_global(arena, fabric, channel_base, channels);
         debug_assert!(channels.len() <= u16::MAX as usize, "path longer than u16");
-        Segment { offset, len: channels.len() as u16, bottleneck }
+        Segment { route: RouteRef { offset, len: channels.len() as u16 }, bottleneck }
+    }
+}
+
+/// Appends one network's channels to `out` as global ids and returns their
+/// slowest per-flit time.
+fn append_global(
+    out: &mut Vec<GlobalChannelId>,
+    fabric: &Fabric,
+    channel_base: u32,
+    channels: &[ChannelId],
+) -> f64 {
+    let mut bottleneck = 0.0f64;
+    for ch in channels {
+        let global = channel_base + ch.0;
+        bottleneck = bottleneck.max(fabric.flit_time(global));
+        out.push(global);
+    }
+    bottleneck
+}
+
+/// Backend-specific composition state.
+#[derive(Debug, Clone)]
+enum Composer {
+    Tree(TreeSegments),
+    /// The cube needs no precompute — only a reusable hop buffer.
+    Cube {
+        hop_scratch: Vec<CubeHop>,
+    },
+}
+
+impl Composer {
+    /// Writes the route `src → dst` into `out`, replacing its contents.
+    fn compose(
+        &mut self,
+        arena: &[GlobalChannelId],
+        backend: &FabricBackend,
+        src: usize,
+        dst: usize,
+        out: &mut Vec<GlobalChannelId>,
+    ) -> RouteMeta {
+        assert_ne!(src, dst, "message from node {src} to itself");
+        out.clear();
+        match (self, backend) {
+            (Composer::Tree(segments), FabricBackend::Tree(fabric)) => {
+                segments.compose(arena, fabric, src, dst, out)
+            }
+            (Composer::Cube { hop_scratch }, FabricBackend::Cube(fabric)) => {
+                fabric
+                    .route_into(src, dst, hop_scratch, out)
+                    .expect("in-range distinct nodes are always routable");
+                debug_assert!(out.len() <= u16::MAX as usize, "path longer than u16");
+                RouteMeta {
+                    bottleneck: out.iter().map(|&c| fabric.flit_time(c)).fold(0.0f64, f64::max),
+                    src_cluster: fabric.neighborhood_of(src) as u32,
+                    dst_cluster: fabric.neighborhood_of(dst) as u32,
+                }
+            }
+            _ => panic!("route table used with a backend of the wrong kind"),
+        }
+    }
+}
+
+/// The route composer and region arena of one [`FabricBackend`].
+#[derive(Debug, Clone)]
+pub struct RouteTable {
+    nodes: usize,
+    arena: Vec<GlobalChannelId>,
+    composer: Composer,
+    /// Reused buffer [`RouteTable::entry`] composes into.
+    compose_buf: Vec<GlobalChannelId>,
+    /// Free lists of released regions, indexed by region length in channels.
+    /// Only offsets handed out by [`RouteTable::alloc_scratch`] ever land
+    /// here, so the shared segments are never recycled.
+    scratch_free: Vec<Vec<u32>>,
+    /// Regions currently allocated (live messages).
+    scratch_live: usize,
+    /// High-water mark of simultaneously live regions, for diagnostics.
+    scratch_peak: usize,
+    /// Regions ever carved from the end of the arena.
+    scratch_carved: usize,
+}
+
+impl RouteTable {
+    /// Builds the composer for a fabric backend. For the tree this precomputes
+    /// the shared inter-cluster segments (`2N + C²` routing calls); the cube
+    /// needs no precompute.
+    pub fn build(backend: &FabricBackend) -> Result<Self> {
+        let mut arena = Vec::new();
+        let composer = match backend {
+            FabricBackend::Tree(fabric) => Composer::Tree(TreeSegments::build(fabric, &mut arena)?),
+            FabricBackend::Cube(_) => Composer::Cube { hop_scratch: Vec::new() },
+        };
+        Ok(RouteTable {
+            nodes: backend.total_nodes(),
+            arena,
+            composer,
+            compose_buf: Vec::new(),
+            scratch_free: Vec::new(),
+            scratch_live: 0,
+            scratch_peak: 0,
+            scratch_carved: 0,
+        })
     }
 
     /// Total number of nodes the table covers.
@@ -314,12 +365,14 @@ impl RouteTable {
         self.nodes
     }
 
-    /// Number of `(src, dst)` entries materialised (interned) so far.
+    /// Always 0: no `(src, dst)` entry is stored, every route is composed per
+    /// message. Kept for callers that report it.
     pub fn materialized_entries(&self) -> usize {
-        self.materialized
+        0
     }
 
-    /// Current arena length in channels (storage diagnostics).
+    /// Current arena length in channels: the shared segments plus every region
+    /// carved so far (storage diagnostics).
     pub fn arena_len(&self) -> usize {
         self.arena.len()
     }
@@ -327,23 +380,54 @@ impl RouteTable {
     /// Resolves a route to its channel slice.
     #[inline]
     pub fn channels(&self, route: RouteRef) -> &[GlobalChannelId] {
-        &self.arena[route.offset as usize..route.offset as usize + route.len as usize]
+        &self.arena[route.range()]
     }
 
-    /// Allocates a per-message scratch region of exactly `len` channels in the
-    /// shared arena, reusing a previously released region of the same length
-    /// when one exists. Adaptive policies write each message's channel choices
-    /// into its region (via [`RouteTable::set_channel`] /
-    /// [`RouteTable::fill_scratch`]) and return it with
-    /// [`RouteTable::release_scratch`] when the message leaves the network, so
-    /// steady-state adaptive runs allocate nothing per message either — the
-    /// arena grows to the peak number of in-flight messages and then cycles.
+    /// Writes the deterministic route `src → dst` into `out`, replacing its
+    /// contents, and returns the route's metadata. No region is involved: this
+    /// is the composer [`RouteTable::entry`] and [`RouteTable::itinerary`] run,
+    /// exposed for callers that only compare against the deterministic path.
     ///
-    /// Deterministic interning and scratch regions share the arena but never
-    /// alias: interned entries are append-only and the free lists only contain
-    /// offsets handed out here.
+    /// # Panics
+    /// Panics if `src == dst` or either index is out of range — the traffic
+    /// layer never generates such messages.
+    pub fn compose_into(
+        &mut self,
+        backend: &FabricBackend,
+        src: usize,
+        dst: usize,
+        out: &mut Vec<GlobalChannelId>,
+    ) -> RouteMeta {
+        self.composer.compose(&self.arena, backend, src, dst, out)
+    }
+
+    /// Composes the deterministic route `src → dst` into a fresh region. The
+    /// caller owns the region and hands it back with
+    /// [`RouteTable::release_scratch`].
+    ///
+    /// Tree inter-cluster pairs copy the precomputed segments; tree
+    /// intra-cluster and all torus pairs run an allocation-free route walker.
+    ///
+    /// # Panics
+    /// As [`RouteTable::compose_into`].
+    #[inline]
+    pub fn entry(&mut self, backend: &FabricBackend, src: usize, dst: usize) -> RouteEntry {
+        let meta = self.composer.compose(&self.arena, backend, src, dst, &mut self.compose_buf);
+        let route = self.alloc_scratch(self.compose_buf.len());
+        self.arena[route.range()].copy_from_slice(&self.compose_buf);
+        meta.with_route(route)
+    }
+
+    /// Allocates a per-message region of exactly `len` channels in the arena,
+    /// reusing a previously released region of the same length when one
+    /// exists. Its contents are whatever the last holder left: the caller
+    /// writes them ([`RouteTable::set_channel`] / [`RouteTable::fill_scratch`])
+    /// and returns the region with [`RouteTable::release_scratch`] when the
+    /// message leaves the network, so steady-state runs allocate nothing per
+    /// message — the arena grows to the peak number of in-flight messages and
+    /// then cycles.
     pub fn alloc_scratch(&mut self, len: usize) -> RouteRef {
-        assert!(len >= 1 && len <= u16::MAX as usize, "scratch route length {len} out of range");
+        assert!(len >= 1 && len <= u16::MAX as usize, "route length {len} out of range");
         self.scratch_live += 1;
         self.scratch_peak = self.scratch_peak.max(self.scratch_live);
         if let Some(offset) = self.scratch_free.get_mut(len).and_then(Vec::pop) {
@@ -353,209 +437,80 @@ impl RouteTable {
             self.arena.len() + len <= u32::MAX as usize,
             "route arena exceeds the 32-bit RouteRef offset"
         );
+        self.scratch_carved += 1;
         let offset = self.arena.len() as u32;
         self.arena.resize(self.arena.len() + len, 0);
         RouteRef { offset, len: len as u16 }
     }
 
-    /// Returns a scratch region to the free list for reuse.
+    /// Returns a region to its free list for reuse.
     ///
-    /// Must only be called with refs produced by [`RouteTable::alloc_scratch`];
-    /// releasing an interned entry would let later messages overwrite it.
+    /// Must only be called once per region handed out by
+    /// [`RouteTable::alloc_scratch`] or [`RouteTable::entry`].
     pub fn release_scratch(&mut self, route: RouteRef) {
         let len = route.len();
         if self.scratch_free.len() <= len {
             self.scratch_free.resize_with(len + 1, Vec::new);
         }
         self.scratch_free[len].push(route.offset);
-        debug_assert!(self.scratch_live > 0, "release without a live scratch route");
+        debug_assert!(self.scratch_live > 0, "release without a live route region");
         self.scratch_live -= 1;
     }
 
-    /// Writes one channel of a scratch region (adaptive per-hop commitment).
+    /// Writes one channel of a region (adaptive per-hop commitment).
     #[inline]
     pub fn set_channel(&mut self, route: RouteRef, idx: usize, channel: GlobalChannelId) {
         debug_assert!(idx < route.len());
         self.arena[route.offset as usize + idx] = channel;
     }
 
-    /// Copies a full channel sequence into a scratch region (randomized tree
-    /// paths, which are materialised whole at generation time).
+    /// Copies a full channel sequence into a region (randomized tree paths,
+    /// which are drawn whole at generation time).
     pub fn fill_scratch(&mut self, route: RouteRef, channels: &[GlobalChannelId]) {
-        debug_assert_eq!(channels.len(), route.len(), "scratch fill length mismatch");
-        self.arena[route.offset as usize..route.offset as usize + channels.len()]
-            .copy_from_slice(channels);
+        debug_assert_eq!(channels.len(), route.len(), "region fill length mismatch");
+        self.arena[route.range()].copy_from_slice(channels);
     }
 
     /// Rewinds the per-run diagnostics for a table reused across runs. The
-    /// interned entries, the arena and the scratch free lists are all kept:
-    /// interned routes are pure functions of the backend and consume no RNG,
-    /// and scratch regions are fully rewritten before every read, so carrying
-    /// them over is bit-transparent to the next run — it just skips the
-    /// re-materialisation a fresh table would pay.
+    /// arena and its free lists are kept: every region is fully rewritten
+    /// before it is read, so carrying them over is invisible to the next run.
     pub fn begin_run(&mut self) {
-        debug_assert_eq!(self.scratch_live, 0, "scratch routes leaked across runs");
+        debug_assert_eq!(self.scratch_live, 0, "route regions leaked across runs");
         self.scratch_live = 0;
         self.scratch_peak = 0;
     }
 
-    /// Scratch regions currently allocated (live adaptive messages).
+    /// Regions currently allocated (live messages).
     pub fn live_scratch_routes(&self) -> usize {
         self.scratch_live
     }
 
-    /// High-water mark of simultaneously live scratch regions.
+    /// High-water mark of simultaneously live regions in the current run.
     pub fn peak_scratch_routes(&self) -> usize {
         self.scratch_peak
     }
 
-    /// Looks up (interning on first use) the entry for `src → dst`.
-    ///
-    /// After a pair's first lookup this is a pure table read. The first lookup
-    /// interns the itinerary: tree inter-cluster pairs are composed from the
-    /// precomputed segments with a few `memcpy`s; tree intra-cluster and all
-    /// torus pairs run an allocation-free route walker straight into the arena.
-    ///
-    /// # Panics
-    /// Panics if `src == dst` or either index is out of range — the traffic
-    /// layer never generates such messages.
-    #[inline]
-    pub fn entry(&mut self, backend: &FabricBackend, src: usize, dst: usize) -> RouteEntry {
-        assert_ne!(src, dst, "message from node {src} to itself");
-        let idx = src * self.nodes + dst;
-        let packed = self.route_packed[idx];
-        if packed != 0 {
-            let clusters = self.cluster_packed[idx];
-            return RouteEntry {
-                route: RouteRef {
-                    offset: (packed >> LEN_BITS) as u32,
-                    len: (packed & LEN_MASK) as u16,
-                },
-                bottleneck: self.bottleneck[idx],
-                src_cluster: clusters >> 16,
-                dst_cluster: clusters & 0xFFFF,
-            };
+    /// Checks the region accounting: every region ever carved is either live
+    /// or on exactly one free list, and no free list holds a region twice.
+    pub fn audit(&self) -> std::result::Result<(), String> {
+        let mut free: Vec<u32> = self.scratch_free.iter().flatten().copied().collect();
+        if self.scratch_live + free.len() != self.scratch_carved {
+            return Err(format!(
+                "{} live + {} free route regions != {} carved",
+                self.scratch_live,
+                free.len(),
+                self.scratch_carved
+            ));
         }
-        self.materialize(backend, src, dst)
-    }
-
-    /// Interns the itinerary of a first-seen pair.
-    #[cold]
-    fn materialize(&mut self, backend: &FabricBackend, src: usize, dst: usize) -> RouteEntry {
-        assert!(
-            self.arena.len() <= u32::MAX as usize,
-            "route arena exceeds the 32-bit RouteRef offset"
-        );
-        let offset = self.arena.len() as u64;
-        let (len, bottleneck, src_cluster, dst_cluster) = match (&mut self.materializer, backend) {
-            (Materializer::Tree(segments), FabricBackend::Tree(fabric)) => {
-                Self::materialize_tree(&mut self.arena, segments, fabric, src, dst)
-            }
-            (Materializer::Cube { hop_scratch }, FabricBackend::Cube(fabric)) => {
-                Self::materialize_cube(&mut self.arena, hop_scratch, fabric, src, dst)
-            }
-            _ => panic!("route table used with a backend of the wrong kind"),
-        };
-
-        let idx = src * self.nodes + dst;
-        self.route_packed[idx] = offset << LEN_BITS | len as u64;
-        // The cluster word packs two 16-bit indices. Any system whose N² pair
-        // index fits in memory has far fewer than 2^16 clusters/neighborhoods,
-        // but the assumption is made explicit rather than silently truncated.
-        debug_assert!(
-            src_cluster <= 0xFFFF && dst_cluster <= 0xFFFF,
-            "cluster index exceeds the 16-bit packing"
-        );
-        self.cluster_packed[idx] = (src_cluster as u32) << 16 | dst_cluster as u32;
-        self.bottleneck[idx] = bottleneck;
-        self.materialized += 1;
-        RouteEntry {
-            route: RouteRef { offset: offset as u32, len },
-            bottleneck,
-            src_cluster: src_cluster as u32,
-            dst_cluster: dst_cluster as u32,
+        free.sort_unstable();
+        if let Some(w) = free.windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!("route region at offset {} released twice", w[0]));
         }
+        Ok(())
     }
 
-    /// Tree materialisation: segment composition (inter) or a fresh ICN1 walk
-    /// (intra). Returns `(len, bottleneck, src_cluster, dst_cluster)`.
-    fn materialize_tree(
-        arena: &mut Vec<GlobalChannelId>,
-        segments: &mut TreeSegments,
-        fabric: &Fabric,
-        src: usize,
-        dst: usize,
-    ) -> (u16, f64, usize, usize) {
-        let src_cluster = segments.cluster_of(src);
-        let dst_cluster = segments.cluster_of(dst);
-
-        if src_cluster == dst_cluster {
-            // Intra-cluster: run the route walker straight into the arena.
-            let start = segments.cluster_bounds[src_cluster].0;
-            let net = fabric.icn1(src_cluster);
-            let scratch = &mut segments.scratch;
-            scratch.clear();
-            NcaRouter::new(net.tree())
-                .route_into(
-                    NodeId::from_index(src - start),
-                    NodeId::from_index(dst - start),
-                    scratch,
-                )
-                .expect("in-range distinct nodes are always routable");
-            let seg = Self::intern_segment(arena, fabric, net.channel_base(), scratch);
-            (seg.len, seg.bottleneck, src_cluster, dst_cluster)
-        } else {
-            // Inter-cluster: compose the precomputed segments by memcpy.
-            let ascent = segments.ascent[src];
-            let icn2 = segments.icn2[src_cluster * segments.clusters + dst_cluster];
-            let descent = segments.descent[dst];
-            let [concentrate, _] = segments.bridges[src_cluster];
-            let [_, dispatch] = segments.bridges[dst_cluster];
-
-            let len = ascent.len + 1 + icn2.len + 1 + descent.len;
-            arena.reserve(len as usize);
-            Self::copy_segment(arena, ascent);
-            arena.push(concentrate);
-            Self::copy_segment(arena, icn2);
-            arena.push(dispatch);
-            Self::copy_segment(arena, descent);
-
-            let bottleneck = ascent
-                .bottleneck
-                .max(icn2.bottleneck)
-                .max(descent.bottleneck)
-                .max(segments.bridge_flit);
-            (len, bottleneck, src_cluster, dst_cluster)
-        }
-    }
-
-    /// Cube materialisation: the dimension-order walker appends the globalized
-    /// itinerary directly; the bottleneck is read off the appended channels.
-    fn materialize_cube(
-        arena: &mut Vec<GlobalChannelId>,
-        hop_scratch: &mut Vec<CubeHop>,
-        fabric: &CubeFabric,
-        src: usize,
-        dst: usize,
-    ) -> (u16, f64, usize, usize) {
-        let start = arena.len();
-        fabric
-            .route_into(src, dst, hop_scratch, arena)
-            .expect("in-range distinct nodes are always routable");
-        let len = arena.len() - start;
-        debug_assert!(len <= u16::MAX as usize, "path longer than u16");
-        let bottleneck = arena[start..].iter().map(|&c| fabric.flit_time(c)).fold(0.0f64, f64::max);
-        (len as u16, bottleneck, fabric.neighborhood_of(src), fabric.neighborhood_of(dst))
-    }
-
-    #[inline]
-    fn copy_segment(arena: &mut Vec<GlobalChannelId>, seg: Segment) {
-        let start = seg.offset as usize;
-        arena.extend_from_within(start..start + seg.len as usize);
-    }
-
-    /// Rebuilds an owned [`Itinerary`] for a pair — the compatibility/verification
-    /// view used by tests to compare against [`FabricBackend::build_path`].
+    /// Composes an owned [`Itinerary`] for a pair — the verification view
+    /// tests compare against [`FabricBackend::build_path`]. No region is used.
     pub fn itinerary(
         &mut self,
         backend: &FabricBackend,
@@ -567,12 +522,13 @@ impl RouteTable {
                 reason: format!("invalid route table pair {src} -> {dst}"),
             });
         }
-        let entry = self.entry(backend, src, dst);
+        let mut channels = Vec::new();
+        let meta = self.compose_into(backend, src, dst, &mut channels);
         Ok(Itinerary {
-            channels: self.channels(entry.route).to_vec(),
-            bottleneck: entry.bottleneck,
-            src_cluster: entry.src_cluster,
-            dst_cluster: entry.dst_cluster,
+            channels,
+            bottleneck: meta.bottleneck,
+            src_cluster: meta.src_cluster,
+            dst_cluster: meta.dst_cluster,
         })
     }
 }
@@ -598,86 +554,80 @@ mod tests {
         (backend, table)
     }
 
-    #[test]
-    fn all_pairs_match_freshly_computed_paths() {
-        let (backend, mut table) = build_pair();
+    /// Every pair's composed itinerary and region entry against a freshly
+    /// computed `build_path`.
+    fn assert_all_pairs_match(backend: &FabricBackend, table: &mut RouteTable) {
         let n = backend.total_nodes();
         for src in 0..n {
             for dst in 0..n {
                 if src == dst {
-                    assert!(table.itinerary(&backend, src, dst).is_err());
+                    assert!(table.itinerary(backend, src, dst).is_err());
                     continue;
                 }
                 let fresh = backend.build_path(src, dst).unwrap();
-                let interned = table.itinerary(&backend, src, dst).unwrap();
-                assert_eq!(interned.channels, fresh.channels, "{src}->{dst}");
-                assert_eq!(interned.src_cluster, fresh.src_cluster);
-                assert_eq!(interned.dst_cluster, fresh.dst_cluster);
-                assert!((interned.bottleneck - fresh.bottleneck).abs() < 1e-15);
+                let composed = table.itinerary(backend, src, dst).unwrap();
+                assert_eq!(composed.channels, fresh.channels, "{src}->{dst}");
+                assert_eq!(composed.src_cluster, fresh.src_cluster);
+                assert_eq!(composed.dst_cluster, fresh.dst_cluster);
+                assert_eq!(composed.bottleneck.to_bits(), fresh.bottleneck.to_bits());
+
+                let entry = table.entry(backend, src, dst);
+                assert_eq!(table.channels(entry.route), &fresh.channels[..], "{src}->{dst}");
+                assert_eq!(entry.bottleneck.to_bits(), fresh.bottleneck.to_bits());
+                table.release_scratch(entry.route);
             }
         }
-        assert_eq!(table.materialized_entries(), n * (n - 1));
+        assert_eq!(table.live_scratch_routes(), 0);
+        assert_eq!(table.audit(), Ok(()));
+        assert_eq!(table.materialized_entries(), 0, "no pair is ever stored");
+    }
+
+    #[test]
+    fn all_pairs_match_freshly_computed_paths() {
+        let (backend, mut table) = build_pair();
+        assert_all_pairs_match(&backend, &mut table);
     }
 
     #[test]
     fn cube_all_pairs_match_freshly_computed_paths() {
         let (backend, mut table) = build_cube_pair();
-        let n = backend.total_nodes();
-        for src in 0..n {
-            for dst in 0..n {
-                if src == dst {
-                    assert!(table.itinerary(&backend, src, dst).is_err());
-                    continue;
-                }
-                let fresh = backend.build_path(src, dst).unwrap();
-                let interned = table.itinerary(&backend, src, dst).unwrap();
-                assert_eq!(interned.channels, fresh.channels, "{src}->{dst}");
-                assert_eq!(interned.src_cluster, fresh.src_cluster);
-                assert_eq!(interned.dst_cluster, fresh.dst_cluster);
-                assert!((interned.bottleneck - fresh.bottleneck).abs() < 1e-15);
-            }
-        }
-        assert_eq!(table.materialized_entries(), n * (n - 1));
+        assert_all_pairs_match(&backend, &mut table);
+    }
+
+    /// Composes `src → dst` twice with a release in between: the second
+    /// entry reuses the first one's region and the arena does not grow.
+    fn assert_region_recycled(backend: &FabricBackend, table: &mut RouteTable, dst: usize) {
+        let first = table.entry(backend, 0, dst);
+        let grown = table.arena_len();
+        table.release_scratch(first.route);
+        let again = table.entry(backend, 0, dst);
+        assert_eq!(again, first, "a released region of the same length is reused");
+        assert_eq!(table.arena_len(), grown);
+        table.release_scratch(again.route);
     }
 
     #[test]
-    fn pairs_are_interned_on_first_lookup() {
+    fn entries_compose_into_recycled_regions() {
         let (backend, mut table) = build_pair();
-        assert_eq!(table.materialized_entries(), 0);
+        let segments = table.arena_len();
+        assert!(segments > 0, "the tree's shared segments open the arena");
 
-        // First intra lookup interns one entry; the repeat is a pure read.
-        let e1 = table.entry(&backend, 0, 1);
+        // An intra and an inter pair each carve one region past the segments.
+        assert_region_recycled(&backend, &mut table, 1);
         let after_intra = table.arena_len();
-        assert_eq!(table.materialized_entries(), 1);
-        let e1_again = table.entry(&backend, 0, 1);
-        assert_eq!(e1, e1_again, "repeated lookups share the interned entry");
-        assert_eq!(table.arena_len(), after_intra);
-
-        // First inter lookup extends the arena once; the repeat is pure.
+        assert!(after_intra > segments);
         let last = table.nodes() - 1;
-        let e2 = table.entry(&backend, 0, last);
-        let grown = table.arena_len();
-        assert!(grown > after_intra);
-        assert_eq!(table.materialized_entries(), 2);
-        let e2_again = table.entry(&backend, 0, last);
-        assert_eq!(table.arena_len(), grown);
-        assert_eq!(e2, e2_again);
-        assert_ne!(e1.route, e2.route);
+        assert_region_recycled(&backend, &mut table, last);
+        assert!(table.arena_len() > after_intra);
+        assert_eq!(table.peak_scratch_routes(), 1);
     }
 
     #[test]
-    fn cube_pairs_are_interned_on_first_lookup() {
+    fn cube_entries_compose_into_recycled_regions() {
         let (backend, mut table) = build_cube_pair();
-        assert_eq!(table.materialized_entries(), 0);
         assert_eq!(table.arena_len(), 0, "the cube needs no precomputed segments");
-
-        let e1 = table.entry(&backend, 0, 5);
-        let grown = table.arena_len();
-        assert!(grown > 0);
-        assert_eq!(table.materialized_entries(), 1);
-        let e1_again = table.entry(&backend, 0, 5);
-        assert_eq!(e1, e1_again);
-        assert_eq!(table.arena_len(), grown);
+        assert_region_recycled(&backend, &mut table, 5);
+        assert!(table.arena_len() > 0);
     }
 
     #[test]
@@ -705,26 +655,49 @@ mod tests {
     }
 
     #[test]
-    fn scratch_and_interned_entries_share_the_arena_without_aliasing() {
-        let (backend, mut table) = build_cube_pair();
-        let interned = table.entry(&backend, 0, 5);
-        let before: Vec<_> = table.channels(interned.route).to_vec();
+    fn live_regions_never_alias_the_shared_segments() {
+        let (backend, mut table) = build_pair();
+        let last = table.nodes() - 1;
+        let inter = table.entry(&backend, 0, last);
+        let before = table.channels(inter.route).to_vec();
 
-        // Carve, scribble over and recycle scratch regions around a second
-        // interning; the interned slices must be unaffected.
-        let s = table.alloc_scratch(interned.route.len());
-        for i in 0..s.len() {
-            table.set_channel(s, i, u32::MAX);
-        }
-        let interned2 = table.entry(&backend, 5, 0);
+        // Scribble over a recycled region and a freshly carved one; neither
+        // the live entry nor the segments later routes copy may change.
+        let s = table.alloc_scratch(inter.route.len());
+        table.fill_scratch(s, &vec![u32::MAX; s.len()]);
         table.release_scratch(s);
-        let s2 = table.alloc_scratch(interned.route.len());
+        let s2 = table.alloc_scratch(inter.route.len());
         assert_eq!(s2, s);
         table.fill_scratch(s2, &vec![7; s2.len()]);
 
-        assert_eq!(table.channels(interned.route), &before[..]);
-        assert!(!table.channels(interned2.route).contains(&u32::MAX));
-        assert_eq!(table.entry(&backend, 0, 5), interned);
+        assert_eq!(table.channels(inter.route), &before[..]);
+        let again = table.entry(&backend, 0, last);
+        assert_ne!(again.route, inter.route, "two live messages hold two regions");
+        assert_eq!(table.channels(again.route), &before[..]);
+        assert_eq!(table.live_scratch_routes(), 3);
+    }
+
+    #[test]
+    fn audit_accounts_for_every_carved_region() {
+        let (backend, mut table) = build_pair();
+        let routes: Vec<_> = (1..table.nodes()).map(|dst| table.entry(&backend, 0, dst)).collect();
+        assert_eq!(table.audit(), Ok(()));
+        for entry in &routes[..routes.len() / 2] {
+            table.release_scratch(entry.route);
+        }
+        assert_eq!(table.audit(), Ok(()));
+
+        // A region released twice shows up, even though the live count
+        // alone would have balanced against a leaked one.
+        let mut broken = table.clone();
+        broken.release_scratch(routes[0].route);
+        assert!(broken.audit().unwrap_err().contains("released twice"));
+
+        for entry in &routes[routes.len() / 2..] {
+            table.release_scratch(entry.route);
+        }
+        assert_eq!(table.live_scratch_routes(), 0);
+        assert_eq!(table.audit(), Ok(()));
     }
 
     #[test]

@@ -3,20 +3,26 @@
 //!
 //! The engine's contract (`Simulation::reset`) is that every per-run
 //! structure — the future-event heap, the channel pool
-//! and waiter arena, the message slab, the interned route table, the arrival
-//! heap, the histogram bins and the adaptive scratch buffers — retains its
-//! grown capacity across runs, and that every route walk the engine runs per
-//! message (adaptive torus hops, randomized up\*/down\* paths) decodes its
-//! digits on the stack. This test enforces the contract at the allocator:
-//! after a short warm-up over the same seed set, re-running the very same
-//! replication loop must hit the global allocator **zero** times — on the
-//! deterministic tree, on the adaptive torus under an ON-OFF source and on
-//! the randomized up\*/down\* tree.
+//! and waiter arena, the message slab, the route arena and its region free
+//! lists, the arrival heap, the histogram bins and the adaptive scratch
+//! buffers — retains its grown capacity across runs, and that every route
+//! walk the engine runs per message (dimension-order torus and intra-cluster
+//! tree routes, adaptive torus hops, randomized up\*/down\* paths) decodes
+//! its digits on the stack. This test enforces the contract at the
+//! allocator: after a short warm-up over the same seed set, re-running the
+//! very same replication loop must hit the global allocator **zero** times —
+//! on the deterministic tree (uniform and intra-cluster-heavy traffic), on
+//! the dimension-order torus, on the adaptive torus under an ON-OFF source
+//! and on the randomized up\*/down\* tree.
 //!
 //! Two faulted legs (a torus link outage and a tree bridge outage) pin the
 //! degraded-mode path: materializing the fault plan costs a small constant
 //! per reset, while the aborts, retransmissions and re-routes of thousands of
 //! delivered messages allocate nothing.
+//!
+//! The route table's own storage is pinned too: building it for the Fig. 3
+//! organization (N = 1,120, C = 32) allocates `O(N + C²)` bytes, so no
+//! per-pair (`N²`) index can come back unnoticed.
 //!
 //! The counting allocator lives in this dedicated integration-test binary
 //! (one `#[test]`, so no concurrent test pollutes the counters). The library
@@ -24,8 +30,9 @@
 
 use mcnet_sim::engine::Simulation;
 use mcnet_sim::fault::{BridgeUnit, FaultAction, FaultEvent, FaultPlan, FaultTarget, RingDir};
-use mcnet_sim::{RoutingPolicy, SimConfig, TrafficSourceSpec};
-use mcnet_system::{organizations, TorusSystem, TrafficConfig};
+use mcnet_sim::routes::RouteTable;
+use mcnet_sim::{FabricBackend, RoutingPolicy, SimConfig, TrafficSourceSpec};
+use mcnet_system::{organizations, TorusSystem, TrafficConfig, TrafficPattern};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -33,10 +40,13 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static REALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested by allocations and reallocations (new sizes).
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -46,6 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         REALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -87,8 +98,8 @@ impl Leg {
 
     /// Warm-up: two full passes over the measured seed set. The first pass
     /// grows every arena to the high-water mark of these exact runs (the route
-    /// table interns lazily, so each seed's destination pairs materialize on
-    /// first use); the second pass proves the mark is stable before measuring.
+    /// arena carves regions up to the peak in-flight population); the second
+    /// pass proves the mark is stable before measuring.
     /// Then three more reset+run replications over the same seeds, counted.
     fn measure(mut self, base: &SimConfig) -> Measured {
         self.sim.run().unwrap();
@@ -102,8 +113,32 @@ impl Leg {
     }
 }
 
+/// Bound on the bytes `RouteTable::build` allocates for the Fig. 3
+/// organization. Its segments and cluster maps count about 190 KB here (a
+/// reallocation counts its whole new size); an index over the N² = 1.25M node
+/// pairs counts tens of MiB.
+const ROUTE_TABLE_BUILD_BYTES: u64 = 1 << 20;
+
+fn route_table_build_bytes() -> u64 {
+    let org = organizations::table1_org_a();
+    let traffic = TrafficConfig::uniform(32, 256.0, 1e-4).unwrap();
+    let backend = FabricBackend::tree(&org, &traffic).unwrap();
+    let before = BYTES.load(Ordering::Relaxed);
+    let table = RouteTable::build(&backend).unwrap();
+    let bytes = BYTES.load(Ordering::Relaxed) - before;
+    assert_eq!(table.nodes(), 1120);
+    bytes
+}
+
 #[test]
 fn steady_state_replication_runs_do_not_allocate() {
+    let bytes = route_table_build_bytes();
+    eprintln!("route table build, N = 1120: {bytes} bytes");
+    assert!(
+        bytes < ROUTE_TABLE_BUILD_BYTES,
+        "RouteTable::build allocated {bytes} bytes for 1,120 nodes; per-pair storage is back"
+    );
+
     let base = SimConfig::quick(100);
     let org = organizations::small_test_org();
     let torus = TorusSystem::new(8, 2).unwrap();
@@ -113,30 +148,46 @@ fn steady_state_replication_runs_do_not_allocate() {
         let at = |at, action| FaultEvent { at, target, action };
         FaultPlan::new(vec![at(5_000.0, FaultAction::Down), at(20_000.0, FaultAction::Up)])
     };
-    let tree_leg = |policy, rate, source: TrafficSourceSpec, faults: Option<FaultPlan>| {
-        let traffic = TrafficConfig::uniform(32, 256.0, rate).unwrap();
+    let uniform = |rate| TrafficConfig::uniform(32, 256.0, rate).unwrap();
+    let tree_leg =
+        |policy, traffic: TrafficConfig, source: TrafficSourceSpec, faults: Option<FaultPlan>| {
+            let sim = Simulation::new_full(&org, &traffic, &base, faults.as_ref(), policy, &source)
+                .unwrap();
+            Leg { sim, traffic, source, faults }
+        };
+    let torus_leg = |policy, source: TrafficSourceSpec, faults: Option<FaultPlan>| {
+        let traffic = uniform(1e-3);
         let sim =
-            Simulation::new_full(&org, &traffic, &base, faults.as_ref(), policy, &source).unwrap();
-        Leg { sim, traffic, source, faults }
-    };
-    let torus_leg = |source: TrafficSourceSpec, faults: Option<FaultPlan>| {
-        let traffic = TrafficConfig::uniform(32, 256.0, 1e-3).unwrap();
-        let sim =
-            Simulation::new_torus_full(&torus, &traffic, &base, faults.as_ref(), adaptive, &source)
+            Simulation::new_torus_full(&torus, &traffic, &base, faults.as_ref(), policy, &source)
                 .unwrap();
         Leg { sim, traffic, source, faults }
     };
+    let intra_heavy =
+        uniform(2e-3).with_pattern(TrafficPattern::LocalFavoring { locality: 0.9 }).unwrap();
 
     // Fault-free legs: every routing policy runs allocation-free.
     let fault_free = [
         (
             "deterministic tree",
-            tree_leg(RoutingPolicy::Deterministic, 2e-3, TrafficSourceSpec::Poisson, None),
+            tree_leg(RoutingPolicy::Deterministic, uniform(2e-3), TrafficSourceSpec::Poisson, None),
         ),
-        ("adaptive torus, ON-OFF", torus_leg(on_off.clone(), None)),
+        (
+            "deterministic tree, intra-cluster heavy",
+            tree_leg(RoutingPolicy::Deterministic, intra_heavy, TrafficSourceSpec::Poisson, None),
+        ),
+        (
+            "dimension-order torus",
+            torus_leg(RoutingPolicy::Deterministic, TrafficSourceSpec::Poisson, None),
+        ),
+        ("adaptive torus, ON-OFF", torus_leg(adaptive, on_off.clone(), None)),
         (
             "randomized up*/down* tree",
-            tree_leg(RoutingPolicy::RandomizedUpDown, 2e-3, TrafficSourceSpec::Poisson, None),
+            tree_leg(
+                RoutingPolicy::RandomizedUpDown,
+                uniform(2e-3),
+                TrafficSourceSpec::Poisson,
+                None,
+            ),
         ),
     ];
     for (label, leg) in fault_free {
@@ -157,12 +208,12 @@ fn steady_state_replication_runs_do_not_allocate() {
     let link = FaultTarget::TorusLink { node: 9, dim: 0, dir: RingDir::Plus };
     let bridge = FaultTarget::Bridge { cluster: 0, unit: BridgeUnit::Concentrator };
     let faulted = [
-        ("adaptive torus, link outage", torus_leg(on_off, Some(outage(link)))),
+        ("adaptive torus, link outage", torus_leg(adaptive, on_off, Some(outage(link)))),
         (
             "deterministic tree, bridge outage",
             tree_leg(
                 RoutingPolicy::Deterministic,
-                1e-3,
+                uniform(1e-3),
                 TrafficSourceSpec::Poisson,
                 Some(outage(bridge)),
             ),

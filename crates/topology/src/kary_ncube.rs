@@ -137,7 +137,7 @@ impl KaryNCube {
 
     /// Appends the dimension-order route from `src` to `dst` to `out` without
     /// allocating when `out` has capacity — the buffer-reusing walker consumed
-    /// by the simulator's route-interning arena (mirroring
+    /// by the simulator's per-message route composition (mirroring
     /// [`crate::routing::NcaRouter::route_into`]). Digits are read off the node
     /// indices by `%`/`/`; no coordinate vector is built.
     pub fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<CubeHop>) -> Result<()> {
@@ -254,12 +254,21 @@ impl KaryNCube {
     /// both the simulator's cube fabric and the analytical torus model, so the
     /// two layers cannot drift apart on VC selection.
     pub fn dateline_vcs(&self, src: NodeId, hops: &[CubeHop]) -> Result<Vec<u8>> {
+        Ok(self.dateline_vcs_iter(src, hops)?.collect())
+    }
+
+    /// [`KaryNCube::dateline_vcs`] as a lazy walk over `hops`, for per-message
+    /// callers that must not allocate.
+    pub fn dateline_vcs_iter<'a>(
+        &'a self,
+        src: NodeId,
+        hops: &'a [CubeHop],
+    ) -> Result<impl Iterator<Item = u8> + 'a> {
         self.check(src)?;
-        let mut vcs = Vec::with_capacity(hops.len());
         let mut wrapped_dim = usize::MAX; // routes correct dimensions upwards
         let mut wrapped = false;
         let mut from = src.index();
-        for hop in hops {
+        Ok(hops.iter().map(move |hop| {
             if hop.dimension != wrapped_dim {
                 wrapped_dim = hop.dimension;
                 wrapped = false;
@@ -268,10 +277,9 @@ impl KaryNCube {
             // ring's wrap-around edge.
             wrapped = wrapped
                 || self.hop_crosses_dateline(self.digit(from, hop.dimension), hop.direction);
-            vcs.push(wrapped as u8);
             from = hop.node.index();
-        }
-        Ok(vcs)
+            wrapped as u8
+        }))
     }
 
     /// Average minimal distance under uniform traffic.

@@ -134,7 +134,7 @@ proptest! {
 
     #[test]
     fn route_table_matches_fresh_paths_on_random_systems(levels in system_params()) {
-        // The interned RouteTable itinerary of every (src, dst) pair — channels,
+        // The composed RouteTable itinerary of every (src, dst) pair — channels,
         // bottleneck and clusters — must equal a freshly computed
         // Fabric::build_path. Together with the fixed RNG stream this guarantees
         // the engine's behaviour is identical to per-message route construction.
@@ -145,7 +145,7 @@ proptest! {
         let backend = FabricBackend::tree(&system, &traffic).unwrap();
         let mut table = RouteTable::build(&backend).unwrap();
         let n = system.total_nodes();
-        // Visit every pair, rotating each row's start so lazy interning is
+        // Visit every pair, rotating each row's start so composition is
         // exercised off the natural row-major path.
         for s in 0..n {
             for k in 0..n {
@@ -154,11 +154,11 @@ proptest! {
                     continue;
                 }
                 let fresh = backend.build_path(s, d).unwrap();
-                let interned = table.itinerary(&backend, s, d).unwrap();
-                prop_assert_eq!(&interned.channels, &fresh.channels, "{}->{}", s, d);
-                prop_assert_eq!(interned.src_cluster, fresh.src_cluster);
-                prop_assert_eq!(interned.dst_cluster, fresh.dst_cluster);
-                prop_assert!((interned.bottleneck - fresh.bottleneck).abs() < 1e-15);
+                let composed = table.itinerary(&backend, s, d).unwrap();
+                prop_assert_eq!(&composed.channels, &fresh.channels, "{}->{}", s, d);
+                prop_assert_eq!(composed.src_cluster, fresh.src_cluster);
+                prop_assert_eq!(composed.dst_cluster, fresh.dst_cluster);
+                prop_assert!((composed.bottleneck - fresh.bottleneck).abs() < 1e-15);
             }
         }
     }

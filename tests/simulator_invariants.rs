@@ -85,12 +85,13 @@ fn message_conservation_and_class_split() {
 
 #[test]
 fn fixed_seed_runs_are_bit_identical() {
-    // Determinism contract of the interned route table and the bounded worker
-    // pool: for a fixed seed, repeated runs — standalone or fanned over the
-    // replication pool — produce bit-identical statistics. Route interning is
-    // lazy, so two runs materialise arena entries in the same (RNG-driven)
-    // order; the pool assigns seeds and aggregates by replication index, so
-    // thread interleaving cannot perturb the aggregate either.
+    // Determinism contract of the route table and the bounded worker pool:
+    // for a fixed seed, repeated runs — standalone or fanned over the
+    // replication pool — produce bit-identical statistics. Routes are composed
+    // per message without touching the RNG, and where a region sits in the
+    // arena never reaches the results; the pool assigns seeds and aggregates
+    // by replication index, so thread interleaving cannot perturb the
+    // aggregate either.
     let system = organizations::small_test_org();
     let traffic = TrafficConfig::uniform(16, 256.0, 1e-3).unwrap();
     let cfg = SimConfig::quick(77);

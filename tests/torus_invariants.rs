@@ -28,12 +28,12 @@ fn run(torus: &TorusSystem, traffic: &TrafficConfig, cfg: &SimConfig) -> SimRepo
 
 #[test]
 fn interned_routes_match_kary_ncube_routing_for_all_pairs() {
-    // For every (src, dst) pair of a small torus the interned RouteTable
+    // For every (src, dst) pair of a small torus the RouteTable's composed
     // itinerary must equal the per-message computation channel-by-channel:
     // the injection channel, then exactly one link channel per
     // `KaryNCube::route` hop (on a virtual channel of that hop's physical
     // link), then the ejection channel — and be identical to a fresh
-    // `build_path`.
+    // `build_path`, both as an owned itinerary and in a region of the arena.
     for (k, n) in [(4usize, 2usize), (3, 2), (2, 3)] {
         let torus = TorusSystem::new(k, n).unwrap();
         let traffic = TrafficConfig::uniform(16, 256.0, 1e-3).unwrap();
@@ -42,24 +42,29 @@ fn interned_routes_match_kary_ncube_routing_for_all_pairs() {
         let cube = fabric.cube();
         let mut table = RouteTable::build(&backend).unwrap();
         let nodes = torus.total_nodes();
+        let mut lengths = std::collections::BTreeSet::new();
         for src in 0..nodes {
             for dst in 0..nodes {
                 if src == dst {
                     assert!(table.itinerary(&backend, src, dst).is_err());
                     continue;
                 }
-                let interned = table.itinerary(&backend, src, dst).unwrap();
+                let composed = table.itinerary(&backend, src, dst).unwrap();
                 let fresh = backend.build_path(src, dst).unwrap();
-                assert_eq!(interned.channels, fresh.channels, "k={k},n={n}: {src}->{dst}");
-                assert!((interned.bottleneck - fresh.bottleneck).abs() < 1e-15);
+                assert_eq!(composed.channels, fresh.channels, "k={k},n={n}: {src}->{dst}");
+                assert!((composed.bottleneck - fresh.bottleneck).abs() < 1e-15);
+                let entry = table.entry(&backend, src, dst);
+                assert_eq!(table.channels(entry.route), &fresh.channels[..]);
+                table.release_scratch(entry.route);
+                lengths.insert(fresh.channels.len());
 
                 let hops = cube.route(NodeId::from_index(src), NodeId::from_index(dst)).unwrap();
-                assert_eq!(interned.channels.len(), hops.len() + 2);
-                assert_eq!(interned.channels[0], fabric.injection(src));
-                assert_eq!(*interned.channels.last().unwrap(), fabric.ejection(dst));
+                assert_eq!(composed.channels.len(), hops.len() + 2);
+                assert_eq!(composed.channels[0], fabric.injection(src));
+                assert_eq!(*composed.channels.last().unwrap(), fabric.ejection(dst));
                 let mut from = src;
                 for (i, hop) in hops.iter().enumerate() {
-                    let channel = interned.channels[i + 1];
+                    let channel = composed.channels[i + 1];
                     let allowed: Vec<_> = (0..fabric.virtual_channels())
                         .map(|vc| fabric.link_channel(from, hop, vc))
                         .collect();
@@ -73,7 +78,11 @@ fn interned_routes_match_kary_ncube_routing_for_all_pairs() {
                 assert_eq!(from, dst);
             }
         }
-        assert_eq!(table.materialized_entries(), nodes * (nodes - 1));
+        // No pair is stored: each released region is reused by the next
+        // route of its length, so the arena holds one region per length.
+        assert_eq!(table.materialized_entries(), 0);
+        assert_eq!(table.live_scratch_routes(), 0);
+        assert_eq!(table.arena_len(), lengths.iter().sum::<usize>());
     }
 }
 
