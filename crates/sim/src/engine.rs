@@ -176,8 +176,12 @@ impl Simulation {
         // TailArrived per draining message — its destination's ejection channel
         // is held; at most one ChannelFree per channel; waiters and arrivals
         // carry no event). In practice it stays far below that bound (16–37
-        // events on organization B at the paper protocol), so the event heap
-        // simply grows to its peak and keeps that capacity across resets.
+        // events on organization B at the paper protocol). HeaderAdvance and
+        // TailArrived are scheduled a constant delay ahead and ride the
+        // queue's FIFO delay lanes; ChannelFree wake-ups, fault events and
+        // retransmissions beyond the claimed lanes ride its heap. The lane
+        // rings and the heap grow to their peaks and keep that capacity
+        // across resets.
         let policy = backend.routing_policy();
         let mut sim = Simulation {
             backend,
@@ -220,9 +224,10 @@ impl Simulation {
 
     /// Rewinds a finished simulation for a fresh run over the **same fabric,
     /// routing policy and message geometry**, reusing every grown allocation:
-    /// the future-event heap, the channel pool and its waiter arena, the message
-    /// slab, the route arena (with its region free lists), the per-node
-    /// arrival heap, the latency histogram and the adaptive scratch buffers.
+    /// the future-event heap and lane rings, the channel pool and its waiter
+    /// arena, the message slab, the route arena (with its region free lists),
+    /// the per-node arrival heap, the latency histogram and the adaptive
+    /// scratch buffers.
     /// The traffic rate and pattern, the seed, the measurement
     /// protocol and the fault plan may all change between runs — which is
     /// exactly the shape of a replication loop or a campaign sweep, where a

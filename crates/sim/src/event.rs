@@ -4,21 +4,34 @@
 //! number so that runs are fully deterministic for a given seed regardless of floating
 //! point coincidences.
 //!
-//! The future-event list is a plain binary heap (`std::collections::BinaryHeap`)
-//! over the [`Event`] ordering. It is shallow: per-node arrivals live in the
-//! engine's [`crate::arrivals::ArrivalQueue`] and blocked worms wait in channel
-//! FIFOs, so at the paper protocol the list peaks at a few dozen events. At
-//! that depth a heap's `log n` sift beats time-bucketed structures such as
-//! Brown's calendar queue, whose cost grows with depth when the event times
-//! cluster in a narrow window (see PERFORMANCE.md, "Future-event list").
+//! The future-event list is a binary heap (`std::collections::BinaryHeap`)
+//! over the [`Event`] ordering plus a few FIFO *delay lanes*. Almost every
+//! event the engine schedules lands a constant delay after `now` — a header
+//! crossing one channel class (t_cn or t_cs), a tail draining a message — so
+//! [`EventQueue::schedule_in`] files each event into the lane keyed by its
+//! delay (lanes are claimed first-come, up to four, and re-keyed at
+//! every [`EventQueue::reset`]) and appends it with no sifting. Absolute-time
+//! events ([`EventQueue::schedule_at`]: channel wake-ups, fault plans) and
+//! delays first seen after every lane is claimed go to the heap, which stays
+//! shallow: per-node arrivals live in the engine's
+//! [`crate::arrivals::ArrivalQueue`] and blocked worms wait in channel FIFOs.
+//! The queue caches the `(time, seq)` key of every lane head and of the heap
+//! top, and which of them is earliest, so [`EventQueue::peek_time`] is O(1)
+//! and [`EventQueue::pop`] rescans five keys (see PERFORMANCE.md,
+//! "Future-event list").
 //!
 //! ## Determinism contract
 //!
 //! [`EventQueue::pop`] always returns the pending event with the smallest
 //! `(time, seq)` pair. Sequence numbers are unique, so this order is total and
-//! independent of the heap's internal layout. A property test drives the queue
-//! and a hand-written reference model through randomized schedules
-//! (`tests/event_queue_props.rs`).
+//! independent of where an event is filed. Each lane is already sorted in that
+//! order: the clock never moves backwards and IEEE addition is monotone, so
+//! for a fixed delay `d`, `now₁ ≤ now₂` implies `now₁ + d ≤ now₂ + d`, while
+//! the later event always carries the larger sequence number. The earliest
+//! pending event is therefore always a lane head or the heap top, and the
+//! queue pops exactly what a single heap over every event would. A property
+//! test drives the queue and a hand-written reference heap through randomized
+//! schedules (`tests/event_queue_props.rs`).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -115,26 +128,146 @@ impl Ord for Event {
     }
 }
 
-/// The future-event list plus the simulation clock.
+/// Number of constant-delay FIFO lanes in an [`EventQueue`]. The engine
+/// schedules relative events at two to four distinct delays per fabric (a
+/// header crossing per channel class and a tail drain); delays first seen
+/// after every lane is claimed (late retransmission back-offs) share the heap.
+const LANES: usize = 4;
+
+/// Index of the heap in [`EventQueue::heads`]; lanes are `0..LANES`.
+const HEAP: usize = LANES;
+
+/// The order key of an empty source: above every event's key.
+const EMPTY: u128 = u128::MAX;
+
+/// Smallest ring a lane allocates on first use.
+const MIN_RING: usize = 16;
+
+/// `event`'s position in the queue's `(time, seq)` total order as one
+/// integer: the time's [`f64::total_cmp`] order in the high word, the
+/// sequence number in the low word.
+#[inline]
+fn order_key(event: &Event) -> u128 {
+    let bits = event.time.to_bits();
+    let ordered = bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ (1 << 63);
+    (u128::from(ordered) << 64) | u128::from(event.seq)
+}
+
+/// The time an [`order_key`] was made from.
+#[inline]
+fn key_time(key: u128) -> f64 {
+    let signed = ((key >> 64) as u64) ^ (1 << 63);
+    f64::from_bits(signed ^ ((((signed as i64) >> 63) as u64) >> 1))
+}
+
+/// A FIFO of events scheduled at one constant delay: a power-of-two ring
+/// that keeps its capacity across [`EventQueue::reset`].
 #[derive(Debug, Default)]
+struct Lane {
+    ring: Vec<Event>,
+    head: usize,
+    len: usize,
+}
+
+impl Lane {
+    #[inline]
+    fn front(&self) -> Option<&Event> {
+        (self.len > 0).then(|| &self.ring[self.head])
+    }
+
+    #[inline]
+    fn back(&self) -> Option<&Event> {
+        (self.len > 0).then(|| &self.ring[(self.head + self.len - 1) & (self.ring.len() - 1)])
+    }
+
+    #[inline]
+    fn push_back(&mut self, event: Event) {
+        if self.len == self.ring.len() {
+            self.grow(event);
+        }
+        let slot = (self.head + self.len) & (self.ring.len() - 1);
+        self.ring[slot] = event;
+        self.len += 1;
+    }
+
+    #[inline]
+    fn pop_front(&mut self) -> Event {
+        let event = self.ring[self.head];
+        self.head = (self.head + 1) & (self.ring.len() - 1);
+        self.len -= 1;
+        event
+    }
+
+    /// Doubles the ring, unwrapping the pending events to its start and
+    /// filling the new slots with `filler`.
+    #[cold]
+    fn grow(&mut self, filler: Event) {
+        let mask = self.ring.len().wrapping_sub(1);
+        let size = (self.ring.len() * 2).max(MIN_RING);
+        let mut ring = Vec::with_capacity(size);
+        ring.extend((0..self.len).map(|i| self.ring[(self.head + i) & mask]));
+        ring.resize(size, filler);
+        self.ring = ring;
+        self.head = 0;
+    }
+
+    fn clear(&mut self) {
+        self.head = 0;
+        self.len = 0;
+    }
+}
+
+/// The future-event list plus the simulation clock.
+#[derive(Debug)]
 pub struct EventQueue {
+    /// `delay.to_bits()` of each claimed lane; `lanes[..claimed]` are in use.
+    delays: [u64; LANES],
+    claimed: usize,
+    lanes: [Lane; LANES],
     heap: BinaryHeap<Event>,
+    /// [`order_key`] of each lane's front event and of the heap top
+    /// ([`EMPTY`] for an empty source).
+    heads: [u128; LANES + 1],
+    /// Index into `heads` of the earliest pending event.
+    first: usize,
     now: f64,
     next_seq: u64,
     processed: u64,
 }
 
+impl Default for EventQueue {
+    fn default() -> Self {
+        EventQueue {
+            delays: [0; LANES],
+            claimed: 0,
+            lanes: Default::default(),
+            heap: BinaryHeap::new(),
+            heads: [EMPTY; LANES + 1],
+            first: HEAP,
+            now: 0.0,
+            next_seq: 0,
+            processed: 0,
+        }
+    }
+}
+
 impl EventQueue {
-    /// Creates an empty queue at time 0. The heap grows to the run's peak
-    /// pending depth and keeps that capacity across [`reset`](Self::reset).
+    /// Creates an empty queue at time 0. The heap and the lane rings grow to
+    /// the run's peak pending depth and keep that capacity across
+    /// [`reset`](Self::reset).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Rewinds the queue to time 0 with no pending events, keeping the heap's
-    /// capacity: a reused engine schedules without allocating.
+    /// Rewinds the queue to time 0 with no pending events and every lane
+    /// unclaimed, keeping the heap's and the rings' capacity: a reused engine
+    /// schedules without allocating.
     pub fn reset(&mut self) {
         self.heap.clear();
+        self.lanes.iter_mut().for_each(Lane::clear);
+        self.claimed = 0;
+        self.heads = [EMPTY; LANES + 1];
+        self.first = HEAP;
         self.now = 0.0;
         self.next_seq = 0;
         self.processed = 0;
@@ -155,7 +288,7 @@ impl EventQueue {
     /// Number of events still pending.
     #[inline]
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(|lane| lane.len).sum::<usize>()
     }
 
     /// Advances the clock to `time` without popping an event — used by the
@@ -170,7 +303,9 @@ impl EventQueue {
         self.now = time;
     }
 
-    /// Schedules `kind` to fire `delay` time units from now.
+    /// Schedules `kind` to fire `delay` time units from now, in the lane
+    /// keyed by `delay` (claiming a free lane for a new delay), or in the
+    /// heap once every lane is claimed by another delay.
     ///
     /// # Panics
     /// Panics in debug builds if `delay` is negative or NaN (scheduling into the
@@ -179,10 +314,30 @@ impl EventQueue {
     #[inline]
     pub fn schedule_in(&mut self, delay: f64, kind: EventKind) {
         debug_assert!(delay >= 0.0 && delay.is_finite(), "invalid event delay {delay}");
-        self.schedule_at(self.now + delay, kind);
+        let bits = delay.to_bits();
+        let lane = match self.delays[..self.claimed].iter().position(|&d| d == bits) {
+            Some(lane) => lane,
+            None if self.claimed < LANES => {
+                self.delays[self.claimed] = bits;
+                self.claimed += 1;
+                self.claimed - 1
+            }
+            None => return self.schedule_at(self.now + delay, kind),
+        };
+        let event = self.stamp(self.now + delay, kind);
+        let ring = &mut self.lanes[lane];
+        debug_assert!(
+            ring.back().is_none_or(|tail| order_key(tail) < order_key(&event)),
+            "lane {lane} out of (time, seq) order"
+        );
+        ring.push_back(event);
+        if ring.len == 1 {
+            self.offer(order_key(&event), lane);
+        }
+        self.debug_check_first();
     }
 
-    /// Schedules `kind` at an absolute time (≥ now).
+    /// Schedules `kind` at an absolute time (≥ now), in the heap.
     ///
     /// # Panics
     /// Panics in debug builds if `time` lies in the past or is not finite.
@@ -193,25 +348,94 @@ impl EventQueue {
             "event scheduled in the past: {time} < {}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Event { time, seq, kind });
+        let event = self.stamp(time, kind);
+        self.heap.push(event);
+        let key = order_key(&event);
+        if key < self.heads[HEAP] {
+            self.offer(key, HEAP);
+        }
+        self.debug_check_first();
     }
 
     /// Firing time of the next event without popping it, or `None` when empty.
     #[inline]
     pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
+        let key = self.heads[self.first];
+        (key != EMPTY).then(|| key_time(key))
     }
 
     /// Pops the next event, advancing the clock to its firing time.
     #[inline]
     pub fn pop(&mut self) -> Option<Event> {
-        let ev = self.heap.pop()?;
+        let source = self.first;
+        if self.heads[source] == EMPTY {
+            return None;
+        }
+        let ev = if source == HEAP {
+            let ev = self.heap.pop().expect("the heap top is cached");
+            self.heads[HEAP] = self.heap.peek().map_or(EMPTY, order_key);
+            ev
+        } else {
+            let ring = &mut self.lanes[source];
+            let ev = ring.pop_front();
+            self.heads[source] = ring.front().map_or(EMPTY, order_key);
+            ev
+        };
+        self.first = self.earliest();
         debug_assert!(ev.time >= self.now);
         self.now = ev.time;
         self.processed += 1;
         Some(ev)
+    }
+
+    /// Assigns the next sequence number.
+    #[inline]
+    fn stamp(&mut self, time: f64, kind: EventKind) -> Event {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Event { time, seq, kind }
+    }
+
+    /// Records `key` as the new head of `source` and, when it fires before
+    /// the cached earliest event, makes `source` the earliest.
+    #[inline]
+    fn offer(&mut self, key: u128, source: usize) {
+        self.heads[source] = key;
+        if key < self.heads[self.first] {
+            self.first = source;
+        }
+    }
+
+    /// Index of the smallest entry of `heads`, by a full scan.
+    #[inline]
+    fn earliest(&self) -> usize {
+        let mut best = HEAP;
+        let mut key = self.heads[HEAP];
+        for (source, &head) in self.heads[..LANES].iter().enumerate() {
+            let earlier = head < key;
+            best = if earlier { source } else { best };
+            key = if earlier { head } else { key };
+        }
+        best
+    }
+
+    /// Debug builds: the cached heads equal the sources' actual heads, and
+    /// the cached earliest event equals a full scan of them.
+    #[inline]
+    fn debug_check_first(&self) {
+        debug_assert!(
+            self.lanes
+                .iter()
+                .map(|ring| ring.front().map_or(EMPTY, order_key))
+                .eq(self.heads[..LANES].iter().copied())
+                && self.heap.peek().map_or(EMPTY, order_key) == self.heads[HEAP],
+            "cached source heads diverged from the sources"
+        );
+        debug_assert_eq!(
+            self.heads[self.first],
+            self.heads.iter().copied().min().unwrap_or(EMPTY),
+            "cached earliest event diverged from a full scan"
+        );
     }
 }
 
@@ -387,6 +611,75 @@ mod tests {
         assert_eq!(popped, scheduled);
         assert_eq!(q.processed(), scheduled);
         assert_eq!(q.pending(), 0);
+    }
+
+    #[test]
+    fn constant_delays_fill_lanes_and_the_rest_overflow_to_the_heap() {
+        let mut q = EventQueue::new();
+        for (i, delay) in [0.5, 1.5, 0.5, 2.5, 3.5, 4.5, 1.5, 5.5].into_iter().enumerate() {
+            q.schedule_in(delay, EventKind::HeaderAdvance { message: i as u32 });
+        }
+        q.schedule_at(0.25, EventKind::ChannelFree { channel: 0 });
+        let keys: Vec<f64> = q.delays[..q.claimed].iter().map(|&k| f64::from_bits(k)).collect();
+        assert_eq!(keys, [0.5, 1.5, 2.5, 3.5], "lanes are claimed first-come");
+        let lane_lens: Vec<usize> = q.lanes.iter().map(|lane| lane.len).collect();
+        assert_eq!(lane_lens, [2, 2, 1, 1]);
+        assert_eq!(q.heap.len(), 3, "two overflow delays and one absolute time");
+        assert_eq!(q.pending(), 9);
+        let times: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|e| e.time).collect();
+        assert_eq!(times, [0.25, 0.5, 0.5, 1.5, 1.5, 2.5, 3.5, 4.5, 5.5]);
+    }
+
+    #[test]
+    fn reset_rekeys_lanes_and_keeps_ring_capacity() {
+        let mut q = EventQueue::new();
+        for message in 0..100u32 {
+            q.schedule_in(1.0, EventKind::HeaderAdvance { message });
+            q.schedule_in(31.0, EventKind::TailArrived { message });
+        }
+        for _ in 0..150 {
+            q.pop();
+        }
+        let rings: Vec<usize> = q.lanes.iter().map(|lane| lane.ring.len()).collect();
+        assert!(rings[0] >= 100 && rings[1] >= 100 && rings[0].is_power_of_two());
+        q.reset();
+        assert_eq!((q.claimed, q.pending(), q.peek_time()), (0, 0, None));
+        // A different delay set claims the lanes afresh, in first-come order,
+        // and reuses the grown rings.
+        q.schedule_in(0.75, EventKind::HeaderAdvance { message: 0 });
+        q.schedule_in(2.0, EventKind::HeaderAdvance { message: 1 });
+        q.schedule_in(0.75, EventKind::HeaderAdvance { message: 2 });
+        assert_eq!(&q.delays[..q.claimed], &[0.75f64.to_bits(), 2.0f64.to_bits()]);
+        assert_eq!(q.lanes.iter().map(|lane| lane.ring.len()).collect::<Vec<_>>(), rings);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
+        assert_eq!(order, [0, 2, 1]);
+    }
+
+    #[test]
+    fn lane_ring_wraps_and_grows_in_fifo_order() {
+        // Hold the lane near its ring size so the write index wraps, then
+        // overfill it so `grow` unwraps the live events.
+        let mut q = EventQueue::new();
+        let mut next = 0u32;
+        let mut expected = 0u32;
+        for round in 0..6 {
+            for _ in 0..(MIN_RING - 2 + round * 7) {
+                q.schedule_in(1.0, EventKind::HeaderAdvance { message: next });
+                next += 1;
+            }
+            for _ in 0..(MIN_RING - 3) {
+                match q.pop().unwrap().kind {
+                    EventKind::HeaderAdvance { message } => assert_eq!(message, expected),
+                    other => panic!("unexpected {other:?}"),
+                }
+                expected += 1;
+            }
+        }
+        while let Some(e) = q.pop() {
+            assert_eq!(e.kind, EventKind::HeaderAdvance { message: expected });
+            expected += 1;
+        }
+        assert_eq!(expected, next);
     }
 
     #[test]

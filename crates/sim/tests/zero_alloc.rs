@@ -2,7 +2,7 @@
 //! every routing policy.
 //!
 //! The engine's contract (`Simulation::reset`) is that every per-run
-//! structure — the future-event heap, the channel pool
+//! structure — the future-event heap and lane rings, the channel pool
 //! and waiter arena, the message slab, the route arena and its region free
 //! lists, the arrival heap, the histogram bins and the adaptive scratch
 //! buffers — retains its grown capacity across runs, and that every route

@@ -16,9 +16,19 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Upper bound on worker threads: the machine's available parallelism.
+/// Upper bound on worker threads: `MCNET_WORKERS` when it holds an integer
+/// ≥ 1, otherwise the machine's available parallelism. Results never depend
+/// on the worker count (see the module's determinism contract); the override
+/// lets a test or a user pin the pool width.
 pub fn max_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    workers_override(std::env::var("MCNET_WORKERS").ok().as_deref())
+        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+}
+
+/// Parses an `MCNET_WORKERS` value: `Some(n)` for an integer `n ≥ 1`, `None`
+/// for an unset, empty, zero or malformed value.
+fn workers_override(value: Option<&str>) -> Option<usize> {
+    value?.trim().parse().ok().filter(|&n| n >= 1)
 }
 
 /// Maps `f` over `items` on a bounded worker pool, returning results in input
@@ -144,6 +154,15 @@ mod tests {
         });
         assert!(seen.lock().unwrap().len() <= max_workers());
         assert!(max_workers() >= 1);
+    }
+
+    #[test]
+    fn workers_override_accepts_only_positive_integers() {
+        assert_eq!(workers_override(Some("1")), Some(1));
+        assert_eq!(workers_override(Some(" 3 ")), Some(3));
+        for invalid in [None, Some(""), Some("0"), Some("-2"), Some("two"), Some("1.5")] {
+            assert_eq!(workers_override(invalid), None, "{invalid:?}");
+        }
     }
 
     #[test]
