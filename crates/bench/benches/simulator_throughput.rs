@@ -1,6 +1,7 @@
 //! Substrate bench: discrete-event simulator throughput (messages per second) on the
 //! tree-backend scenarios (the small test organization and the paper's Org B at a
-//! moderate load). Messages — not events — are the cross-PR unit of account: the
+//! moderate load, plus Org B past saturation, where the source-queue backlog
+//! dominates the engine's state). Messages — not events — are the cross-PR unit of account: the
 //! events-per-message ratio itself moves as the engine sheds event traffic (see
 //! `SimReport::events_per_message`), so an events/sec number would silently
 //! re-baseline whenever it improves.

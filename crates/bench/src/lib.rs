@@ -43,11 +43,15 @@ pub fn traffic(message_flits: usize, flit_bytes: f64, rate: f64) -> TrafficConfi
 
 /// The named tree-backend throughput scenarios. `BENCH_results.json` entries
 /// (and the CI regression gate) are keyed by these scenario names, so renaming
-/// one is a conscious re-baselining act.
+/// one is a conscious re-baselining act. `tree_org_b_saturated` runs Org B at
+/// 1e-3, past both the model's saturation rate and the simulator's knee, so
+/// the source-queue backlog path (records queued on injection channels,
+/// promoted at the grant) has a row of its own; no gate reads it.
 pub fn tree_throughput_scenarios() -> Vec<Scenario> {
     vec![
         throughput_scenario("tree_small_org", organizations::small_test_org(), 2e-3),
         throughput_scenario("tree_org_b", organizations::table1_org_b(), 3e-4),
+        throughput_scenario("tree_org_b_saturated", organizations::table1_org_b(), 1e-3),
     ]
 }
 
@@ -131,7 +135,7 @@ mod tests {
         // BENCH_results.json entries and the CI gate are keyed by these names.
         let names: Vec<String> =
             tree_throughput_scenarios().iter().map(|s| s.name().to_string()).collect();
-        assert_eq!(names, ["tree_small_org", "tree_org_b"]);
+        assert_eq!(names, ["tree_small_org", "tree_org_b", "tree_org_b_saturated"]);
         let names: Vec<String> =
             torus_throughput_scenarios().iter().map(|s| s.name().to_string()).collect();
         assert_eq!(names, ["torus_4ary_2cube", "torus_8ary_2cube", "torus_8ary_adaptive"]);

@@ -1,7 +1,10 @@
-//! Results do not depend on the worker count: the `campaign` bin over
-//! `specs/` at the quick protocol, once on a single worker and once on two
-//! real threads (`MCNET_WORKERS`), must report the same status and the same
-//! run digest for every cell.
+//! Results do not depend on the worker count. Each bin runs once on a single
+//! worker and once on two real threads (`MCNET_WORKERS`):
+//!
+//! * the `campaign` bin over `specs/` at the quick protocol must report the
+//!   same status and the same run digest for every cell;
+//! * the `figures` bin (Fig. 4, quick effort, 2 replications) must write a
+//!   byte-identical `fig4.json`.
 
 use std::path::Path;
 use std::process::Command;
@@ -60,4 +63,33 @@ fn campaign_digests_match_on_one_and_two_workers() {
         "every quick-protocol cell simulates and reports its run digests: {single:?}"
     );
     assert_eq!(single, pooled, "cell statuses and digests depend on the worker count");
+}
+
+/// Runs `figures quick --reps 2 --fig 4` on `workers` pool threads and
+/// returns the `fig4.json` it writes.
+fn fig4_json(workers: &str) -> Vec<u8> {
+    let out_dir = std::env::temp_dir()
+        .join(format!("mcnet-worker-count-{}-fig4-w{workers}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["quick", "--reps", "2", "--fig", "4", "--out"])
+        .arg(&out_dir)
+        .env("MCNET_WORKERS", workers)
+        .output()
+        .expect("the figures bin runs");
+    assert!(
+        out.status.success(),
+        "figures with MCNET_WORKERS={workers} failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read(out_dir.join("fig4.json")).expect("figures writes fig4.json");
+    std::fs::remove_dir_all(&out_dir).expect("the output directory is removable");
+    json
+}
+
+#[test]
+fn figure_json_is_identical_on_one_and_two_workers() {
+    let single = fig4_json("1");
+    let pooled = fig4_json("2");
+    assert!(!single.is_empty());
+    assert!(single == pooled, "fig4.json depends on the worker count");
 }

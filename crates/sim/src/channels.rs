@@ -201,13 +201,17 @@ impl ChannelPool {
 
     /// Number of messages waiting on a channel (diagnostic; walks the FIFO).
     pub fn queue_len(&self, ch: GlobalChannelId) -> usize {
-        let mut count = 0;
+        self.waiters(ch).count()
+    }
+
+    /// The waiters of a channel, oldest first (walks the FIFO).
+    pub fn waiters(&self, ch: GlobalChannelId) -> impl Iterator<Item = MessageId> + '_ {
         let mut idx = self.hot[ch as usize].waiters_head;
-        while idx != NIL {
-            count += 1;
-            idx = self.waiters.nodes[idx as usize].next;
-        }
-        count
+        std::iter::from_fn(move || {
+            let node = self.waiters.nodes.get(idx as usize)?;
+            idx = node.next;
+            Some(node.message)
+        })
     }
 
     /// Number of waiter link nodes ever allocated (diagnostic: the peak of
@@ -273,6 +277,45 @@ impl ChannelPool {
     #[inline]
     pub fn live_waiters(&self) -> usize {
         self.live_waiters
+    }
+
+    /// Checks that the waiter arena is partitioned: every link node sits in
+    /// exactly one channel's FIFO or on the free list, each FIFO's tail is
+    /// its last node, and the live count matches. A violation means a leaked,
+    /// double-freed or cross-linked node.
+    pub fn audit(&self) -> Result<(), String> {
+        let mut seen = vec![false; self.waiters.nodes.len()];
+        let mut mark = |idx: u32| match seen.get_mut(idx as usize) {
+            Some(slot) if !*slot => {
+                *slot = true;
+                Ok(())
+            }
+            Some(_) => Err(format!("waiter node {idx} is linked twice")),
+            None => Err(format!("waiter node {idx} is out of the arena")),
+        };
+        let mut queued = 0;
+        for ch in 0..self.hot.len() {
+            let (mut idx, mut last) = (self.hot[ch].waiters_head, NIL);
+            while idx != NIL {
+                mark(idx)?;
+                queued += 1;
+                last = idx;
+                idx = self.waiters.nodes[idx as usize].next;
+            }
+            if self.waiters_tail[ch] != last {
+                return Err(format!("channel {ch}: waiter tail is not the FIFO's last node"));
+            }
+        }
+        for &idx in &self.waiters.free {
+            mark(idx)?;
+        }
+        if queued != self.live_waiters {
+            return Err(format!("{queued} queued waiters but {} counted live", self.live_waiters));
+        }
+        match seen.iter().position(|&s| !s) {
+            Some(idx) => Err(format!("waiter node {idx} is neither queued nor free")),
+            None => Ok(()),
+        }
     }
 
     /// Whether a channel is currently disabled by a fault.
@@ -411,6 +454,16 @@ impl ChannelPool {
         self.hot[ch as usize].holder = next;
         self.held_since[ch as usize] = now;
         Some(next)
+    }
+
+    /// Renames the holder of a channel — the engine promotes a source-queue
+    /// record to a message at the grant of its injection channel, and the
+    /// channel must then name the message.
+    #[inline]
+    pub fn relabel_holder(&mut self, ch: GlobalChannelId, from: MessageId, to: MessageId) {
+        let hot = &mut self.hot[ch as usize];
+        debug_assert_eq!(hot.holder, from, "relabelling a channel held by someone else");
+        hot.holder = to;
     }
 
     /// `true` if the channel is occupied at time `now`: either held by a worm's
@@ -615,7 +668,10 @@ mod tests {
         p.acquire(0, 3, 0.2);
         p.acquire(0, 4, 0.3);
         assert_eq!(p.live_waiters(), 3);
+        assert_eq!(p.waiters(0).collect::<Vec<_>>(), [2, 3, 4]);
+        assert_eq!(p.audit(), Ok(()));
         assert_eq!(p.drain_waiters(0), vec![2, 3, 4]);
+        assert_eq!(p.audit(), Ok(()));
         assert_eq!(p.live_waiters(), 0);
         assert_eq!(p.queue_len(0), 0);
         // The nodes went back to the free list, not leaked: fresh contention
@@ -638,6 +694,7 @@ mod tests {
         assert!(!p.remove_waiter(0, 9), "absent message is reported, not invented");
         assert_eq!(p.queue_len(0), 1);
         assert_eq!(p.live_waiters(), 1);
+        assert_eq!(p.audit(), Ok(()));
         // The surviving waiter still hands off normally, and a push after a
         // tail removal re-links correctly.
         p.acquire(0, 6, 1.0);
@@ -645,6 +702,30 @@ mod tests {
         assert_eq!(p.handoff(0, 2.0), Some(4));
         assert_eq!(p.queue_len(0), 1);
         assert_eq!(p.live_waiters(), 1);
+    }
+
+    #[test]
+    fn relabelled_holder_releases_under_its_new_name() {
+        let mut p = pool(1);
+        assert_eq!(p.acquire(0, 1 << 31, 0.0), Acquire::Granted);
+        p.relabel_holder(0, 1 << 31, 4);
+        assert_eq!(p.holder(0), Some(4));
+        assert_eq!(p.mark_released(0, 4, 1.0), None);
+    }
+
+    #[test]
+    fn audit_catches_a_leaked_waiter_node() {
+        let mut p = pool(2);
+        p.acquire(0, 1, 0.0);
+        p.acquire(0, 2, 0.1);
+        p.acquire(1, 3, 0.0);
+        p.acquire(1, 4, 0.1);
+        assert_eq!(p.audit(), Ok(()));
+        // Unlinking a node without freeing it leaks it.
+        p.hot[1].waiters_head = NIL;
+        p.waiters_tail[1] = NIL;
+        p.live_waiters -= 1;
+        assert!(p.audit().unwrap_err().contains("neither queued nor free"));
     }
 
     #[test]

@@ -24,6 +24,15 @@
 //! recycled, so engine memory tracks the in-flight population, not the run
 //! length.
 //!
+//! A generated message does not become a message until it is granted its
+//! injection channel. Until then it is a 24-byte `SourceRecord` waiting in
+//! that channel's FIFO under a tagged id (`SOURCE_TAG`); the grant
+//! (`channel_granted`) promotes it — slab slot, composed route,
+//! adaptive side-state — and relabels the channel's holder. Acquisition,
+//! hand-off and release see exactly the FIFO they would see with eager
+//! messages, so the event stream is unchanged, while a saturated run's
+//! open-loop backlog costs a record each instead of a message plus a route.
+//!
 //! Because routes in the fat-tree (and across the ECN1 → bridge → ICN2 → bridge → ECN1
 //! chain) acquire resources in a globally consistent up-then-down order, the channel
 //! wait-for graph is acyclic and the simulation cannot deadlock.
@@ -33,7 +42,7 @@ use crate::backend::FabricBackend;
 use crate::channels::{Acquire, ChannelPool, GlobalChannelId};
 use crate::event::{EventKind, EventQueue, MessageId};
 use crate::fault::{FaultAction, FaultPlan};
-use crate::message::{MessageSlab, MessageState};
+use crate::message::{MessageSlab, MessageState, RecordSlab, SourceRecord, SOURCE_TAG};
 use crate::policy::RoutingPolicy;
 use crate::routes::{RouteEntry, RouteMeta, RouteTable};
 use crate::runner::SimConfig;
@@ -81,6 +90,14 @@ pub struct Simulation {
     arrivals: ArrivalQueue,
     arrivals_processed: u64,
     messages: MessageSlab,
+    /// The source-queue backlog: generated messages not yet granted their
+    /// injection channel.
+    records: RecordSlab,
+    /// The randomized up\*/down\* path of each record slot, drawn at
+    /// generation (empty under every other policy).
+    record_routes: Vec<RouteEntry>,
+    /// High-water mark of messages plus records over the current run.
+    peak_in_flight: usize,
     traffic: Box<dyn TrafficSource>,
     /// The plain-data description `traffic` was built from; a [`reset`]
     /// (Self::reset) with an equal spec rebinds the existing source in place,
@@ -190,12 +207,15 @@ impl Simulation {
             queue: EventQueue::new(),
             arrivals: ArrivalQueue::with_capacity(nodes),
             arrivals_processed: 0,
-            // The slab grows to the peak in-flight population: messages in
-            // the network plus the source-queue backlog still waiting for
-            // their injection channel. At sub-saturation loads that peak sits
-            // near the node count; near saturation it grows with the backlog
-            // (generation is open-loop). The hint covers the common case.
+            // The slab grows to the peak population inside the network, which
+            // stays near the node count at any load: every live message holds
+            // or drains at least one channel. The source-queue backlog, which
+            // grows without bound past saturation (generation is open-loop),
+            // waits as records instead and grows its own slab.
             messages: MessageSlab::with_capacity(nodes),
+            records: RecordSlab::with_capacity(0),
+            record_routes: Vec::new(),
+            peak_in_flight: 0,
             traffic,
             source_spec: source.clone(),
             cluster_ranges,
@@ -225,7 +245,7 @@ impl Simulation {
     /// Rewinds a finished simulation for a fresh run over the **same fabric,
     /// routing policy and message geometry**, reusing every grown allocation:
     /// the future-event heap and lane rings, the channel pool and its waiter
-    /// arena, the message slab, the route arena (with its region free lists),
+    /// arena, the message and record slabs, the route arena (with its region free lists),
     /// the per-node arrival heap, the latency histogram and the adaptive
     /// scratch buffers.
     /// The traffic rate and pattern, the seed, the measurement
@@ -289,7 +309,10 @@ impl Simulation {
         // (event budget exhausted mid-flight) is a caller bug — the engine's
         // carried state only rewinds cleanly from quiescence.
         debug_assert_eq!(self.messages.live(), 0, "reset with messages still in flight");
+        debug_assert_eq!(self.records.live(), 0, "reset with sources still queued");
         self.messages.clear();
+        self.records.clear();
+        self.record_routes.clear();
         self.adaptive.clear();
         self.rewind(config, faults)
     }
@@ -302,6 +325,7 @@ impl Simulation {
         let expected_scale = self.message_flits * self.backend.drain_scale();
         self.stats.reset(config.warmup_messages, config.measured_messages, expected_scale);
         self.max_events = config.max_events;
+        self.peak_in_flight = 0;
         self.fault_max_attempts = FaultPlan::DEFAULT_MAX_ATTEMPTS;
         self.fault_retry_base = FaultPlan::DEFAULT_RETRY_BASE;
         self.rng = SmallRng::seed_from_u64(config.seed);
@@ -369,9 +393,16 @@ impl Simulation {
         self.queue.processed() + self.arrivals_processed
     }
 
-    /// Peak number of simultaneously in-flight messages over the run so far.
+    /// Peak number of simultaneously in-flight messages over the run so far:
+    /// messages in the network plus the source-queue backlog.
     pub fn peak_in_flight(&self) -> usize {
-        self.messages.peak()
+        self.peak_in_flight
+    }
+
+    /// Generated messages currently waiting in their source queues for their
+    /// injection channel.
+    pub fn source_backlog(&self) -> usize {
+        self.records.live()
     }
 
     /// The fabric backend the simulation runs over.
@@ -394,6 +425,78 @@ impl Simulation {
         let backend = &self.backend;
         let ids = (0..self.pool.len() as u32).filter(move |&c| !backend.is_bridge(c));
         self.pool.utilization_summary(ids, self.queue.now())
+    }
+
+    /// Checks the engine's bookkeeping at an event boundary and returns the
+    /// first violation:
+    ///
+    /// * conservation — generated = delivered + dropped + messages in the
+    ///   network + queued source records;
+    /// * every channel holder is a live message, never a source record;
+    /// * every waiter is live, and every live source record waits in exactly
+    ///   one FIFO: its own injection channel's;
+    /// * the waiter arena is partitioned ([`ChannelPool::audit`]);
+    /// * the route regions balance ([`RouteTable::audit`]), with one live
+    ///   region per message (plus one per randomized record, whose path is
+    ///   drawn at generation).
+    ///
+    /// A diagnostic for tests: it walks every channel and allocates, so the
+    /// run loop never calls it.
+    pub fn audit(&self) -> std::result::Result<(), String> {
+        let stats = &self.stats;
+        let (in_network, queued) = (self.messages.live() as u64, self.records.live() as u64);
+        let finished = stats.delivered() + stats.dropped();
+        if stats.generated() != finished + in_network + queued {
+            return Err(format!(
+                "{} generated != {finished} delivered or dropped + {in_network} in the network + \
+                 {queued} queued",
+                stats.generated()
+            ));
+        }
+        let live_messages = self.messages.live_mask();
+        let live_records = self.records.live_mask();
+        let live = |mask: &[bool], id: u32| mask.get(id as usize) == Some(&true);
+        let mut record_waits = vec![0u32; live_records.len()];
+        for ch in 0..self.pool.len() as GlobalChannelId {
+            if let Some(holder) = self.pool.holder(ch) {
+                if !live(&live_messages, holder) {
+                    return Err(format!("channel {ch} is held by {holder:#x}, not a live message"));
+                }
+            }
+            for waiter in self.pool.waiters(ch) {
+                if waiter & SOURCE_TAG == 0 {
+                    if !live(&live_messages, waiter) {
+                        return Err(format!("channel {ch} queues a dead message {waiter}"));
+                    }
+                    continue;
+                }
+                let slot = waiter & !SOURCE_TAG;
+                if !live(&live_records, slot) {
+                    return Err(format!("channel {ch} queues a dead source record {slot}"));
+                }
+                let record = &self.records[slot];
+                let (src, dst) = (record.src as usize, record.dst as usize);
+                if self.routes.injection(&self.backend, src, dst) != ch {
+                    return Err(format!("source record {slot} waits on {ch}, not its injection"));
+                }
+                record_waits[slot as usize] += 1;
+            }
+        }
+        if let Some(slot) =
+            (0..live_records.len()).find(|&r| live_records[r] && record_waits[r] != 1)
+        {
+            return Err(format!("source record {slot} waits in {} FIFOs", record_waits[slot]));
+        }
+        self.pool.audit()?;
+        self.routes.audit()?;
+        let drawn = if self.policy == RoutingPolicy::RandomizedUpDown { queued } else { 0 };
+        let regions = self.routes.live_scratch_routes() as u64;
+        if regions != in_network + drawn {
+            return Err(format!(
+                "{regions} live route regions for {in_network} messages + {drawn} drawn paths"
+            ));
+        }
+        Ok(())
     }
 
     /// Runs the simulation until every generated message has been delivered.
@@ -457,36 +560,59 @@ impl Simulation {
             self.arrivals.clear(); // generation phase is over; let the network drain
             return;
         }
-        // Sample the message, then give it a recycled region of the route
-        // arena, which it holds until delivery or drop. Deterministic routes
-        // are composed into it: tree inter-cluster pairs copy precomputed
-        // segments, the rest run an allocation-free walker. Randomized tree
-        // paths are drawn whole into it here; adaptive torus hops are
-        // committed into it one by one at acquisition. No per-message
-        // allocation happens on any of these paths.
+        // Sample the message as a source record: it becomes a message, with a
+        // route region, only when its injection channel is granted
+        // (`channel_granted`). Randomized tree paths are the exception: they
+        // are drawn here, in generation order, which fixes the route-RNG
+        // stream, and wait beside the record.
         let dst = self.traffic.destination(&mut self.rng, node);
-        let entry = match self.policy {
-            RoutingPolicy::Deterministic => self.routes.entry(&self.backend, node, dst),
-            RoutingPolicy::AdaptiveTorus { .. } => self.adaptive_entry(node, dst),
-            RoutingPolicy::RandomizedUpDown => self.randomized_entry(node, dst),
+        let drawn = match self.policy {
+            RoutingPolicy::RandomizedUpDown => Some(self.randomized_entry(node, dst)),
+            _ => None,
         };
         let (gen_id, measured) = self.stats.register_generation();
-        let message = MessageState::new(entry, self.queue.now(), measured, gen_id as u32);
-        let id = self.messages.insert(message);
-        if !self.policy.is_deterministic() {
-            if self.adaptive.len() <= id as usize {
-                self.adaptive.resize(id as usize + 1, AdaptiveState::default());
+        let now = self.queue.now();
+        let record = SourceRecord {
+            generation_time: now,
+            src: node as u32,
+            dst: dst as u32,
+            gen_id: gen_id as u32,
+            measured,
+        };
+        let live = self.messages.live() + self.records.live() + 1;
+        self.peak_in_flight = self.peak_in_flight.max(live);
+        let injection = self.routes.injection(&self.backend, node, dst);
+        debug_assert!(
+            drawn.is_none_or(|entry| self.routes.channels(entry.route)[0] == injection),
+            "a randomized path left its source on another injection channel"
+        );
+        if self.pool.is_disabled(injection) {
+            // A faulted injection channel fails the attempt on the spot.
+            let id = self.materialize(record, drawn);
+            self.abort_message(id, true);
+        } else {
+            let slot = self.records.insert(record);
+            if let Some(entry) = drawn {
+                if slot as usize == self.record_routes.len() {
+                    self.record_routes.push(entry);
+                } else {
+                    self.record_routes[slot as usize] = entry;
+                }
             }
-            self.adaptive[id as usize] =
-                AdaptiveState { src: node as u32, dst: dst as u32, cur: node as u32, wrapped: 0 };
+            let waiter = slot | SOURCE_TAG;
+            match self.pool.acquire(injection, waiter, now) {
+                Acquire::Granted => self.channel_granted(waiter, injection),
+                Acquire::QueuedUntil(free_at) => {
+                    self.queue.schedule_at(free_at, EventKind::ChannelFree { channel: injection });
+                }
+                Acquire::Queued => {}
+            }
         }
-        self.request_next_channel(id);
 
         // Keep this node's arrival process alive while the generation phase
         // lasts: one in-place re-arm of the arrival heap, no event round-trip.
         // An exhausted node (finite trace) is retired with a single pop.
         if self.stats.generated() < self.generation_target {
-            let now = self.queue.now();
             match self.traffic.next_arrival(&mut self.rng, node, now) {
                 Some(next) => {
                     debug_assert!(
@@ -502,6 +628,39 @@ impl Simulation {
         } else {
             self.arrivals.clear();
         }
+    }
+
+    /// Turns a source record into a message: takes a slab slot, composes the
+    /// route into a region (or adopts the randomized path drawn at
+    /// generation) and sets the adaptive side-state.
+    fn materialize(&mut self, record: SourceRecord, drawn: Option<RouteEntry>) -> MessageId {
+        let (src, dst) = (record.src as usize, record.dst as usize);
+        let entry = match (drawn, self.policy) {
+            (Some(entry), _) => entry,
+            (None, RoutingPolicy::AdaptiveTorus { .. }) => self.adaptive_entry(src, dst),
+            (None, _) => self.routes.entry(&self.backend, src, dst),
+        };
+        let message =
+            MessageState::new(entry, record.generation_time, record.measured, record.gen_id);
+        let id = self.messages.insert(message);
+        if !self.policy.is_deterministic() {
+            if self.adaptive.len() <= id as usize {
+                self.adaptive.resize(id as usize + 1, AdaptiveState::default());
+            }
+            self.adaptive[id as usize] =
+                AdaptiveState { src: record.src, dst: record.dst, cur: record.src, wrapped: 0 };
+        }
+        id
+    }
+
+    /// Promotes a queued source record (a waiter id tagged with `SOURCE_TAG`) to a
+    /// message, retiring the record.
+    fn promote(&mut self, waiter: MessageId) -> MessageId {
+        let slot = waiter & !SOURCE_TAG;
+        let record = self.records.remove(slot);
+        let drawn = (self.policy == RoutingPolicy::RandomizedUpDown)
+            .then(|| self.record_routes[slot as usize]);
+        self.materialize(record, drawn)
     }
 
     /// Builds the route entry of an adaptive-torus message: a scratch region of
@@ -705,8 +864,17 @@ impl Simulation {
         }
     }
 
-    /// A channel has been granted to the message: the header starts crossing it.
-    fn channel_granted(&mut self, id: MessageId, channel: GlobalChannelId) {
+    /// A channel has been granted to a waiter: the header starts crossing it.
+    /// A source record granted its injection channel is promoted first, and
+    /// the channel relabelled to the new message.
+    fn channel_granted(&mut self, waiter: MessageId, channel: GlobalChannelId) {
+        let id = if waiter & SOURCE_TAG != 0 {
+            let id = self.promote(waiter);
+            self.pool.relabel_holder(channel, waiter, id);
+            id
+        } else {
+            waiter
+        };
         let msg = &mut self.messages[id];
         let expected = msg.advance(self.routes.channels(msg.route));
         debug_assert_eq!(expected, channel, "granted channel differs from the path order");
@@ -822,9 +990,11 @@ impl Simulation {
         if let Some(id) = holder {
             self.abort_message(id, false);
         }
-        for id in waiters {
+        for waiter in waiters {
             // A drained waiter has no pending event by construction: it was
-            // sitting in the FIFO, which is exactly the no-event state.
+            // sitting in the FIFO, which is exactly the no-event state. A
+            // queued source record becomes a message to abort like any other.
+            let id = if waiter & SOURCE_TAG != 0 { self.promote(waiter) } else { waiter };
             self.abort_message(id, true);
         }
         self.pool.set_disabled(channel, true);
@@ -935,10 +1105,16 @@ mod tests {
         Simulation::new_torus_full(torus, traffic, config, faults, policy, &source).unwrap()
     }
 
+    /// Runs the simulation to completion and checks the engine audit.
+    fn run_audited(sim: &mut Simulation) {
+        sim.run().unwrap();
+        assert_eq!(sim.audit(), Ok(()));
+    }
+
     /// Runs the simulation to completion and condenses everything the report
     /// layer reads into a comparable fingerprint.
     fn run_fingerprint(sim: &mut Simulation) -> (u64, u64, u64, u64, u64, u64) {
-        sim.run().unwrap();
+        run_audited(sim);
         (
             sim.stats().digest(),
             sim.stats().generated(),
@@ -1049,7 +1225,7 @@ mod tests {
         let traffic = TrafficConfig::uniform(8, 256.0, 1e-3).unwrap();
         let cfg = small_config();
         let mut sim = tree_sim(&system, &traffic, &cfg, None, RoutingPolicy::Deterministic);
-        sim.run().unwrap();
+        run_audited(&mut sim);
         // Different flit count and different flit size both need a rebuild.
         let longer = TrafficConfig::uniform(16, 256.0, 1e-3).unwrap();
         assert!(sim.reset(&longer, &TrafficSourceSpec::Poisson, &cfg, None).is_err());
@@ -1068,7 +1244,7 @@ mod tests {
         let traffic = TrafficConfig::uniform(8, 256.0, 5e-4).unwrap();
         let mut sim =
             tree_sim(&system, &traffic, &small_config(), None, RoutingPolicy::Deterministic);
-        sim.run().unwrap();
+        run_audited(&mut sim);
         assert_eq!(sim.stats().generated(), 500);
         assert_eq!(sim.stats().delivered(), 500);
         assert_eq!(sim.stats().delivered_measured(), 400);
@@ -1103,7 +1279,7 @@ mod tests {
             max_events: 5_000_000,
         };
         let mut sim = tree_sim(&system, &traffic, &cfg, None, RoutingPolicy::Deterministic);
-        sim.run().unwrap();
+        run_audited(&mut sim);
         let t_cn = 0.276;
         let t_cs = 0.522;
         let min_possible = 2.0 * t_cn + (flits as f64 - 1.0) * t_cn;
@@ -1124,13 +1300,13 @@ mod tests {
         let low = {
             let traffic = TrafficConfig::uniform(8, 256.0, 1e-4).unwrap();
             let mut sim = tree_sim(&system, &traffic, &cfg, None, RoutingPolicy::Deterministic);
-            sim.run().unwrap();
+            run_audited(&mut sim);
             sim.stats().mean_latency()
         };
         let high = {
             let traffic = TrafficConfig::uniform(8, 256.0, 8e-3).unwrap();
             let mut sim = tree_sim(&system, &traffic, &cfg, None, RoutingPolicy::Deterministic);
-            sim.run().unwrap();
+            run_audited(&mut sim);
             sim.stats().mean_latency()
         };
         assert!(high > low, "latency must grow with offered traffic: low={low}, high={high}");
@@ -1143,7 +1319,7 @@ mod tests {
         let mean = |seed: u64| {
             let cfg = SimConfig { seed, ..small_config() };
             let mut sim = tree_sim(&system, &traffic, &cfg, None, RoutingPolicy::Deterministic);
-            sim.run().unwrap();
+            run_audited(&mut sim);
             sim.stats().mean_latency()
         };
         assert_eq!(mean(11).to_bits(), mean(11).to_bits());
@@ -1157,6 +1333,78 @@ mod tests {
         let cfg = SimConfig { max_events: 100, ..small_config() };
         let mut sim = tree_sim(&system, &traffic, &cfg, None, RoutingPolicy::Deterministic);
         assert!(matches!(sim.run(), Err(SimError::EventBudgetExhausted { .. })));
+        // The budget stops the run between two events, where the audit holds.
+        assert_eq!(sim.audit(), Ok(()));
+    }
+
+    /// Steps the engine through its event budget, one event at a time, until
+    /// the next event or arrival is due at or after `until`.
+    fn step_until(sim: &mut Simulation, until: f64) {
+        let next = |sim: &Simulation| {
+            let event = sim.queue.peek_time().unwrap_or(f64::INFINITY);
+            event.min(sim.arrivals.peek().map_or(f64::INFINITY, |(t, _)| t))
+        };
+        while next(sim) < until {
+            sim.max_events = sim.events_processed();
+            assert!(matches!(sim.run(), Err(SimError::EventBudgetExhausted { .. })));
+        }
+    }
+
+    #[test]
+    fn saturated_backlog_waits_as_source_records() {
+        // Past the knee (the model saturates near 3.2e-2 here) the source
+        // queues outgrow the network. The backlog waits as records, so the
+        // messages and their route regions stay bounded by the channels.
+        let system = organizations::small_test_org();
+        let traffic = TrafficConfig::uniform(8, 256.0, 7e-2).unwrap();
+        let cfg = SimConfig::quick(2006);
+        let mut sim = tree_sim(&system, &traffic, &cfg, None, RoutingPolicy::Deterministic);
+        step_until(&mut sim, 500.0);
+        assert!(sim.source_backlog() > sim.pool().len() / 2, "backlog {}", sim.source_backlog());
+        assert_eq!(sim.audit(), Ok(()), "mid-run, with sources queued");
+        sim.max_events = cfg.max_events;
+        run_audited(&mut sim);
+        assert_eq!(sim.source_backlog(), 0);
+        assert!(sim.routes().peak_scratch_routes() <= sim.pool().len());
+        assert!(sim.peak_in_flight() > sim.pool().len());
+    }
+
+    #[test]
+    fn switch_outage_promotes_and_aborts_queued_source_records() {
+        use crate::fault::{FaultEvent, FaultTarget};
+        let torus = TorusSystem::new(4, 2).unwrap();
+        let traffic = TrafficConfig::uniform(16, 256.0, 6e-2).unwrap();
+        let target = FaultTarget::Switch { node: 5 };
+        let mut plan = FaultPlan::new(vec![
+            FaultEvent { at: 1500.0, target, action: FaultAction::Down },
+            FaultEvent { at: 4000.0, target, action: FaultAction::Up },
+        ]);
+        plan.max_attempts = 4;
+        plan.retry_base = 200.0;
+        let cfg = SimConfig::quick(1221);
+        let policy = RoutingPolicy::Deterministic;
+        let mut sim = torus_sim(&torus, &traffic, &cfg, Some(&plan), policy);
+        let injection = sim.backend().as_cube().unwrap().injection(5);
+        let queued_records = |sim: &Simulation| {
+            sim.pool().waiters(injection).filter(|w| w & SOURCE_TAG != 0).count() as u64
+        };
+
+        step_until(&mut sim, 1500.0);
+        let queued = queued_records(&sim);
+        assert!(queued > 0, "node 5 has no queued source when its switch fails");
+        let retransmits = sim.stats().retransmits();
+        // The outage drains the FIFO: each record becomes a message and aborts.
+        step_until(&mut sim, 1500.5);
+        assert!(sim.pool().is_disabled(injection));
+        assert_eq!(sim.pool().queue_len(injection), 0);
+        assert!(sim.stats().retransmits() >= retransmits + queued);
+        assert_eq!(sim.audit(), Ok(()));
+
+        sim.max_events = cfg.max_events;
+        run_audited(&mut sim);
+        let stats = sim.stats();
+        assert_eq!(stats.generated(), stats.delivered() + stats.dropped());
+        assert!(stats.dropped() > 0, "the outage outlasts the retry budget");
     }
 
     #[test]
@@ -1179,7 +1427,7 @@ mod tests {
                 Some(&plan),
                 RoutingPolicy::Deterministic,
             );
-            sim.run().unwrap();
+            run_audited(&mut sim);
             sim
         };
         let sim = run();
@@ -1206,7 +1454,7 @@ mod tests {
         let traffic = TrafficConfig::uniform(8, 256.0, 4e-3).unwrap();
         let policy = RoutingPolicy::AdaptiveTorus { adaptive_vcs: 1 };
         let mut sim = torus_sim(&torus, &traffic, &small_config(), None, policy);
-        sim.run().unwrap();
+        run_audited(&mut sim);
         assert_eq!(sim.stats().generated(), 500);
         assert_eq!(sim.stats().delivered(), 500);
         // Every scratch route went back to the arena free lists at delivery,
@@ -1232,7 +1480,7 @@ mod tests {
         let digest = |seed: u64| {
             let cfg = SimConfig { seed, ..small_config() };
             let mut sim = torus_sim(&torus, &traffic, &cfg, None, policy);
-            sim.run().unwrap();
+            run_audited(&mut sim);
             sim.stats().digest()
         };
         assert_eq!(digest(11), digest(11));
@@ -1252,7 +1500,7 @@ mod tests {
         let traffic = TrafficConfig::uniform(8, 256.0, 1e-6).unwrap();
         let run = |policy| {
             let mut sim = torus_sim(&torus, &traffic, &small_config(), None, policy);
-            sim.run().unwrap();
+            run_audited(&mut sim);
             sim
         };
         let det = run(RoutingPolicy::Deterministic);
@@ -1268,7 +1516,7 @@ mod tests {
         let traffic = TrafficConfig::uniform(8, 256.0, 1e-3).unwrap();
         let mut sim =
             tree_sim(&system, &traffic, &small_config(), None, RoutingPolicy::RandomizedUpDown);
-        sim.run().unwrap();
+        run_audited(&mut sim);
         assert_eq!(sim.stats().generated(), 500);
         assert_eq!(sim.stats().delivered(), 500);
         assert_eq!(sim.routes().live_scratch_routes(), 0);
@@ -1286,7 +1534,7 @@ mod tests {
         let digest = |seed: u64| {
             let cfg = SimConfig { seed, ..small_config() };
             let mut sim = tree_sim(&system, &traffic, &cfg, None, RoutingPolicy::RandomizedUpDown);
-            sim.run().unwrap();
+            run_audited(&mut sim);
             sim.stats().digest()
         };
         assert_eq!(digest(11), digest(11));
@@ -1299,7 +1547,7 @@ mod tests {
         let traffic = TrafficConfig::uniform(8, 256.0, 1e-3).unwrap();
         let mut sim =
             tree_sim(&system, &traffic, &small_config(), None, RoutingPolicy::Deterministic);
-        sim.run().unwrap();
+        run_audited(&mut sim);
         let intra = sim.stats().class_summary(crate::message::MessageClass::Intra);
         let inter = sim.stats().class_summary(crate::message::MessageClass::Inter);
         assert!(intra.count > 0);

@@ -1,22 +1,31 @@
-//! In-flight message records and their slot-reusing store.
+//! Message records and their slot-reusing stores.
 //!
-//! Each message references its channel itinerary as a [`RouteRef`]: its own
-//! region of the simulation's [`crate::routes::RouteTable`] arena, composed at
-//! generation and recycled at delivery or drop (the wormhole path through one
-//! or — for inter-cluster messages — all three networks and the two bridge
-//! buffers). The record also holds its progress along that itinerary and the
-//! timestamps needed for latency accounting. Holding an `(offset, len)` arena
-//! slice instead of an owned `Vec` keeps message generation allocation-free.
+//! A generated message lives in one of two forms:
 //!
-//! The record is deliberately small (compile-time-checked at ≤ 40 bytes): the
-//! cluster indices are 16-bit, the traffic class is derived from them instead
-//! of stored, the measurement flag is one byte, and there is no delivery
-//! timestamp at all — a delivered message's latency is computed and folded into
-//! the statistics at its `TailArrived` event, after which the record is retired
-//! and its [`MessageSlab`] slot recycled. The engine therefore keeps memory
-//! proportional to the *peak in-flight* message count — messages in the
-//! network plus the source-queue backlog, which sits near the node count at
-//! sub-saturation loads — not the run's total message count.
+//! * **Source record** (`SourceRecord`, 24 bytes) while it waits in its
+//!   source queue: generation time, endpoints, generation index and the
+//!   measurement flag — nothing that depends on the route. It sits in its
+//!   injection channel's waiter FIFO as a tagged id (`SOURCE_TAG`).
+//! * **Message** ([`MessageState`], ≤ 40 bytes) from the moment it is granted
+//!   its injection channel: the record is promoted, its route is composed into
+//!   its own region of the simulation's [`crate::routes::RouteTable`] arena
+//!   (the wormhole path through one or — for inter-cluster messages — all
+//!   three networks and the two bridge buffers), and it tracks its progress
+//!   along that itinerary until delivery or drop recycle the slot and the
+//!   region.
+//!
+//! Generation is open-loop, so past saturation the source-queue backlog grows
+//! with the run; keeping it as compact records bounds the route regions and
+//! slab slots by the population actually inside the network instead.
+//!
+//! The message record is deliberately small (compile-time-checked at ≤ 40
+//! bytes): the cluster indices are 16-bit, the traffic class is derived from
+//! them instead of stored, the measurement flag is one byte, and there is no
+//! delivery timestamp at all — a delivered message's latency is computed and
+//! folded into the statistics at its `TailArrived` event, after which the
+//! record is retired and its [`MessageSlab`] slot recycled. Holding an
+//! `(offset, len)` arena slice instead of an owned `Vec` keeps message
+//! promotion allocation-free.
 
 use crate::channels::GlobalChannelId;
 use crate::event::MessageId;
@@ -33,7 +42,8 @@ pub enum MessageClass {
     Inter,
 }
 
-/// The state of one message during a simulation run.
+/// The state of one message inside the network: from the grant of its
+/// injection channel to its delivery or drop (retransmissions included).
 #[derive(Debug, Clone, Copy)]
 pub struct MessageState {
     /// Simulation time at which the message was generated (entered its source queue).
@@ -141,80 +151,116 @@ impl MessageState {
     }
 }
 
-/// Slot-reusing store of the in-flight messages.
-///
-/// A [`MessageId`] is an index into `slots`; delivering a message returns its
-/// slot to a free list, so the backing vector grows to the peak *in-flight*
-/// count — in-network messages plus the source-queue backlog, near the node
-/// count at sub-saturation loads (it grows with the backlog near saturation,
-/// since generation is open-loop) — instead of the total message count of the
-/// run. Under the paper's 120k-message protocol that is the difference between
-/// a few KiB that stay cache-hot and several MiB streamed exactly once.
-#[derive(Debug, Default)]
-pub struct MessageSlab {
-    slots: Vec<MessageState>,
-    free: Vec<MessageId>,
+/// A generated message still waiting in its source queue for its injection
+/// channel. It carries no route: the route is composed when the record is
+/// promoted to a [`MessageState`] at the grant (randomized up\*/down\* paths,
+/// drawn at generation, are kept beside the record by the engine).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SourceRecord {
+    /// Simulation time at which the message was generated.
+    pub generation_time: f64,
+    /// Source node.
+    pub src: u32,
+    /// Destination node.
+    pub dst: u32,
+    /// Stable generation index (see [`MessageState::gen_id`]).
+    pub gen_id: u32,
+    /// Whether the message falls into the measurement window.
+    pub measured: bool,
 }
 
-impl MessageSlab {
-    /// Creates an empty slab with room for `capacity` simultaneous messages.
+const _: () = assert!(std::mem::size_of::<SourceRecord>() <= 24, "SourceRecord grew past 24B");
+
+/// Waiter-FIFO entries with this bit set name a [`SourceRecord`] slot (the
+/// remaining bits), not a [`MessageSlab`] message. Slab slots never reach
+/// 2³¹, so the two id spaces cannot collide.
+pub(crate) const SOURCE_TAG: MessageId = 1 << 31;
+
+/// Slot-reusing store: an id is an index into `slots`, and removing an entry
+/// returns its slot to a free list, so the backing vector grows to the peak
+/// *live* count instead of the total count of the run.
+///
+/// The engine keeps two: the [`MessageSlab`] of messages inside the network
+/// (near the node count at any load — every live message holds or drains at
+/// least one channel) and the `RecordSlab` of the source-queue backlog
+/// (near zero below saturation, growing with the run past it, since
+/// generation is open-loop). Under the paper's 120k-message protocol that is
+/// the difference between a few KiB that stay cache-hot and several MiB
+/// streamed exactly once.
+#[derive(Debug)]
+pub struct Slab<T> {
+    slots: Vec<T>,
+    free: Vec<u32>,
+}
+
+/// The messages inside the network.
+pub type MessageSlab = Slab<MessageState>;
+
+/// The source-queue backlog.
+pub(crate) type RecordSlab = Slab<SourceRecord>;
+
+impl<T: Copy> Slab<T> {
+    /// Creates an empty slab with room for `capacity` simultaneous entries.
     pub fn with_capacity(capacity: usize) -> Self {
-        MessageSlab { slots: Vec::with_capacity(capacity), free: Vec::new() }
+        Slab { slots: Vec::with_capacity(capacity), free: Vec::new() }
     }
 
-    /// Removes every message, keeping the slot storage for the next run. The
-    /// peak-occupancy diagnostic starts over too — it is a per-run number.
+    /// Removes every entry, keeping the slot storage for the next run.
     pub fn clear(&mut self) {
         self.slots.clear();
         self.free.clear();
     }
 
-    /// Number of live (in-flight) messages.
+    /// Number of live entries.
     #[inline]
     pub fn live(&self) -> usize {
         self.slots.len() - self.free.len()
     }
 
-    /// High-water mark of simultaneously in-flight messages.
-    #[inline]
-    pub fn peak(&self) -> usize {
-        self.slots.len()
+    /// Per-slot liveness (diagnostics: the engine audit).
+    pub fn live_mask(&self) -> Vec<bool> {
+        let mut live = vec![true; self.slots.len()];
+        for &id in &self.free {
+            live[id as usize] = false;
+        }
+        live
     }
 
-    /// Stores a message, recycling a retired slot when one is available.
+    /// Stores an entry, recycling a retired slot when one is available.
     #[inline]
-    pub fn insert(&mut self, message: MessageState) -> MessageId {
+    pub fn insert(&mut self, entry: T) -> u32 {
         if let Some(id) = self.free.pop() {
-            self.slots[id as usize] = message;
+            self.slots[id as usize] = entry;
             id
         } else {
-            let id = self.slots.len() as MessageId;
-            self.slots.push(message);
+            assert!(self.slots.len() < SOURCE_TAG as usize, "slab outgrew the 31-bit id space");
+            let id = self.slots.len() as u32;
+            self.slots.push(entry);
             id
         }
     }
 
-    /// Retires a delivered message, returning its final state and freeing the
-    /// slot for reuse. The id must not be used again afterwards.
+    /// Retires an entry, returning its final state and freeing the slot for
+    /// reuse. The id must not be used again afterwards.
     #[inline]
-    pub fn remove(&mut self, id: MessageId) -> MessageState {
-        debug_assert!(!self.free.contains(&id), "double retirement of message slot {id}");
+    pub fn remove(&mut self, id: u32) -> T {
+        debug_assert!(!self.free.contains(&id), "double retirement of slot {id}");
         self.free.push(id);
         self.slots[id as usize]
     }
 }
 
-impl std::ops::Index<MessageId> for MessageSlab {
-    type Output = MessageState;
+impl<T> std::ops::Index<u32> for Slab<T> {
+    type Output = T;
     #[inline]
-    fn index(&self, id: MessageId) -> &MessageState {
+    fn index(&self, id: u32) -> &T {
         &self.slots[id as usize]
     }
 }
 
-impl std::ops::IndexMut<MessageId> for MessageSlab {
+impl<T> std::ops::IndexMut<u32> for Slab<T> {
     #[inline]
-    fn index_mut(&mut self, id: MessageId) -> &mut MessageState {
+    fn index_mut(&mut self, id: u32) -> &mut T {
         &mut self.slots[id as usize]
     }
 }
@@ -286,11 +332,12 @@ mod tests {
         let retired = slab.remove(a);
         assert_eq!(retired.generation_time, 1.0);
         assert_eq!(slab.live(), 1);
+        assert_eq!(slab.live_mask(), [false, true]);
 
         // The freed slot is reused; the backing store does not grow.
         let c = slab.insert(MessageState::new(entry, 3.0, true, 0));
         assert_eq!(c, a);
-        assert_eq!(slab.peak(), 2);
+        assert_eq!(slab.live_mask().len(), 2);
         assert_eq!(slab[c].generation_time, 3.0);
 
         slab[c].acquired = 1;

@@ -139,6 +139,11 @@ struct TreeSegments {
     bridges: Vec<[GlobalChannelId; 2]>,
     /// Per-flit time of the bridge resources (the switch channel time).
     bridge_flit: f64,
+    /// Per-cluster distance from a node's ICN1 channel ids up to its ECN1
+    /// ones: the two trees of a cluster are built alike, so a node's ICN1
+    /// injection channel is its ECN1 injection channel (the first of its
+    /// ascent) minus this shift.
+    icn1_shift: Vec<u32>,
     /// Reused buffer of the intra-cluster walks.
     walk: Vec<ChannelId>,
 }
@@ -161,6 +166,9 @@ impl TreeSegments {
                 .map(|c| [fabric.bridges().concentrate(c), fabric.bridges().dispatch(c)])
                 .collect(),
             bridge_flit: fabric.t_cs(),
+            icn1_shift: (0..clusters)
+                .map(|c| fabric.ecn1(c).channel_base() - fabric.icn1(c).channel_base())
+                .collect(),
             walk: Vec::new(),
         };
         let mut scratch = Vec::new();
@@ -201,6 +209,18 @@ impl TreeSegments {
             }
         }
         Ok(segments)
+    }
+
+    /// The first channel of the route `src → dst`: the source's ECN1
+    /// injection channel for an inter-cluster pair, its ICN1 one otherwise.
+    fn injection(&self, arena: &[GlobalChannelId], src: usize, dst: usize) -> GlobalChannelId {
+        let cluster = self.node_cluster[src];
+        let ecn1 = arena[self.ascent[src].route.offset as usize];
+        if cluster == self.node_cluster[dst] {
+            ecn1 - self.icn1_shift[cluster as usize]
+        } else {
+            ecn1
+        }
     }
 
     /// Writes the route `src → dst` into `out`: the shared segments of an
@@ -401,6 +421,20 @@ impl RouteTable {
         self.composer.compose(&self.arena, backend, src, dst, out)
     }
 
+    /// The injection channel of the deterministic route `src → dst` — its
+    /// first channel — in O(1), without composing the route. Randomized
+    /// up\*/down\* paths start on the same channel (a node has one up link
+    /// per network).
+    pub fn injection(&self, backend: &FabricBackend, src: usize, dst: usize) -> GlobalChannelId {
+        match (&self.composer, backend) {
+            (Composer::Tree(segments), FabricBackend::Tree(_)) => {
+                segments.injection(&self.arena, src, dst)
+            }
+            (Composer::Cube { .. }, FabricBackend::Cube(fabric)) => fabric.injection(src),
+            _ => panic!("route table used with a backend of the wrong kind"),
+        }
+    }
+
     /// Composes the deterministic route `src → dst` into a fresh region. The
     /// caller owns the region and hands it back with
     /// [`RouteTable::release_scratch`].
@@ -567,6 +601,7 @@ mod tests {
                 let fresh = backend.build_path(src, dst).unwrap();
                 let composed = table.itinerary(backend, src, dst).unwrap();
                 assert_eq!(composed.channels, fresh.channels, "{src}->{dst}");
+                assert_eq!(table.injection(backend, src, dst), fresh.channels[0], "{src}->{dst}");
                 assert_eq!(composed.src_cluster, fresh.src_cluster);
                 assert_eq!(composed.dst_cluster, fresh.dst_cluster);
                 assert_eq!(composed.bottleneck.to_bits(), fresh.bottleneck.to_bits());

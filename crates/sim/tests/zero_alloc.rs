@@ -11,9 +11,10 @@
 //! its digits on the stack. This test enforces the contract at the
 //! allocator: after a short warm-up over the same seed set, re-running the
 //! very same replication loop must hit the global allocator **zero** times —
-//! on the deterministic tree (uniform and intra-cluster-heavy traffic), on
-//! the dimension-order torus, on the adaptive torus under an ON-OFF source
-//! and on the randomized up\*/down\* tree.
+//! on the deterministic tree (uniform and intra-cluster-heavy traffic, and
+//! past the knee, where the source-queue backlog waits as records), on the
+//! dimension-order torus, on the adaptive torus under an ON-OFF source and on
+//! the randomized up\*/down\* tree.
 //!
 //! Two faulted legs (a torus link outage and a tree bridge outage) pin the
 //! degraded-mode path: materializing the fault plan costs a small constant
@@ -174,6 +175,12 @@ fn steady_state_replication_runs_do_not_allocate() {
         (
             "deterministic tree, intra-cluster heavy",
             tree_leg(RoutingPolicy::Deterministic, intra_heavy, TrafficSourceSpec::Poisson, None),
+        ),
+        (
+            // About 2.5x the model's saturation rate: the backlog outgrows
+            // the network and the record slab grows to its own peak.
+            "deterministic tree past the knee",
+            tree_leg(RoutingPolicy::Deterministic, uniform(2e-2), TrafficSourceSpec::Poisson, None),
         ),
         (
             "dimension-order torus",

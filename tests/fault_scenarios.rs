@@ -150,6 +150,29 @@ fn adaptive_and_randomized_exemplars_match_their_pinned_digests() {
     }
 }
 
+/// A whole torus router goes down past the knee, while sources are queued on
+/// its injection channel (at 6e-2 on the 4-ary 2-cube, node 5's injection
+/// channel has a backlog of waiting messages when the switch fails at
+/// t = 1500). The queued sources abort in FIFO order and retransmit; node 5's
+/// generations during the outage abort on the spot. The digest pins the
+/// exact abort order, so a change to where source-queued messages live must
+/// leave it unmoved.
+#[test]
+fn switch_outage_aborts_queued_sources() {
+    let rel = "specs/torus_switch_backlog.json";
+    let (spec, report) = run_spec(rel);
+    let plan = spec.faults.as_ref().expect("fault spec carries a plan");
+    assert!(plan.events.iter().all(|e| matches!(e.target, FaultTarget::Switch { node: 5 })));
+    assert_eq!(
+        report.generated_messages,
+        report.delivered_messages + report.dropped_messages,
+        "{rel}: generated = delivered + dropped"
+    );
+    assert!(report.retransmits > 0, "{rel}: the outage must force retransmissions");
+    assert!(report.dropped_messages > 0, "{rel}: the outage outlasts the retry budget");
+    assert_eq!(format!("{:016x}", report.digest), pinned_digest(rel), "{rel}: digest moved");
+}
+
 /// Minimal-adaptive routing must ride out the ring cut better than dimension
 /// order: a message whose remaining journey still spans another dimension can
 /// detour around the downed link instead of burning its retry budget against

@@ -156,13 +156,28 @@ fn spec_exemplars_cover_both_fabrics_and_a_non_uniform_pattern() {
     assert!(routings.contains(&"randomized_updown"), "{routings:?}");
 }
 
+/// Exemplars that sit past the model's saturation rate on purpose: they pin
+/// the engine's saturated path (the source-queue backlog outgrowing the
+/// network), so the model must call them saturated.
+const PAST_SATURATION: &[&str] = &["tree_saturated.json"];
+
 #[test]
 fn every_spec_exemplar_evaluates_analytically() {
     // One spec drives either world: each exemplar must also go through the
     // analytical model (Scenario::evaluate) with a steady state at its own
-    // configured load — every shipped spec sits in the validated region.
+    // configured load — every shipped spec sits in the validated region,
+    // except the deliberately saturated ones, which the model must reject.
     for path in spec_files() {
         let spec = ScenarioSpec::from_json_file(&path).unwrap();
+        if PAST_SATURATION.iter().any(|name| path.ends_with(name)) {
+            let outcome = spec.build().unwrap().evaluate();
+            assert!(
+                matches!(outcome, Err(SimError::ModelSaturated { .. })),
+                "{}: must lie past the model's saturation rate, got {outcome:?}",
+                path.display()
+            );
+            continue;
+        }
         let report =
             spec.build().unwrap().evaluate().unwrap_or_else(|e| {
                 panic!("{}: analytical evaluation failed: {e}", path.display())

@@ -3,9 +3,11 @@
 //! digest must equal the entry in `specs/goldens/digests.json`. A new spec
 //! without a pin fails here, as does a pin whose spec is gone.
 //!
-//! The same runs audit the route arena. The specs cover deterministic,
-//! randomized and adaptive routing, with and without faults, and after every
-//! completed run each message's route region must be back on a free list.
+//! The same runs audit the engine (`Simulation::audit`: conservation,
+//! channel holders and waiters, the waiter arena and the route arena). The
+//! specs cover deterministic, randomized and adaptive routing, with and
+//! without faults and past saturation, and after every completed run each
+//! message's route region must be back on a free list.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -60,9 +62,10 @@ fn every_spec_reproduces_its_pinned_digest() {
                 Err(e) => panic!("{rel}: {e}"),
             };
             digests.push(format!("{:016x}", report.digest));
-            let routes = engine.as_ref().expect("a completed run keeps its engine").routes();
+            let engine = engine.as_ref().expect("a completed run keeps its engine");
+            let routes = engine.routes();
             assert_eq!(routes.live_scratch_routes(), 0, "{rel}: route regions outlived the run");
-            if let Err(e) = routes.audit() {
+            if let Err(e) = engine.audit() {
                 panic!("{rel}: {e}");
             }
         }
@@ -80,4 +83,25 @@ fn every_spec_reproduces_its_pinned_digest() {
         failures.push(format!("{rel}: pinned but no such spec"));
     }
     assert!(failures.is_empty(), "spec goldens:\n{}", failures.join("\n"));
+}
+
+/// Past the knee the source-queue backlog outgrows the network, but it waits
+/// as compact records: only messages granted their injection channel hold a
+/// route region, so the region peak stays within the channel count while the
+/// in-flight peak (network plus backlog) exceeds it.
+#[test]
+fn saturated_backlog_holds_no_route_regions() {
+    let rel = "specs/tree_saturated.json";
+    let scenario =
+        ScenarioSpec::from_json_file(&Path::new(ROOT).join(rel)).unwrap().build().unwrap();
+    let mut engine = None;
+    scenario.execute_reusing(&mut engine).unwrap();
+    let engine = engine.expect("a completed run keeps its engine");
+    let (regions, channels) = (engine.routes().peak_scratch_routes(), engine.pool().len());
+    assert!(regions <= channels, "{regions} route regions at peak for {channels} channels");
+    assert!(
+        channels < engine.peak_in_flight(),
+        "{rel} must saturate: peak in flight {} within {channels} channels",
+        engine.peak_in_flight()
+    );
 }
