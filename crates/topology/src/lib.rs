@@ -27,8 +27,6 @@
 //!   `P_{j,n}` of Eq. (4) and the average message distance `d_avg` of Eqs. (8)–(9),
 //!   both in the paper's published form and as an exact enumeration over the
 //!   constructed topology;
-//! * [`updown::UpDownRouting`] — a generic Up*/Down* spanning-tree router used as a
-//!   correctness baseline for the NCA router;
 //! * [`kary_ncube::KaryNCube`] — the k-ary n-cube topology of the prior-art models
 //!   the paper builds on (used for baseline/ablation benchmarks).
 //!
@@ -59,7 +57,6 @@ pub mod ids;
 pub mod kary_ncube;
 pub mod routing;
 pub mod tree;
-pub mod updown;
 
 pub use distance::HopDistribution;
 pub use ids::{Level, NodeId, PortId, SwitchId};

@@ -7,8 +7,8 @@
 //! replaced. The tree walkers decode node and switch words onto the stack;
 //! the references decode with `node_address()` and follow the explicit channel
 //! graph from switch to switch, so the word arithmetic is checked against the
-//! wiring itself. Out-of-range inputs must keep failing with the same error
-//! variants.
+//! wiring itself. Every tree walk must also be a minimal up*/down* path.
+//! Out-of-range inputs must keep failing with the same error variants.
 
 use mcnet_topology::graph::ChannelId;
 use mcnet_topology::ids::Endpoint;
@@ -194,11 +194,46 @@ fn reference_descent(
     channels.push(tree.down_channel(current, port).unwrap());
 }
 
+/// Every switch reachable from `from` over up-channels alone, `from`
+/// included, as a membership mask indexed by switch.
+fn up_reachable(tree: &MPortNTree, from: SwitchId) -> Vec<bool> {
+    let mut seen = vec![false; tree.num_switches()];
+    let mut stack = vec![from];
+    while let Some(switch) = stack.pop() {
+        if std::mem::replace(&mut seen[switch.index()], true) {
+            continue;
+        }
+        stack.extend(
+            (0..tree.arity())
+                .filter_map(|u| tree.up_channel(switch, u))
+                .map(|ch| next_switch(tree, ch)),
+        );
+    }
+    seen
+}
+
+/// Checks that `switches` is a minimal up*/down* path of `j` hops: levels
+/// strictly rise and then strictly fall, with `j − 1` up-links and `j − 1`
+/// down-links, turning at the lowest level where the up-reachable switch sets
+/// of the two leaf switches meet.
+fn assert_minimal_updown(tree: &MPortNTree, switches: &[SwitchId], j: usize, reach: &[Vec<bool>]) {
+    let level = |sw: SwitchId| tree.switch_level(sw).unwrap().index();
+    let levels: Vec<usize> = switches.iter().map(|&sw| level(sw)).collect();
+    let ups = levels.windows(2).take_while(|w| w[1] > w[0]).count();
+    let downs = levels[ups..].windows(2).take_while(|w| w[1] < w[0]).count();
+    assert_eq!(ups + downs + 1, levels.len(), "levels {levels:?} go up after going down");
+    assert_eq!((ups, downs), (j - 1, j - 1), "levels {levels:?} for {j} hops");
+    let (from, to) = (&reach[switches[0].index()], &reach[switches[levels.len() - 1].index()]);
+    let meet = tree.switches().filter(|sw| from[sw.index()] && to[sw.index()]).map(level).min();
+    assert_eq!(Some(levels[ups]), meet, "levels {levels:?} turn above the lowest meeting level");
+}
+
 #[test]
 fn tree_walkers_match_the_graph_reference() {
     for (m, n) in TREES {
         let tree = MPortNTree::new(m, n).unwrap();
         let router = NcaRouter::new(&tree);
+        let reach: Vec<Vec<bool>> = tree.switches().map(|sw| up_reachable(&tree, sw)).collect();
         let mut picks = fixed_picks();
         let mut reference_picks = fixed_picks();
         let (mut channels, mut switches) = (Vec::new(), Vec::new());
@@ -223,6 +258,7 @@ fn tree_walkers_match_the_graph_reference() {
                     .unwrap();
                 let path = router.route(src, dst).unwrap();
                 assert_eq!((&channels, &switches), (&path.channels, &path.switches));
+                assert_minimal_updown(&tree, &switches, j, &reach);
 
                 // A fixed pick sequence matches the graph walk.
                 channels.clear();
@@ -249,6 +285,7 @@ fn tree_walkers_match_the_graph_reference() {
                 reference_descent(&tree, nca, &dst_addr, &mut want_channels, &mut want_switches);
                 assert_eq!(channels, want_channels, "({m},{n}) {src:?}->{dst:?}");
                 assert_eq!(switches, want_switches, "({m},{n}) {src:?}->{dst:?}");
+                assert_minimal_updown(&tree, &switches, j, &reach);
                 assert_eq!(tree.graph().channel(*channels.last().unwrap()).to, Endpoint::Node(dst));
             }
         }

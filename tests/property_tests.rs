@@ -8,7 +8,6 @@ use mcnet::sim::FabricBackend;
 use mcnet::system::{ClusterSpec, MultiClusterSystem, TrafficConfig};
 use mcnet::topology::distance::HopDistribution;
 use mcnet::topology::routing::NcaRouter;
-use mcnet::topology::updown::UpDownRouting;
 use mcnet::topology::{KaryNCube, MPortNTree, NodeId};
 use proptest::prelude::*;
 
@@ -218,28 +217,5 @@ proptest! {
             steps += 1;
             prop_assert!(steps <= n * k, "minimal progress must terminate");
         }
-    }
-
-    #[test]
-    fn sampled_updown_paths_are_legal((m, n) in tree_params(), seed in 0u64..1000) {
-        let tree = MPortNTree::new(m, n).unwrap();
-        let routing = UpDownRouting::new(&tree);
-        let nodes = tree.num_nodes();
-        let src_idx = (seed as usize) % nodes;
-        let src = NodeId::from_index(src_idx);
-        // Offset by 1..nodes-1 so the pair is always distinct.
-        let dst = NodeId::from_index((src_idx + 1 + (seed as usize * 7) % (nodes - 1)) % nodes);
-        // Drive the sampler with a seed-derived picker: every sampled path
-        // must pass the up*/down* legality check and span the same number of
-        // links as the deterministic NCA route.
-        let mut state = seed;
-        let mut pick = |n: usize| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as usize % n
-        };
-        let path = routing.sample_path(src, dst, &mut pick).unwrap();
-        prop_assert!(routing.is_legal(&path.switches), "sampled path must be up*/down* legal");
-        let j = tree.hop_count(src, dst).unwrap();
-        prop_assert_eq!(path.up_links + path.down_links, 2 * j - 2);
     }
 }
