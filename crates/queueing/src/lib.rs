@@ -9,8 +9,6 @@
 //! * the **M/G/1 waiting-time formula** (Pollaczek–Khinchine, the paper's Eq. 19,
 //!   citing Kleinrock) models the source queue at every injection channel and the
 //!   concentrator/dispatcher buffers;
-//! * a **birth–death Markov chain** yields the probability that a message is blocked
-//!   at an intermediate stage (Eq. 17, `P_B = η·S`);
 //! * Poisson arrival processes (assumption 1) drive both the model and the simulator;
 //! * the Draper–Ghosh style **variance approximation** for the service-time
 //!   distribution (Eq. 22) closes the model.
@@ -20,7 +18,6 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`mg1`] | M/G/1 queue: utilisation, waiting time, residence time, stability (M/M/1 and M/D/1 are its exponential- and deterministic-service cases) |
-//! | [`birth_death`] | finite birth–death chains and the blocking-probability approximation |
 //! | [`poisson`] | Poisson processes: exponential inter-arrivals, thinning, merging |
 //! | [`distributions`] | service-time descriptors (mean / variance / squared coefficient of variation) |
 //! | [`stats`] | running statistics, histograms, batch means and confidence intervals |
@@ -31,7 +28,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod birth_death;
 pub mod distributions;
 pub mod mg1;
 pub mod poisson;
@@ -56,11 +52,6 @@ pub enum QueueingError {
         /// The utilisation that triggered saturation.
         utilization: f64,
     },
-    /// A probability vector did not sum to 1 or contained out-of-range entries.
-    InvalidDistribution {
-        /// Human-readable description of the problem.
-        reason: String,
-    },
 }
 
 impl std::fmt::Display for QueueingError {
@@ -71,9 +62,6 @@ impl std::fmt::Display for QueueingError {
             }
             QueueingError::Saturated { utilization } => {
                 write!(f, "queue saturated: utilisation {utilization:.4} >= 1")
-            }
-            QueueingError::InvalidDistribution { reason } => {
-                write!(f, "invalid distribution: {reason}")
             }
         }
     }
@@ -110,8 +98,6 @@ mod tests {
         assert!(e.to_string().contains("lambda"));
         let e = QueueingError::Saturated { utilization: 1.25 };
         assert!(e.to_string().contains("1.25"));
-        let e = QueueingError::InvalidDistribution { reason: "sums to 0.9".into() };
-        assert!(e.to_string().contains("0.9"));
     }
 
     #[test]
