@@ -9,7 +9,6 @@
 //! * the **M/G/1 waiting-time formula** (Pollaczek–Khinchine, the paper's Eq. 19,
 //!   citing Kleinrock) models the source queue at every injection channel and the
 //!   concentrator/dispatcher buffers;
-//! * Poisson arrival processes (assumption 1) drive both the model and the simulator;
 //! * the Draper–Ghosh style **variance approximation** for the service-time
 //!   distribution (Eq. 22) closes the model.
 //!
@@ -18,7 +17,6 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`mg1`] | M/G/1 queue: utilisation, waiting time, residence time, stability (M/M/1 and M/D/1 are its exponential- and deterministic-service cases) |
-//! | [`poisson`] | Poisson processes: exponential inter-arrivals, thinning, merging |
 //! | [`distributions`] | service-time descriptors (mean / variance / squared coefficient of variation) |
 //! | [`stats`] | running statistics, histograms, batch means and confidence intervals |
 //!
@@ -30,7 +28,6 @@
 
 pub mod distributions;
 pub mod mg1;
-pub mod poisson;
 pub mod stats;
 
 pub use distributions::ServiceTime;
