@@ -3,8 +3,8 @@
 //! families.
 //!
 //! The paper models an indirect multi-cluster fat-tree fabric; its analytical
-//! lineage (refs [6]–[9]) models k-ary n-cubes. With both fabrics behind
-//! `mcnet_sim`'s [`FabricBackend`](mcnet_sim::FabricBackend) abstraction, this
+//! lineage (refs \[6\]–\[9\]) models k-ary n-cubes. With both fabrics behind
+//! `mcnet_sim`'s [`FabricBackend`] abstraction, this
 //! module sweeps a shared load range over a **matched pair** — a tree system
 //! and a torus with equal node counts — and reports the replicated mean latency
 //! of each backend side by side. Both backends are one [`Scenario`] each,
@@ -55,7 +55,7 @@ pub struct BackendComparison {
 /// A matched `(tree, torus)` pair at 16 nodes: two 8-node clusters of 4-port
 /// 2-level trees against a 4-ary 2-cube. Small enough for CI, large enough for
 /// both backends to show contention before saturation.
-pub fn matched_pair() -> Result<(MultiClusterSystem, TorusSystem)> {
+fn matched_pair() -> Result<(MultiClusterSystem, TorusSystem)> {
     let tree = organizations::homogeneous(2, 4, 2)?;
     let torus = TorusSystem::new(4, 2)?;
     debug_assert_eq!(tree.total_nodes(), torus.total_nodes());
@@ -151,7 +151,8 @@ fn saturation_as_missing(
     }
 }
 
-/// The default comparison over [`matched_pair`].
+/// The default comparison over the matched 16-node pair: two 8-node clusters
+/// of 4-port 2-level trees against a 4-ary 2-cube.
 pub fn matched_tree_vs_torus(
     effort: EvaluationEffort,
     replications: usize,

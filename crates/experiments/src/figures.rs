@@ -49,24 +49,6 @@ pub struct FigurePanel {
     pub series: Vec<FigureSeries>,
 }
 
-impl FigurePanel {
-    /// The largest rate at which the analysis is still unsaturated, per series.
-    pub fn analysis_saturation_points(&self) -> Vec<(String, Option<f64>)> {
-        self.series
-            .iter()
-            .map(|s| {
-                let last_ok = s
-                    .points
-                    .iter()
-                    .filter(|p| p.analysis.is_some())
-                    .map(|p| p.rate)
-                    .fold(None, |_, r| Some(r));
-                (s.label.clone(), last_ok)
-            })
-            .collect()
-    }
-}
-
 /// A figure produced by the replicated paper-scale driver: the panels plus
 /// one digest pinning every simulated delivery stream the figure contains.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,7 +81,7 @@ fn fold_digest(fold: &mut u64, digest: u64) {
 /// its replication means and the standard error across replications; points
 /// where any replication exhausts its event budget (deep saturation) are
 /// omitted rather than failing the figure.
-pub fn build_series_replicated(
+fn build_series_replicated(
     system: &MultiClusterSystem,
     sweep: &FigureSweep,
     effort: EvaluationEffort,
@@ -176,7 +158,7 @@ fn replicated_point(
 
 /// Builds one panel (one organization and message length, one series per
 /// flit size) through [`build_series_replicated`].
-pub fn build_panel_replicated(
+fn build_panel_replicated(
     title: &str,
     system: &MultiClusterSystem,
     sweeps: &[FigureSweep],
@@ -341,25 +323,5 @@ mod tests {
         let system = organizations::table1_org_b();
         let traffic = TrafficConfig::uniform(32, 256.0, 5e-3).unwrap();
         assert_eq!(analysis_latency(&system, &traffic).unwrap(), None);
-    }
-
-    #[test]
-    fn panel_carries_saturation_summary() {
-        let system = organizations::table1_org_b();
-        let sweeps = [FigureSweep::fig4_m32(256.0)];
-        let mut fold = FNV_OFFSET;
-        let panel = build_panel_replicated(
-            "test",
-            &system,
-            &sweeps,
-            EvaluationEffort::Quick,
-            0,
-            1,
-            &mut fold,
-        )
-        .unwrap();
-        let sat = panel.analysis_saturation_points();
-        assert_eq!(sat.len(), 1);
-        assert!(sat[0].1.is_some());
     }
 }

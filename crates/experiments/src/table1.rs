@@ -42,7 +42,7 @@ pub struct OrganizationSummary {
 }
 
 /// Summarises one system in the shape of a Table 1 row.
-pub fn summarize(name: &str, system: &MultiClusterSystem) -> OrganizationSummary {
+fn summarize(name: &str, system: &MultiClusterSystem) -> OrganizationSummary {
     let mut groups: Vec<OrganizationGroup> = Vec::new();
     for (_, spec) in system.iter_clusters() {
         if let Some(g) = groups.iter_mut().find(|g| g.levels == spec.levels) {

@@ -37,7 +37,7 @@
 //!
 //! Both backends evaluate [`mcnet_system::TrafficPattern::Hotspot`]
 //! analytically: the tree model redistributes traffic between clusters through
-//! the [`rates::DestinationMix`] matrix (generalizing Eqs. 5–13 and the
+//! a destination-mix matrix in [`rates`] (generalizing Eqs. 5–13 and the
 //! Eqs. 31/34 destination averages), the torus model adds the enumerated
 //! per-channel loads of every `source → hotspot` route. The tree model
 //! additionally accepts [`mcnet_system::TrafficPattern::LocalFavoring`];

@@ -147,31 +147,9 @@ impl<'a> AnalyticalModel<'a> {
         &self.options
     }
 
-    /// The per-message channel times (`M·t_cn`, `M·t_cs`).
-    pub fn channel_times(&self) -> &ChannelTimes {
-        &self.times
-    }
-
     /// The precomputed rate quantities.
     pub fn rates(&self) -> &SystemRates {
         &self.rates
-    }
-
-    /// Evaluates the latency of a single cluster (Eq. 35).
-    pub fn cluster_latency(&self, cluster: usize) -> Result<ClusterLatency> {
-        if cluster >= self.system.num_clusters() {
-            return Err(ModelError::InvalidConfiguration {
-                reason: format!(
-                    "cluster {cluster} out of range (system has {})",
-                    self.system.num_clusters()
-                ),
-            });
-        }
-        self.cluster_latency_memoized(
-            cluster,
-            &mut IntraJourneyMemo::default(),
-            &mut PairJourneyMemo::default(),
-        )
     }
 
     fn cluster_latency_memoized(
@@ -334,14 +312,6 @@ mod tests {
         assert!(small.intra.total < big.intra.total, "shallower ICN1 is faster");
         assert!(small.inter.total < big.inter.total, "shallower source ECN1 is faster");
         assert!((small.mean_latency - big.mean_latency).abs() > 1e-9);
-    }
-
-    #[test]
-    fn cluster_out_of_range_is_an_error() {
-        let sys = organizations::small_test_org();
-        let traffic = TrafficConfig::uniform(32, 256.0, 1e-4).unwrap();
-        let m = AnalyticalModel::new(&sys, &traffic).unwrap();
-        assert!(m.cluster_latency(99).is_err());
     }
 
     #[test]

@@ -101,12 +101,6 @@ impl ModelOptions {
         ModelOptions { source_queue_rate: SourceQueueRate::ClusterAggregate, ..Self::default() }
     }
 
-    /// Uses the exact hop distribution of the constructed topology instead of Eq. (4).
-    pub fn with_exact_hops(mut self) -> Self {
-        self.hop_model = HopModel::Exact;
-        self
-    }
-
     /// Disables the Draper–Ghosh variance term (M/D/1 source queues).
     pub fn without_variance(mut self) -> Self {
         self.variance = VarianceApproximation::None;
@@ -145,8 +139,6 @@ mod tests {
     fn builders_flip_the_right_flags() {
         let o = ModelOptions::literal();
         assert_eq!(o.source_queue_rate, SourceQueueRate::ClusterAggregate);
-        let o = ModelOptions::default().with_exact_hops();
-        assert_eq!(o.hop_model, HopModel::Exact);
         let o = ModelOptions::default().without_variance();
         assert_eq!(o.variance, VarianceApproximation::None);
         let o = ModelOptions::default().without_concentrator();

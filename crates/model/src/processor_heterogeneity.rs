@@ -15,7 +15,7 @@ use mcnet_system::{MultiClusterSystem, TrafficConfig};
 /// Derives the per-cluster generation-rate scale factors from the clusters' relative
 /// processing powers: `scale_i = τ_i / τ̄`, so the system-wide average per-node rate is
 /// preserved.
-pub fn rate_scale_from_processing_power(system: &MultiClusterSystem) -> Vec<f64> {
+fn rate_scale_from_processing_power(system: &MultiClusterSystem) -> Vec<f64> {
     let total_nodes = system.total_nodes() as f64;
     let mean_power: f64 =
         system.iter_clusters().map(|(_, c)| c.processing_power * c.num_nodes() as f64).sum::<f64>()

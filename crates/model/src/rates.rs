@@ -38,14 +38,14 @@ use serde::{Deserialize, Serialize};
 /// over channels (the Eqs. 10–12 denominators) — the mix redistributes traffic
 /// *between* clusters, not within a tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DestinationMix {
+struct DestinationMix {
     /// `q[i][v]`, row-stochastic.
     q: Vec<Vec<f64>>,
 }
 
 impl DestinationMix {
     /// Builds the mix for a system and destination pattern.
-    pub fn for_pattern(system: &MultiClusterSystem, pattern: &TrafficPattern) -> Result<Self> {
+    fn for_pattern(system: &MultiClusterSystem, pattern: &TrafficPattern) -> Result<Self> {
         pattern.validate().map_err(ModelError::from)?;
         let c = system.num_clusters();
         let n_total = system.total_nodes() as f64;
@@ -111,19 +111,19 @@ impl DestinationMix {
     }
 
     /// `P(dest cluster = v | source cluster = i)`.
-    pub fn to(&self, i: usize, v: usize) -> f64 {
+    fn to(&self, i: usize, v: usize) -> f64 {
         self.q[i][v]
     }
 
     /// The staying probability `q(i, i)`.
-    pub fn stay(&self, i: usize) -> f64 {
+    fn stay(&self, i: usize) -> f64 {
         self.q[i][i]
     }
 
     /// The destination weights of the Eq. (31)/(34) averages seen from cluster
     /// `i`: `w(v) = q(i, v) / (1 − q(i, i))` for `v ≠ i`, zero on the diagonal
     /// (and everywhere if the cluster sends nothing outside).
-    pub fn outgoing_weights(&self, i: usize) -> Vec<f64> {
+    fn outgoing_weights(&self, i: usize) -> Vec<f64> {
         let p_o = 1.0 - self.q[i][i];
         self.q[i]
             .iter()
@@ -384,12 +384,6 @@ impl SystemRates {
         PairRates { source: i, destination: v, lambda_ecn1, lambda_icn2, eta_ecn1, eta_icn2 }
     }
 
-    /// The destination mix behind the rates, when the traffic pattern is
-    /// non-uniform.
-    pub fn destination_mix(&self) -> Option<&DestinationMix> {
-        self.mix.as_ref()
-    }
-
     /// Per-destination weights of the Eq. (31)/(34) averages seen from cluster
     /// `i`: `None` under uniform traffic (where the paper averages destination
     /// clusters arithmetically and the published form is kept verbatim),
@@ -572,7 +566,7 @@ mod tests {
             .with_pattern(TrafficPattern::Hotspot { hotspot: 0, fraction: 0.4 })
             .unwrap();
         let rates = SystemRates::compute(&sys, &traffic, &ModelOptions::default()).unwrap();
-        assert!(rates.destination_mix().is_some());
+        assert!(rates.mix.is_some());
         // Journeys *into* the hot cluster see more ECN1/ICN2 traffic than
         // journeys out of it toward a cold cluster.
         let into_hot = rates.pair(2, 0);
@@ -582,7 +576,7 @@ mod tests {
         // Uniform rates keep the published symmetric form and report no mix.
         let uniform = TrafficConfig::uniform(32, 256.0, 1e-4).unwrap();
         let u = SystemRates::compute(&sys, &uniform, &ModelOptions::default()).unwrap();
-        assert!(u.destination_mix().is_none());
+        assert!(u.mix.is_none());
         assert!(u.destination_weights(0).is_none());
         assert!((u.pair(0, 2).lambda_ecn1 - u.pair(2, 0).lambda_ecn1).abs() < 1e-18);
     }

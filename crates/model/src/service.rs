@@ -104,11 +104,7 @@ pub fn stage_recursion(etas: &[f64], times: &ChannelTimes) -> Result<StageOutcom
 
 /// Network latency of an intra-cluster `2j`-link journey: every stage sees the same
 /// ICN1 channel rate.
-pub fn intra_journey_latency(
-    j: usize,
-    eta_icn1: f64,
-    times: &ChannelTimes,
-) -> Result<StageOutcome> {
+fn intra_journey_latency(j: usize, eta_icn1: f64, times: &ChannelTimes) -> Result<StageOutcome> {
     if j == 0 {
         return Err(ModelError::InvalidConfiguration {
             reason: "journeys cross at least 2 links (j >= 1)".into(),
@@ -123,7 +119,7 @@ pub fn intra_journey_latency(
 /// ECN1, crosses `2h` links in ICN2 and descends `l` links in the destination ECN1
 /// (Eqs. 28–29): stages `j .. j+2h−1` see the ICN2 channel rate, the rest the ECN1
 /// rate.
-pub fn inter_journey_latency(
+fn inter_journey_latency(
     j: usize,
     l: usize,
     h: usize,

@@ -1,6 +1,6 @@
 //! An analytical mean-latency model for the k-ary n-cube (torus) fabric — the
 //! Draper–Ghosh / Ould-Khaoua lineage the paper builds on (its references
-//! [6]–[9]), instantiated to match the wormhole simulator's `CubeFabric`
+//! \[6\]–\[9\]), instantiated to match the wormhole simulator's `CubeFabric`
 //! backend channel for channel.
 //!
 //! ## Model structure
@@ -59,7 +59,7 @@ use serde::{Deserialize, Serialize};
 /// Largest torus population the analytical model accepts. The per-channel load
 /// tables are dense (`N · n · 2 · 2` entries), so the model is capped well below
 /// the simulator's `MAX_TORUS_NODES` id budget.
-pub const MAX_MODEL_TORUS_NODES: usize = 1 << 16;
+const MAX_MODEL_TORUS_NODES: usize = 1 << 16;
 
 /// The latency report of one torus-model evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -209,7 +209,7 @@ impl TorusModel {
 
     /// Rebinds the model to a new per-node generation rate, recomputing only
     /// the per-channel rate table from the stored (rate-independent) usage
-    /// counts. Every arithmetic step mirrors [`ChannelLoads::build`] — the
+    /// counts. Every arithmetic step mirrors `ChannelLoads::build` — the
     /// uniform term uses the identical expression and the hot-spot term is the
     /// identical repeated addition — so a subsequent [`TorusModel::evaluate`]
     /// is bit-identical to a model freshly built at that rate.
@@ -254,11 +254,6 @@ impl TorusModel {
         &self.traffic
     }
 
-    /// The per-message channel times (`M·t_cn`, `M·t_cs`).
-    pub fn channel_times(&self) -> &ChannelTimes {
-        &self.times
-    }
-
     /// The dense index of a link channel: `node`, `dimension`, ring direction
     /// (`+1`/`-1`) and dateline virtual channel.
     fn channel_index(&self, node: usize, dimension: usize, direction: i8, vc: usize) -> usize {
@@ -293,7 +288,7 @@ impl TorusModel {
     }
 
     /// The modelled arrival rate of a node's ejection channel.
-    pub fn ejection_rate(&self, node: usize) -> Result<f64> {
+    fn ejection_rate(&self, node: usize) -> Result<f64> {
         if node >= self.cube.num_nodes() {
             return Err(ModelError::InvalidConfiguration {
                 reason: format!("node {node} out of range"),
@@ -938,7 +933,7 @@ mod tests {
     fn zero_load_latency_is_the_transfer_time() {
         let m = model(4, 2, 1e-9);
         let r = m.evaluate().unwrap();
-        let t = m.channel_times();
+        let t = &m.times;
         // S → M·t_cs, W → 0, R → d_avg·t_cs + t_cn.
         assert!((r.network - t.message_switch_time()).abs() < 1e-3);
         assert!(r.source_wait < 1e-3);

@@ -16,7 +16,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`mg1`] | M/G/1 queue: utilisation, waiting time, residence time, stability (M/M/1 and M/D/1 are its exponential- and deterministic-service cases) |
+//! | [`mg1`] | M/G/1 queue: utilisation, waiting time, saturation rate (M/M/1 and M/D/1 are its exponential- and deterministic-service cases) |
 //! | [`distributions`] | service-time descriptors (mean / variance / squared coefficient of variation) |
 //! | [`stats`] | running statistics, histograms, batch means and confidence intervals |
 //!

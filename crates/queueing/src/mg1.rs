@@ -27,28 +27,10 @@ impl MG1Queue {
         Ok(MG1Queue { arrival_rate: check_nonnegative("arrival_rate", arrival_rate)?, service })
     }
 
-    /// Arrival rate `λ`.
-    #[inline]
-    pub fn arrival_rate(&self) -> f64 {
-        self.arrival_rate
-    }
-
-    /// Service-time descriptor.
-    #[inline]
-    pub fn service(&self) -> ServiceTime {
-        self.service
-    }
-
     /// Server utilisation `ρ = λ · x̄` (paper Eq. 20).
     #[inline]
     pub fn utilization(&self) -> f64 {
         self.arrival_rate * self.service.mean()
-    }
-
-    /// `true` when the queue has a steady state (`ρ < 1`).
-    #[inline]
-    pub fn is_stable(&self) -> bool {
-        self.utilization() < 1.0
     }
 
     /// Mean waiting time in the queue (excluding service), paper Eq. (19).
@@ -65,33 +47,6 @@ impl MG1Queue {
         let xbar = self.service.mean();
         let scv = self.service.scv();
         Ok(rho * xbar * (1.0 + scv) / (2.0 * (1.0 - rho)))
-    }
-
-    /// Mean waiting time computed directly from the second moment
-    /// (`W = λ·E[X²] / (2(1−ρ))`), algebraically identical to [`Self::waiting_time`]
-    /// and kept as an internal cross-check.
-    pub fn waiting_time_second_moment_form(&self) -> Result<f64> {
-        let rho = self.utilization();
-        if rho >= 1.0 {
-            return Err(QueueingError::Saturated { utilization: rho });
-        }
-        Ok(self.arrival_rate * self.service.second_moment() / (2.0 * (1.0 - rho)))
-    }
-
-    /// Mean residence (sojourn) time: waiting plus service.
-    pub fn residence_time(&self) -> Result<f64> {
-        Ok(self.waiting_time()? + self.service.mean())
-    }
-
-    /// Mean number of customers in the queue (excluding the one in service), by
-    /// Little's law `L_q = λ·W`.
-    pub fn mean_queue_length(&self) -> Result<f64> {
-        Ok(self.arrival_rate * self.waiting_time()?)
-    }
-
-    /// Mean number of customers in the system, `L = λ·T`.
-    pub fn mean_customers(&self) -> Result<f64> {
-        Ok(self.arrival_rate * self.residence_time()?)
     }
 
     /// The largest arrival rate for which the queue remains stable given the service
@@ -114,19 +69,17 @@ mod tests {
         let q = MG1Queue::new(0.0, ServiceTime::deterministic(5.0).unwrap()).unwrap();
         assert_eq!(q.utilization(), 0.0);
         assert_eq!(q.waiting_time().unwrap(), 0.0);
-        assert_eq!(q.residence_time().unwrap(), 5.0);
     }
 
     #[test]
     fn matches_md1_closed_form() {
         // For deterministic service W = ρ·x̄ / (2(1-ρ)), half the M/M/1 wait
-        // at the same utilisation; residence adds one service time.
+        // at the same utilisation.
         for (lambda, xbar) in [(0.3, 2.0), (0.3, 2.5), (0.7, 1.0), (3e-2, 32.0 * 0.522)] {
             let q = MG1Queue::new(lambda, ServiceTime::deterministic(xbar).unwrap()).unwrap();
             let rho = lambda * xbar;
             let expected = rho * xbar / (2.0 * (1.0 - rho));
             assert!((q.waiting_time().unwrap() - expected).abs() < 1e-12);
-            assert!((q.residence_time().unwrap() - (expected + xbar)).abs() < 1e-12);
             let mm1 = MG1Queue::new(lambda, ServiceTime::exponential(xbar).unwrap()).unwrap();
             let ratio = q.waiting_time().unwrap() / mm1.waiting_time().unwrap();
             assert!((ratio - 0.5).abs() < 1e-12);
@@ -142,38 +95,26 @@ mod tests {
         let rho = lambda * xbar;
         let expected = rho * xbar / (1.0 - rho);
         assert!((q.waiting_time().unwrap() - expected).abs() < 1e-12);
-        // Textbook values, λ = 2, μ = 3: ρ = 2/3, W = 2/3, T = 1, L = 2.
+        // Textbook values, λ = 2, μ = 3: ρ = 2/3, W = 2/3.
         let q = MG1Queue::new(2.0, ServiceTime::exponential(1.0 / 3.0).unwrap()).unwrap();
         assert!((q.utilization() - 2.0 / 3.0).abs() < 1e-12);
         assert!((q.waiting_time().unwrap() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((q.residence_time().unwrap() - 1.0).abs() < 1e-12);
-        assert!((q.mean_customers().unwrap() - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn two_forms_agree() {
-        let q = MG1Queue::new(0.2, ServiceTime::new(3.0, 4.5).unwrap()).unwrap();
-        let a = q.waiting_time().unwrap();
-        let b = q.waiting_time_second_moment_form().unwrap();
-        assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn littles_law_consistency() {
-        let q = MG1Queue::new(0.25, ServiceTime::new(2.0, 1.0).unwrap()).unwrap();
-        let lq = q.mean_queue_length().unwrap();
-        let l = q.mean_customers().unwrap();
-        assert!((l - (lq + q.utilization())).abs() < 1e-12);
+        // The paper's form of Eq. (19) equals `W = λ·E[X²] / (2(1−ρ))`.
+        let service = ServiceTime::new(3.0, 4.5).unwrap();
+        let q = MG1Queue::new(0.2, service).unwrap();
+        let second_moment_form = 0.2 * service.second_moment() / (2.0 * (1.0 - q.utilization()));
+        assert!((q.waiting_time().unwrap() - second_moment_form).abs() < 1e-12);
     }
 
     #[test]
     fn saturation_detected() {
         let q = MG1Queue::new(0.5, ServiceTime::deterministic(2.0).unwrap()).unwrap();
-        assert!(!q.is_stable());
         assert!(matches!(q.waiting_time(), Err(QueueingError::Saturated { .. })));
-        assert!(matches!(q.residence_time(), Err(QueueingError::Saturated { .. })));
         let q = MG1Queue::new(0.49, ServiceTime::deterministic(2.0).unwrap()).unwrap();
-        assert!(q.is_stable());
         assert!(q.waiting_time().is_ok());
     }
 

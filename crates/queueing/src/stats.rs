@@ -40,26 +40,6 @@ impl RunningStats {
         self.max = self.max.max(x);
     }
 
-    /// Merges another accumulator into this one (parallel reduction support).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     #[inline]
     pub fn count(&self) -> u64 {
@@ -337,39 +317,6 @@ mod tests {
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.std_error(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.37).sin() * 10.0 + 5.0).collect();
-        let mut all = RunningStats::new();
-        for &x in &data {
-            all.push(x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for (i, &x) in data.iter().enumerate() {
-            if i % 3 == 0 {
-                a.push(x);
-            } else {
-                b.push(x);
-            }
-        }
-        let mut merged = a;
-        merged.merge(&b);
-        assert_eq!(merged.count(), all.count());
-        assert!((merged.mean() - all.mean()).abs() < 1e-9);
-        assert!((merged.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(merged.min(), all.min());
-        assert_eq!(merged.max(), all.max());
-
-        // Merging with an empty accumulator is the identity in both directions.
-        let mut empty = RunningStats::new();
-        empty.merge(&all);
-        assert_eq!(empty.count(), all.count());
-        let mut all2 = all;
-        all2.merge(&RunningStats::new());
-        assert_eq!(all2.count(), all.count());
     }
 
     #[test]

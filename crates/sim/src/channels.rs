@@ -10,7 +10,7 @@
 //! Waiter FIFOs are **allocation-free for the uncontended majority**: instead of
 //! one `VecDeque` per channel (thousands of eager heap allocations, almost all
 //! of which never see a waiter), every channel carries only a `(head, tail)`
-//! pair of indices into one pool-wide [`WaiterArena`] of singly-linked nodes.
+//! pair of indices into one pool-wide `WaiterArena` of singly-linked nodes.
 //! A link node is taken from the arena's free list only when a message actually
 //! has to wait, and returns to it at hand-off — so steady-state contention
 //! recycles a handful of nodes and an uncontended run allocates nothing at all.
@@ -184,12 +184,6 @@ impl ChannelPool {
     #[inline]
     pub fn flit_time(&self, ch: GlobalChannelId) -> f64 {
         self.flit_times[ch as usize]
-    }
-
-    /// Whether a channel is currently held.
-    #[inline]
-    pub fn is_busy(&self, ch: GlobalChannelId) -> bool {
-        self.hot[ch as usize].holder != NO_HOLDER
     }
 
     /// The message currently holding the channel, if any.
@@ -532,14 +526,13 @@ mod tests {
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
         assert_eq!(p.acquire(0, 7, 0.0), Acquire::Granted);
-        assert!(p.is_busy(0));
         assert_eq!(p.holder(0), Some(7));
-        assert!(!p.is_busy(1));
+        assert_eq!(p.holder(1), None);
         // No waiters: the release is lazy (no wakeup needed). The holder is
         // cleared immediately, but the channel stays *occupied* until the
         // recorded free time passes.
         assert_eq!(p.mark_released(0, 7, 1.0), None);
-        assert!(!p.is_busy(0));
+        assert_eq!(p.holder(0), None);
         assert!(p.is_occupied(0, 0.5));
         assert!(!p.is_occupied(0, 1.0));
         assert_eq!(p.contention_ratio(), 0.0);

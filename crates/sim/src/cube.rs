@@ -136,11 +136,6 @@ impl CubeFabric {
         self.vcs
     }
 
-    /// Virtual channels of the escape (dateline) class per directed link.
-    pub fn escape_vcs(&self) -> u32 {
-        self.escape_vcs
-    }
-
     /// Unrestricted adaptive virtual channels per directed link (0 on a
     /// deterministic fabric).
     pub fn adaptive_vcs(&self) -> u32 {
@@ -229,7 +224,7 @@ impl CubeFabric {
 
     /// The ring neighbour of `node` in dimension `dim` (`positive` picks the
     /// +1 or −1 direction; they coincide for `k = 2`).
-    pub fn ring_neighbor(&self, node: usize, dim: usize, positive: bool) -> usize {
+    fn ring_neighbor(&self, node: usize, dim: usize, positive: bool) -> usize {
         let k = self.torus.radix();
         let stride = k.pow(dim as u32);
         let coord = (node / stride) % k;
@@ -480,7 +475,7 @@ mod tests {
         let det = fabric(4, 2);
         let ad = adaptive_fabric(4, 2, 2);
         assert_eq!(det.adaptive_vcs(), 0);
-        assert_eq!((ad.escape_vcs(), ad.adaptive_vcs(), ad.virtual_channels()), (2, 2, 4));
+        assert_eq!((ad.escape_vcs, ad.adaptive_vcs(), ad.virtual_channels()), (2, 2, 4));
         assert_eq!(ad.num_channels(), 16 * 2 * 2 * 4 + 32);
 
         let hop = CubeHop { dimension: 0, direction: 1, node: NodeId::from_index(1) };
@@ -500,7 +495,7 @@ mod tests {
 
         // Hypercube: single-VC escape class, adaptive layered above it.
         let h = adaptive_fabric(2, 3, 1);
-        assert_eq!((h.escape_vcs(), h.adaptive_vcs()), (1, 1));
+        assert_eq!((h.escape_vcs, h.adaptive_vcs()), (1, 1));
         assert_eq!(h.num_channels(), 8 * 3 * 1 * 2 + 16);
     }
 
@@ -516,7 +511,7 @@ mod tests {
                 let it = ad.build_path(src, dst).unwrap();
                 for &ch in &it.channels {
                     if ch < ad.link_channels {
-                        assert!(ch % vcs < ad.escape_vcs(), "{src}->{dst} left the escape class");
+                        assert!(ch % vcs < ad.escape_vcs, "{src}->{dst} left the escape class");
                     }
                 }
             }

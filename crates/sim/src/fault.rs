@@ -134,7 +134,7 @@ impl FaultPlan {
     /// Default base retransmission delay.
     pub const DEFAULT_RETRY_BASE: f64 = 50.0;
     /// Default time-series bucket width.
-    pub const DEFAULT_WINDOW: f64 = 1000.0;
+    const DEFAULT_WINDOW: f64 = 1000.0;
 
     /// A plan with the given events and default retry policy.
     pub fn new(events: Vec<FaultEvent>) -> Self {

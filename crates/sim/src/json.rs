@@ -125,14 +125,6 @@ impl Json {
         self.as_u64().and_then(|v| usize::try_from(v).ok())
     }
 
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Renders the value as a compact single-line document.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
@@ -462,7 +454,7 @@ mod tests {
         let obj = v.as_object().unwrap();
         assert_eq!(obj["a"].as_array().unwrap().len(), 3);
         assert_eq!(obj["c"].as_str().unwrap(), "x\ny");
-        assert_eq!(obj["d"].as_bool(), Some(true));
+        assert_eq!(obj["d"], Json::Bool(true));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   m-port n-tree fabric described above, and
 //! * the **cube backend** ([`cube::CubeFabric`]) — a k-ary n-cube (torus) with
 //!   dimension-order routing and Dally–Seitz dateline virtual channels, the
-//!   direct-network family of the paper's analytical lineage (its refs [6]–[9]).
+//!   direct-network family of the paper's analytical lineage (its refs \[6\]–\[9\]).
 //!
 //! Both backends are driven through one declarative entry point: a
 //! [`scenario::Scenario`] composes a fabric ([`scenario::Fabric::Tree`] or

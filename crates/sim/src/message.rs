@@ -135,13 +135,6 @@ impl MessageState {
         self.acquired as usize == self.route.len()
     }
 
-    /// The channels currently held by the worm (all acquired channels, since channels
-    /// are only released when the tail arrives).
-    #[inline]
-    pub fn held_channels<'p>(&self, path: &'p [GlobalChannelId]) -> &'p [GlobalChannelId] {
-        &path[..self.acquired as usize]
-    }
-
     /// Tail-to-tail latency given the delivery instant. The delivery time is not
     /// stored on the record — it is only ever known at the `TailArrived` event,
     /// where the latency goes straight into the statistics and the record dies.
@@ -303,11 +296,9 @@ mod tests {
         assert!(!m.header_delivered());
         assert_eq!(m.advance(&path), path[0]);
         assert_eq!(m.next_channel(&path), Some(path[1]));
-        assert_eq!(m.held_channels(&path), &path[..1]);
         m.advance(&path);
         assert!(m.header_delivered());
         assert_eq!(m.next_channel(&path), None);
-        assert_eq!(m.held_channels(&path), &path[..]);
     }
 
     #[test]

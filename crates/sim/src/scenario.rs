@@ -279,16 +279,12 @@ impl Scenario {
     ///
     /// Saturation surfaces as the typed [`SimError::ModelSaturated`] — the
     /// analytical counterpart of a simulation exhausting its event budget.
+    ///
+    /// The model runs at its default interpretation options, except that the
+    /// scenario's routing policy sets the torus-routing knob, so an adaptive
+    /// spec evaluates through the adaptive-load model.
     pub fn evaluate(&self) -> Result<ModelReport> {
-        self.evaluate_with_options(ModelOptions::default())
-    }
-
-    /// [`Scenario::evaluate`] with explicit model-interpretation options.
-    /// The scenario's routing policy overrides the options' torus-routing
-    /// knob, so an adaptive spec evaluates through the adaptive-load model
-    /// without the caller restating the policy.
-    pub fn evaluate_with_options(&self, options: ModelOptions) -> Result<ModelReport> {
-        Ok(self.model_backend().evaluate(&self.model_traffic()?, self.model_options(options))?)
+        Ok(self.model_backend().evaluate(&self.model_traffic()?, self.model_options())?)
     }
 
     /// The traffic point the analytical model evaluates: the configured point
@@ -316,11 +312,12 @@ impl Scenario {
         Ok(self.source.effective_rate(rate, self.fabric.total_nodes())? / rate)
     }
 
-    /// Maps the scenario's routing policy onto the analytical model's knobs.
-    /// Randomized up*/down* routing needs no mapping: it redistributes load
-    /// across symmetric channels of the same networks, which the tree model's
-    /// network-mean rates already describe.
-    fn model_options(&self, base: ModelOptions) -> ModelOptions {
+    /// The model's default options with the scenario's routing policy mapped
+    /// onto its knobs. Randomized up*/down* routing needs no mapping: it
+    /// redistributes load across symmetric channels of the same networks,
+    /// which the tree model's network-mean rates already describe.
+    fn model_options(&self) -> ModelOptions {
+        let base = ModelOptions::default();
         match self.routing {
             RoutingPolicy::AdaptiveTorus { adaptive_vcs } => {
                 base.with_adaptive_torus(adaptive_vcs as usize)
@@ -337,7 +334,7 @@ impl Scenario {
     pub fn find_saturation_rate(&self, tolerance: f64) -> Result<f64> {
         let saturation = self.model_backend().find_saturation_rate(
             &self.traffic,
-            self.model_options(ModelOptions::default()),
+            self.model_options(),
             tolerance,
         )?;
         // The search runs on the model's (effective-rate) axis; report the
@@ -370,7 +367,7 @@ impl Scenario {
         let reports = self.model_backend().evaluate_batch(
             &self.traffic,
             model_rates,
-            self.model_options(ModelOptions::default()),
+            self.model_options(),
         )?;
         Ok(reports.into_iter().map(|r| r.map_err(SimError::from)).collect())
     }
@@ -1226,7 +1223,7 @@ pub fn sim_report_json(r: &SimReport) -> Json {
 }
 
 /// Renders a [`ReplicatedReport`] as a JSON tree.
-pub fn replicated_report_json(r: &ReplicatedReport) -> Json {
+fn replicated_report_json(r: &ReplicatedReport) -> Json {
     object([
         ("mean_latency", Json::Number(r.mean_latency)),
         ("halfwidth_95", opt_f64(r.halfwidth_95)),

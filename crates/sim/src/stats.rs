@@ -301,11 +301,6 @@ impl SimStats {
         self.dropped
     }
 
-    /// Number of dropped messages that fell in the measurement window.
-    pub fn dropped_measured(&self) -> u64 {
-        self.dropped_measured
-    }
-
     /// Mean of latency-per-attempt over the measured deliveries. Equals the
     /// mean latency on a fault-free run (every message uses one attempt).
     pub fn mean_attempt_latency(&self) -> f64 {
@@ -369,11 +364,6 @@ impl SimStats {
         };
         ClassSummary { count: s.count(), mean: s.mean(), std_dev: s.std_dev() }
     }
-
-    /// The underlying running statistics of all measured latencies.
-    pub fn latency_stats(&self) -> &RunningStats {
-        &self.latency
-    }
 }
 
 #[cfg(test)]
@@ -421,7 +411,7 @@ mod tests {
         assert!(s.latency_quantile(0.5).unwrap() >= 490.0);
         assert!(s.latency_std_error() > 0.0);
         assert!(s.latency_std_dev() > 0.0);
-        assert_eq!(s.latency_stats().count(), 1000);
+        assert_eq!(s.latency.count(), 1000);
     }
 
     #[test]
@@ -467,7 +457,7 @@ mod tests {
         s.record_drop(MessageClass::Intra, false, 6.0);
         assert_eq!(s.retransmits(), 2);
         assert_eq!(s.dropped(), 2);
-        assert_eq!(s.dropped_measured(), 1);
+        assert_eq!(s.dropped_measured, 1);
         // Attempt latency averages latency / attempts over measured deliveries.
         s.record_delivery(Delivery {
             gen_id: 0,

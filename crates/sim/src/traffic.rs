@@ -6,7 +6,7 @@
 //! only (the paper lists non-uniform traffic as future work).
 
 use crate::{Result, SimError};
-use mcnet_system::{MultiClusterSystem, TorusSystem, TrafficConfig, TrafficPattern};
+use mcnet_system::{MultiClusterSystem, TrafficConfig, TrafficPattern};
 use rand::Rng;
 
 /// The paper's stationary Poisson source: exponential inter-arrival times and
@@ -40,14 +40,6 @@ impl Poisson {
                 (r.start, r.end)
             })
             .collect()
-    }
-
-    /// Creates a source for a torus system. The cluster-relative patterns map
-    /// onto the torus's dimension-0 sub-ring neighborhoods: uniform and
-    /// hot-spot traffic carry over directly, and `LocalFavoring` keeps messages
-    /// inside the source's sub-ring.
-    pub fn for_torus(torus: &TorusSystem, traffic: &TrafficConfig) -> Result<Self> {
-        Self::from_parts(traffic, torus.total_nodes(), torus.neighborhood_ranges())
     }
 
     /// Shared constructor over an arbitrary contiguous node partition.
@@ -242,7 +234,8 @@ mod tests {
             .unwrap()
             .with_pattern(TrafficPattern::LocalFavoring { locality: 0.8 })
             .unwrap();
-        let src = Poisson::for_torus(&torus, &traffic).unwrap();
+        let src = Poisson::from_parts(&traffic, torus.total_nodes(), torus.neighborhood_ranges())
+            .unwrap();
         let mut rng = SmallRng::seed_from_u64(11);
         // Node 5 lives in sub-ring 1 (nodes 4..8).
         let samples = 20_000;
@@ -261,7 +254,9 @@ mod tests {
             .unwrap()
             .with_pattern(TrafficPattern::Hotspot { hotspot: 100, fraction: 0.1 })
             .unwrap();
-        assert!(Poisson::for_torus(&torus, &bad).is_err());
+        assert!(
+            Poisson::from_parts(&bad, torus.total_nodes(), torus.neighborhood_ranges()).is_err()
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`TrafficSource`] trait — the next arrival *time* of a node plus the
 //! destination of the message it emits — with four implementations:
 //!
-//! * [`Poisson`](crate::traffic::Poisson) — the paper's process, extracted
+//! * [`Poisson`] — the paper's process, extracted
 //!   unchanged. Runs through the trait are bit-identical to the legacy inline
 //!   sampler (pinned by test and by the frozen golden digests).
 //! * [`OnOff`] — a two-state Markov-modulated Poisson process (an interrupted

@@ -81,22 +81,6 @@ impl MultiClusterSystem {
         Ok(MultiClusterSystem { clusters, technology, icn2_levels, offsets })
     }
 
-    /// Builds a system with an explicit ICN2 level count (it must still be able to host
-    /// all clusters).
-    pub fn with_icn2_levels(
-        clusters: Vec<ClusterSpec>,
-        technology: NetworkTechnology,
-        icn2_levels: usize,
-    ) -> Result<Self> {
-        let mut sys = Self::with_technology(clusters, technology)?;
-        let capacity = 2 * (sys.ports() / 2).pow(icn2_levels as u32);
-        if capacity < sys.num_clusters() || icn2_levels == 0 {
-            return Err(SystemError::Icn2TooSmall { clusters: sys.num_clusters(), capacity });
-        }
-        sys.icn2_levels = icn2_levels;
-        Ok(sys)
-    }
-
     /// Switch port count `m` shared by every network of the system.
     pub fn ports(&self) -> usize {
         self.clusters[0].ports
@@ -164,15 +148,6 @@ impl MultiClusterSystem {
         self.clusters.windows(2).all(|w| w[0].levels == w[1].levels)
     }
 
-    /// Global index of a node given its cluster and local index.
-    pub fn global_index(&self, node: GlobalNodeId) -> Result<usize> {
-        let nodes = self.cluster_nodes(node.cluster)?;
-        if node.local >= nodes {
-            return Err(SystemError::NodeOutOfRange { node: node.local, num_nodes: nodes });
-        }
-        Ok(self.offsets[node.cluster] + node.local)
-    }
-
     /// Cluster and local index of a node given its global index.
     pub fn locate(&self, global: usize) -> Result<GlobalNodeId> {
         if global >= self.total_nodes() {
@@ -238,10 +213,9 @@ mod tests {
         let sys = small_system();
         for global in 0..sys.total_nodes() {
             let loc = sys.locate(global).unwrap();
-            assert_eq!(sys.global_index(loc).unwrap(), global);
+            assert_eq!(sys.node_range(loc.cluster).unwrap().start + loc.local, global);
         }
         assert!(sys.locate(sys.total_nodes()).is_err());
-        assert!(sys.global_index(GlobalNodeId { cluster: 0, local: 99 }).is_err());
         assert_eq!(sys.locate(0).unwrap(), GlobalNodeId { cluster: 0, local: 0 });
         assert_eq!(sys.locate(4).unwrap(), GlobalNodeId { cluster: 1, local: 0 });
         assert_eq!(sys.locate(27).unwrap(), GlobalNodeId { cluster: 2, local: 15 });
@@ -275,24 +249,6 @@ mod tests {
         let sys = MultiClusterSystem::new(clusters).unwrap();
         assert_eq!(sys.icn2_levels(), 2);
         assert_eq!(sys.icn2_capacity(), 32);
-    }
-
-    #[test]
-    fn explicit_icn2_levels() {
-        let clusters = vec![ClusterSpec::new(4, 1).unwrap(); 4];
-        let sys = MultiClusterSystem::with_icn2_levels(
-            clusters.clone(),
-            NetworkTechnology::paper_default(),
-            3,
-        )
-        .unwrap();
-        assert_eq!(sys.icn2_levels(), 3);
-        assert!(MultiClusterSystem::with_icn2_levels(
-            clusters,
-            NetworkTechnology::paper_default(),
-            0
-        )
-        .is_err());
     }
 
     #[test]

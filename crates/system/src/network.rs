@@ -42,15 +42,6 @@ impl NetworkTechnology {
         Ok(NetworkTechnology { alpha_net, alpha_sw, beta_net })
     }
 
-    /// Creates a technology descriptor from a bandwidth (bytes per time unit) instead
-    /// of a per-byte time.
-    pub fn from_bandwidth(alpha_net: f64, alpha_sw: f64, bandwidth: f64) -> Result<Self> {
-        if !(bandwidth.is_finite() && bandwidth > 0.0) {
-            return Err(SystemError::InvalidParameter { name: "bandwidth", value: bandwidth });
-        }
-        Self::new(alpha_net, alpha_sw, 1.0 / bandwidth)
-    }
-
     /// The parameters used throughout the paper's validation section: bandwidth
     /// 500 bytes/time-unit, `α_net = 0.02`, `α_sw = 0.01`.
     pub fn paper_default() -> Self {
@@ -105,15 +96,6 @@ mod tests {
         // L_m = 512 bytes: t_cn = 0.532, t_cs = 1.034.
         assert!((t.node_channel_time(512.0) - 0.532).abs() < 1e-12);
         assert!((t.switch_channel_time(512.0) - 1.034).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_bandwidth_matches_inverse_beta() {
-        let a = NetworkTechnology::from_bandwidth(0.02, 0.01, 500.0).unwrap();
-        let b = NetworkTechnology::paper_default();
-        assert!((a.beta_net - b.beta_net).abs() < 1e-15);
-        assert!(NetworkTechnology::from_bandwidth(0.02, 0.01, 0.0).is_err());
-        assert!(NetworkTechnology::from_bandwidth(0.02, 0.01, -5.0).is_err());
     }
 
     #[test]

@@ -2,28 +2,28 @@
 //!
 //! Every figure of the paper plots mean message latency against the offered traffic
 //! `λ_g`, swept from zero up to (just past) the saturation point of the configuration.
-//! [`TrafficSweep`] produces those rate grids, and [`FigureSweep`] bundles the exact
-//! axis ranges the paper uses for Figs. 3 and 4 together with the message geometry.
+//! [`FigureSweep`] bundles the exact axis ranges the paper uses for Figs. 3 and 4
+//! together with the message geometry, and produces their rate grids.
 
 use crate::traffic::TrafficConfig;
 use crate::{Result, SystemError};
 use serde::{Deserialize, Serialize};
 
 /// A linear sweep of message-generation rates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TrafficSweep {
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TrafficSweep {
     /// Lowest rate of the sweep (inclusive); must be positive because a zero rate
     /// produces no traffic and therefore no measurable latency.
-    pub min_rate: f64,
+    min_rate: f64,
     /// Highest rate of the sweep (inclusive).
-    pub max_rate: f64,
+    max_rate: f64,
     /// Number of points (≥ 2).
-    pub points: usize,
+    points: usize,
 }
 
 impl TrafficSweep {
     /// Creates a sweep after validating its parameters.
-    pub fn new(min_rate: f64, max_rate: f64, points: usize) -> Result<Self> {
+    fn new(min_rate: f64, max_rate: f64, points: usize) -> Result<Self> {
         if !(min_rate.is_finite() && min_rate > 0.0) {
             return Err(SystemError::InvalidParameter { name: "min_rate", value: min_rate });
         }
@@ -38,7 +38,7 @@ impl TrafficSweep {
 
     /// A sweep from `max/points` to `max` in equal steps — the shape of the paper's
     /// figure x-axes (which start just above zero and end at the saturation region).
-    pub fn up_to(max_rate: f64, points: usize) -> Result<Self> {
+    fn up_to(max_rate: f64, points: usize) -> Result<Self> {
         if !(max_rate.is_finite() && max_rate > 0.0) {
             return Err(SystemError::InvalidParameter { name: "max_rate", value: max_rate });
         }
@@ -49,7 +49,7 @@ impl TrafficSweep {
     }
 
     /// The rate values of the sweep.
-    pub fn rates(&self) -> Vec<f64> {
+    fn rates(&self) -> Vec<f64> {
         let step = if self.points == 1 {
             0.0
         } else {
@@ -59,7 +59,7 @@ impl TrafficSweep {
     }
 
     /// The corresponding traffic configurations for a given message geometry.
-    pub fn configs(&self, message_flits: usize, flit_bytes: f64) -> Result<Vec<TrafficConfig>> {
+    fn configs(&self, message_flits: usize, flit_bytes: f64) -> Result<Vec<TrafficConfig>> {
         materialize_rates(
             &TrafficConfig::uniform(message_flits, flit_bytes, self.min_rate)?,
             &self.rates(),
@@ -69,9 +69,9 @@ impl TrafficSweep {
 
 /// The one shared rate→[`TrafficConfig`] materializer: stamps every rate of a
 /// sweep onto a template configuration, keeping the template's geometry and
-/// destination pattern. [`TrafficSweep::configs`], [`FigureSweep::configs`]
-/// (via `TrafficSweep`) and the simulator's `Scenario::sweep` all route through
-/// this function, so a rate grid means the same thing everywhere.
+/// destination pattern. [`FigureSweep::configs`] and the simulator's
+/// `Scenario::sweep` both route through this function, so a rate grid means the
+/// same thing everywhere.
 pub fn materialize_rates(template: &TrafficConfig, rates: &[f64]) -> Result<Vec<TrafficConfig>> {
     rates.iter().map(|&r| template.with_rate(r)).collect()
 }

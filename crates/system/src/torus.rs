@@ -1,6 +1,6 @@
 //! The k-ary n-cube (torus) system description.
 //!
-//! The paper's analytical lineage (its references [6]–[9]: Draper & Ghosh,
+//! The paper's analytical lineage (its references \[6\]–\[9\]: Draper & Ghosh,
 //! Ould-Khaoua, Sarbazi-Azad et al.) models wormhole routing in k-ary n-cubes.
 //! [`TorusSystem`] is the configuration-layer counterpart of
 //! [`crate::MultiClusterSystem`] for that direct-network family: radix `k`,
@@ -76,16 +76,6 @@ impl TorusSystem {
         self.num_nodes
     }
 
-    /// Number of unidirectional physical router↔router links: `2n` per node
-    /// (`n` per node for `k = 2`, where the two ring directions coincide).
-    pub fn num_link_channels(&self) -> usize {
-        if self.radix == 2 {
-            self.num_nodes * self.dimensions
-        } else {
-            self.num_nodes * 2 * self.dimensions
-        }
-    }
-
     /// The shared network-technology parameters.
     pub fn technology(&self) -> &NetworkTechnology {
         &self.technology
@@ -95,11 +85,6 @@ impl TorusSystem {
     /// analogue of the cluster count.
     pub fn num_neighborhoods(&self) -> usize {
         self.num_nodes / self.radix
-    }
-
-    /// Nodes per neighborhood (`k`, one full dimension-0 ring).
-    pub fn neighborhood_size(&self) -> usize {
-        self.radix
     }
 
     /// The sub-ring neighborhood a node belongs to.
@@ -135,11 +120,7 @@ mod tests {
         assert_eq!(t.radix(), 4);
         assert_eq!(t.dimensions(), 3);
         assert_eq!(t.total_nodes(), 64);
-        assert_eq!(t.num_link_channels(), 64 * 6);
         assert_eq!(t.num_neighborhoods(), 16);
-        assert_eq!(t.neighborhood_size(), 4);
-        let hypercube = TorusSystem::new(2, 4).unwrap();
-        assert_eq!(hypercube.num_link_channels(), 16 * 4);
     }
 
     #[test]

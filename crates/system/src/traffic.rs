@@ -120,32 +120,11 @@ impl TrafficConfig {
         }
         self.pattern.validate()
     }
-
-    /// Total message size in bytes, `M · L_m`.
-    pub fn message_bytes(&self) -> f64 {
-        self.message_flits as f64 * self.flit_bytes
-    }
-
-    /// Offered load in bytes per time unit per node.
-    pub fn offered_bytes_per_node(&self) -> f64 {
-        self.generation_rate * self.message_bytes()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_message_geometries() {
-        // M = 32 flits, L_m = 256 bytes: 8 KiB messages.
-        let t = TrafficConfig::uniform(32, 256.0, 1e-4).unwrap();
-        assert_eq!(t.message_bytes(), 8192.0);
-        assert!((t.offered_bytes_per_node() - 0.8192).abs() < 1e-12);
-        // M = 64 flits, L_m = 512 bytes: 32 KiB messages.
-        let t = TrafficConfig::uniform(64, 512.0, 1e-4).unwrap();
-        assert_eq!(t.message_bytes(), 32768.0);
-    }
 
     #[test]
     fn with_rate_keeps_geometry() {
@@ -182,6 +161,6 @@ mod tests {
     fn zero_rate_is_allowed() {
         // A zero generation rate is a legitimate "no load" configuration.
         let t = TrafficConfig::uniform(32, 256.0, 0.0).unwrap();
-        assert_eq!(t.offered_bytes_per_node(), 0.0);
+        assert_eq!(t.generation_rate, 0.0);
     }
 }

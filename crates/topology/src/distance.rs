@@ -48,14 +48,14 @@ impl HopDistribution {
     /// Builds the paper's Eq. (4) distribution for an m-port n-tree.
     ///
     /// # Panics
-    /// Panics if `m` is odd, `m < 2` or `n == 0`; use [`HopDistribution::try_paper`]
-    /// for a fallible constructor.
+    /// Panics if `m` is odd, `m < 2` or `n == 0`; [`HopDistribution::with_model`]
+    /// with [`HopModel::PaperEq4`] is the fallible constructor.
     pub fn paper(m: usize, n: usize) -> Self {
         Self::try_paper(m, n).expect("invalid m-port n-tree parameters")
     }
 
     /// Fallible variant of [`HopDistribution::paper`].
-    pub fn try_paper(m: usize, n: usize) -> Result<Self> {
+    fn try_paper(m: usize, n: usize) -> Result<Self> {
         validate(m, n)?;
         let k = m / 2;
         let nodes = 2.0 * (k as f64).powi(n as i32);
@@ -169,27 +169,6 @@ impl HopDistribution {
     pub fn average_distance(&self) -> f64 {
         self.probs.iter().enumerate().map(|(idx, p)| 2.0 * (idx + 1) as f64 * p).sum()
     }
-
-    /// Average number of ascending links, `Σ_j j · P_{j,n}` (half of
-    /// [`HopDistribution::average_distance`]).
-    pub fn average_ascending_links(&self) -> f64 {
-        self.average_distance() / 2.0
-    }
-
-    /// Closed-form average distance of the paper's Eq. (9), which the paper obtains by
-    /// substituting Eq. (4) into Eq. (8):
-    ///
-    /// ```text
-    /// d_avg = [2n(m/2)^n − (m/2)^{n−1}(2n − 2) − 2] / [(m/2)^n − 1 + (m/2)^{n−1}(m/2 − 1)/… ]
-    /// ```
-    ///
-    /// The printed form of Eq. (9) in the proceedings is typographically mangled, so we
-    /// expose the symbolic summation of Eq. (8) over Eq. (4) instead (this is exactly
-    /// what Eq. (9) evaluates to); the associated unit test pins it against the direct
-    /// numerical summation.
-    pub fn paper_closed_form_average(m: usize, n: usize) -> Result<f64> {
-        Ok(Self::try_paper(m, n)?.average_distance())
-    }
 }
 
 fn validate(m: usize, n: usize) -> Result<()> {
@@ -294,15 +273,6 @@ mod tests {
                 assert!((paper.probability(j) - 2.0 * exact.probability(j)).abs() < 1e-12);
             }
             assert!(paper.average_distance() < exact.average_distance());
-        }
-    }
-
-    #[test]
-    fn closed_form_matches_summation() {
-        for &(m, n) in CONFIGS {
-            let direct = HopDistribution::paper(m, n).average_distance();
-            let closed = HopDistribution::paper_closed_form_average(m, n).unwrap();
-            assert!((direct - closed).abs() < 1e-12);
         }
     }
 

@@ -51,10 +51,7 @@ impl ChannelId {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NetworkGraph {
     channels: Vec<Channel>,
-    /// For each node, the channel ids of its outgoing (injection) channels.
-    node_out: Vec<Vec<ChannelId>>,
-    /// For each node, the channel ids of its incoming (ejection) channels.
-    node_in: Vec<Vec<ChannelId>>,
+    num_nodes: usize,
     /// For each switch, outgoing channels indexed by port.
     switch_out: Vec<Vec<Option<ChannelId>>>,
     /// For each switch, incoming channels indexed by port.
@@ -68,8 +65,7 @@ impl NetworkGraph {
     pub fn new(num_nodes: usize, num_switches: usize, ports_per_switch: usize) -> Self {
         NetworkGraph {
             channels: Vec::new(),
-            node_out: vec![Vec::new(); num_nodes],
-            node_in: vec![Vec::new(); num_nodes],
+            num_nodes,
             switch_out: vec![vec![None; ports_per_switch]; num_switches],
             switch_in: vec![vec![None; ports_per_switch]; num_switches],
             ports_per_switch,
@@ -79,19 +75,13 @@ impl NetworkGraph {
     /// Number of processing nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.node_out.len()
+        self.num_nodes
     }
 
     /// Number of switches.
     #[inline]
     pub fn num_switches(&self) -> usize {
         self.switch_out.len()
-    }
-
-    /// Number of ports per switch.
-    #[inline]
-    pub fn ports_per_switch(&self) -> usize {
-        self.ports_per_switch
     }
 
     /// Number of unidirectional channels.
@@ -113,25 +103,19 @@ impl NetworkGraph {
 
     fn push_channel(&mut self, ch: Channel) -> ChannelId {
         let id = ChannelId(u32::try_from(self.channels.len()).expect("too many channels"));
-        match ch.from {
-            Endpoint::Node(n) => self.node_out[n.index()].push(id),
-            Endpoint::SwitchPort(s, p) => {
-                debug_assert!(
-                    self.switch_out[s.index()][p.index()].is_none(),
-                    "output port {p:?} of switch {s:?} wired twice"
-                );
-                self.switch_out[s.index()][p.index()] = Some(id);
-            }
+        if let Endpoint::SwitchPort(s, p) = ch.from {
+            debug_assert!(
+                self.switch_out[s.index()][p.index()].is_none(),
+                "output port {p:?} of switch {s:?} wired twice"
+            );
+            self.switch_out[s.index()][p.index()] = Some(id);
         }
-        match ch.to {
-            Endpoint::Node(n) => self.node_in[n.index()].push(id),
-            Endpoint::SwitchPort(s, p) => {
-                debug_assert!(
-                    self.switch_in[s.index()][p.index()].is_none(),
-                    "input port {p:?} of switch {s:?} wired twice"
-                );
-                self.switch_in[s.index()][p.index()] = Some(id);
-            }
+        if let Endpoint::SwitchPort(s, p) = ch.to {
+            debug_assert!(
+                self.switch_in[s.index()][p.index()].is_none(),
+                "input port {p:?} of switch {s:?} wired twice"
+            );
+            self.switch_in[s.index()][p.index()] = Some(id);
         }
         self.channels.push(ch);
         id
@@ -183,40 +167,6 @@ impl NetworkGraph {
         (up, down)
     }
 
-    /// Outgoing (injection) channels of a node.
-    #[inline]
-    pub fn node_out_channels(&self, node: NodeId) -> &[ChannelId] {
-        &self.node_out[node.index()]
-    }
-
-    /// Incoming (ejection) channels of a node.
-    #[inline]
-    pub fn node_in_channels(&self, node: NodeId) -> &[ChannelId] {
-        &self.node_in[node.index()]
-    }
-
-    /// The outgoing channel attached to an output port, if wired.
-    #[inline]
-    pub fn switch_out_channel(&self, switch: SwitchId, port: PortId) -> Option<ChannelId> {
-        self.switch_out[switch.index()][port.index()]
-    }
-
-    /// The incoming channel attached to an input port, if wired.
-    #[inline]
-    pub fn switch_in_channel(&self, switch: SwitchId, port: PortId) -> Option<ChannelId> {
-        self.switch_in[switch.index()][port.index()]
-    }
-
-    /// All wired outgoing channels of a switch.
-    pub fn switch_out_channels(&self, switch: SwitchId) -> impl Iterator<Item = ChannelId> + '_ {
-        self.switch_out[switch.index()].iter().flatten().copied()
-    }
-
-    /// All wired incoming channels of a switch.
-    pub fn switch_in_channels(&self, switch: SwitchId) -> impl Iterator<Item = ChannelId> + '_ {
-        self.switch_in[switch.index()].iter().flatten().copied()
-    }
-
     /// Number of wired (used) ports of a switch, counting a port as used if either its
     /// input or output direction is wired.
     pub fn used_ports(&self, switch: SwitchId) -> usize {
@@ -255,8 +205,6 @@ mod tests {
         assert_eq!(g.num_switches(), 2);
         assert_eq!(g.num_channels(), 6);
         assert_eq!(g.channel_counts(), (4, 2));
-        assert_eq!(g.node_out_channels(NodeId(0)).len(), 1);
-        assert_eq!(g.node_in_channels(NodeId(0)).len(), 1);
         assert_eq!(g.used_ports(SwitchId(0)), 3);
         assert_eq!(g.used_ports(SwitchId(1)), 1);
     }
@@ -276,17 +224,6 @@ mod tests {
                 _ => panic!("node-to-node channels must not exist"),
             }
         }
-    }
-
-    #[test]
-    fn switch_port_lookup() {
-        let g = tiny_graph();
-        let up = g.switch_out_channel(SwitchId(0), PortId(2)).unwrap();
-        assert_eq!(g.channel(up).kind, ChannelKind::SwitchSwitch);
-        assert_eq!(g.channel(up).to, Endpoint::SwitchPort(SwitchId(1), PortId(0)));
-        assert!(g.switch_out_channel(SwitchId(0), PortId(3)).is_none());
-        assert_eq!(g.switch_out_channels(SwitchId(0)).count(), 3);
-        assert_eq!(g.switch_in_channels(SwitchId(1)).count(), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! k-ary n-cube topology (torus) with deterministic dimension-order routing.
 //!
-//! The analytical-modeling lineage the paper builds on (its references [6]–[9]: Draper
+//! The analytical-modeling lineage the paper builds on (its references \[6\]–\[9\]: Draper
 //! & Ghosh, Ould-Khaoua, Sarbazi-Azad et al.) studies wormhole routing in k-ary
 //! n-cubes. This module implements that topology so the benchmark suite can contrast
 //! the fat-tree-based multi-cluster model with the classic direct-network setting, and

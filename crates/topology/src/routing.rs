@@ -1,7 +1,7 @@
 //! Deterministic nearest-common-ancestor (NCA) routing for the m-port n-tree.
 //!
 //! The paper adopts a deterministic routing algorithm derived from Up*/Down* routing
-//! (its reference [18]): every message first *ascends* from the source node towards the
+//! (its reference \[18\]): every message first *ascends* from the source node towards the
 //! nearest common ancestor of source and destination, then *descends* to the
 //! destination. Because the m-port n-tree has full bisection bandwidth and the
 //! algorithm spreads ascending traffic by destination digits, the paper argues that
@@ -50,17 +50,6 @@ impl Path {
     #[inline]
     pub fn num_switches(&self) -> usize {
         self.switches.len()
-    }
-
-    /// The highest switch on the path (the NCA for full routes, the root for partial
-    /// ascending routes).
-    #[inline]
-    pub fn apex(&self) -> Option<SwitchId> {
-        if self.switches.is_empty() {
-            None
-        } else {
-            Some(self.switches[self.ascending_links.saturating_sub(1).min(self.switches.len() - 1)])
-        }
     }
 }
 
@@ -503,8 +492,7 @@ mod tests {
         let dst = NodeId::from_index(tree.num_nodes() - 1);
         let path = router.route(NodeId(0), dst).unwrap();
         assert_eq!(path.ascending_links, tree.levels());
-        let apex = path.apex().unwrap();
-        assert!(tree.is_root(apex));
+        assert!(tree.is_root(path.switches[path.ascending_links - 1]));
     }
 
     #[test]
@@ -723,7 +711,7 @@ mod tests {
             for dst in tree.nodes().filter(|&d| d != src) {
                 let path = router.route(src, dst).unwrap();
                 if path.ascending_links == tree.levels() {
-                    counts[path.apex().unwrap().index()] += 1;
+                    counts[path.switches[path.ascending_links - 1].index()] += 1;
                 }
             }
         }

@@ -50,25 +50,6 @@ pub struct NodeAddress {
     pub digits: Vec<u8>,
 }
 
-/// The address of a switch.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SwitchAddress {
-    /// A root switch (level `n-1`), shared between the two halves.
-    Root {
-        /// Word `w_0 … w_{n-2}` (least significant first), each digit in `0..k`.
-        word: Vec<u8>,
-    },
-    /// An inner switch of one half at level `level < n-1`.
-    Inner {
-        /// Which half-tree the switch belongs to (0 or 1).
-        half: u8,
-        /// Tree level, `0` = leaf level.
-        level: u8,
-        /// Word `w_0 … w_{n-2}` (least significant first), each digit in `0..k`.
-        word: Vec<u8>,
-    },
-}
-
 /// An m-port n-tree topology instance.
 ///
 /// The struct owns the explicit [`NetworkGraph`] plus the routing caches (per-switch
@@ -106,7 +87,7 @@ impl MPortNTree {
     }
 
     /// Number of switches of an m-port n-tree (paper Eq. 2) without building it.
-    pub fn switch_count(m: usize, n: usize) -> usize {
+    fn switch_count(m: usize, n: usize) -> usize {
         (2 * n - 1) * upow(m / 2, (n - 1) as u32)
     }
 
@@ -335,45 +316,6 @@ impl MPortNTree {
         Ok(Self::decode_node(node.index(), self.k, self.n))
     }
 
-    /// Encodes a node address back into its dense id.
-    pub fn node_id(&self, addr: &NodeAddress) -> Result<NodeId> {
-        if addr.half > 1
-            || addr.digits.len() != self.n
-            || addr.digits.iter().any(|&d| d as usize >= self.k)
-        {
-            return Err(TopologyError::NodeOutOfRange {
-                node: NodeId(u32::MAX),
-                num_nodes: self.num_nodes,
-            });
-        }
-        let mut v = 0usize;
-        for (i, &d) in addr.digits.iter().enumerate() {
-            v += d as usize * upow(self.k, i as u32);
-        }
-        Ok(NodeId::from_index(addr.half as usize * upow(self.k, self.n as u32) + v))
-    }
-
-    /// Decodes a switch id into its address.
-    pub fn switch_address(&self, switch: SwitchId) -> Result<SwitchAddress> {
-        self.check_switch(switch)?;
-        let num_roots = self.num_roots();
-        let idx = switch.index();
-        if idx < num_roots {
-            Ok(SwitchAddress::Root { word: Self::decode_word(idx, self.k, self.n) })
-        } else {
-            let rel = idx - num_roots;
-            let group = rel / num_roots;
-            let word_value = rel % num_roots;
-            let half = (group / (self.n - 1)) as u8;
-            let level = (group % (self.n - 1)) as u8;
-            Ok(SwitchAddress::Inner {
-                half,
-                level,
-                word: Self::decode_word(word_value, self.k, self.n),
-            })
-        }
-    }
-
     /// Returns the number of ascending links `j` a message from `src` to `dst` crosses
     /// under nearest-common-ancestor routing (the full path has `2j` links).
     pub fn hop_count(&self, src: NodeId, dst: NodeId) -> Result<usize> {
@@ -530,7 +472,8 @@ mod tests {
         let tree = MPortNTree::new(4, 3).unwrap();
         for node in tree.nodes() {
             let addr = tree.node_address(node).unwrap();
-            assert_eq!(tree.node_id(&addr).unwrap(), node);
+            let value = addr.digits.iter().rev().fold(0, |v, &d| v * tree.arity() + d as usize);
+            assert_eq!(addr.half as usize * tree.num_nodes() / 2 + value, node.index());
             assert!(addr.half <= 1);
             assert_eq!(addr.digits.len(), 3);
             assert!(addr.digits.iter().all(|&d| (d as usize) < tree.arity()));
@@ -634,33 +577,6 @@ mod tests {
         assert!(tree.leaf_switch_of(bad).is_err());
         let bad_sw = SwitchId::from_index(tree.num_switches());
         assert!(tree.switch_level(bad_sw).is_err());
-        assert!(tree.switch_address(bad_sw).is_err());
-    }
-
-    #[test]
-    fn switch_addresses_decode_consistently() {
-        let tree = MPortNTree::new(4, 3).unwrap();
-        let mut roots = 0;
-        let mut inners = 0;
-        for sw in tree.switches() {
-            match tree.switch_address(sw).unwrap() {
-                SwitchAddress::Root { word } => {
-                    roots += 1;
-                    assert_eq!(word.len(), 2);
-                    assert!(tree.is_root(sw));
-                    assert_eq!(tree.switch_level(sw).unwrap(), Level(2));
-                }
-                SwitchAddress::Inner { half, level, word } => {
-                    inners += 1;
-                    assert!(half <= 1);
-                    assert!((level as usize) < tree.levels() - 1);
-                    assert_eq!(word.len(), 2);
-                    assert_eq!(tree.switch_level(sw).unwrap(), Level(level));
-                }
-            }
-        }
-        assert_eq!(roots, tree.num_roots());
-        assert_eq!(inners, tree.num_switches() - tree.num_roots());
     }
 
     #[test]

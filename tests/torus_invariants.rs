@@ -1,4 +1,4 @@
-//! Integration tests of the k-ary n-cube (torus) backend: route-interning
+//! Integration tests of the k-ary n-cube (torus) backend: route-composition
 //! equivalence against the topology-level router, fixed-seed determinism and
 //! engine invariants — the torus counterparts of `simulator_invariants.rs`.
 
@@ -27,7 +27,7 @@ fn run(torus: &TorusSystem, traffic: &TrafficConfig, cfg: &SimConfig) -> SimRepo
 }
 
 #[test]
-fn interned_routes_match_kary_ncube_routing_for_all_pairs() {
+fn composed_routes_match_kary_ncube_routing_for_all_pairs() {
     // For every (src, dst) pair of a small torus the RouteTable's composed
     // itinerary must equal the per-message computation channel-by-channel:
     // the injection channel, then exactly one link channel per
@@ -111,7 +111,7 @@ fn fixed_seed_torus_runs_are_bit_identical() {
 fn fixed_seed_torus_golden_values_are_pinned() {
     // Golden regression tripwire for the torus backend, pinned at its
     // introduction (the fabric-backend abstraction PR): any future change to
-    // channel numbering, VC selection, event scheduling or route interning
+    // channel numbering, VC selection, event scheduling or route composition
     // that alters torus results must consciously update these constants.
     // Swapping the future-event list's internals or compacting the message
     // lifecycle passes them unchanged — see the matching note in
