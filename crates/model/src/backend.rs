@@ -43,6 +43,14 @@ pub struct ModelReport {
     pub inter_latency: f64,
     /// Worst per-channel utilisation encountered anywhere in the model.
     pub max_channel_utilization: f64,
+    /// The largest concentrator/dispatcher (bridge) utilisation
+    /// `ρ = λ_I2^{(i,v)}·M·t_cs` that Eq. (33) charges, over every cluster
+    /// and the destination clusters it sends to (zero when the options
+    /// exclude the concentrators); `None` on the torus, which has no bridges
+    /// — the model-side counterpart of the simulator's
+    /// `SimReport::max_bridge_utilization`. Kept apart from
+    /// `max_channel_utilization`, which ranks channel loads only.
+    pub max_bridge_utilization: Option<f64>,
     /// The fabric-specific breakdown.
     pub detail: ModelDetail,
 }
@@ -72,6 +80,9 @@ impl ModelReport {
             intra_latency: report.mean_intra_latency(),
             inter_latency: report.mean_inter_latency(),
             max_channel_utilization: report.max_channel_utilization,
+            max_bridge_utilization: Some(
+                report.clusters.iter().map(|c| c.inter.max_bridge_utilization).fold(0.0, f64::max),
+            ),
             detail: ModelDetail::Tree(report),
         }
     }
@@ -83,6 +94,7 @@ impl ModelReport {
             intra_latency: report.intra,
             inter_latency: report.inter,
             max_channel_utilization: report.max_channel_utilization,
+            max_bridge_utilization: None,
             detail: ModelDetail::Torus(report),
         }
     }
@@ -279,6 +291,38 @@ mod tests {
         assert_eq!(unified.backend_kind(), "tree");
         assert!(matches!(unified.detail, ModelDetail::Tree(_)));
         assert_eq!(backend.total_nodes(), 544);
+    }
+
+    #[test]
+    fn tree_report_carries_the_largest_bridge_utilization() {
+        // Org B below its knee: the largest ρ = λ_I2·M·t_cs over every
+        // ordered cluster pair, computed by hand from the pair rates.
+        let system = organizations::table1_org_b();
+        let backend = ModelBackend::Tree(system.clone());
+        for rate in [5e-4, 6e-4] {
+            let traffic = TrafficConfig::uniform(32, 256.0, rate).unwrap();
+            let options = ModelOptions::default();
+            let rates = crate::rates::SystemRates::compute(&system, &traffic, &options).unwrap();
+            let service = traffic.message_flits as f64
+                * system.technology().switch_channel_time(traffic.flit_bytes);
+            let c = system.num_clusters();
+            let expected = (0..c)
+                .flat_map(|i| (0..c).filter(move |&v| v != i).map(move |v| (i, v)))
+                .map(|(i, v)| rates.pair(i, v).lambda_icn2 * service)
+                .fold(0.0, f64::max);
+            let report = backend.evaluate(&traffic, options).unwrap();
+            assert_eq!(report.max_bridge_utilization, Some(expected), "rate {rate}");
+            assert!(expected > 0.0 && expected < 1.0);
+            // Not folded into the channel figure the campaign screen ranks by.
+            assert_ne!(report.max_channel_utilization, expected);
+            // Excluding the concentrators charges no bridge.
+            let without = backend.evaluate(&traffic, options.without_concentrator()).unwrap();
+            assert_eq!(without.max_bridge_utilization, Some(0.0));
+        }
+        let torus = ModelBackend::Torus(TorusSystem::new(4, 2).unwrap());
+        let traffic = TrafficConfig::uniform(16, 256.0, 1e-3).unwrap();
+        let report = torus.evaluate(&traffic, ModelOptions::default()).unwrap();
+        assert_eq!(report.max_bridge_utilization, None);
     }
 
     #[test]

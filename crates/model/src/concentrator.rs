@@ -26,7 +26,7 @@ pub fn concentrator_waiting(lambda_icn2: f64, times: &ChannelTimes, cluster: usi
         });
     }
     let service = times.message_switch_time();
-    let rho = lambda_icn2 * service;
+    let rho = concentrator_utilization(lambda_icn2, times);
     if rho >= 1.0 {
         return Err(ModelError::Saturated {
             component: SaturatedComponent::Concentrator,
@@ -35,6 +35,12 @@ pub fn concentrator_waiting(lambda_icn2: f64, times: &ChannelTimes, cluster: usi
         });
     }
     Ok(lambda_icn2 * service * service / (2.0 * (1.0 - rho)))
+}
+
+/// Utilisation of one concentrator (or dispatcher) buffer for the ordered pair
+/// `(i, v)`, `ρ = λ_I2^{(i,v)}·M·t_cs` — the load of Eq. (33)'s M/D/1 queue.
+pub fn concentrator_utilization(lambda_icn2: f64, times: &ChannelTimes) -> f64 {
+    lambda_icn2 * times.message_switch_time()
 }
 
 /// Mean concentrator/dispatcher waiting time seen by external messages of cluster `i`

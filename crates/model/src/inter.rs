@@ -11,7 +11,7 @@
 use crate::concentrator;
 use crate::options::ModelOptions;
 use crate::rates::{HopCache, SystemRates};
-use crate::service::{self, ChannelTimes};
+use crate::service::{self, ChannelTimes, StageWalk};
 use crate::source_queue::{self, SourceQueueInput, SourceQueueKind};
 use crate::tail;
 use crate::Result;
@@ -37,6 +37,10 @@ pub struct InterClusterLatency {
     /// Worst per-channel utilisation seen by the service-time recursion over all
     /// destination clusters.
     pub max_channel_utilization: f64,
+    /// The largest concentrator/dispatcher utilisation `ρ = λ_I2^{(i,v)}·M·t_cs`
+    /// that Eq. (33) charges over the destination clusters this cluster sends
+    /// to; zero when the model options exclude the concentrators.
+    pub max_bridge_utilization: f64,
 }
 
 /// The per-destination quantities of one `(source, v)` journey.
@@ -47,42 +51,28 @@ struct PairLatency {
     tail: f64,
     concentrator: f64,
     max_utilization: f64,
+    bridge_utilization: f64,
 }
 
-/// The source side of a pair journey's bitwise input: what `pair_latency`
-/// reads from the source cluster alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SourceKey {
-    levels: usize,
-    per_node_ecn1_rate: u64,
+/// The pair journeys of one evaluation, one slot per ordered pair of rate
+/// classes (`SystemRates::rate_class`): pairs of one class pair are
+/// bit-identical, so heterogeneous organizations solve each once instead of
+/// once per ordered cluster pair (Org B: 9 for 240 pairs), and a lookup is an
+/// index. A slot is filled only on success, so the first failing pair is
+/// always computed (and reported) fresh.
+#[derive(Debug)]
+pub(crate) struct PairTable {
+    classes: usize,
+    slots: Vec<Option<PairLatency>>,
+    /// Scratch for `service::mean_inter_network_latency`.
+    walks: Vec<StageWalk>,
 }
 
-/// The rest of a pair journey's bitwise input: the destination's depth and the
-/// pair's channel rates. With the [`SourceKey`] it captures everything
-/// `pair_latency` reads besides the globals (hop cache, channel times,
-/// options), so two pairs with equal keys produce bit-identical `PairLatency`
-/// values — the cluster indices themselves only surface in error payloads,
-/// and an error aborts the whole evaluation at its first occurrence either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PairKey {
-    levels_dst: usize,
-    lambda_ecn1: u64,
-    lambda_icn2: u64,
-    eta_ecn1: u64,
-    eta_icn2: u64,
-}
-
-/// Memo of pair journeys keyed by their complete bitwise inputs:
-/// heterogeneous organizations repeat the same few (source class, destination
-/// class) journey shapes across the `C·(C−1)` ordered pairs, so each distinct
-/// shape is solved once per evaluation instead of once per pair (Org B: 9 for
-/// 240 pairs). Journeys are grouped by their source side, so a lookup scans at
-/// most the source classes plus one row of at most `C − 1` destinations —
-/// linear scans that beat hashing at these sizes and stay cheap even when no
-/// two clusters share a class.
-#[derive(Debug, Default)]
-pub(crate) struct PairJourneyMemo {
-    rows: Vec<(SourceKey, Vec<(PairKey, PairLatency)>)>,
+impl PairTable {
+    /// An empty table for `classes` rate classes.
+    pub(crate) fn new(classes: usize) -> Self {
+        PairTable { classes, slots: vec![None; classes * classes], walks: Vec::new() }
+    }
 }
 
 /// Computes the inter-cluster latency seen by messages originating in cluster `source`.
@@ -95,35 +85,25 @@ pub(crate) struct PairJourneyMemo {
 /// cluster's traffic are skipped entirely, so a saturated but unused pair
 /// journey cannot poison the average).
 ///
-/// Each distinct pair journey is solved once per memo. Errors are never
-/// cached, so the first failing pair is always computed (and reported) fresh.
+/// Each pair of rate classes is solved once per table.
 pub(crate) fn inter_cluster_latency(
     rates: &SystemRates,
     hops: &HopCache,
     source: usize,
     times: &ChannelTimes,
     options: &ModelOptions,
-    memo: &mut PairJourneyMemo,
+    table: &mut PairTable,
 ) -> Result<InterClusterLatency> {
     let num_clusters = rates.clusters().len();
     let weights = rates.destination_weights(source);
-    let src = rates.cluster(source);
-    let source_key =
-        SourceKey { levels: src.levels, per_node_ecn1_rate: src.per_node_ecn1_rate.to_bits() };
-    let row = match memo.rows.iter().position(|(k, _)| *k == source_key) {
-        Some(row) => row,
-        None => {
-            memo.rows.push((source_key, Vec::new()));
-            memo.rows.len() - 1
-        }
-    };
-    let journeys = &mut memo.rows[row].1;
+    let row = rates.rate_class(source) * table.classes;
 
     let mut network_sum = 0.0;
     let mut wait_sum = 0.0;
     let mut tail_sum = 0.0;
     let mut concentrator_sum = 0.0;
     let mut max_utilization: f64 = 0.0;
+    let mut max_bridge_utilization: f64 = 0.0;
 
     for v in 0..num_clusters {
         if v == source {
@@ -136,16 +116,17 @@ pub(crate) fn inter_cluster_latency(
             Some(w) if w[v] > 0.0 => w[v],
             Some(_) => continue,
         };
-        let key = pair_key(rates, source, v);
-        let pair = match journeys.iter().find(|(k, _)| *k == key) {
-            Some((_, cached)) => *cached,
+        let slot = row + rates.rate_class(v);
+        let pair = match table.slots[slot] {
+            Some(cached) => cached,
             None => {
-                let fresh = pair_latency(rates, hops, source, v, times, options)?;
-                journeys.push((key, fresh));
+                let fresh = pair_latency(rates, hops, source, v, times, options, &mut table.walks)?;
+                table.slots[slot] = Some(fresh);
                 fresh
             }
         };
         max_utilization = max_utilization.max(pair.max_utilization);
+        max_bridge_utilization = max_bridge_utilization.max(pair.bridge_utilization);
         network_sum += weight * pair.network;
         wait_sum += weight * pair.wait;
         tail_sum += weight * pair.tail;
@@ -167,23 +148,12 @@ pub(crate) fn inter_cluster_latency(
         total: network + source_wait + tail,
         concentrator_wait,
         max_channel_utilization: max_utilization,
+        max_bridge_utilization,
     })
 }
 
-/// The destination side of the `(source, v)` journey's memo key: everything
-/// `pair_latency` reads from the rates besides the [`SourceKey`], as raw bits.
-fn pair_key(rates: &SystemRates, source: usize, v: usize) -> PairKey {
-    let pair = rates.pair(source, v);
-    PairKey {
-        levels_dst: rates.cluster(v).levels,
-        lambda_ecn1: pair.lambda_ecn1.to_bits(),
-        lambda_icn2: pair.lambda_icn2.to_bits(),
-        eta_ecn1: pair.eta_ecn1.to_bits(),
-        eta_icn2: pair.eta_icn2.to_bits(),
-    }
-}
-
-/// Evaluates one `(source, v)` pair journey (Eqs. 26–33).
+/// Evaluates one `(source, v)` pair journey (Eqs. 26–33); `walks` is scratch
+/// for the stage walks.
 fn pair_latency(
     rates: &SystemRates,
     hops: &HopCache,
@@ -191,6 +161,7 @@ fn pair_latency(
     v: usize,
     times: &ChannelTimes,
     options: &ModelOptions,
+    walks: &mut Vec<StageWalk>,
 ) -> Result<PairLatency> {
     let src = rates.cluster(source);
     let hops_src = hops.cluster(src.levels);
@@ -205,7 +176,8 @@ fn pair_latency(
         pair.eta_ecn1,
         pair.eta_icn2,
         times,
-    )?;
+        walks,
+    );
     service::check_channel_utilization(&network, Some(source))?;
 
     let wait = source_queue::waiting_time(
@@ -221,10 +193,13 @@ fn pair_latency(
     )?;
 
     let tail = tail::inter_tail_time(hops_src, hops_dst, hops.icn2(), times);
-    let concentrator = if options.include_concentrator {
-        concentrator::concentrator_waiting(pair.lambda_icn2, times, source)?
+    let (concentrator, bridge_utilization) = if options.include_concentrator {
+        (
+            concentrator::concentrator_waiting(pair.lambda_icn2, times, source)?,
+            concentrator::concentrator_utilization(pair.lambda_icn2, times),
+        )
     } else {
-        0.0
+        (0.0, 0.0)
     };
     Ok(PairLatency {
         network: network.latency,
@@ -232,6 +207,7 @@ fn pair_latency(
         tail,
         concentrator,
         max_utilization: network.max_utilization,
+        bridge_utilization,
     })
 }
 
@@ -240,7 +216,7 @@ mod tests {
     use super::*;
     use mcnet_system::{organizations, NetworkTechnology, TrafficConfig};
 
-    /// One source cluster's latency on an empty memo.
+    /// One source cluster's latency on an empty table.
     fn fresh_latency(
         rates: &SystemRates,
         hops: &HopCache,
@@ -248,7 +224,8 @@ mod tests {
         times: &ChannelTimes,
         options: &ModelOptions,
     ) -> Result<InterClusterLatency> {
-        inter_cluster_latency(rates, hops, source, times, options, &mut PairJourneyMemo::default())
+        let mut table = PairTable::new(rates.rate_classes());
+        inter_cluster_latency(rates, hops, source, times, options, &mut table)
     }
 
     fn setup(rate: f64) -> (SystemRates, HopCache, ChannelTimes) {
@@ -280,7 +257,6 @@ mod tests {
             hops.cluster(rates.cluster(0).levels),
             &times,
             &ModelOptions::default(),
-            &mut crate::intra::IntraJourneyMemo::default(),
         )
         .unwrap();
         assert!(inter.total > intra.total, "three networks cost more than one");

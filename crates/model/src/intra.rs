@@ -30,47 +30,16 @@ pub struct IntraClusterLatency {
     pub max_channel_utilization: f64,
 }
 
-/// The complete bitwise input of one intra-cluster computation (the hop
-/// distribution is determined by the level count; the cluster index only
-/// surfaces in error payloads, and an error aborts the whole evaluation at its
-/// first occurrence either way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct IntraKey {
-    levels: usize,
-    eta_icn1: u64,
-    per_node_icn1_rate: u64,
-    lambda_icn1: u64,
-}
-
-/// Memo of intra-cluster latencies keyed by their complete bitwise inputs:
-/// clusters of the same size see identical ICN1 loads under the paper's
-/// uniform spreading, so each distinct size is solved once per evaluation.
-#[derive(Debug, Default)]
-pub(crate) struct IntraJourneyMemo {
-    entries: Vec<(IntraKey, IntraClusterLatency)>,
-}
-
-/// Computes the intra-cluster latency of cluster `i`, solving each distinct
-/// [`IntraKey`] once per memo. Errors are never cached, so the first failing
-/// cluster is always computed (and reported) fresh.
+/// Computes the intra-cluster latency of one cluster. Clusters of one rate
+/// class (`SystemRates::rate_class`) share the result bit for bit, so the
+/// evaluation solves each class once.
 pub(crate) fn intra_cluster_latency(
     rates: &ClusterRates,
     hops: &HopDistribution,
     times: &ChannelTimes,
     options: &ModelOptions,
-    memo: &mut IntraJourneyMemo,
 ) -> Result<IntraClusterLatency> {
-    let key = IntraKey {
-        levels: rates.levels,
-        eta_icn1: rates.eta_icn1.to_bits(),
-        per_node_icn1_rate: rates.per_node_icn1_rate.to_bits(),
-        lambda_icn1: rates.lambda_icn1.to_bits(),
-    };
-    if let Some((_, cached)) = memo.entries.iter().find(|(k, _)| *k == key) {
-        return Ok(*cached);
-    }
-
-    let network = service::mean_intra_network_latency(hops, rates.eta_icn1, times)?;
+    let network = service::mean_intra_network_latency(hops, rates.eta_icn1, times);
     service::check_channel_utilization(&network, Some(rates.cluster))?;
 
     let source_wait = source_queue::waiting_time(
@@ -86,15 +55,13 @@ pub(crate) fn intra_cluster_latency(
     )?;
 
     let tail = tail::intra_tail_time(hops, times);
-    let fresh = IntraClusterLatency {
+    Ok(IntraClusterLatency {
         network: network.latency,
         source_wait,
         tail,
         total: source_wait + network.latency + tail,
         max_channel_utilization: network.max_utilization,
-    };
-    memo.entries.push((key, fresh));
-    Ok(fresh)
+    })
 }
 
 #[cfg(test)]
@@ -102,16 +69,6 @@ mod tests {
     use super::*;
     use crate::rates::SystemRates;
     use mcnet_system::{organizations, NetworkTechnology, TrafficConfig};
-
-    /// One cluster's latency on an empty memo.
-    fn fresh_latency(
-        rates: &ClusterRates,
-        hops: &HopDistribution,
-        times: &ChannelTimes,
-        options: &ModelOptions,
-    ) -> Result<IntraClusterLatency> {
-        intra_cluster_latency(rates, hops, times, options, &mut IntraJourneyMemo::default())
-    }
 
     fn setup(rate: f64) -> (SystemRates, ChannelTimes) {
         let sys = organizations::table1_org_a();
@@ -125,8 +82,8 @@ mod tests {
     fn components_add_up() {
         let (rates, times) = setup(1e-4);
         let hops = HopDistribution::paper(8, 3);
-        let lat =
-            fresh_latency(rates.cluster(31), &hops, &times, &ModelOptions::default()).unwrap();
+        let lat = intra_cluster_latency(rates.cluster(31), &hops, &times, &ModelOptions::default())
+            .unwrap();
         assert!((lat.total - (lat.network + lat.source_wait + lat.tail)).abs() < 1e-12);
         assert!(lat.network > 0.0 && lat.tail > 0.0 && lat.source_wait >= 0.0);
         assert!(lat.max_channel_utilization < 1.0);
@@ -137,8 +94,10 @@ mod tests {
         let hops = HopDistribution::paper(8, 3);
         let (r1, t1) = setup(5e-5);
         let (r2, t2) = setup(4e-4);
-        let low = fresh_latency(r1.cluster(31), &hops, &t1, &ModelOptions::default()).unwrap();
-        let high = fresh_latency(r2.cluster(31), &hops, &t2, &ModelOptions::default()).unwrap();
+        let low =
+            intra_cluster_latency(r1.cluster(31), &hops, &t1, &ModelOptions::default()).unwrap();
+        let high =
+            intra_cluster_latency(r2.cluster(31), &hops, &t2, &ModelOptions::default()).unwrap();
         assert!(high.total > low.total);
         assert!(high.source_wait >= low.source_wait);
     }
@@ -149,7 +108,8 @@ mod tests {
         // switch-to-switch hops exist.
         let (rates, times) = setup(1e-4);
         let hops = HopDistribution::paper(8, 1);
-        let lat = fresh_latency(rates.cluster(0), &hops, &times, &ModelOptions::default()).unwrap();
+        let lat = intra_cluster_latency(rates.cluster(0), &hops, &times, &ModelOptions::default())
+            .unwrap();
         assert!((lat.network - times.message_node_time()).abs() < 1e-9);
         assert!((lat.tail - times.t_cn).abs() < 1e-12);
     }
@@ -159,9 +119,11 @@ mod tests {
         let (rates, times) = setup(2e-4);
         let hops = HopDistribution::paper(8, 3);
         let per_node =
-            fresh_latency(rates.cluster(31), &hops, &times, &ModelOptions::default()).unwrap();
+            intra_cluster_latency(rates.cluster(31), &hops, &times, &ModelOptions::default())
+                .unwrap();
         let literal =
-            fresh_latency(rates.cluster(31), &hops, &times, &ModelOptions::literal()).unwrap();
+            intra_cluster_latency(rates.cluster(31), &hops, &times, &ModelOptions::literal())
+                .unwrap();
         assert!(literal.source_wait > per_node.source_wait);
     }
 }

@@ -1,15 +1,15 @@
 //! The top-level analytical model: per-cluster mixture and system-wide average
 //! (Eqs. 35–36).
 //!
-//! Every evaluation memoizes its journeys by their complete bitwise inputs:
-//! each distinct cluster class and `(source class, destination class)` pair
-//! journey is solved once per evaluation instead of once per cluster/pair
-//! (Org B: 9 distinct pair journeys behind 240 ordered pairs). The memo keys
-//! hold every input bit of a journey and errors are never cached, so reports
-//! and saturation errors are exactly those of solving every journey.
+//! Every evaluation solves each rate class (`SystemRates::rate_class`: the
+//! clusters whose rate inputs are bit-equal) and each ordered pair of classes
+//! once, in tables indexed by class, instead of once per cluster/pair (Org B:
+//! 3 classes, 9 pair journeys behind 240 ordered pairs). Clusters of one class
+//! produce bit-identical latencies and errors are never cached, so reports and
+//! saturation errors are exactly those of solving every journey.
 
-use crate::inter::{self, InterClusterLatency, PairJourneyMemo};
-use crate::intra::{self, IntraClusterLatency, IntraJourneyMemo};
+use crate::inter::{self, InterClusterLatency, PairTable};
+use crate::intra::{self, IntraClusterLatency};
 use crate::options::ModelOptions;
 use crate::rates::{HopCache, SystemRates};
 use crate::service::ChannelTimes;
@@ -152,27 +152,36 @@ impl<'a> AnalyticalModel<'a> {
         &self.rates
     }
 
-    fn cluster_latency_memoized(
+    /// The latency of one cluster; `intra_table` holds the intra-cluster
+    /// latency of every rate class solved so far.
+    fn cluster_latency(
         &self,
         cluster: usize,
-        intra_memo: &mut IntraJourneyMemo,
-        pair_memo: &mut PairJourneyMemo,
+        intra_table: &mut [Option<IntraClusterLatency>],
+        pair_table: &mut PairTable,
     ) -> Result<ClusterLatency> {
         let c = self.rates.cluster(cluster);
-        let intra = intra::intra_cluster_latency(
-            c,
-            self.hops.cluster(c.levels),
-            &self.times,
-            &self.options,
-            intra_memo,
-        )?;
+        let class = self.rates.rate_class(cluster);
+        let intra = match intra_table[class] {
+            Some(cached) => cached,
+            None => {
+                let fresh = intra::intra_cluster_latency(
+                    c,
+                    self.hops.cluster(c.levels),
+                    &self.times,
+                    &self.options,
+                )?;
+                intra_table[class] = Some(fresh);
+                fresh
+            }
+        };
         let inter = inter::inter_cluster_latency(
             &self.rates,
             &self.hops,
             cluster,
             &self.times,
             &self.options,
-            pair_memo,
+            pair_table,
         )?;
         let p_o = c.outgoing_probability;
         let mean_latency =
@@ -191,13 +200,13 @@ impl<'a> AnalyticalModel<'a> {
     /// Evaluates the full model (Eq. 36). Fails with [`ModelError::Saturated`] when any
     /// queue or channel of the model is saturated at this load.
     pub fn evaluate(&self) -> Result<LatencyReport> {
-        let mut intra_memo = IntraJourneyMemo::default();
-        let mut pair_memo = PairJourneyMemo::default();
+        let mut intra_table = vec![None; self.rates.rate_classes()];
+        let mut pair_table = PairTable::new(self.rates.rate_classes());
         let mut clusters = Vec::with_capacity(self.system.num_clusters());
         let mut total = 0.0;
         let mut max_util: f64 = 0.0;
         for i in 0..self.system.num_clusters() {
-            let cl = self.cluster_latency_memoized(i, &mut intra_memo, &mut pair_memo)?;
+            let cl = self.cluster_latency(i, &mut intra_table, &mut pair_table)?;
             total += cl.weight * cl.mean_latency;
             max_util = max_util
                 .max(cl.intra.max_channel_utilization)

@@ -212,6 +212,10 @@ pub struct SystemRates {
     /// (all ones for the paper's model), kept so [`SystemRates::rebind`] can
     /// re-derive every rate-dependent quantity at a new `λ_g`.
     scale: Vec<f64>,
+    /// The rate class of every cluster (see [`SystemRates::rate_class`]).
+    class_of: Vec<usize>,
+    /// The number of distinct rate classes.
+    classes: usize,
 }
 
 impl SystemRates {
@@ -300,6 +304,7 @@ impl SystemRates {
                 })
                 .collect()
         });
+        let (class_of, classes) = rate_classes(&clusters, scale, mix.is_some());
         Ok(SystemRates {
             clusters,
             icn2_average_distance,
@@ -308,6 +313,8 @@ impl SystemRates {
             external_in,
             mix,
             scale: scale.to_vec(),
+            class_of,
+            classes,
         })
     }
 
@@ -384,6 +391,25 @@ impl SystemRates {
         PairRates { source: i, destination: v, lambda_ecn1, lambda_icn2, eta_ecn1, eta_icn2 }
     }
 
+    /// The rate class of cluster `i`, in `0..self.rate_classes()`.
+    ///
+    /// Two clusters share a class when every field of theirs that
+    /// [`SystemRates::pair`] and the intra- and inter-cluster latencies read
+    /// is bit-equal (node count, tree depth, outgoing probability, average
+    /// distance and generation-rate scale), so their latencies and the rates
+    /// of their pairs are bit-identical at every `λ_g` and the model solves
+    /// each class, and each ordered pair of classes, once. Under a
+    /// non-uniform destination mix a pair also reads the destination's
+    /// incoming aggregate, and every cluster is its own class.
+    pub(crate) fn rate_class(&self, i: usize) -> usize {
+        self.class_of[i]
+    }
+
+    /// The number of distinct rate classes.
+    pub(crate) fn rate_classes(&self) -> usize {
+        self.classes
+    }
+
     /// Per-destination weights of the Eq. (31)/(34) averages seen from cluster
     /// `i`: `None` under uniform traffic (where the paper averages destination
     /// clusters arithmetically and the published form is kept verbatim),
@@ -391,6 +417,36 @@ impl SystemRates {
     pub fn destination_weights(&self, i: usize) -> Option<Vec<f64>> {
         self.mix.as_ref().map(|m| m.outgoing_weights(i))
     }
+}
+
+/// Groups clusters into rate classes (see [`SystemRates::rate_class`]),
+/// numbered in order of first appearance; returns each cluster's class and the
+/// class count.
+fn rate_classes(clusters: &[ClusterRates], scale: &[f64], mixed: bool) -> (Vec<usize>, usize) {
+    if mixed {
+        return ((0..clusters.len()).collect(), clusters.len());
+    }
+    let key = |c: &ClusterRates| {
+        (
+            c.nodes,
+            c.levels,
+            c.outgoing_probability.to_bits(),
+            c.average_distance.to_bits(),
+            scale[c.cluster].to_bits(),
+        )
+    };
+    let mut representatives: Vec<usize> = Vec::new();
+    let class_of = clusters
+        .iter()
+        .map(|c| match representatives.iter().position(|&r| key(&clusters[r]) == key(c)) {
+            Some(class) => class,
+            None => {
+                representatives.push(c.cluster);
+                representatives.len() - 1
+            }
+        })
+        .collect();
+    (class_of, representatives.len())
 }
 
 /// Cache of hop-count distributions keyed by tree level count, shared by the intra- and

@@ -20,7 +20,10 @@
 //! A message crossing `d` links passes through `d + 1` stages: `d` link
 //! channels served in `M·t_cs` each, then the ejection channel served in
 //! `M·t_cn` — exactly the channels of the simulator's itinerary (the injection
-//! channel is the M/G/1 source-queue server, as in the tree model).
+//! channel is the M/G/1 source-queue server, as in the tree model). Every
+//! journey of a class ends in the same ejection stage, so the `d`-link journey
+//! is the `d − 1`-link one with a link stage in front: one backward walk per
+//! class, extended one stage per `d`, solves every journey length in turn.
 //!
 //! ## Channel loads
 //!
@@ -49,7 +52,7 @@
 //!   near saturation where tree-saturation effects couple the stages.
 
 use crate::options::{ModelOptions, TorusRouting};
-use crate::service::{self, ChannelTimes, StageOutcome};
+use crate::service::{self, ChannelTimes, StageOutcome, StageWalk};
 use crate::source_queue::{self, SourceQueueInput, SourceQueueKind};
 use crate::{ModelError, Result};
 use mcnet_system::{TorusSystem, TrafficConfig, TrafficPattern};
@@ -324,17 +327,25 @@ impl TorusModel {
     fn evaluate_deterministic(&self) -> Result<TorusLatencyReport> {
         // Saturation gate: the most loaded link channel, on the longest journey,
         // with the most loaded ejection channel as the final stage.
+        let m_tcs = self.times.message_switch_time();
         let eta_max = self.loads.rate.iter().cloned().fold(0.0f64, f64::max);
         let ej_max = self.max_ejection_rate();
-        let worst = self.journey_latency(self.hop_probs.len(), eta_max, ej_max)?;
+        let worst = longest_journey(self.hop_probs.len(), ej_max, &self.times, |walk| {
+            walk.extend(eta_max, m_tcs)
+        });
         service::check_channel_utilization(&worst, None)?;
 
         // Background (uniformly-routed) class.
         let eta_uni = usage_weighted_rate(&self.loads.uniform_usage, &self.loads.rate);
         let ej_uni = self.mean_background_ejection_rate();
-        let s_uni = self.class_network_latency(&self.hop_probs, eta_uni, ej_uni)?;
-        let s_intra = self.class_network_latency(&self.intra_probs, eta_uni, ej_uni)?;
-        let s_inter = self.class_network_latency(&self.inter_probs, eta_uni, ej_uni)?;
+        let class = |probs: &[f64], eta_link: f64, eta_ejection: f64| {
+            class_network_latency(probs, eta_ejection, &self.times, |walk| {
+                walk.extend(eta_link, m_tcs)
+            })
+        };
+        let s_uni = class(&self.hop_probs, eta_uni, ej_uni);
+        let s_intra = class(&self.intra_probs, eta_uni, ej_uni);
+        let s_inter = class(&self.inter_probs, eta_uni, ej_uni);
 
         // Hot-spot class (empty under uniform traffic). A uniformly-placed
         // source is uniformly far from the hot node, so the hot class shares
@@ -342,7 +353,7 @@ impl TorusModel {
         let s_hot = if let Some(hot_node) = self.hotspot {
             let eta_hot = usage_weighted_rate(&self.loads.hotspot_usage, &self.loads.rate);
             let ej_hot = self.ejection_rate(hot_node)?;
-            Some(self.class_network_latency(&self.hop_probs, eta_hot, ej_hot)?)
+            Some(class(&self.hop_probs, eta_hot, ej_hot))
         } else {
             None
         };
@@ -359,7 +370,7 @@ impl TorusModel {
     /// candidate busy falls back to the escape class, which keeps the
     /// deterministic dateline discipline. `β` is the fixed point of
     /// [`escape_fraction`]; a header then *waits* only when its candidates and
-    /// the escape channel are all busy, which [`adaptive_journey`] models as a
+    /// the escape channel are all busy, which [`adaptive_stage`] models as a
     /// blocking product.
     fn evaluate_adaptive(&self, adaptive_vcs: usize) -> Result<TorusLatencyReport> {
         if adaptive_vcs == 0 {
@@ -376,14 +387,11 @@ impl TorusModel {
         let eta_vc_max = self.loads.rate.iter().cloned().fold(0.0f64, f64::max);
         let (_, link_max) = self.link_rate_stats(&self.loads.uniform_usage);
         let beta_max = escape_fraction(link_max, v, candidates, hold);
-        let worst = adaptive_journey(
-            self.hop_probs.len(),
-            link_max * (1.0 - beta_max) / v,
-            beta_max * eta_vc_max,
-            self.max_ejection_rate(),
-            candidates,
-            &self.times,
-        );
+        let (eta_a_max, eta_e_max) = (link_max * (1.0 - beta_max) / v, beta_max * eta_vc_max);
+        let worst =
+            longest_journey(self.hop_probs.len(), self.max_ejection_rate(), &self.times, |walk| {
+                adaptive_stage(walk, eta_a_max, eta_e_max, candidates, hold)
+            });
         service::check_channel_utilization(&worst, None)?;
 
         // Background class: usage-weighted link totals drive the fixed point,
@@ -395,17 +403,9 @@ impl TorusModel {
         let eta_e_uni = beta_uni * eta_vc_uni;
         let ej_uni = self.mean_background_ejection_rate();
         let journey = |probs: &[f64], eta_a: f64, eta_e: f64, ej: f64| {
-            let mut latency = 0.0;
-            let mut max_utilization: f64 = 0.0;
-            for (idx, &p) in probs.iter().enumerate() {
-                if p == 0.0 {
-                    continue;
-                }
-                let outcome = adaptive_journey(idx + 1, eta_a, eta_e, ej, candidates, &self.times);
-                latency += p * outcome.latency;
-                max_utilization = max_utilization.max(outcome.max_utilization);
-            }
-            StageOutcome { latency, max_utilization }
+            class_network_latency(probs, ej, &self.times, |walk| {
+                adaptive_stage(walk, eta_a, eta_e, candidates, hold)
+            })
         };
         let s_uni = journey(&self.hop_probs, eta_a_uni, eta_e_uni, ej_uni);
         let s_intra = journey(&self.intra_probs, eta_a_uni, eta_e_uni, ej_uni);
@@ -558,35 +558,6 @@ impl TorusModel {
         self.evaluate().ok().map(|r| r.total)
     }
 
-    /// Mean network latency of one class: the `d`-hop journey recursion
-    /// weighted by the class's hop-count distribution.
-    fn class_network_latency(
-        &self,
-        probs: &[f64],
-        eta_link: f64,
-        eta_ejection: f64,
-    ) -> Result<StageOutcome> {
-        let mut latency = 0.0;
-        let mut max_utilization: f64 = 0.0;
-        for (idx, &p) in probs.iter().enumerate() {
-            if p == 0.0 {
-                continue;
-            }
-            let outcome = self.journey_latency(idx + 1, eta_link, eta_ejection)?;
-            latency += p * outcome.latency;
-            max_utilization = max_utilization.max(outcome.max_utilization);
-        }
-        Ok(StageOutcome { latency, max_utilization })
-    }
-
-    /// The Eqs. (16)–(18) backward recursion over one `d`-link journey:
-    /// `d` link stages at the given link rate, then the ejection stage.
-    fn journey_latency(&self, d: usize, eta_link: f64, eta_ejection: f64) -> Result<StageOutcome> {
-        let mut etas = vec![eta_link; d + 1];
-        etas[d] = eta_ejection;
-        service::stage_recursion(&etas, &self.times)
-    }
-
     /// The mean ejection rate seen by a background message (its destination is
     /// uniform over the other nodes, the hot node included).
     fn mean_background_ejection_rate(&self) -> f64 {
@@ -639,39 +610,68 @@ fn escape_fraction(eta_link: f64, adaptive_vcs: f64, candidates: f64, hold: f64)
     beta
 }
 
-/// The stage recursion of a `d`-link journey under minimal-adaptive routing.
-/// Same backward walk as [`service::stage_recursion`], but a link stage only
-/// blocks the header when **all** `c̄` adaptive candidates are busy *and* the
-/// escape channel of the dimension-order hop is busy too, so the waiting term
-/// is scaled by the blocking product `u_a^c̄ · u_e` instead of a single
-/// channel's busy probability (the residual charged is the escape channel's,
-/// since that is where the header ends up queueing).
-fn adaptive_journey(
-    d: usize,
-    eta_adaptive: f64,
-    eta_escape: f64,
+/// Mean network latency of one class. A `d`-link journey is the ejection stage
+/// behind `d` link stages, so it is the `d − 1`-link journey with one more
+/// link stage in front: one walk from the ejection stage, extended by `link`
+/// once per hop, reads every journey of the class in turn, weighted by the
+/// class's hop-count distribution (`probs[d − 1]`).
+fn class_network_latency(
+    probs: &[f64],
     eta_ejection: f64,
-    candidates: f64,
     times: &ChannelTimes,
+    mut link: impl FnMut(&mut StageWalk),
 ) -> StageOutcome {
-    let m_tcn = times.message_node_time();
-    let m_tcs = times.message_switch_time();
-
-    // Ejection stage: the destination always accepts.
-    let mut service = m_tcn;
-    let mut max_utilization = (eta_ejection * service).max(0.0);
-    let mut downstream_wait = 0.5 * service * (eta_ejection * service).min(1.0);
-    let mut latency = service;
-
-    for _ in 0..d {
-        service = m_tcs + downstream_wait;
-        max_utilization = max_utilization.max(eta_adaptive * service).max(eta_escape * service);
-        let u_adaptive = (eta_adaptive * service).min(1.0);
-        let u_escape = (eta_escape * service).min(1.0);
-        downstream_wait += 0.5 * service * u_adaptive.powf(candidates) * u_escape;
-        latency = service;
+    let mut walk = StageWalk::deliver(eta_ejection, times);
+    let mut latency = 0.0;
+    let mut max_utilization: f64 = 0.0;
+    for &p in probs {
+        link(&mut walk);
+        if p == 0.0 {
+            continue;
+        }
+        let outcome = walk.outcome();
+        latency += p * outcome.latency;
+        max_utilization = max_utilization.max(outcome.max_utilization);
     }
     StageOutcome { latency, max_utilization }
+}
+
+/// The `d`-link journey alone: the ejection stage behind `d` stages of `link`.
+fn longest_journey(
+    d: usize,
+    eta_ejection: f64,
+    times: &ChannelTimes,
+    mut link: impl FnMut(&mut StageWalk),
+) -> StageOutcome {
+    let mut walk = StageWalk::deliver(eta_ejection, times);
+    for _ in 0..d {
+        link(&mut walk);
+    }
+    walk.outcome()
+}
+
+/// One link stage under minimal-adaptive routing, prepended to `walk`
+/// (`m_tcs` is the message switch time). Same step as
+/// [`StageWalk::extend`], but a link stage only blocks the header when
+/// **all** `c̄` adaptive candidates are busy *and* the escape channel of the
+/// dimension-order hop is busy too, so the waiting term is scaled by the
+/// blocking product `u_a^c̄ · u_e` instead of a single channel's busy
+/// probability (the residual charged is the escape channel's, since that is
+/// where the header ends up queueing).
+fn adaptive_stage(
+    walk: &mut StageWalk,
+    eta_adaptive: f64,
+    eta_escape: f64,
+    candidates: f64,
+    m_tcs: f64,
+) {
+    let service = m_tcs + walk.downstream_wait;
+    walk.service = service;
+    walk.max_utilization =
+        walk.max_utilization.max(eta_adaptive * service).max(eta_escape * service);
+    let u_adaptive = (eta_adaptive * service).min(1.0);
+    let u_escape = (eta_escape * service).min(1.0);
+    walk.downstream_wait += 0.5 * service * u_adaptive.powf(candidates) * u_escape;
 }
 
 /// `Σ d · P(d)` over a hop-count distribution indexed `d − 1`.

@@ -7,7 +7,7 @@
 //! the knee, the exact `ModelError` (component, utilisation bits, cluster).
 //! The expected lines were captured from an evaluation that solved every
 //! cluster and every ordered cluster pair separately, so this is the oracle
-//! that keeps the journey memo (and anything else that rearranges the
+//! that keeps the class tables (and anything else that rearranges the
 //! evaluation) bit-identical to that arithmetic.
 //!
 //! The torus model is pinned the same way: every case evaluates

@@ -1255,6 +1255,7 @@ pub fn model_report_json(r: &ModelReport) -> Json {
         ("intra_latency", Json::Number(r.intra_latency)),
         ("inter_latency", Json::Number(r.inter_latency)),
         ("max_channel_utilization", Json::Number(r.max_channel_utilization)),
+        ("max_bridge_utilization", opt_f64(r.max_bridge_utilization)),
         ("detail", detail),
     ])
 }
@@ -1424,6 +1425,10 @@ mod tests {
             .unwrap();
         assert_eq!(report, direct);
         assert!(report.mean_latency > 0.0);
+        let doc = Json::parse(&model_report_json(&report).to_pretty()).unwrap();
+        let bridge = doc.as_object().unwrap()["max_bridge_utilization"].as_f64();
+        assert_eq!(bridge, report.max_bridge_utilization);
+        assert!(bridge.is_some_and(|rho| rho > 0.0 && rho < 1.0));
 
         let torus = Scenario::builder()
             .torus(TorusSystem::new(4, 2).unwrap())
@@ -1436,6 +1441,7 @@ mod tests {
         // The JSON rendering parses back and carries the headline number.
         let doc = Json::parse(&model_report_json(&report).to_pretty()).unwrap();
         assert_eq!(doc.as_object().unwrap()["mean_latency"].as_f64(), Some(report.mean_latency));
+        assert_eq!(doc.as_object().unwrap()["max_bridge_utilization"], Json::Null);
 
         // Saturation is a typed error, mirroring EventBudgetExhausted.
         let saturated = Scenario::builder()
