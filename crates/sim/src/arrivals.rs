@@ -4,119 +4,196 @@
 //! knows each node's *next* arrival time. Scheduling those arrivals through the
 //! future-event list costs a queue round-trip per message (plus a popped no-op
 //! event per node at the end of the generation phase). The [`ArrivalQueue`]
-//! keeps them out of the future-event list entirely: a flat index-heap of
-//! `(time, node)` pairs, one slot per node, where drawing a node's next arrival
-//! is a [`replace_min`](ArrivalQueue::replace_min) — a single in-place
-//! sift-down, no allocation, no push/pop pair. The engine's main loop fires
-//! whichever of (earliest future event, earliest arrival) comes first;
-//! at equal instants the future-event list wins (a fixed, documented
+//! keeps them out of the future-event list entirely: a tournament (loser) tree
+//! over one leaf per node, where drawing a node's next arrival is a
+//! [`replace_min`](ArrivalQueue::replace_min) — one leaf-to-root replay of
+//! branch-free compares, no allocation, no push/pop pair. The engine's main
+//! loop fires whichever of (earliest future event, earliest arrival) comes
+//! first; at equal instants the future-event list wins (a fixed, documented
 //! tie-break — see `PERFORMANCE.md`).
 //!
-//! Ordering among arrivals is by `(time, node)`, so runs remain fully
-//! deterministic even if two nodes' exponential draws ever coincide exactly.
+//! Ordering among arrivals is by `(time, node)`, a strict total order, so runs
+//! remain fully deterministic even if two nodes' exponential draws ever
+//! coincide exactly, and the pop order is the one any correct priority queue
+//! over that order produces.
 
-/// A min-heap of per-node next-arrival times.
-#[derive(Debug, Clone, Default)]
+/// The time part of an absent (never armed, retired or cleared) node's key:
+/// above every armed key's.
+const ABSENT_TIME: u64 = u64::MAX;
+
+/// The node part of an absent node's key.
+const ABSENT_NODE: u32 = u32::MAX;
+
+/// The integer time key: the time's bits, transformed so that unsigned order
+/// is `f64` order (the transform of `event.rs`'s `order_key`).
+#[inline]
+fn time_key(time: f64) -> u64 {
+    let bits = time.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ (1 << 63)
+}
+
+/// The time a [`time_key`] was made from.
+#[inline]
+fn key_time(key: u64) -> f64 {
+    let signed = key ^ (1 << 63);
+    f64::from_bits(signed ^ ((((signed as i64) >> 63) as u64) >> 1))
+}
+
+/// A min-queue of per-node next-arrival times: a loser tree.
+///
+/// Node `x` is leaf `leaves + x` of an implicit complete binary tree with a
+/// power-of-two number of leaves. For internal node `p`, `(time[p], node[p])`
+/// is the `(time key, node)` that lost the match between the winners of `p`'s
+/// two subtrees, and slot 0 holds the overall winner. Every leaf's key is
+/// therefore held exactly once; absent nodes and the leaves past the last
+/// node hold `(ABSENT_TIME, ABSENT_NODE)`. The two halves of a key live in
+/// parallel arrays so that a match is a branch-free compare and select on
+/// two machine words.
+#[derive(Debug, Clone)]
 pub struct ArrivalQueue {
-    /// Binary min-heap ordered by `(time, node)`.
-    heap: Vec<(f64, u32)>,
+    time: Vec<u64>,
+    node: Vec<u32>,
+    /// Armed nodes.
+    len: usize,
+}
+
+impl Default for ArrivalQueue {
+    fn default() -> Self {
+        ArrivalQueue::with_capacity(0)
+    }
 }
 
 impl ArrivalQueue {
-    /// Creates an empty queue with room for `nodes` entries.
+    /// Creates an empty queue with a leaf for each of `nodes` nodes.
     pub fn with_capacity(nodes: usize) -> Self {
-        ArrivalQueue { heap: Vec::with_capacity(nodes) }
+        let leaves = nodes.next_power_of_two();
+        ArrivalQueue { time: vec![ABSENT_TIME; leaves], node: vec![ABSENT_NODE; leaves], len: 0 }
     }
 
     /// Number of pending arrivals.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// `true` when no arrival is pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// The earliest pending `(time, node)`, if any.
     #[inline]
     pub fn peek(&self) -> Option<(f64, u32)> {
-        self.heap.first().copied()
+        let node = self.node[0];
+        (node != ABSENT_NODE).then(|| (key_time(self.time[0]), node))
     }
 
-    /// Adds a node's first arrival (used while priming; `O(log n)` sift-up).
+    /// Arms a node that has no pending arrival (used while priming;
+    /// `O(log n)`). A node past the current capacity grows the tree.
     pub fn push(&mut self, time: f64, node: u32) {
-        self.heap.push((time, node));
-        self.sift_up(self.heap.len() - 1);
+        debug_assert!(node != ABSENT_NODE, "node index {node} is reserved");
+        if node as usize >= self.node.len() {
+            self.grow(node as usize + 1);
+        }
+        let old = self.set(node, time_key(time));
+        debug_assert_eq!(old, ABSENT_TIME, "node {node} pushed while already armed");
+        self.len += 1;
     }
 
     /// Replaces the earliest arrival (the one just fired) with the same node's
-    /// next draw — one sift-down, the whole cost of keeping a node's Poisson
-    /// process alive.
+    /// next draw — one leaf-to-root replay, the whole cost of keeping a node's
+    /// Poisson process alive.
     ///
     /// # Panics
     /// Panics if the queue is empty (debug) or used before a fire (the new time
-    /// must not precede the fired one, so the root only ever moves down).
+    /// must not precede the fired one).
     pub fn replace_min(&mut self, time: f64) {
-        debug_assert!(!self.heap.is_empty(), "replace_min on an empty arrival queue");
-        debug_assert!(time >= self.heap[0].0, "a node's next arrival precedes its last");
-        self.heap[0].0 = time;
-        self.sift_down(0);
+        debug_assert!(self.node[0] != ABSENT_NODE, "replace_min on an empty arrival queue");
+        debug_assert!(time >= key_time(self.time[0]), "a node's next arrival precedes its last");
+        self.replay(self.node[0], time_key(time));
     }
 
     /// Removes and returns the earliest arrival — used when its node's source
     /// is exhausted (finite traces) and has no next draw to re-arm with.
     pub fn pop_min(&mut self) -> Option<(f64, u32)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let min = self.heap.swap_remove(0);
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
+        let min = self.peek()?;
+        self.replay(min.1, ABSENT_TIME);
+        self.len -= 1;
         Some(min)
     }
 
-    /// Removes every pending arrival (the generation phase is over).
+    /// Removes every pending arrival (the generation phase is over), keeping
+    /// the capacity.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.time.fill(ABSENT_TIME);
+        self.node.fill(ABSENT_NODE);
+        self.len = 0;
     }
 
+    /// Replays the matches on the path from `node`'s leaf to the root with
+    /// the leaf holding time key `time` (`ABSENT_TIME` retires the node).
+    /// Valid when every internal node on the path holds the winner of the
+    /// subtree off the path: the case on the current winner's path (it won
+    /// every match on it) and what [`ArrivalQueue::set`] arranges for any
+    /// other leaf.
     #[inline]
-    fn less(a: (f64, u32), b: (f64, u32)) -> bool {
-        a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+    fn replay(&mut self, node: u32, time: u64) {
+        let (mut win_time, mut win_node) =
+            (time, if time == ABSENT_TIME { ABSENT_NODE } else { node });
+        let mut p = (self.node.len() + node as usize) >> 1;
+        while p > 0 {
+            let (time, node) = (self.time[p], self.node[p]);
+            let held_wins = (time < win_time) | ((time == win_time) & (node < win_node));
+            // Word-wise selects, so the match compiles to conditional moves.
+            self.time[p] = if held_wins { win_time } else { time };
+            self.node[p] = if held_wins { win_node } else { node };
+            win_time = if held_wins { time } else { win_time };
+            win_node = if held_wins { node } else { win_node };
+            p >>= 1;
+        }
+        (self.time[0], self.node[0]) = (win_time, win_node);
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if Self::less(self.heap[i], self.heap[parent]) {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
+    /// Sets `node`'s leaf to time key `time` and returns its previous time
+    /// key. Walking down from the root, the winner of the subtree being
+    /// entered is carried along; where it came from off the path it is
+    /// exchanged with the loser held there, so each internal node on the path
+    /// ends up holding the winner of its subtree off the path and the carried
+    /// key ends as the leaf's own. The replay back up then rebuilds the path.
+    fn set(&mut self, node: u32, time: u64) -> u64 {
+        let leaves = self.node.len();
+        let leaf = leaves + node as usize;
+        let mut carried = (self.time[0], self.node[0]);
+        for level in (1..=leaves.trailing_zeros()).rev() {
+            // An absent winner means the whole subtree is absent: nothing to
+            // exchange.
+            if carried.1 != ABSENT_NODE
+                && (leaves + carried.1 as usize) >> (level - 1) != leaf >> (level - 1)
+            {
+                let p = leaf >> level;
+                let held = (self.time[p], self.node[p]);
+                (self.time[p], self.node[p]) = carried;
+                carried = held;
             }
         }
+        self.replay(node, time);
+        carried.0
     }
 
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        loop {
-            let (left, right) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if left < n && Self::less(self.heap[left], self.heap[smallest]) {
-                smallest = left;
-            }
-            if right < n && Self::less(self.heap[right], self.heap[smallest]) {
-                smallest = right;
-            }
-            if smallest == i {
-                break;
-            }
-            self.heap.swap(i, smallest);
-            i = smallest;
+    /// Rebuilds the tree with room for at least `nodes` nodes, re-arming every
+    /// pending arrival (each leaf's key is held exactly once).
+    fn grow(&mut self, nodes: usize) {
+        let armed: Vec<(u64, u32)> = self
+            .time
+            .iter()
+            .zip(&self.node)
+            .filter(|&(_, &n)| n != ABSENT_NODE)
+            .map(|(&t, &n)| (t, n))
+            .collect();
+        *self = ArrivalQueue { len: self.len, ..ArrivalQueue::with_capacity(nodes) };
+        for (time, node) in armed {
+            self.set(node, time);
         }
     }
 }
@@ -179,5 +256,32 @@ mod tests {
             q.replace_min(time + increment);
         }
         assert_eq!(q.len(), 8);
+    }
+
+    #[test]
+    fn time_keys_order_like_times() {
+        let times = [0.0, 1e-300, 0.5, 1.0, 1.0 + f64::EPSILON, 7.25e9, f64::INFINITY];
+        for (a, &ta) in times.iter().enumerate() {
+            assert_eq!(key_time(time_key(ta)).to_bits(), ta.to_bits());
+            for &tb in &times[a + 1..] {
+                assert!(time_key(ta) < time_key(tb));
+            }
+            assert!(time_key(ta) < ABSENT_TIME);
+        }
+    }
+
+    #[test]
+    fn push_arms_nodes_in_any_order_and_past_the_capacity() {
+        let mut q = ArrivalQueue::with_capacity(3);
+        for (node, time) in [(5u32, 2.0), (0, 4.0), (2, 2.0), (9, 1.0), (1, 3.0)] {
+            q.push(time, node);
+        }
+        assert_eq!(q.len(), 5);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop_min()).collect();
+        assert_eq!(order, [(1.0, 9), (2.0, 2), (2.0, 5), (3.0, 1), (4.0, 0)]);
+        assert!(q.is_empty());
+        // A cleared queue re-arms retired nodes.
+        q.push(0.5, 5);
+        assert_eq!(q.peek(), Some((0.5, 5)));
     }
 }

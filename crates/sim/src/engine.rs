@@ -16,8 +16,8 @@
 //!    event, which grants the channel to the oldest waiter at exactly its free time.
 //!
 //! Message generation never enters the future-event list: per-node Poisson
-//! arrivals live in a dedicated [`ArrivalQueue`] (re-arming a node is one
-//! in-place sift-down), and the main loop fires whichever of (earliest event,
+//! arrivals live in a dedicated [`ArrivalQueue`] (re-arming a node replays
+//! one leaf-to-root path of its loser tree), and the main loop fires whichever of (earliest event,
 //! earliest arrival) comes first — the future-event list wins exact ties.
 //! Delivered messages are retired immediately: their latency folds into the
 //! statistics at the `TailArrived` event and their [`MessageSlab`] slot is
@@ -246,7 +246,7 @@ impl Simulation {
     /// routing policy and message geometry**, reusing every grown allocation:
     /// the future-event heap and lane rings, the channel pool and its waiter
     /// arena, the message and record slabs, the route arena (with its region free lists),
-    /// the per-node arrival heap, the latency histogram and the adaptive
+    /// the per-node arrival queue, the latency histogram and the adaptive
     /// scratch buffers.
     /// The traffic rate and pattern, the seed, the measurement
     /// protocol and the fault plan may all change between runs — which is
@@ -318,7 +318,7 @@ impl Simulation {
     }
 
     /// The per-run set-up both construction and [`reset`](Self::reset) end
-    /// in, over an empty arrival heap and event queue: sizes the
+    /// in, over an empty arrival queue and event queue: sizes the
     /// statistics, sets the run targets, seeds the RNG streams, primes the
     /// arrival processes and materializes the fault plan.
     fn rewind(&mut self, config: &SimConfig, faults: Option<&FaultPlan>) -> Result<()> {
@@ -610,7 +610,7 @@ impl Simulation {
         }
 
         // Keep this node's arrival process alive while the generation phase
-        // lasts: one in-place re-arm of the arrival heap, no event round-trip.
+        // lasts: one in-place re-arm of the arrival queue, no event round-trip.
         // An exhausted node (finite trace) is retired with a single pop.
         if self.stats.generated() < self.generation_target {
             match self.traffic.next_arrival(&mut self.rng, node, now) {
