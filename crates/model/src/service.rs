@@ -19,7 +19,7 @@
 //! ICN2 rate in the middle of the path.
 //!
 //! The recursion only ever looks downstream, so two journeys that end the same
-//! way share every state of their common suffix. [`StageWalk`] carries that
+//! way share every state of their common suffix. `StageWalk` carries that
 //! state one stage at a time, and each journey family is solved in one backward
 //! pass: the intra-cluster journeys extend one walk by two stages per `j`, the
 //! inter-cluster ones extend a descent walk over `l`, then ICN2 walks over `h`,
