@@ -62,7 +62,6 @@ struct PairLatency {
 /// always computed (and reported) fresh.
 #[derive(Debug)]
 pub(crate) struct PairTable {
-    classes: usize,
     slots: Vec<Option<PairLatency>>,
     /// Scratch for `service::mean_inter_network_latency`.
     walks: Vec<StageWalk>,
@@ -71,7 +70,7 @@ pub(crate) struct PairTable {
 impl PairTable {
     /// An empty table for `classes` rate classes.
     pub(crate) fn new(classes: usize) -> Self {
-        PairTable { classes, slots: vec![None; classes * classes], walks: Vec::new() }
+        PairTable { slots: vec![None; classes * classes], walks: Vec::new() }
     }
 }
 
@@ -96,7 +95,7 @@ pub(crate) fn inter_cluster_latency(
 ) -> Result<InterClusterLatency> {
     let num_clusters = rates.clusters().len();
     let weights = rates.destination_weights(source);
-    let row = rates.rate_class(source) * table.classes;
+    let row = rates.rate_class(source) * rates.rate_classes();
 
     let mut network_sum = 0.0;
     let mut wait_sum = 0.0;
