@@ -12,8 +12,9 @@
 //!   simulation run — the reason analytical models are used for design-space
 //!   exploration at all.
 
+use crate::figures::analysis_curve;
 use crate::{EvaluationEffort, Result};
-use mcnet_model::{AnalyticalModel, ModelError, ModelOptions};
+use mcnet_model::{AnalyticalModel, ModelOptions};
 use mcnet_sim::Scenario;
 use mcnet_system::{organizations, MultiClusterSystem, TrafficConfig};
 use serde::{Deserialize, Serialize};
@@ -52,29 +53,20 @@ pub fn heterogeneity_ablation(
     points: usize,
 ) -> Result<HeterogeneityAblation> {
     let homogeneous = organizations::homogeneous_equivalent(system)?;
-    let latency = |sys: &MultiClusterSystem, rate: f64| -> Result<Option<f64>> {
-        let traffic = TrafficConfig::uniform(message_flits, flit_bytes, rate)
-            .map_err(mcnet_model::ModelError::from)?;
-        match AnalyticalModel::new(sys, &traffic)?.evaluate() {
-            Ok(r) => Ok(Some(r.total_latency)),
-            Err(ModelError::Saturated { .. }) => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    };
-    // The sweep points are independent model evaluations: fan them over the
-    // bounded worker pool and aggregate in rate order.
     let rates: Vec<f64> = (1..=points).map(|i| max_rate * i as f64 / points as f64).collect();
-    let results = mcnet_system::parallel::parallel_map(rates, |_, rate| -> Result<_> {
-        Ok(HeterogeneityPoint {
+    let template = TrafficConfig::uniform(message_flits, flit_bytes, max_rate)
+        .map_err(mcnet_model::ModelError::from)?;
+    let heterogeneous = analysis_curve(system, &template, &rates)?;
+    let homogeneous_curve = analysis_curve(&homogeneous, &template, &rates)?;
+    let rows = rates
+        .into_iter()
+        .zip(heterogeneous.into_iter().zip(homogeneous_curve))
+        .map(|(rate, (heterogeneous, homogeneous))| HeterogeneityPoint {
             rate,
-            heterogeneous: latency(system, rate)?,
-            homogeneous: latency(&homogeneous, rate)?,
+            heterogeneous,
+            homogeneous,
         })
-    });
-    let mut rows = Vec::with_capacity(points);
-    for r in results {
-        rows.push(r?);
-    }
+        .collect();
     Ok(HeterogeneityAblation {
         heterogeneous_system: system.summary(),
         homogeneous_system: homogeneous.summary(),

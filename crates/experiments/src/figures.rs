@@ -6,7 +6,7 @@
 //! and the simulation measurement — exactly the series of the paper's figures.
 
 use crate::{EvaluationEffort, Result};
-use mcnet_model::{AnalyticalModel, ModelError, ModelOptions};
+use mcnet_model::{ModelBackend, ModelError, ModelOptions};
 use mcnet_sim::{ReplicatedReport, Scenario, SimError};
 use mcnet_system::sweep::FigureSweep;
 use mcnet_system::{organizations, MultiClusterSystem, TrafficConfig};
@@ -91,17 +91,15 @@ fn build_series_replicated(
 ) -> Result<FigureSeries> {
     let sweep = sweep.with_points(effort.sweep_points());
     let rates = sweep.rates()?;
-
-    let analyses = mcnet_system::parallel::parallel_map(sweep.configs()?, |_, traffic| {
-        analysis_latency(system, &traffic)
-    });
+    let template = sweep.template()?;
+    let analyses = analysis_curve(system, &template, &rates)?;
 
     let simulations: Vec<Option<(f64, f64)>> = if reps == 0 {
         vec![None; rates.len()]
     } else {
         let scenario = Scenario::builder()
             .tree(system.clone())
-            .traffic(sweep.template()?)
+            .traffic(template)
             .config(effort.sim_config(seed))
             .build()?;
         scenario
@@ -115,7 +113,7 @@ fn build_series_replicated(
     for ((rate, analysis), simulation) in rates.iter().zip(analyses).zip(simulations) {
         points.push(SeriesPoint {
             rate: *rate,
-            analysis: analysis?,
+            analysis,
             simulation: simulation.map(|(mean, _)| mean),
             sim_std_error: simulation.map(|(_, err)| err),
         });
@@ -240,13 +238,22 @@ pub fn figure4_replicated(
     Ok(ReplicatedFigure { panels, digest: fold })
 }
 
-/// The analytical half of a point: latency, or `None` at saturation.
-fn analysis_latency(system: &MultiClusterSystem, traffic: &TrafficConfig) -> Result<Option<f64>> {
-    match AnalyticalModel::with_options(system, traffic, ModelOptions::default())?.evaluate() {
-        Ok(report) => Ok(Some(report.total_latency)),
-        Err(ModelError::Saturated { .. }) => Ok(None),
-        Err(e) => Err(e.into()),
-    }
+/// The analytical curve of a tree system: the model's mean latency at every
+/// rate (stamped onto `template`), or `None` where it saturates.
+pub(crate) fn analysis_curve(
+    system: &MultiClusterSystem,
+    template: &TrafficConfig,
+    rates: &[f64],
+) -> Result<Vec<Option<f64>>> {
+    ModelBackend::Tree(system.clone())
+        .evaluate_batch(template, rates, ModelOptions::default())?
+        .into_iter()
+        .map(|slot| match slot {
+            Ok(report) => Ok(Some(report.mean_latency)),
+            Err(ModelError::Saturated { .. }) => Ok(None),
+            Err(e) => Err(e.into()),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -321,7 +328,9 @@ mod tests {
     #[test]
     fn saturation_produces_none_not_error() {
         let system = organizations::table1_org_b();
-        let traffic = TrafficConfig::uniform(32, 256.0, 5e-3).unwrap();
-        assert_eq!(analysis_latency(&system, &traffic).unwrap(), None);
+        let template = TrafficConfig::uniform(32, 256.0, 1e-4).unwrap();
+        let curve = analysis_curve(&system, &template, &[1e-4, 5e-3]).unwrap();
+        assert!(curve[0].is_some());
+        assert_eq!(curve[1], None);
     }
 }

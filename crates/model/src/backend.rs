@@ -9,6 +9,10 @@
 //! [`ModelBackend::find_saturation_rate`]. The scenario layer in `mcnet-sim`
 //! builds one of these from the same `Fabric` that drives the simulator, which
 //! is what lets a single serialized scenario run through either world.
+//!
+//! Each entry point builds one model of the fabric and rebinds it to every
+//! rate it visits ([`AnalyticalModel::set_rate`], [`TorusModel::set_rate`]),
+//! so a sweep or a saturation search pays for one construction.
 
 use crate::multicluster::AnalyticalModel;
 use crate::options::ModelOptions;
@@ -120,16 +124,7 @@ impl ModelBackend {
     /// Evaluates the analytical model at one traffic point. Fails with
     /// [`ModelError::Saturated`] when the model has no steady state there.
     pub fn evaluate(&self, traffic: &TrafficConfig, options: ModelOptions) -> Result<ModelReport> {
-        match self {
-            ModelBackend::Tree(system) => {
-                let report = AnalyticalModel::with_options(system, traffic, options)?.evaluate()?;
-                Ok(ModelReport::from_tree(report))
-            }
-            ModelBackend::Torus(torus) => {
-                let report = TorusModel::new(torus, traffic, options)?.evaluate()?;
-                Ok(ModelReport::from_torus(report))
-            }
-        }
+        BoundModel::new(self, traffic, options)?.evaluate()
     }
 
     /// Evaluates the model at every rate of a sweep, building the
@@ -147,28 +142,14 @@ impl ModelBackend {
         rates: &[f64],
         options: ModelOptions,
     ) -> Result<Vec<Result<ModelReport>>> {
-        match self {
-            ModelBackend::Tree(system) => {
-                let mut model = AnalyticalModel::with_options(system, template, options)?;
-                Ok(rates
-                    .iter()
-                    .map(|&rate| {
-                        model.set_rate(rate)?;
-                        Ok(ModelReport::from_tree(model.evaluate()?))
-                    })
-                    .collect())
-            }
-            ModelBackend::Torus(torus) => {
-                let mut model = TorusModel::new(torus, template, options)?;
-                Ok(rates
-                    .iter()
-                    .map(|&rate| {
-                        model.set_rate(rate)?;
-                        Ok(ModelReport::from_torus(model.evaluate()?))
-                    })
-                    .collect())
-            }
-        }
+        let mut model = BoundModel::new(self, template, options)?;
+        Ok(rates
+            .iter()
+            .map(|&rate| {
+                model.set_rate(rate)?;
+                model.evaluate()
+            })
+            .collect())
     }
 
     /// Convenience: the mean latency at one traffic point, or `None` when the
@@ -196,26 +177,14 @@ impl ModelBackend {
         upper_bound: f64,
         tolerance: f64,
     ) -> Result<f64> {
-        let steady = |rate: f64| -> Result<bool> {
-            let traffic = template.with_rate(rate).map_err(ModelError::from)?;
-            Ok(self.mean_latency(&traffic, options)?.is_some())
-        };
-        if steady(upper_bound)? {
+        let template = template.with_rate(upper_bound).map_err(ModelError::from)?;
+        let mut model = BoundModel::new(self, &template, options)?;
+        if model.steady_at(upper_bound)? {
             return Err(ModelError::InvalidConfiguration {
                 reason: format!("the model is not saturated at the upper bound {upper_bound}"),
             });
         }
-        let mut lo = 0.0;
-        let mut hi = upper_bound;
-        while hi - lo > tolerance {
-            let mid = 0.5 * (lo + hi);
-            if steady(mid)? {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(lo)
+        model.bisect(upper_bound, tolerance)
     }
 
     /// Like [`ModelBackend::saturation_rate`], but finds its own bracket by
@@ -230,23 +199,16 @@ impl ModelBackend {
         options: ModelOptions,
         relative_tolerance: f64,
     ) -> Result<f64> {
-        let steady = |rate: f64| -> Result<bool> {
-            let traffic = template.with_rate(rate).map_err(ModelError::from)?;
-            Ok(self.mean_latency(&traffic, options)?.is_some())
-        };
         let mut rate = if template.generation_rate > 0.0 { template.generation_rate } else { 1e-6 };
-        if steady(rate)? {
+        let template = template.with_rate(rate).map_err(ModelError::from)?;
+        let mut model = BoundModel::new(self, &template, options)?;
+        if model.steady_at(rate)? {
             // Double until saturated: the first saturated rate is at most
             // 2× the saturation point.
             for _ in 0..64 {
                 rate *= 2.0;
-                if !steady(rate)? {
-                    return self.saturation_rate(
-                        template,
-                        options,
-                        rate,
-                        relative_tolerance * rate,
-                    );
+                if !model.steady_at(rate)? {
+                    return model.bisect(rate, relative_tolerance * rate);
                 }
             }
             Err(ModelError::InvalidConfiguration {
@@ -257,20 +219,80 @@ impl ModelBackend {
             // one) is then an equally tight upper bound.
             for _ in 0..64 {
                 rate *= 0.5;
-                if steady(rate)? {
+                if model.steady_at(rate)? {
                     let upper = 2.0 * rate;
-                    return self.saturation_rate(
-                        template,
-                        options,
-                        upper,
-                        relative_tolerance * upper,
-                    );
+                    return model.bisect(upper, relative_tolerance * upper);
                 }
             }
             Err(ModelError::InvalidConfiguration {
                 reason: format!("the model is saturated even at the vanishing rate {rate}"),
             })
         }
+    }
+}
+
+/// A model built for one backend, traffic geometry and option set: the only
+/// place that picks the tree or the torus model. Every [`ModelBackend`] entry
+/// point builds one and rebinds it to each rate it visits.
+enum BoundModel<'a> {
+    Tree(AnalyticalModel<'a>),
+    Torus(TorusModel),
+}
+
+impl<'a> BoundModel<'a> {
+    fn new(
+        backend: &'a ModelBackend,
+        traffic: &TrafficConfig,
+        options: ModelOptions,
+    ) -> Result<Self> {
+        Ok(match backend {
+            ModelBackend::Tree(system) => {
+                BoundModel::Tree(AnalyticalModel::with_options(system, traffic, options)?)
+            }
+            ModelBackend::Torus(torus) => {
+                BoundModel::Torus(TorusModel::new(torus, traffic, options)?)
+            }
+        })
+    }
+
+    fn set_rate(&mut self, rate: f64) -> Result<()> {
+        match self {
+            BoundModel::Tree(model) => model.set_rate(rate),
+            BoundModel::Torus(model) => model.set_rate(rate),
+        }
+    }
+
+    fn evaluate(&self) -> Result<ModelReport> {
+        Ok(match self {
+            BoundModel::Tree(model) => ModelReport::from_tree(model.evaluate()?),
+            BoundModel::Torus(model) => ModelReport::from_torus(model.evaluate()?),
+        })
+    }
+
+    /// Rebinds to `rate` and reports whether the model has a steady state there.
+    fn steady_at(&mut self, rate: f64) -> Result<bool> {
+        self.set_rate(rate)?;
+        match self.evaluate() {
+            Ok(_) => Ok(true),
+            Err(ModelError::Saturated { .. }) => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Bisects `[0, upper_bound]`, whose upper end is saturated, down to
+    /// `tolerance`: the largest rate found steady.
+    fn bisect(&mut self, upper_bound: f64, tolerance: f64) -> Result<f64> {
+        let mut lo = 0.0;
+        let mut hi = upper_bound;
+        while hi - lo > tolerance {
+            let mid = 0.5 * (lo + hi);
+            if self.steady_at(mid)? {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Ok(lo)
     }
 }
 
@@ -437,5 +459,134 @@ mod tests {
         let tree = ModelBackend::Tree(organizations::table1_org_b());
         let template = TrafficConfig::uniform(32, 256.0, 1e-4).unwrap();
         assert!(tree.saturation_rate(&template, ModelOptions::default(), 1e-7, 1e-9).is_err());
+    }
+
+    /// Whether a model built afresh at `rate` has a steady state: every probe
+    /// of the oracle searches below pays for its own construction.
+    fn fresh_steady(
+        backend: &ModelBackend,
+        template: &TrafficConfig,
+        options: ModelOptions,
+        rate: f64,
+    ) -> bool {
+        let traffic = template.with_rate(rate).unwrap();
+        let outcome = match backend {
+            ModelBackend::Tree(system) => {
+                AnalyticalModel::with_options(system, &traffic, options).unwrap().evaluate().err()
+            }
+            ModelBackend::Torus(torus) => {
+                TorusModel::new(torus, &traffic, options).unwrap().evaluate().err()
+            }
+        };
+        match outcome {
+            None => true,
+            Some(ModelError::Saturated { .. }) => false,
+            Some(e) => panic!("rate {rate}: {e}"),
+        }
+    }
+
+    fn oracle_saturation_rate(
+        backend: &ModelBackend,
+        template: &TrafficConfig,
+        options: ModelOptions,
+        upper_bound: f64,
+        tolerance: f64,
+    ) -> f64 {
+        assert!(!fresh_steady(backend, template, options, upper_bound));
+        let (mut lo, mut hi) = (0.0, upper_bound);
+        while hi - lo > tolerance {
+            let mid = 0.5 * (lo + hi);
+            if fresh_steady(backend, template, options, mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    fn oracle_find_saturation_rate(
+        backend: &ModelBackend,
+        template: &TrafficConfig,
+        options: ModelOptions,
+        relative_tolerance: f64,
+    ) -> f64 {
+        let mut rate = template.generation_rate;
+        let upper = if fresh_steady(backend, template, options, rate) {
+            while fresh_steady(backend, template, options, rate) {
+                rate *= 2.0;
+            }
+            rate
+        } else {
+            while !fresh_steady(backend, template, options, rate) {
+                rate *= 0.5;
+            }
+            2.0 * rate
+        };
+        oracle_saturation_rate(backend, template, options, upper, relative_tolerance * upper)
+    }
+
+    #[test]
+    fn saturation_searches_match_a_fresh_model_per_probe() {
+        // The searches rebind one model per call; an oracle that builds a
+        // fresh model at every probe must land on the same bits, from a start
+        // below the knee and from one above it.
+        let org_b = organizations::table1_org_b();
+        let small = organizations::small_test_org();
+        let tree_hot = |system: &MultiClusterSystem| TrafficPattern::Hotspot {
+            hotspot: system.total_nodes() - 1,
+            fraction: 0.2,
+        };
+        let torus_hot = TrafficPattern::Hotspot { hotspot: 3, fraction: 0.3 };
+        let mut cases = Vec::new();
+        for system in [org_b, small] {
+            let template = TrafficConfig::uniform(32, 256.0, 1e-4).unwrap();
+            let hot = template.with_pattern(tree_hot(&system)).unwrap();
+            for template in [template, hot] {
+                cases.push((ModelBackend::Tree(system.clone()), template, ModelOptions::default()));
+            }
+        }
+        for k in [4, 16] {
+            let template = TrafficConfig::uniform(32, 256.0, 1e-5).unwrap();
+            for template in [template, template.with_pattern(torus_hot).unwrap()] {
+                for options in [
+                    ModelOptions::default(),
+                    ModelOptions::default().with_adaptive_torus(1),
+                    ModelOptions::default().with_adaptive_torus(2),
+                ] {
+                    cases.push((
+                        ModelBackend::Torus(TorusSystem::new(k, 2).unwrap()),
+                        template,
+                        options,
+                    ));
+                }
+            }
+        }
+        for (backend, template, options) in &cases {
+            for start in [template.generation_rate, 0.5] {
+                let template = template.with_rate(start).unwrap();
+                let found = backend.find_saturation_rate(&template, *options, 1e-4).unwrap();
+                let expected = oracle_find_saturation_rate(backend, &template, *options, 1e-4);
+                let label =
+                    format!("{} {:?} {options:?} from {start}", backend.summary(), template);
+                let below_knee = start < 0.5;
+                assert_eq!(
+                    fresh_steady(backend, &template, *options, start),
+                    below_knee,
+                    "{label}"
+                );
+                assert_eq!(found.to_bits(), expected.to_bits(), "{label}");
+                let bisected = backend.saturation_rate(&template, *options, 1.0, 1e-7).unwrap();
+                let expected = oracle_saturation_rate(backend, &template, *options, 1.0, 1e-7);
+                assert_eq!(bisected.to_bits(), expected.to_bits(), "{label}");
+            }
+        }
+        // Spot values: Org B and the adaptive 16-ary 2-cube with two VCs.
+        let (org_b, uniform, default) = &cases[0];
+        let from_5e4 = uniform.with_rate(5e-4).unwrap();
+        assert_eq!(org_b.find_saturation_rate(&from_5e4, *default, 1e-4).unwrap(), 9.7216796875e-4);
+        let (cube, uniform, adaptive_2) = &cases[12];
+        let from_2e4 = uniform.with_rate(2e-4).unwrap();
+        assert_eq!(cube.find_saturation_rate(&from_2e4, *adaptive_2, 1e-4).unwrap(), 3.4428125e-2);
     }
 }

@@ -98,10 +98,7 @@ impl<'a> AnalyticalModel<'a> {
         traffic: &TrafficConfig,
         options: ModelOptions,
     ) -> Result<Self> {
-        let rates = SystemRates::compute(system, traffic, &options)?;
-        let hops = HopCache::build(system, &options)?;
-        let times = ChannelTimes::new(system.technology(), traffic);
-        Ok(AnalyticalModel { system, traffic: *traffic, options, rates, hops, times })
+        Self::with_rate_scaling(system, traffic, &vec![1.0; system.num_clusters()], options)
     }
 
     /// Builds the model with per-cluster generation-rate scaling (the
@@ -120,15 +117,12 @@ impl<'a> AnalyticalModel<'a> {
 
     /// Rebinds the model to a new per-node generation rate without rebuilding
     /// the rate-independent structure (hop distributions, destination mix,
-    /// outgoing probabilities). The result of a subsequent
-    /// [`AnalyticalModel::evaluate`] is bit-identical to a model freshly built
-    /// at that rate; only the construction cost is saved — this is what
-    /// `ModelBackend::evaluate_batch` sweeps with.
+    /// outgoing probabilities, channel times); a subsequent
+    /// [`AnalyticalModel::evaluate`] is that of a model built at the new rate.
+    /// `ModelBackend::evaluate_batch` and the saturation searches sweep with it.
     pub fn set_rate(&mut self, rate: f64) -> Result<()> {
-        let traffic = self.traffic.with_rate(rate).map_err(ModelError::from)?;
-        self.traffic = traffic;
-        self.times = ChannelTimes::new(self.system.technology(), &traffic);
-        self.rates.rebind(traffic.generation_rate);
+        self.traffic = self.traffic.with_rate(rate).map_err(ModelError::from)?;
+        self.rates.rebind(rate);
         Ok(())
     }
 
@@ -137,7 +131,7 @@ impl<'a> AnalyticalModel<'a> {
         self.system
     }
 
-    /// The traffic point the model was built for.
+    /// The traffic point the model is bound to.
     pub fn traffic(&self) -> &TrafficConfig {
         &self.traffic
     }

@@ -269,61 +269,45 @@ impl SystemRates {
 
         let mut clusters = Vec::with_capacity(system.num_clusters());
         for (i, spec) in system.iter_clusters() {
-            let nodes = spec.num_nodes();
-            let levels = spec.levels;
-            let lambda_g = traffic.generation_rate * scale[i];
             let p_o = match &mix {
                 None => system.outgoing_probability(i)?,
                 Some(mix) => 1.0 - mix.stay(i),
             };
-            let hops = HopDistribution::with_model(m, levels, options.hop_model)?;
-            let d_avg = hops.average_distance();
-            let lambda_icn1 = nodes as f64 * (1.0 - p_o) * lambda_g;
-            let eta_icn1 = d_avg * lambda_icn1 / (4.0 * levels as f64 * nodes as f64);
+            let hops = HopDistribution::with_model(m, spec.levels, options.hop_model)?;
+            // The rate-dependent fields are filled in by `rebind` below.
             clusters.push(ClusterRates {
                 cluster: i,
-                nodes,
-                levels,
+                nodes: spec.num_nodes(),
+                levels: spec.levels,
                 outgoing_probability: p_o,
-                average_distance: d_avg,
-                lambda_icn1,
-                eta_icn1,
-                per_node_icn1_rate: (1.0 - p_o) * lambda_g,
-                per_node_ecn1_rate: p_o * lambda_g,
-                generation_rate: lambda_g,
+                average_distance: hops.average_distance(),
+                lambda_icn1: 0.0,
+                eta_icn1: 0.0,
+                per_node_icn1_rate: 0.0,
+                per_node_ecn1_rate: 0.0,
+                generation_rate: 0.0,
             });
         }
-        let external_in = mix.as_ref().map(|mix| {
-            (0..clusters.len())
-                .map(|v| {
-                    clusters
-                        .iter()
-                        .filter(|c| c.cluster != v)
-                        .map(|c| c.nodes as f64 * c.generation_rate * mix.to(c.cluster, v))
-                        .sum()
-                })
-                .collect()
-        });
         let (class_of, classes) = rate_classes(&clusters, scale, mix.is_some());
-        Ok(SystemRates {
+        let mut rates = SystemRates {
             clusters,
             icn2_average_distance,
             icn2_levels: system.icn2_levels(),
-            generation_rate: traffic.generation_rate,
-            external_in,
+            generation_rate: 0.0,
+            external_in: None,
             mix,
             scale: scale.to_vec(),
             class_of,
             classes,
-        })
+        };
+        rates.rebind(traffic.generation_rate);
+        Ok(rates)
     }
 
-    /// Re-derives every rate-dependent quantity at a new per-node generation
-    /// rate, keeping the rate-independent structure (outgoing probabilities,
-    /// hop distances, destination mix) untouched. Every expression matches
-    /// [`SystemRates::compute_scaled`] term for term, so a rebound value is
-    /// bit-identical to a fresh computation at the same rate — the batched
-    /// model evaluator leans on exactly that.
+    /// Derives every rate-dependent quantity (Eqs. 5 and 10, the per-node
+    /// injection rates and the mix's incoming aggregates) at a new per-node
+    /// generation rate, keeping the rate-independent structure (outgoing
+    /// probabilities, hop distances, destination mix, rate classes).
     pub fn rebind(&mut self, generation_rate: f64) {
         self.generation_rate = generation_rate;
         for (c, &s) in self.clusters.iter_mut().zip(&self.scale) {
@@ -337,19 +321,17 @@ impl SystemRates {
             c.generation_rate = lambda_g;
         }
         let clusters = &self.clusters;
-        if let Some(mix) = &self.mix {
-            self.external_in = Some(
-                (0..clusters.len())
-                    .map(|v| {
-                        clusters
-                            .iter()
-                            .filter(|c| c.cluster != v)
-                            .map(|c| c.nodes as f64 * c.generation_rate * mix.to(c.cluster, v))
-                            .sum()
-                    })
-                    .collect(),
-            );
-        }
+        self.external_in = self.mix.as_ref().map(|mix| {
+            (0..clusters.len())
+                .map(|v| {
+                    clusters
+                        .iter()
+                        .filter(|c| c.cluster != v)
+                        .map(|c| c.nodes as f64 * c.generation_rate * mix.to(c.cluster, v))
+                        .sum()
+                })
+                .collect()
+        });
     }
 
     /// Per-cluster rates.

@@ -108,7 +108,8 @@ pub struct TorusLatencyReport {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ChannelLoads {
     /// Total message rate per link channel (background + hot-spot), indexed by
-    /// [`TorusModel::channel_index`].
+    /// [`TorusModel::channel_index`]; derived from the usage counts by
+    /// [`TorusModel::set_rate`].
     rate: Vec<f64>,
     /// Relative traversal weight of every link channel under the background
     /// (uniform) destination component.
@@ -192,9 +193,9 @@ impl TorusModel {
         let (hop_probs, intra_probs, inter_probs, intra_fraction) =
             hop_distributions(&ring.distance_probs, torus.dimensions());
 
-        let loads = ChannelLoads::build(&cube, traffic, &ring, hotspot, fraction)?;
+        let loads = ChannelLoads::build(&cube, &ring, hotspot)?;
         let n = n_total as f64;
-        Ok(TorusModel {
+        let mut model = TorusModel {
             torus: torus.clone(),
             traffic: *traffic,
             options,
@@ -207,42 +208,46 @@ impl TorusModel {
             intra_fraction,
             hot_weight: fraction * (n - 1.0) / n,
             hotspot,
-        })
+        };
+        model.set_rate(traffic.generation_rate)?;
+        Ok(model)
     }
 
-    /// Rebinds the model to a new per-node generation rate, recomputing only
-    /// the per-channel rate table from the stored (rate-independent) usage
-    /// counts. Every arithmetic step mirrors `ChannelLoads::build` — the
-    /// uniform term uses the identical expression and the hot-spot term is the
-    /// identical repeated addition — so a subsequent [`TorusModel::evaluate`]
-    /// is bit-identical to a model freshly built at that rate.
+    /// Binds the model to a per-node generation rate: derives the per-channel
+    /// rate table from the stored (rate-independent) usage counts. A
+    /// subsequent [`TorusModel::evaluate`] is that of a model built at the new
+    /// rate.
     pub fn set_rate(&mut self, rate: f64) -> Result<()> {
-        let traffic = self.traffic.with_rate(rate).map_err(ModelError::from)?;
-        self.traffic = traffic;
-        self.times = ChannelTimes::new(self.torus.technology(), &traffic);
-        let fraction = match (self.hotspot, &traffic.pattern) {
-            (Some(_), TrafficPattern::Hotspot { fraction, .. }) => *fraction,
-            _ => 0.0,
-        };
+        self.traffic = self.traffic.with_rate(rate).map_err(ModelError::from)?;
         let n = self.cube.num_nodes() as f64;
-        let k = self.cube.radix();
-        let lambda = traffic.generation_rate;
-        let lambda_uniform = if self.hotspot.is_some() {
-            lambda * ((n - 1.0) * (1.0 - fraction) + 1.0) / n
-        } else {
-            lambda
-        };
-        let correction = n / (n - 1.0);
-        for c in 0..self.loads.rate.len() {
-            let u = self.loads.uniform_usage[c];
-            let mut r = if u == 0.0 { 0.0 } else { lambda_uniform * u / k as f64 * correction };
-            // `build` adds `fraction·λ` once per enumerated hot-spot traversal;
-            // repeating the identical addend reproduces its partial-sum
-            // sequence exactly (the traversal counts are exact integers).
-            for _ in 0..self.loads.hotspot_usage[c] as usize {
-                r += fraction * lambda;
+        let k = self.cube.radix() as f64;
+        // The per-source rate of the background (uniform-destination)
+        // component: non-hot sources send (1 − f)·λ_g uniformly, the hot node
+        // sends its full λ_g uniformly; the symmetric equivalent spreads the
+        // difference. Hot-spot routes add f·λ_g per traversal.
+        let (lambda_uniform, hot_addend) = match (self.hotspot, self.traffic.pattern) {
+            (Some(_), TrafficPattern::Hotspot { fraction, .. }) => {
+                (rate * ((n - 1.0) * (1.0 - fraction) + 1.0) / n, Some(fraction * rate))
             }
-            self.loads.rate[c] = r;
+            _ => (rate, None),
+        };
+        // A channel leaving digit `a` of dimension `i` is traversed
+        // `usage[a][dir][vc]·k^(n-1)` times over all N² ordered pairs, i.e. at
+        // rate λ_u · usage/k · N/(N−1) once destinations exclude the source.
+        let correction = n / (n - 1.0);
+        for (r, &u) in self.loads.rate.iter_mut().zip(&self.loads.uniform_usage) {
+            *r = lambda_uniform * u / k * correction;
+        }
+        if let Some(addend) = hot_addend {
+            // One addition of f·λ_g per traversal (the counts are exact
+            // integers), not a product, so the pinned bits hold; most channels
+            // carry none.
+            let counts = self.loads.rate.iter_mut().zip(&self.loads.hotspot_usage);
+            for (r, &count) in counts.filter(|(_, count)| **count > 0.0) {
+                for _ in 0..count as usize {
+                    *r += addend;
+                }
+            }
         }
         Ok(())
     }
@@ -252,7 +257,7 @@ impl TorusModel {
         &self.torus
     }
 
-    /// The traffic point the model was built for.
+    /// The traffic point the model is bound to.
     pub fn traffic(&self) -> &TrafficConfig {
         &self.traffic
     }
@@ -385,7 +390,7 @@ impl TorusModel {
         // Saturation gate: the most loaded physical link, with the adaptive /
         // escape split it settles into at this load.
         let eta_vc_max = self.loads.rate.iter().cloned().fold(0.0f64, f64::max);
-        let (_, link_max) = self.link_rate_stats(&self.loads.uniform_usage);
+        let (link_uni, link_max) = self.link_rate_stats(&self.loads.uniform_usage);
         let beta_max = escape_fraction(link_max, v, candidates, hold);
         let (eta_a_max, eta_e_max) = (link_max * (1.0 - beta_max) / v, beta_max * eta_vc_max);
         let worst =
@@ -396,7 +401,6 @@ impl TorusModel {
 
         // Background class: usage-weighted link totals drive the fixed point,
         // the usage-weighted deterministic VC rate scales the escape class.
-        let (link_uni, _) = self.link_rate_stats(&self.loads.uniform_usage);
         let eta_vc_uni = usage_weighted_rate(&self.loads.uniform_usage, &self.loads.rate);
         let beta_uni = escape_fraction(link_uni, v, candidates, hold);
         let eta_a_uni = link_uni * (1.0 - beta_uni) / v;
@@ -779,30 +783,14 @@ fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
 }
 
 impl ChannelLoads {
-    fn build(
-        cube: &KaryNCube,
-        traffic: &TrafficConfig,
-        ring: &RingUsage,
-        hotspot: Option<usize>,
-        fraction: f64,
-    ) -> Result<ChannelLoads> {
+    /// Records the rate-independent usage counts of every link channel; the
+    /// rate table is left zero for [`TorusModel::set_rate`] to fill.
+    fn build(cube: &KaryNCube, ring: &RingUsage, hotspot: Option<usize>) -> Result<ChannelLoads> {
         let k = cube.radix();
         let n_nodes = cube.num_nodes();
         let dims = cube.dimensions();
         let channels = n_nodes * dims * 2 * 2;
-        let n = n_nodes as f64;
-        let lambda = traffic.generation_rate;
 
-        // The per-source rate of the background (uniform-destination) component:
-        // non-hot sources send (1 − f)·λ_g uniformly, the hot node sends its
-        // full λ_g uniformly; the symmetric equivalent spreads the difference.
-        let lambda_uniform = if hotspot.is_some() {
-            lambda * ((n - 1.0) * (1.0 - fraction) + 1.0) / n
-        } else {
-            lambda
-        };
-
-        let mut rate = vec![0.0f64; channels];
         let mut uniform_usage = vec![0.0f64; channels];
         let mut hotspot_usage = vec![0.0f64; channels];
 
@@ -810,32 +798,20 @@ impl ChannelLoads {
             ((node * dims + dim) * 2 + dir_idx) * 2 + vc
         };
 
-        // Background loads: exact from the single-ring enumeration. A channel
-        // leaving digit `a` of dimension `i` is traversed `usage[a][dir][vc]·k^(n-1)`
-        // times over all N² ordered pairs, i.e. at rate
-        // λ_u · usage/k · N/(N−1) once destinations exclude the source.
-        let correction = n / (n - 1.0);
+        // Background usage: exact from the single-ring enumeration.
         for node in 0..n_nodes {
             let mut rest = node;
             for dim in 0..dims {
                 let digit = rest % k;
                 rest /= k;
-                for dir_idx in 0..2 {
-                    for vc in 0..2 {
-                        let u = ring.usage[digit][dir_idx][vc];
-                        if u == 0.0 {
-                            continue;
-                        }
-                        let c = index(node, dim, dir_idx, vc);
-                        uniform_usage[c] = u;
-                        rate[c] = lambda_uniform * u / k as f64 * correction;
-                    }
-                }
+                // The four (direction, VC) channels of a link are adjacent.
+                let c = index(node, dim, 0, 0);
+                uniform_usage[c..c + 4].copy_from_slice(ring.usage[digit].as_flattened());
             }
         }
 
-        // Hot-spot loads: enumerate every source → hotspot route (with the
-        // shared dateline-VC definition) and add f·λ_g per traversal.
+        // Hot-spot usage: enumerate every source → hotspot route (with the
+        // shared dateline-VC definition) and count its traversals.
         if let Some(h) = hotspot {
             let target = NodeId::from_index(h);
             let mut hops = Vec::new();
@@ -845,19 +821,17 @@ impl ChannelLoads {
                 }
                 hops.clear();
                 cube.route_into(NodeId::from_index(src), target, &mut hops)?;
-                let vcs = cube.dateline_vcs(NodeId::from_index(src), &hops)?;
+                let vcs = cube.dateline_vcs_iter(NodeId::from_index(src), &hops)?;
                 let mut from = src;
                 for (hop, vc) in hops.iter().zip(vcs) {
                     let dir_idx = usize::from(hop.direction < 0);
-                    let c = index(from, hop.dimension, dir_idx, vc as usize);
-                    hotspot_usage[c] += 1.0;
-                    rate[c] += fraction * lambda;
+                    hotspot_usage[index(from, hop.dimension, dir_idx, vc as usize)] += 1.0;
                     from = hop.node.index();
                 }
             }
         }
 
-        Ok(ChannelLoads { rate, uniform_usage, hotspot_usage })
+        Ok(ChannelLoads { rate: vec![0.0; channels], uniform_usage, hotspot_usage })
     }
 }
 
