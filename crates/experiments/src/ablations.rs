@@ -17,11 +17,10 @@ use crate::{EvaluationEffort, Result};
 use mcnet_model::{AnalyticalModel, ModelOptions};
 use mcnet_sim::Scenario;
 use mcnet_system::{organizations, MultiClusterSystem, TrafficConfig};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// One row of the heterogeneity ablation (A1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeterogeneityPoint {
     /// Generation rate.
     pub rate: f64,
@@ -32,7 +31,7 @@ pub struct HeterogeneityPoint {
 }
 
 /// Result of the heterogeneity ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeterogeneityAblation {
     /// Summary of the heterogeneous system.
     pub heterogeneous_system: String,
@@ -75,7 +74,7 @@ pub fn heterogeneity_ablation(
 }
 
 /// Result of the variance-approximation ablation (A2) at one traffic point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VarianceAblation {
     /// Generation rate.
     pub rate: f64,
@@ -105,7 +104,7 @@ pub fn variance_ablation(
 }
 
 /// Result of the cost comparison (A3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostComparison {
     /// Wall-clock seconds for one analytical evaluation.
     pub model_seconds: f64,

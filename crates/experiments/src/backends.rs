@@ -15,11 +15,10 @@
 use crate::{EvaluationEffort, Result};
 use mcnet_sim::{FabricBackend, ReplicatedReport, Scenario, SimError};
 use mcnet_system::{organizations, MultiClusterSystem, TorusSystem, TrafficConfig};
-use serde::{Deserialize, Serialize};
 
 /// One load point of the comparison. A `None` latency means the backend's
 /// replications exhausted the event budget at this rate (deep saturation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackendPoint {
     /// Per-node generation rate `λ_g`.
     pub rate: f64,
@@ -34,7 +33,7 @@ pub struct BackendPoint {
 }
 
 /// The full comparison: matched systems, channel populations and the sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackendComparison {
     /// Tree system summary (`N=…, C=…, m=…, n_c=…`).
     pub tree_summary: String,

@@ -315,30 +315,19 @@ impl Campaign {
         }
 
         // Simulate every still-pending cell. The pool workers each hold one
-        // cached engine keyed by a fabric/routing/geometry signature:
-        // `Simulation::reset` checks message geometry but not fabric
-        // identity, so the key — not the reset — is what makes cross-cell
-        // reuse safe when a worker claims cells of different shapes.
-        let work: Vec<(usize, Scenario, u64)> = rows
+        // cached engine; `Scenario::execute_reusing` resets it only for a cell
+        // of the fabric and routing policy it was built from, and rebuilds it
+        // for any other.
+        let work: Vec<(usize, Scenario)> = rows
             .iter()
             .filter(|r| r.status == CellStatus::Pending)
-            .map(|r| {
-                let scenario = scenarios[r.index].clone().expect("pending cells built");
-                let signature = engine_signature(&specs[r.index]);
-                (r.index, scenario, signature)
-            })
+            .map(|r| (r.index, scenarios[r.index].clone().expect("pending cells built")))
             .collect();
-        let mut caches: Vec<(u64, Option<Simulation>)> = Vec::new();
+        let mut slots: Vec<Option<Simulation>> = Vec::new();
         let outcomes = mcnet_system::parallel::parallel_map_reusing(
             work,
-            &mut caches,
-            |cache, _, (index, scenario, signature)| {
-                if cache.0 != signature {
-                    cache.1 = None;
-                    cache.0 = signature;
-                }
-                (index, scenario.execute_reusing(&mut cache.1))
-            },
+            &mut slots,
+            |slot, _, (index, scenario)| (index, scenario.execute_reusing(slot)),
         );
         for (index, outcome) in outcomes {
             let row = &mut rows[index];
@@ -370,33 +359,6 @@ fn check_keys(obj: &BTreeMap<String, Json>, context: &str, allowed: &[&str]) -> 
         }
     }
     Ok(())
-}
-
-/// In-process cache key for worker-held engines: two cells may share an
-/// engine only when fabric, routing policy and message geometry all agree
-/// (everything else — rate, seed, protocol, faults — is rebound by
-/// `Simulation::reset`).
-fn engine_signature(spec: &ScenarioSpec) -> u64 {
-    fnv1a(
-        format!(
-            "{:?}|{:?}|{}|{:016x}",
-            spec.fabric,
-            spec.routing,
-            spec.traffic.message_flits,
-            spec.traffic.flit_bytes.to_bits()
-        )
-        .as_bytes(),
-    )
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // Reserve 0 as the "empty cache" sentinel.
-    hash.max(1)
 }
 
 /// The analytical pre-screen: cells are grouped by everything the model sees

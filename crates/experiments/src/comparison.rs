@@ -20,10 +20,9 @@
 use crate::figures::FigurePanel;
 use crate::{EvaluationEffort, ExperimentError, Result};
 use mcnet_sim::{Scenario, ScenarioSpec, SimError, TrafficSourceSpec};
-use serde::{Deserialize, Serialize};
 
 /// Relative error of one traffic point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointError {
     /// Generation rate of the point.
     pub rate: f64,
@@ -38,7 +37,7 @@ pub struct PointError {
 }
 
 /// Aggregated accuracy over one series or panel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracySummary {
     /// Per-point errors (only points where both numbers exist).
     pub points: Vec<PointError>,
@@ -85,7 +84,7 @@ pub fn accuracy_report(panel: &FigurePanel, steady_fraction: f64) -> AccuracySum
 }
 
 /// The model-vs-simulation validation of one scenario spec.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpecValidation {
     /// Spec name.
     pub name: String,
@@ -261,7 +260,7 @@ pub fn validation_to_markdown(cases: &[SpecValidation]) -> String {
 /// ON-OFF shapes. The analytical model only sees the (identical) mean rate,
 /// so the relative error is a direct measurement of what the Poisson
 /// assumption costs as burstiness grows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstinessPoint {
     /// ON-OFF duty cycle of the point; `None` is the Poisson control.
     pub duty: Option<f64>,

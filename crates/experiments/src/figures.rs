@@ -10,10 +10,9 @@ use mcnet_model::{ModelBackend, ModelError, ModelOptions};
 use mcnet_sim::{ReplicatedReport, Scenario, SimError};
 use mcnet_system::sweep::FigureSweep;
 use mcnet_system::{organizations, MultiClusterSystem, TrafficConfig};
-use serde::{Deserialize, Serialize};
 
 /// One traffic point of one curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesPoint {
     /// Per-node generation rate `λ_g`.
     pub rate: f64,
@@ -26,7 +25,7 @@ pub struct SeriesPoint {
 }
 
 /// One curve of a panel (one flit size, analysis + simulation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureSeries {
     /// Human-readable label, e.g. `"Lm=256"`.
     pub label: String,
@@ -39,7 +38,7 @@ pub struct FigureSeries {
 }
 
 /// One panel of a figure (one organization and message length, both flit sizes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigurePanel {
     /// Panel title, e.g. `"Fig. 3: N=1120, m=8, M=32"`.
     pub title: String,

@@ -37,10 +37,9 @@ pub mod table1;
 pub use figures::{FigurePanel, FigureSeries, SeriesPoint};
 
 use mcnet_sim::SimConfig;
-use serde::{Deserialize, Serialize};
 
 /// How much work to spend on an evaluation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvaluationEffort {
     /// A handful of sweep points and a small simulation protocol — for tests and CI.
     Quick,

@@ -7,10 +7,9 @@
 //! configuration code against the published numbers.
 
 use mcnet_system::{organizations, MultiClusterSystem};
-use serde::{Deserialize, Serialize};
 
 /// One row group of Table 1 (a set of clusters with identical size).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrganizationGroup {
     /// Tree levels `n_i` of the clusters in the group.
     pub levels: usize,
@@ -23,7 +22,7 @@ pub struct OrganizationGroup {
 }
 
 /// A fully expanded organization row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrganizationSummary {
     /// Organization name (`"A"` or `"B"`, or a custom label).
     pub name: String,

@@ -7,8 +7,9 @@
 //! plus the per-class breakdown), [`ModelBackend::mean_latency`] and the
 //! pattern-aware saturation search [`ModelBackend::saturation_rate`] /
 //! [`ModelBackend::find_saturation_rate`]. The scenario layer in `mcnet-sim`
-//! builds one of these from the same `Fabric` that drives the simulator, which
-//! is what lets a single serialized scenario run through either world.
+//! re-exports this type as its `Fabric`, so the simulator and the model are
+//! built from one fabric description, which is what lets a single serialized
+//! scenario run through either world.
 //!
 //! Each entry point builds one model of the fabric and rebinds it to every
 //! rate it visits ([`AnalyticalModel::set_rate`], [`TorusModel::set_rate`]),
@@ -19,7 +20,6 @@ use crate::options::ModelOptions;
 use crate::torus::{TorusLatencyReport, TorusModel};
 use crate::{LatencyReport, ModelError, Result};
 use mcnet_system::{MultiClusterSystem, TorusSystem, TrafficConfig};
-use serde::{Deserialize, Serialize};
 
 /// An analytical model bound to a fabric — the model-side counterpart of the
 /// simulator's `FabricBackend`.
@@ -33,7 +33,7 @@ pub enum ModelBackend {
 
 /// The unified latency report of one backend evaluation: the engine-facing
 /// headline numbers plus the fabric-specific breakdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelReport {
     /// The per-node generation rate the report was computed for.
     pub generation_rate: f64,
@@ -60,7 +60,7 @@ pub struct ModelReport {
 }
 
 /// Fabric-specific detail of a [`ModelReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ModelDetail {
     /// Per-cluster breakdown of the tree model (Eqs. 35–36).
     Tree(LatencyReport),

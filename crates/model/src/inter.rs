@@ -15,10 +15,9 @@ use crate::service::{self, ChannelTimes, StageWalk};
 use crate::source_queue::{self, SourceQueueInput, SourceQueueKind};
 use crate::tail;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Breakdown of the inter-cluster latency seen from one source cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterClusterLatency {
     /// Mean merged ECN1+ICN2 network latency, averaged over destination clusters
     /// (the `S` term of Eq. 31).

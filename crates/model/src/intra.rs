@@ -13,10 +13,9 @@ use crate::source_queue::{self, SourceQueueInput, SourceQueueKind};
 use crate::tail;
 use crate::Result;
 use mcnet_topology::distance::HopDistribution;
-use serde::{Deserialize, Serialize};
 
 /// Breakdown of the intra-cluster latency of one cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntraClusterLatency {
     /// Mean network latency `S^{(i)}` (Eq. 3).
     pub network: f64,

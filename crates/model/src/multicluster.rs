@@ -15,10 +15,9 @@ use crate::rates::{HopCache, SystemRates};
 use crate::service::ChannelTimes;
 use crate::{ModelError, Result};
 use mcnet_system::{MultiClusterSystem, TrafficConfig};
-use serde::{Deserialize, Serialize};
 
 /// Latency breakdown of one cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterLatency {
     /// Cluster index.
     pub cluster: usize,
@@ -38,7 +37,7 @@ pub struct ClusterLatency {
 }
 
 /// The full latency report of one model evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyReport {
     /// The per-node generation rate the report was computed for.
     pub generation_rate: f64,

@@ -6,10 +6,9 @@
 //! effect of every choice can be quantified by the ablation benchmarks.
 
 use mcnet_topology::distance::HopModel;
-use serde::{Deserialize, Serialize};
 
 /// Which arrival rate feeds the M/G/1 source queue of an injection channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SourceQueueRate {
     /// Each node's injection channel receives that node's own message rate
     /// (`(1 − P_o)·λ_g` for ICN1, `P_o·λ_g` for ECN1). This is the physically
@@ -25,7 +24,7 @@ pub enum SourceQueueRate {
 }
 
 /// Routing discipline assumed by the torus channel-load model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TorusRouting {
     /// Dimension-order routing with Dally–Seitz dateline virtual channels —
     /// the simulator's deterministic torus policy and the Draper–Ghosh
@@ -46,7 +45,7 @@ pub enum TorusRouting {
 }
 
 /// Variance model for the source-queue service time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VarianceApproximation {
     /// The Draper–Ghosh approximation of Eq. (22): `σ = S − M·t_cn`.
     #[default]
@@ -57,7 +56,7 @@ pub enum VarianceApproximation {
 }
 
 /// All interpretation knobs of the analytical model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelOptions {
     /// Which hop-count distribution to use (paper Eq. 4 or the exact enumeration).
     pub hop_model: HopModel,
@@ -73,7 +72,6 @@ pub struct ModelOptions {
     /// deterministic NCA loads also describe randomized up*/down* routing in
     /// the mean — randomization only redistributes load across symmetric
     /// channels of the same network).
-    #[serde(default)]
     pub torus_routing: TorusRouting,
 }
 

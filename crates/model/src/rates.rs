@@ -22,7 +22,6 @@ use crate::options::ModelOptions;
 use crate::{ModelError, Result};
 use mcnet_system::{MultiClusterSystem, TrafficConfig, TrafficPattern};
 use mcnet_topology::distance::HopDistribution;
-use serde::{Deserialize, Serialize};
 
 /// The average destination-cluster distribution of every source cluster — the
 /// non-uniform-traffic generalization of the paper's uniform-destination
@@ -37,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// diagonal. Within every network the model still spreads traffic uniformly
 /// over channels (the Eqs. 10–12 denominators) — the mix redistributes traffic
 /// *between* clusters, not within a tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct DestinationMix {
     /// `q[i][v]`, row-stochastic.
     q: Vec<Vec<f64>>,
@@ -150,7 +149,7 @@ fn cluster_of_node(system: &MultiClusterSystem, node: usize) -> Result<usize> {
 }
 
 /// Per-cluster rate quantities that do not depend on the destination cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterRates {
     /// Cluster index.
     pub cluster: usize,
@@ -177,7 +176,7 @@ pub struct ClusterRates {
 }
 
 /// Rate quantities of one ordered cluster pair `(i, v)` for the inter-cluster journey.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairRates {
     /// Source cluster `i`.
     pub source: usize,
@@ -194,7 +193,7 @@ pub struct PairRates {
 }
 
 /// All rate quantities of a system under a given traffic configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemRates {
     clusters: Vec<ClusterRates>,
     /// Average message distance in ICN2 (over the concentrators), `d_avg^{(c)}`.
@@ -433,7 +432,7 @@ fn rate_classes(clusters: &[ClusterRates], scale: &[f64], mixed: bool) -> (Vec<u
 
 /// Cache of hop-count distributions keyed by tree level count, shared by the intra- and
 /// inter-cluster latency computations so each distinct `n` is computed once.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HopCache {
     per_levels: std::collections::BTreeMap<usize, HopDistribution>,
     icn2: HopDistribution,

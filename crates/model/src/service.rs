@@ -30,11 +30,10 @@
 use crate::{ModelError, Result, SaturatedComponent};
 use mcnet_system::{NetworkTechnology, TrafficConfig};
 use mcnet_topology::distance::HopDistribution;
-use serde::{Deserialize, Serialize};
 
 /// Per-message channel occupation times derived from the network technology and the
 /// message geometry (Eqs. 14–15 scaled by the message length `M`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelTimes {
     /// Per-flit node↔switch time `t_cn`.
     pub t_cn: f64,
@@ -69,7 +68,7 @@ impl ChannelTimes {
 
 /// Result of one stage recursion: the latency seen at the first stage and the largest
 /// per-channel utilisation encountered along the way.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageOutcome {
     /// `S_0`, the mean service time at the first stage (the network latency of the
     /// journey).

@@ -9,10 +9,9 @@
 use crate::options::{ModelOptions, SourceQueueRate, VarianceApproximation};
 use crate::{ModelError, Result, SaturatedComponent};
 use mcnet_queueing::{MG1Queue, QueueingError, ServiceTime};
-use serde::{Deserialize, Serialize};
 
 /// Which network's injection channel the queue feeds (only used for error reporting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SourceQueueKind {
     /// Injection into the intra-cluster network ICN1.
     Intra,
@@ -24,7 +23,7 @@ pub enum SourceQueueKind {
 }
 
 /// Inputs of a source-queue computation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SourceQueueInput {
     /// Which injection channel this is.
     pub kind: SourceQueueKind,

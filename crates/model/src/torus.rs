@@ -57,7 +57,6 @@ use crate::source_queue::{self, SourceQueueInput, SourceQueueKind};
 use crate::{ModelError, Result};
 use mcnet_system::{TorusSystem, TrafficConfig, TrafficPattern};
 use mcnet_topology::{KaryNCube, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Largest torus population the analytical model accepts. The per-channel load
 /// tables are dense (`N · n · 2 · 2` entries), so the model is capped well below
@@ -65,7 +64,7 @@ use serde::{Deserialize, Serialize};
 const MAX_MODEL_TORUS_NODES: usize = 1 << 16;
 
 /// The latency report of one torus-model evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TorusLatencyReport {
     /// The per-node generation rate the report was computed for.
     pub generation_rate: f64,
@@ -105,7 +104,7 @@ pub struct TorusLatencyReport {
 }
 
 /// Per-channel load tables of one torus + traffic point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct ChannelLoads {
     /// Total message rate per link channel (background + hot-spot), indexed by
     /// [`TorusModel::channel_index`]; derived from the usage counts by

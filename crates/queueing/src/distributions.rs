@@ -13,10 +13,9 @@
 //!   i.e. the gap between the observed latency and the minimum possible latency.
 
 use crate::{check_nonnegative, check_positive, Result};
-use serde::{Deserialize, Serialize};
 
 /// First two moments of a service-time distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceTime {
     mean: f64,
     variance: f64,

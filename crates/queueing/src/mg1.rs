@@ -11,11 +11,10 @@
 
 use crate::distributions::ServiceTime;
 use crate::{check_nonnegative, QueueingError, Result};
-use serde::{Deserialize, Serialize};
 
 /// An M/G/1 queue: Poisson arrivals at rate `λ`, general service with known first two
 /// moments, a single server and an infinite buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MG1Queue {
     arrival_rate: f64,
     service: ServiceTime,

@@ -12,10 +12,8 @@
 //!   be too optimistic);
 //! * [`confidence_interval_halfwidth`] — Student-t style half-width helper.
 
-use serde::{Deserialize, Serialize};
-
 /// Numerically stable running mean / variance / extrema (Welford's algorithm).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -96,7 +94,7 @@ impl RunningStats {
 }
 
 /// A fixed-width histogram over `[0, width · bins)` with an overflow bin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     bin_width: f64,
     counts: Vec<u64>,
@@ -183,7 +181,7 @@ impl Histogram {
 
 /// Batch-means estimator: consecutive observations are grouped into fixed-size batches
 /// and the batch averages are treated as (approximately) independent samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchMeans {
     batch_size: u64,
     current_sum: f64,

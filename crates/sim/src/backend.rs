@@ -25,6 +25,7 @@ use crate::channels::{ChannelPool, GlobalChannelId};
 use crate::cube::CubeFabric;
 use crate::fabric::{Fabric, Itinerary};
 use crate::policy::RoutingPolicy;
+use crate::scenario::Fabric as ScenarioFabric;
 use crate::{Result, SimError};
 use mcnet_system::{MultiClusterSystem, TorusSystem, TrafficConfig};
 
@@ -116,6 +117,18 @@ impl FabricBackend {
             }
             FabricBackend::Cube(_) => RoutingPolicy::Deterministic,
         }
+    }
+
+    /// Whether this backend was built from `fabric` under `policy` — the one
+    /// test a cached engine must pass before a run may
+    /// [`reset`](crate::engine::Simulation::reset) it instead of rebuilding.
+    pub(crate) fn is_built_from(&self, fabric: &ScenarioFabric, policy: RoutingPolicy) -> bool {
+        let same_fabric = match (self, fabric) {
+            (FabricBackend::Tree(f), ScenarioFabric::Tree(system)) => f.system() == system,
+            (FabricBackend::Cube(f), ScenarioFabric::Torus(torus)) => f.torus() == torus,
+            _ => false,
+        };
+        same_fabric && self.routing_policy() == policy
     }
 
     /// The tree fabric, if this is the tree backend.

@@ -13,10 +13,9 @@
 //! in the shared [`crate::channels::ChannelPool`] together with all network channels.
 
 use crate::channels::GlobalChannelId;
-use serde::{Deserialize, Serialize};
 
 /// Maps clusters to the global channel ids of their bridge resources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BridgeMap {
     base: u32,
     clusters: u32,

@@ -1,8 +1,8 @@
 //! A minimal offline JSON layer for scenario specs and report output.
 //!
-//! The build environment has no cargo registry access and the vendored `serde`
-//! shim provides only marker derives (see `vendor/README.md`), so the few
-//! places that genuinely need to read and write JSON — [`crate::scenario`]'s
+//! The build environment has no cargo registry access, so the workspace links
+//! no serialization crate (see `vendor/README.md`). The few places that
+//! genuinely need to read and write JSON — [`crate::scenario`]'s
 //! serializable `ScenarioSpec` files under `specs/` and the `scenario` bin's
 //! report output — go through this self-contained value model instead. The
 //! surface is deliberately small: parse a `str` into a [`Json`] tree, build a

@@ -33,10 +33,10 @@
 //! [`scenario::Scenario`] composes a fabric ([`scenario::Fabric::Tree`] or
 //! [`scenario::Fabric::Torus`]), a traffic configuration, a measurement
 //! protocol and a replication plan, and exposes `run()`, `replicate(n)` and
-//! `sweep(&rates)` — plus the **analytical evaluation mode**
-//! [`scenario::Scenario::evaluate`], which sends the same fabric and traffic
-//! point through `mcnet-model`'s matching `ModelBackend` instead of the
-//! discrete-event engine, so one scenario (or serialized spec) drives model
+//! `sweep_outcomes(&rates)` — plus the **analytical evaluation mode**
+//! [`scenario::Scenario::evaluate`], which sends the same fabric (the fabric
+//! type *is* `mcnet-model`'s `ModelBackend`) and traffic point through the
+//! analytical model instead of the discrete-event engine, so one scenario (or serialized spec) drives model
 //! *or* simulation. Scenarios are serializable as plain-data
 //! [`scenario::ScenarioSpec`] JSON files (see `specs/` at the workspace root).
 //! The historical per-backend `runner::run_*` functions are gone; the scenario

@@ -30,10 +30,9 @@
 use crate::channels::GlobalChannelId;
 use crate::event::MessageId;
 use crate::routes::{RouteEntry, RouteRef};
-use serde::{Deserialize, Serialize};
 
 /// Whether a message stays inside its source cluster or crosses to another cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessageClass {
     /// Source and destination are in the same cluster; the message uses ICN1.
     Intra,

@@ -6,10 +6,9 @@ use crate::stats::ClassSummary;
 use crate::{Result, SimError};
 use mcnet_queueing::stats::RunningStats;
 use mcnet_system::TrafficConfig;
-use serde::{Deserialize, Serialize};
 
 /// Measurement protocol of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// Messages discarded as warm-up (the paper uses 10,000).
     pub warmup_messages: u64,
@@ -77,7 +76,7 @@ impl SimConfig {
 }
 
 /// Results of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// The per-node generation rate of the run.
     pub generation_rate: f64,
@@ -207,7 +206,7 @@ pub(crate) fn report_from(
 }
 
 /// Aggregate of several independent replications of the same configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplicatedReport {
     /// Per-replication reports.
     pub replications: Vec<SimReport>,

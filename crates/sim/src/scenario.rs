@@ -7,7 +7,7 @@
 //! into data: a fabric ([`Fabric::Tree`] or [`Fabric::Torus`]), a
 //! [`TrafficConfig`], a [`SimConfig`] and a replication count, composed through
 //! [`ScenarioBuilder`] and executed through [`Scenario::run`],
-//! [`Scenario::replicate`] and [`Scenario::sweep`]. The outputs and the
+//! [`Scenario::replicate`] and [`Scenario::sweep_outcomes`]. The outputs and the
 //! seed/aggregation contracts the legacy `run_*` functions had are preserved
 //! **bit-identically**, pinned against frozen golden digests in
 //! `tests/scenario_api.rs`; the wrappers themselves are gone.
@@ -46,32 +46,9 @@ use mcnet_system::sweep::materialize_rates;
 use mcnet_system::{organizations, MultiClusterSystem, TorusSystem, TrafficConfig, TrafficPattern};
 
 /// A network fabric a scenario runs over — the configuration-layer counterpart
-/// of the engine's `FabricBackend`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Fabric {
-    /// The paper's heterogeneous multi-cluster m-port n-tree fabric.
-    Tree(MultiClusterSystem),
-    /// A k-ary n-cube (torus) fabric.
-    Torus(TorusSystem),
-}
-
-impl Fabric {
-    /// Total number of processing nodes.
-    pub fn total_nodes(&self) -> usize {
-        match self {
-            Fabric::Tree(s) => s.total_nodes(),
-            Fabric::Torus(t) => t.total_nodes(),
-        }
-    }
-
-    /// A short human-readable summary of the fabric.
-    pub fn summary(&self) -> String {
-        match self {
-            Fabric::Tree(s) => s.summary(),
-            Fabric::Torus(t) => t.summary(),
-        }
-    }
-}
+/// of the engine's `FabricBackend`, and the very type the analytical model
+/// evaluates, so model and simulation are always built from one description.
+pub use mcnet_model::ModelBackend as Fabric;
 
 /// A fully-specified simulation scenario: fabric + traffic + measurement
 /// protocol + replication plan. Build one with [`Scenario::builder`] or from a
@@ -181,10 +158,9 @@ impl Scenario {
     ///
     /// Bit-identical to [`Scenario::execute`]: replication `r` uses seed
     /// `seed + r` and the aggregate is computed in replication order, exactly
-    /// the [`Scenario::replicate`] contract. The slot must only ever be fed
-    /// scenarios of compatible shape — [`Simulation::reset`] checks message
-    /// geometry but **not** fabric identity, so callers switching fabrics or
-    /// routing policies between runs must clear (or key) the slot themselves.
+    /// the [`Scenario::replicate`] contract. The slot may hold an engine of
+    /// any scenario: one built from another fabric or routing policy is
+    /// rebuilt, not reset.
     pub fn execute_reusing(&self, slot: &mut Option<Simulation>) -> Result<ScenarioOutcome> {
         if self.replications == 1 {
             return Ok(ScenarioOutcome::Single(Box::new(self.run_point_reusing(
@@ -201,7 +177,12 @@ impl Scenario {
         Ok(ScenarioOutcome::Replicated(crate::runner::aggregate_replications(reports)))
     }
 
-    /// Sweeps the generation rate over `rates`, one single run per point.
+    /// Sweeps the generation rate over `rates`, one single run per point, and
+    /// returns each point's own `Result` so callers can treat deep saturation
+    /// ([`SimError::EventBudgetExhausted`]) as a missing point instead of
+    /// failing the whole sweep. The outer `Result` only reports invalid rate
+    /// grids ([`SimError::InvalidSpec`] for an empty, non-finite or
+    /// non-positive grid — a silent empty report used to be the failure mode).
     ///
     /// The points are independent, so they fan over the bounded worker pool;
     /// point `i` uses seed `seed + i` and results aggregate in sweep order, so
@@ -209,16 +190,6 @@ impl Scenario {
     /// contract the figure sweeps have always had). The rate grid is
     /// materialized through [`mcnet_system::sweep::materialize_rates`], keeping
     /// the scenario's geometry and destination pattern at every point.
-    pub fn sweep(&self, rates: &[f64]) -> Result<Vec<SimReport>> {
-        self.sweep_outcomes(rates)?.into_iter().collect()
-    }
-
-    /// Like [`Scenario::sweep`], but returns each point's own `Result` so
-    /// callers can treat deep saturation ([`SimError::EventBudgetExhausted`])
-    /// as a missing point instead of failing the whole sweep. The outer
-    /// `Result` only reports invalid rate grids
-    /// ([`SimError::InvalidSpec`] for an empty, non-finite or non-positive
-    /// grid — a silent empty report used to be the failure mode).
     pub fn sweep_outcomes(&self, rates: &[f64]) -> Result<Vec<Result<SimReport>>> {
         let configs = self.materialize_grid(rates)?;
         Ok(mcnet_system::parallel::parallel_map_reusing(
@@ -261,14 +232,10 @@ impl Scenario {
             .collect())
     }
 
-    /// The analytical model bound to this scenario's fabric — the model-side
-    /// counterpart of the engine's `FabricBackend`, built from the very same
-    /// fabric description.
+    /// The analytical model bound to this scenario's fabric: a copy of
+    /// [`Scenario::fabric`], which already is the model's backend type.
     pub fn model_backend(&self) -> ModelBackend {
-        match &self.fabric {
-            Fabric::Tree(system) => ModelBackend::Tree(system.clone()),
-            Fabric::Torus(torus) => ModelBackend::Torus(torus.clone()),
-        }
+        self.fabric.clone()
     }
 
     /// Evaluates the scenario **analytically**: the same fabric and traffic
@@ -284,7 +251,7 @@ impl Scenario {
     /// scenario's routing policy sets the torus-routing knob, so an adaptive
     /// spec evaluates through the adaptive-load model.
     pub fn evaluate(&self) -> Result<ModelReport> {
-        Ok(self.model_backend().evaluate(&self.model_traffic()?, self.model_options())?)
+        Ok(self.fabric.evaluate(&self.model_traffic()?, self.model_options())?)
     }
 
     /// The traffic point the analytical model evaluates: the configured point
@@ -332,11 +299,8 @@ impl Scenario {
     /// later than dimension order, so validation sweeps scale their rate grid
     /// to the policy actually being simulated.
     pub fn find_saturation_rate(&self, tolerance: f64) -> Result<f64> {
-        let saturation = self.model_backend().find_saturation_rate(
-            &self.traffic,
-            self.model_options(),
-            tolerance,
-        )?;
+        let saturation =
+            self.fabric.find_saturation_rate(&self.traffic, self.model_options(), tolerance)?;
         // The search runs on the model's (effective-rate) axis; report the
         // *configured* rate whose effective load saturates, so sweeps built
         // from fractions of this value stay on the caller's axis. The scale
@@ -364,11 +328,8 @@ impl Scenario {
             effective = rates.iter().map(|r| r * scale).collect();
             &effective
         };
-        let reports = self.model_backend().evaluate_batch(
-            &self.traffic,
-            model_rates,
-            self.model_options(),
-        )?;
+        let reports =
+            self.fabric.evaluate_batch(&self.traffic, model_rates, self.model_options())?;
         Ok(reports.into_iter().map(|r| r.map_err(SimError::from)).collect())
     }
 
@@ -412,13 +373,13 @@ impl Scenario {
 
     /// One simulation run at an explicit traffic point and protocol — the
     /// primitive every public entry point reduces to — against an engine
-    /// cache: a cached engine is [`reset`](Simulation::reset) in place
-    /// (reusing all of its grown allocations); a missing or incompatible one
-    /// is built fresh and cached. A fresh and a reset engine give bit-identical
-    /// reports by the reset contract — the cache only changes how much the run
-    /// allocates. The slot must only ever be fed runs of this same scenario
-    /// (same fabric and routing policy); sweep and replication workers hold
-    /// one slot per thread for exactly that use, a single run an empty one.
+    /// cache: a cached engine built from this scenario's fabric and routing
+    /// policy is [`reset`](Simulation::reset) in place (reusing all of its
+    /// grown allocations); a missing or incompatible one — another fabric or
+    /// policy, or a changed message geometry — is built fresh and cached. A
+    /// fresh and a reset engine give bit-identical reports by the reset
+    /// contract, so the cache only changes how much the run allocates, and a
+    /// slot may be fed runs of any scenario.
     pub(crate) fn run_point_reusing(
         &self,
         slot: &mut Option<Simulation>,
@@ -426,7 +387,9 @@ impl Scenario {
         config: &SimConfig,
     ) -> Result<SimReport> {
         if let Some(sim) = slot {
-            if sim.reset(traffic, &self.source, config, self.faults.as_ref()).is_ok() {
+            if sim.backend().is_built_from(&self.fabric, self.routing)
+                && sim.reset(traffic, &self.source, config, self.faults.as_ref()).is_ok()
+            {
                 let report = report_from(sim, traffic, config);
                 if report.is_err() {
                     // A run that died mid-flight (exhausted event budget)
@@ -436,7 +399,8 @@ impl Scenario {
                 }
                 return report;
             }
-            // Incompatible (e.g. a changed message geometry): rebuild below.
+            // Another fabric or policy, or a changed message geometry:
+            // rebuild below.
             *slot = None;
         }
         let mut sim = self.build_sim(traffic, config)?;
@@ -1374,12 +1338,57 @@ mod tests {
     }
 
     #[test]
+    fn a_reused_slot_never_runs_another_fabric_or_policy() {
+        // Every scenario shares one message geometry, so `Simulation::reset`
+        // alone would accept each cached engine; the slot must still rebuild
+        // whenever the fabric or the routing policy changes.
+        let torus = |routing| {
+            Scenario::builder()
+                .torus(TorusSystem::new(4, 2).unwrap())
+                .traffic(TrafficConfig::uniform(8, 256.0, 1e-3).unwrap())
+                .config(SimConfig::quick(9))
+                .routing(routing)
+                .build()
+                .unwrap()
+        };
+        let tree = |routing| {
+            Scenario::builder()
+                .tree(organizations::small_test_org())
+                .traffic(TrafficConfig::uniform(8, 256.0, 1e-3).unwrap())
+                .config(SimConfig::quick(9))
+                .routing(routing)
+                .build()
+                .unwrap()
+        };
+        let adaptive = RoutingPolicy::AdaptiveTorus { adaptive_vcs: 1 };
+        // torus → tree → torus, deterministic → randomized tree and back,
+        // then deterministic → adaptive torus and back.
+        let sequence = [
+            torus(RoutingPolicy::Deterministic),
+            tree(RoutingPolicy::Deterministic),
+            torus(RoutingPolicy::Deterministic),
+            tree(RoutingPolicy::Deterministic),
+            tree(RoutingPolicy::RandomizedUpDown),
+            tree(RoutingPolicy::Deterministic),
+            torus(adaptive),
+            torus(RoutingPolicy::Deterministic),
+        ];
+        let mut slot = None;
+        for (step, scenario) in sequence.iter().enumerate() {
+            let reused = scenario.execute_reusing(&mut slot).unwrap();
+            assert_eq!(reused, scenario.execute().unwrap(), "step {step}: {}", scenario.name());
+            let engine = slot.as_ref().expect("a completed run keeps its engine");
+            assert!(engine.backend().is_built_from(scenario.fabric(), scenario.routing()));
+        }
+    }
+
+    #[test]
     fn sweep_matches_point_runs_bit_for_bit() {
         let s = quick_tree_scenario(100);
         let rates = [5e-4, 1e-3, 2e-3];
-        let swept = s.sweep(&rates).unwrap();
+        let swept = s.sweep_outcomes(&rates).unwrap();
         assert_eq!(swept.len(), 3);
-        for (i, (report, &rate)) in swept.iter().zip(&rates).enumerate() {
+        for (i, (report, &rate)) in swept.into_iter().zip(&rates).enumerate() {
             // Point i of a sweep == a standalone run at rate_i with seed+i.
             let standalone = Scenario::builder()
                 .tree(organizations::small_test_org())
@@ -1389,7 +1398,7 @@ mod tests {
                 .unwrap()
                 .run()
                 .unwrap();
-            assert_eq!(report, &standalone);
+            assert_eq!(report.unwrap(), standalone);
         }
     }
 
@@ -1401,10 +1410,9 @@ mod tests {
         for bad in [&[][..], &[f64::NAN][..], &[f64::INFINITY][..], &[1e-3, -1e-3][..], &[0.0][..]]
         {
             assert!(
-                matches!(s.sweep(bad), Err(SimError::InvalidSpec { .. })),
+                matches!(s.sweep_outcomes(bad), Err(SimError::InvalidSpec { .. })),
                 "grid {bad:?} must be rejected as an invalid spec"
             );
-            assert!(matches!(s.sweep_outcomes(bad), Err(SimError::InvalidSpec { .. })));
             assert!(matches!(s.sweep_replicated(bad, 2), Err(SimError::InvalidSpec { .. })));
             assert!(matches!(s.evaluate_sweep(bad), Err(SimError::InvalidSpec { .. })));
         }

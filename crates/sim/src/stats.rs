@@ -23,7 +23,6 @@
 
 use crate::message::MessageClass;
 use mcnet_queueing::stats::{Histogram, RunningStats};
-use serde::{Deserialize, Serialize};
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -53,7 +52,7 @@ pub struct Delivery {
 }
 
 /// One bucket of the windowed degradation time series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyWindow {
     /// Start time of the window (its width is the fault plan's `window`).
     pub start: f64,
@@ -107,7 +106,7 @@ pub struct SimStats {
 }
 
 /// Summary of the per-class latency statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassSummary {
     /// Number of measured messages of the class.
     pub count: u64,

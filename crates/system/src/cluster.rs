@@ -7,10 +7,9 @@
 //! everywhere (assumption 3) and varies only `n_i`.
 
 use crate::{Result, SystemError};
-use serde::{Deserialize, Serialize};
 
 /// Specification of one cluster of the system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// Switch port count `m` of the cluster's networks (identical for ICN1 and ECN1).
     pub ports: usize,

@@ -9,10 +9,9 @@
 use crate::cluster::ClusterSpec;
 use crate::network::NetworkTechnology;
 use crate::{Result, SystemError};
-use serde::{Deserialize, Serialize};
 
 /// A node identified by its cluster and its local index within the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GlobalNodeId {
     /// Cluster index, `0..C`.
     pub cluster: usize,
@@ -21,7 +20,7 @@ pub struct GlobalNodeId {
 }
 
 /// A complete heterogeneous multi-cluster system (paper Fig. 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiClusterSystem {
     clusters: Vec<ClusterSpec>,
     technology: NetworkTechnology,

@@ -20,10 +20,9 @@
 //! are provided by [`NetworkTechnology::paper_default`].
 
 use crate::{Result, SystemError};
-use serde::{Deserialize, Serialize};
 
 /// Technology constants of an interconnection network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkTechnology {
     /// Network (node↔switch) latency, `α_net`, in time units.
     pub alpha_net: f64,

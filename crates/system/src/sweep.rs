@@ -7,7 +7,6 @@
 
 use crate::traffic::TrafficConfig;
 use crate::{Result, SystemError};
-use serde::{Deserialize, Serialize};
 
 /// A linear sweep of message-generation rates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,7 +69,7 @@ impl TrafficSweep {
 /// The one shared rate→[`TrafficConfig`] materializer: stamps every rate of a
 /// sweep onto a template configuration, keeping the template's geometry and
 /// destination pattern. [`FigureSweep::configs`] and the simulator's
-/// `Scenario::sweep` both route through this function, so a rate grid means the
+/// `Scenario::sweep_outcomes` both route through this function, so a rate grid means the
 /// same thing everywhere.
 pub fn materialize_rates(template: &TrafficConfig, rates: &[f64]) -> Result<Vec<TrafficConfig>> {
     rates.iter().map(|&r| template.with_rate(r)).collect()
@@ -78,7 +77,7 @@ pub fn materialize_rates(template: &TrafficConfig, rates: &[f64]) -> Result<Vec<
 
 /// The sweep behind one panel of the paper's Figs. 3–4: a message geometry plus the
 /// published x-axis range.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FigureSweep {
     /// Message length in flits.
     pub message_flits: usize,

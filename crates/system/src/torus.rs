@@ -20,7 +20,6 @@
 
 use crate::network::NetworkTechnology;
 use crate::{Result, SystemError};
-use serde::{Deserialize, Serialize};
 
 /// Largest supported torus population (matches the topology crate's node-id
 /// budget, `mcnet_topology::tree::MAX_NODES`).
@@ -28,7 +27,7 @@ pub const MAX_TORUS_NODES: u128 = 1 << 22;
 
 /// A k-ary n-cube (torus) system: `k^n` nodes, each with a router joined to its
 /// `2n` ring neighbours.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TorusSystem {
     radix: usize,
     dimensions: usize,

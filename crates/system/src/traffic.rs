@@ -9,10 +9,9 @@
 //! [`TrafficPattern::Uniform`], while the simulator accepts all of them.
 
 use crate::{Result, SystemError};
-use serde::{Deserialize, Serialize};
 
 /// Destination-selection pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum TrafficPattern {
     /// Uniformly random destination over all other nodes (paper assumption 2).
     #[default]
@@ -62,7 +61,7 @@ impl TrafficPattern {
 }
 
 /// Message geometry and load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficConfig {
     /// Message length `M` in flits (paper assumption 5; the evaluation uses 32 and 64).
     pub message_flits: usize,

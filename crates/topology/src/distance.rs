@@ -21,10 +21,9 @@
 
 use crate::tree::MPortNTree;
 use crate::{upow, Result, TopologyError};
-use serde::{Deserialize, Serialize};
 
 /// Which formula generates a [`HopDistribution`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum HopModel {
     /// The paper's Eq. (4) with the last branch absorbing the remaining mass.
     #[default]
@@ -35,7 +34,7 @@ pub enum HopModel {
 
 /// The distribution of the ascending-link count `j ∈ {1, …, n}` for a uniformly random
 /// destination in an m-port n-tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HopDistribution {
     m: usize,
     n: usize,

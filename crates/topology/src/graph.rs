@@ -7,10 +7,9 @@
 //! analytical model and the channel-occupancy tracking of the simulator.
 
 use crate::ids::{Endpoint, NodeId, PortId, SwitchId};
-use serde::{Deserialize, Serialize};
 
 /// The class of a unidirectional channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChannelKind {
     /// Node → switch (injection) or switch → node (ejection) channel.
     NodeSwitch,
@@ -19,7 +18,7 @@ pub enum ChannelKind {
 }
 
 /// A unidirectional channel between two endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Channel {
     /// Source endpoint of the channel.
     pub from: Endpoint,
@@ -30,9 +29,7 @@ pub struct Channel {
 }
 
 /// Dense identifier of a unidirectional channel inside a [`NetworkGraph`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
 pub struct ChannelId(pub u32);
 
@@ -48,7 +45,7 @@ impl ChannelId {
 ///
 /// The graph is append-only: topology constructors add channels during construction and
 /// the structure is immutable afterwards.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkGraph {
     channels: Vec<Channel>,
     num_nodes: usize,

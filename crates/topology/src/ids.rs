@@ -5,23 +5,17 @@
 //! newtypes here are zero-cost (`repr(transparent)`, `u32`-backed) and implement the
 //! conversions the rest of the workspace needs.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a processing node within a single network instance.
 ///
 /// Node ids are dense: a topology with `N` nodes uses ids `0..N`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
 pub struct NodeId(pub u32);
 
 /// Identifier of a network switch within a single network instance.
 ///
 /// Switch ids are dense: a topology with `S` switches uses ids `0..S`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
 pub struct SwitchId(pub u32);
 
@@ -30,16 +24,12 @@ pub struct SwitchId(pub u32);
 /// Following the paper's convention, ports `0..m/2` face *descendants* (processing
 /// nodes or lower-level switches) and ports `m/2..m` face *ancestors* — except for the
 /// root switches which use all `m` ports for descendants.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
 pub struct PortId(pub u16);
 
 /// A tree level. Leaf switches are at level 0, root switches at level `n - 1`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
 pub struct Level(pub u8);
 
@@ -97,7 +87,7 @@ impl_id!(PortId, u16);
 impl_id!(Level, u8);
 
 /// An endpoint of a link: either a processing node or a switch port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Endpoint {
     /// A processing node (nodes have a single network interface per network).
     Node(NodeId),

@@ -13,10 +13,9 @@
 
 use crate::ids::NodeId;
 use crate::{upow, Result, TopologyError};
-use serde::{Deserialize, Serialize};
 
 /// A k-ary n-cube (n-dimensional torus with k nodes per dimension).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KaryNCube {
     k: usize,
     n: usize,
@@ -24,7 +23,7 @@ pub struct KaryNCube {
 }
 
 /// One hop of a dimension-order route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CubeHop {
     /// Dimension being corrected.
     pub dimension: usize,

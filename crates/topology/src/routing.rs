@@ -22,10 +22,9 @@ use crate::graph::ChannelId;
 use crate::ids::{NodeId, SwitchId};
 use crate::tree::MPortNTree;
 use crate::{Result, TopologyError};
-use serde::{Deserialize, Serialize};
 
 /// An explicit route through one m-port n-tree network instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Path {
     /// Channels in traversal order. For a full route the first channel is the source's
     /// injection channel and the last is the destination's ejection channel.

@@ -32,7 +32,6 @@
 use crate::graph::{ChannelId, NetworkGraph};
 use crate::ids::{Level, NodeId, PortId, SwitchId};
 use crate::{upow, Result, TopologyError};
-use serde::{Deserialize, Serialize};
 
 /// Construction guard: refuse to materialise topologies larger than this many nodes.
 /// The paper's largest network has 1120 nodes per cluster *system*; individual trees
@@ -42,7 +41,7 @@ pub const MAX_NODES: u128 = 1 << 22;
 
 /// The address of a processing node: `(half, digits)` with `digits[0]` the least
 /// significant digit (the port on the leaf switch).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NodeAddress {
     /// Which of the two half-trees the node belongs to (0 or 1).
     pub half: u8,
@@ -55,7 +54,7 @@ pub struct NodeAddress {
 /// The struct owns the explicit [`NetworkGraph`] plus the routing caches (per-switch
 /// up/down channel tables and per-node injection/ejection channels) that the
 /// [`crate::routing::NcaRouter`] and the simulator use on the hot path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MPortNTree {
     m: usize,
     n: usize,
