@@ -15,7 +15,9 @@
 //! pattern and rate, and renders the exact bits of the report's total,
 //! network, source-wait, tail, intra, inter and escape-fraction fields, or the
 //! exact `ModelError`. Those lines were captured from an evaluation that ran
-//! the stage recursion separately for every journey length.
+//! the stage recursion separately for every journey length; the lines of the
+//! (3,2), (5,2), (2,3) and (8,1) fabrics from one that kept a dense rate table
+//! per link channel.
 
 use mcnet_model::{AnalyticalModel, ModelError, ModelOptions, TorusModel};
 use mcnet_system::{organizations, MultiClusterSystem, TorusSystem, TrafficConfig, TrafficPattern};
@@ -491,7 +493,10 @@ fn render_error(error: ModelError) -> String {
 
 fn torus_actual() -> String {
     let mut lines = Vec::new();
-    for (radix, dimensions) in [(4, 2), (8, 2), (16, 2), (4, 3)] {
+    // The last four fabrics pin the ring enumeration's edge cases: an odd
+    // radix (no direction tie), k = 2 (no dateline VC split), and a 1-D ring
+    // (an empty inter class).
+    for (radix, dimensions) in [(4, 2), (8, 2), (16, 2), (4, 3), (3, 2), (5, 2), (2, 3), (8, 1)] {
         let torus = TorusSystem::new(radix, dimensions).unwrap();
         // The hot spot is the last node.
         let hotspot = torus.total_nodes() - 1;
@@ -898,6 +903,366 @@ const TORUS_EXPECTED: &str = "
 4-ary 3-cube adaptive2 hotspot 1e-1 saturated Channel 403bf7a6c4b2cc67 None
 4-ary 3-cube adaptive2 hotspot 2e-1 saturated Channel 4054e12da630c542 None
 4-ary 3-cube adaptive2 hotspot 5e-1 saturated Channel 40598eeff3bc529d None
+3-ary 2-cube deterministic uniform 1e-5 ok 4022d2bbd1c6a89a 4020b44eb22e3702 3f3bf00dc2039f9e 3ff0f1a9fbe76c8c 40224d1174a44b16 4022ff49f0d21d1c -
+3-ary 2-cube deterministic uniform 3e-5 ok 4022d35651bbb7f6 4020b47966b89372 3f54f570c6de5d60 3ff0f1a9fbe76c8c 40224d9acf86f287 4022ffea27cd4f1c -
+3-ary 2-cube deterministic uniform 1e-4 ok 4022d5738a8db830 4020b50ee1d73b2e 3f717b49cc7b8939 3ff0f1a9fbe76c8c 40224f7c035e22d5 4023021b62483f4e -
+3-ary 2-cube deterministic uniform 3e-4 ok 4022db81f3b385dc 4020b6ba142483a1 3f8a4a804852a5ff 3ff0f1a9fbe76c8c 402254ded4e6353c 40230862fdf7f610 -
+3-ary 2-cube deterministic uniform 1e-3 ok 4022f0e441210172 4020bc92873eeb7d 3fa61c7a65286458 3ff0f1a9fbe76c8c 402267e74c9fb71a 40231e8de7f6c4e6 -
+3-ary 2-cube deterministic uniform 2e-3 ok 40230ff4636f9918 4020c4efb8eddeb2 3fb667b5826669ce 3ff0f1a9fbe76c8c 4022839842ad1d73 40233ebdc3b06cf8 -
+3-ary 2-cube deterministic uniform 4e-3 ok 40234ff7ae8a3340 4020d5b62afa8493 3fc7031104b046f4 3ff0f1a9fbe76c8c 4022bcd12696958e 402381048686127c -
+3-ary 2-cube deterministic uniform 7e-3 ok 4023b503548dad5c 4020eefe15ad0151 3fd4f9ffec77cf19 3ff0f1a9fbe76c8c 4023178ef230d8a6 4023e97f75574998 -
+3-ary 2-cube deterministic uniform 1.2e-2 ok 40246c5f9de94528 40211971be20f311 3fe34b8a04b64863 3ff0f1a9fbe76c8c 4023bd6dae3d4841 4024a6b043229976 -
+3-ary 2-cube deterministic uniform 2e-2 ok 4025c088d07b470c 40215e32e0aad9c4 3ff22105829bfdb8 3ff0f1a9fbe76c8c 4024f4c5e9b372bc 4026047472bde326 -
+3-ary 2-cube deterministic uniform 3.5e-2 ok 40291dc3325bc4b0 4021e1ea7c7de548 4004768dd983c757 3ff0f1a9fbe76c8c 4028192b012f4185 402974a0981545bc -
+3-ary 2-cube deterministic uniform 6e-2 ok 4032314fc69857ef 4022c5c99088f15c 401efd417a55a1e1 3ff0f1a9fbe76c8c 40317b7b67d88832 40326debe62d9d2d -
+3-ary 2-cube deterministic uniform 1e-1 saturated InjectionQueue 3ff03a6ade6bf795 None
+3-ary 2-cube deterministic uniform 2e-1 saturated Channel 3ff123769fc78d6b None
+3-ary 2-cube deterministic uniform 5e-1 saturated Channel 4007c28f5c28f5c2 None
+3-ary 2-cube deterministic hotspot 1e-5 ok 4022d2c095dc928a 4020b453761dbf46 3f3bf020f2d978ca 3ff0f1a9fbe76c8c 40224d11bc5c6309 4022ff4a388a96fe -
+3-ary 2-cube deterministic hotspot 3e-5 ok 4022d3649f16b8f4 4020b487b2ba0679 3f54f59bf89d47a1 3ff0f1a9fbe76c8c 40224d9ba795a351 4022ffeaffdf7158 -
+3-ary 2-cube deterministic hotspot 1e-4 ok 4022d5a343e81d72 4020b53e8c2d6d68 3f717bc1ee13c309 3ff0f1a9fbe76c8c 40224f7ede13749b 4023021e3d23d3b4 -
+3-ary 2-cube deterministic hotspot 3e-4 ok 4022dc118e358690 4020b74927075017 3f8a4c9ec5239ade 3ff0f1a9fbe76c8c 402254e7bf98c5b5 4023086bea02f2f6 -
+3-ary 2-cube deterministic hotspot 1e-3 ok 4022f2c8088d2e3c 4020be7059168243 3fa6226ff9be6707 3ff0f1a9fbe76c8c 40226809371f808e 40231eafe16ca500 -
+3-ary 2-cube deterministic hotspot 2e-3 ok 402313cae3f53a4e 4020c8adf5edd0fe 3fb673d7453ddfab 3ff0f1a9fbe76c8c 402283e870093341 40233f0e2cf6ecbc -
+3-ary 2-cube deterministic hotspot 4e-3 ok 402357e3378ffa84 4020dd3d171bc894 3fc71c383dd1177e 3ff0f1a9fbe76c8c 4022bda59727e694 402381d9e7518652 -
+3-ary 2-cube deterministic hotspot 7e-3 ok 4023c390c275ce06 4020fc45d6cb60fb 3fd522b585afef42 3ff0f1a9fbe76c8c 40231998516901bf 4023eb8bb6d93212 -
+3-ary 2-cube deterministic hotspot 1.2e-2 ok 402487919a46e392 40213085ded1279f 3fe38d67bf8ce60e 3ff0f1a9fbe76c8c 4023c2db04f11b6a 4024ac262032efe2 -
+3-ary 2-cube deterministic hotspot 2e-2 ok 4025f55989f7cd72 4021858362efb401 3ff28d073c595efc 3ff0f1a9fbe76c8c 40250475434b23bb 4026143bb2e30720 -
+3-ary 2-cube deterministic hotspot 3.5e-2 ok 4029a0e823b1d19e 4022299ac388925e 4005646082b146bb 3ff0f1a9fbe76c8c 4028587227a2a9d5 4029b43234ad22b4 -
+3-ary 2-cube deterministic hotspot 6e-2 ok 403344b026990180 4023496cd0437ee3 402121be3d71968b 3ff0f1a9fbe76c8c 40325050db8bf242 40334331dd361bc4 -
+3-ary 2-cube deterministic hotspot 1e-1 saturated Channel 3ff6b52cf2fd3826 None
+3-ary 2-cube deterministic hotspot 2e-1 saturated Channel 400705532617c1bf None
+3-ary 2-cube deterministic hotspot 5e-1 saturated Channel 401cc6a7ef9db22c None
+3-ary 2-cube adaptive1 uniform 1e-5 ok 4022d2b33f1fc432 4020b4461fcc5c90 3f3befeb3d0847dd 3ff0f1a9fbe76c8c 40224d11745f4120 4022ff3e82b54538 3e87869438e227a6
+3-ary 2-cube adaptive1 uniform 3e-5 ok 4022d33c97d9e822 4020b45faf445115 3f54f523152f75ba 3ff0f1a9fbe76c8c 40224d9acd196510 4022ffc7db6f6928 3eae8f8c866b3063
+3-ary 2-cube adaptive1 uniform 1e-4 ok 4022d51db31ca19e 4020b4b9256828f0 3f717a71bc58eabd 3ff0f1a9fbe76c8c 40224f7be85c1e81 402301a8f6b222a8 3ed73f889d744a22
+3-ary 2-cube adaptive1 uniform 3e-4 ok 4022da7fabc95622 4020b5b8c017b9a9 3f8a46b0d2bb9e11 3ff0f1a9fbe76c8c 402254dde108cf7b 4023070aef5ed85a 3efe32ffcd233772
+3-ary 2-cube adaptive1 uniform 1e-3 ok 4022ed7e628aa76c 4020b9375d7fdf9c 3fa611c58dda3de4 3ff0f1a9fbe76c8c 402267dc97c868f4 40231a09a620bc3e 3f26f7e0e9d26032
+3-ary 2-cube adaptive1 uniform 2e-3 ok 4023090e83c3f754 4020be356307b2a1 3fb651f09fab9104 3ff0f1a9fbe76c8c 4022836cb8e7a7c1 40233599c762bc86 3f403bb480ff2e6a
+3-ary 2-cube adaptive1 uniform 4e-3 ok 402341bede932c46 4020c8316f869de6 3fc6d60be3e83395 3ff0f1a9fbe76c8c 4022bc1d12137540 40236e4a22bdbe9c 3f56ed157deb25e8
+3-ary 2-cube adaptive1 uniform 7e-3 ok 40239aec344f8b90 4020d72b8e8f0b8f 3fd4b16cc8724dd2 3ff0f1a9fbe76c8c 4023154a5910ac9c 4023c7777d64808a 3f6a76e1a69938ef
+3-ary 2-cube adaptive1 uniform 1.2e-2 ok 40243bc68e4258ae 4020f02228d42a42 3fe2d6f25f140db0 3ff0f1a9fbe76c8c 4023b62433e32496 4024685201b76a0c 3f7d85bdf3b916d2
+3-ary 2-cube adaptive1 uniform 2e-2 ok 402562d4ac391702 402118162122cf8e 3ff1644a5ccacf16 3ff0f1a9fbe76c8c 4024dd2e84f94ce8 40258f6163f9050a 3f8f5f65a190d894
+3-ary 2-cube adaptive1 uniform 3.5e-2 ok 40283a519abdeb4a 4021631d039122f0 4002e3fd5ebf6b25 3ff0f1a9fbe76c8c 4027b486e27e2a78 402866ea82d32b90 3fa1a1883ecef346
+3-ary 2-cube adaptive1 uniform 6e-2 ok 40307e7fb53b3d69 4021e11b7b428e3f 4019fb5d5f6dfe02 3ff0f1a9fbe76c8c 40303b02611e9f3b 403094fed144c778 3fb29ef9c5cc46fc
+3-ary 2-cube adaptive1 uniform 1e-1 ok 4057efca79056780 4022b116293e0fcb 405555e10bee07d5 3ff0f1a9fbe76c8c 4057dde1e9639952 4057f5c2a8e60190 3fc1e605f8345a02
+3-ary 2-cube adaptive1 uniform 2e-1 saturated InjectionQueue 4000dc4c753907ad None
+3-ary 2-cube adaptive1 uniform 5e-1 saturated Channel 4001a9fbe76c8b44 None
+3-ary 2-cube adaptive1 hotspot 1e-5 ok 4022d2b6a8601f96 4020b44988f13f83 3f3beff8f940f2ab 3ff0f1a9fbe76c8c 40224d11bc0c6fd8 4022ff3eca6273f0 3e8e336a4ceaebea
+3-ary 2-cube adaptive1 hotspot 3e-5 ok 4022d346d43fde36 4020b469eab2f9ed 3f54f541fed6d63d 3ff0f1a9fbe76c8c 40224d9ba4c5d51e 4022ffc8b31bd936 3eb39db117097142
+3-ary 2-cube adaptive1 hotspot 1e-4 ok 4022d53fd94bea80 4020b4db40d90682 3f717ac7afb36324 3ff0f1a9fbe76c8c 40224f7ebecba88f 402301abcd21acb6 3eddd82d45e7abc4
+3-ary 2-cube adaptive1 hotspot 3e-4 ok 4022dae65f116564 4020b61f126a5994 3f8a4834a878fb95 3ff0f1a9fbe76c8c 402254e6a5119b0d 40230713b367a3ec 3f03622aff40a683
+3-ary 2-cube adaptive1 hotspot 1e-3 ok 4022eed7b4ad005c 4020ba8c6fec27f5 3fa6160543ead494 3ff0f1a9fbe76c8c 402267fccc69acfc 40231a29dac20054 3f2d7b16d2193612
+3-ary 2-cube adaptive1 hotspot 2e-3 ok 40230bc9e44b0786 4020c0df88138b76 3fb65a8e5d473f89 3ff0f1a9fbe76c8c 402283b5de394601 402335e2ecb45c76 3f44d49165758898
+3-ary 2-cube adaptive1 hotspot 4e-3 ok 4023475a117fcc3e 4020cd85bcde4283 3fc6e7c549270a7a 3ff0f1a9fbe76c8c 4022bcd3cb553e60 40236f00dbffbe10 3f5d6556475014de
+3-ary 2-cube adaptive1 hotspot 7e-3 ok 4023a5229b01df74 4020e07f32bc1ddf 3fd4cdc5191a8058 3ff0f1a9fbe76c8c 402316f0ce045648 4023c91df25ba8da 3f70f09fd9eca467
+3-ary 2-cube adaptive1 hotspot 1.2e-2 ok 40244e939f6f8432 402100203c4643d5 3fe303e23ac52cad 3ff0f1a9fbe76c8c 4023ba42aca49fd4 40246c707aacc50c 3f82d5af4adaea8a
+3-ary 2-cube adaptive1 hotspot 2e-2 ok 4025866b5ef6c7ee 402132c50f8c9aae 3ff1ab887f69fd6d 3ff0f1a9fbe76c8c 4024e8456bad3789 40259a784d471432 3f93e262b7d53c1a
+3-ary 2-cube adaptive1 hotspot 3.5e-2 ok 40288deaa0b3e1f0 402192171b27c711 40037679183cb535 3ff0f1a9fbe76c8c 4027dcf84d058573 40288f5c176300f8 3fa607c361d2dca1
+3-ary 2-cube adaptive1 hotspot 6e-2 ok 403115ef01abbd66 402233de696642ac 401bb394b4e8951d 3ff0f1a9fbe76c8c 4030ac56ea0d4c42 4031065481b6ecdc 3fb6b10a4d8f700a
+3-ary 2-cube adaptive1 hotspot 1e-1 saturated Channel 3ff0f51ac9afe1dc None
+3-ary 2-cube adaptive1 hotspot 2e-1 saturated Channel 4000f51ac9afe1dc None
+3-ary 2-cube adaptive1 hotspot 5e-1 saturated Channel 4015b0a941b9babb None
+3-ary 2-cube adaptive2 uniform 1e-5 ok 4022d2b33f1fc432 4020b4461fcc5c90 3f3befeb3d0847dd 3ff0f1a9fbe76c8c 40224d11745f4120 4022ff3e82b54538 3d3114baaea30ea7
+3-ary 2-cube adaptive2 uniform 3e-5 ok 4022d33c97d9e822 4020b45faf445115 3f54f523152f75ba 3ff0f1a9fbe76c8c 40224d9acd196510 4022ffc7db6f6928 3d4697d835994114
+3-ary 2-cube adaptive2 uniform 1e-4 ok 4022d51db31ca194 4020b4b9256828e5 3f717a71bc58eaa1 3ff0f1a9fbe76c8c 40224f7be85c1e81 402301a8f6b22298 3d9123e4e8b2ef57
+3-ary 2-cube adaptive2 uniform 3e-4 ok 4022da7fabc9528a 4020b5b8c017b614 3f8a46b0d2bb907b 3ff0f1a9fbe76c8c 402254dde108cf77 4023070aef5ed390 3ddc849248894880
+3-ary 2-cube adaptive2 uniform 1e-3 ok 4022ed7e6288e680 4020b9375d7e2437 3fa611c58dd4b82b 3ff0f1a9fbe76c8c 402267dc97c8636e 40231a09a61e6786 3e307e9d880f5df8
+3-ary 2-cube adaptive2 uniform 2e-3 ok 4023090e83a77720 4020be3562ebe620 3fb651f09f51b76a 3ff0f1a9fbe76c8c 4022836cb8e6f40e 40233599c73cf826 3e607e8f71be08d6
+3-ary 2-cube adaptive2 uniform 4e-3 ok 402341bedcbcc04a 4020c8316dc769f4 3fc6d60bde1a30fc 3ff0f1a9fbe76c8c 4022bc1d11fc3d36 40236e4a20524150 3e907e8cff336b1a
+3-ary 2-cube adaptive2 uniform 7e-3 ok 40239aec2240ce68 4020d72b7e10afdd 3fd4b16c96661f3c 3ff0f1a9fbe76c8c 4023154a57804b27 4023c77765d64f7e 3eb61989fc5e68b8
+3-ary 2-cube adaptive2 uniform 1.2e-2 ok 40243bc5e57cdb48 4020f02199358162 3fe2d6f0cca6c546 3ff0f1a9fbe76c8c 4023b6241abc500f 4024685129125f04 3edbd56a8e4eff18
+3-ary 2-cube adaptive2 uniform 2e-2 ok 402562cedcfbd1a2 40211811c4a4b929 3ff1643ec6d1573c 3ff0f1a9fbe76c8c 4024dd2d123a1ded 40258f5a2091b834 3f001b34f16379c2
+3-ary 2-cube adaptive2 uniform 3.5e-2 ok 40283a091c52e478 402162f41652f420 4002e37f1a0c0b1b 3ff0f1a9fbe76c8c 4027b46751515276 402866945ffe1524 3f25923c12e6e710
+3-ary 2-cube adaptive2 uniform 6e-2 ok 40307c162e95ab14 4021dfc2aa6f524e 4019f468e67e2c8f 3ff0f1a9fbe76c8c 4030394542e2aade 4030925bd27c007b 3f4b1d4b0b5e6898
+3-ary 2-cube adaptive2 uniform 1e-1 ok 40573c79ea84056b 4022a7759c5d7149 4054a3c48f08b990 3ff0f1a9fbe76c8c 40572bc56c7e4b0d 4057420b69db438b 3f6f1a7dbdd8b16d
+3-ary 2-cube adaptive2 uniform 2e-1 saturated InjectionQueue 40007cf56d1d2ad8 None
+3-ary 2-cube adaptive2 uniform 5e-1 saturated Channel 4001a9fbe76c8b44 None
+3-ary 2-cube adaptive2 hotspot 1e-5 ok 4022d2b6a8601f96 4020b44988f13f83 3f3beff8f940f2ab 3ff0f1a9fbe76c8c 40224d11bc0c6fd8 4022ff3eca6273f0 3d322f15c1b31b67
+3-ary 2-cube adaptive2 hotspot 3e-5 ok 4022d346d43fde36 4020b469eab2f9ed 3f54f541fed6d63d 3ff0f1a9fbe76c8c 40224d9ba4c5d51e 4022ffc8b31bd936 3d52bdd2db78e398
+3-ary 2-cube adaptive2 hotspot 1e-4 ok 4022d53fd94bea5e 4020b4db40d90660 3f717ac7afb362cf 3ff0f1a9fbe76c8c 40224f7ebecba88f 402301abcd21aca8 3da12fd9f9438f45
+3-ary 2-cube adaptive2 hotspot 3e-4 ok 4022dae65f115a48 4020b61f126a4e83 3f8a4834a878d1a3 3ff0f1a9fbe76c8c 402254e6a5119b02 40230713b3679f1a 3decccbfd3fee2ec
+3-ary 2-cube adaptive2 hotspot 1e-3 ok 4022eed7b4a7924c 4020ba8c6fe6cb01 3fa6160543d9b92c 3ff0f1a9fbe76c8c 402267fccc699be0 40231a29dabf9ff8 3e40a982cf40e52a
+3-ary 2-cube adaptive2 hotspot 2e-3 ok 40230bc9e3f28126 4020c0df87bd33b5 3fb65a8e5c2fef83 3ff0f1a9fbe76c8c 402283b5de371761 402335e2ec8d1b78 3e70a97b6bf9ee50
+3-ary 2-cube adaptive2 hotspot 4e-3 ok 4023475a0bc2f040 4020cd85b76a052b 3fc6e7c536ff60b7 3ff0f1a9fbe76c8c 4022bcd3cb0c9fb9 40236f00d962a3d2 3ea0a97771c37038
+3-ary 2-cube adaptive2 hotspot 7e-3 ok 4023a5226245715c 4020e07efeed424b 3fd4cdc47b682fd3 3ff0f1a9fbe76c8c 402316f0c916c3c4 4023c91dd76cc81a 3ec652fa311db77b
+3-ary 2-cube adaptive2 hotspot 1.2e-2 ok 40244e91894c04c0 4021001e761dda23 3fe303dd3b13d0a8 3ff0f1a9fbe76c8c 4023ba425ca98a13 40246c6f6aff990c 3eec1d5dd267d6be
+3-ary 2-cube adaptive2 hotspot 2e-2 ok 40258658deb59262 402132b734e6c2f6 3ff1ab63528f0ece 3ff0f1a9fbe76c8c 4024e840c611d9b5 40259a6dd4697500 3f1043d1806a425d
+3-ary 2-cube adaptive2 hotspot 3.5e-2 ok 40288d032675a722 402191959f9fb505 400374e11d641230 3ff0f1a9fbe76c8c 4027dc924e4f5cb2 40288ebf5cfc7ee4 3f35c109e2278b4b
+3-ary 2-cube adaptive2 hotspot 6e-2 ok 40310e285d10834d 40222fb41b84bf9b 401b9ccebe3eb2da 3ff0f1a9fbe76c8c 4030a6a56c62d3b2 4030ffbbfc0ba8b2 3f5b29cf80f148d6
+3-ary 2-cube adaptive2 hotspot 1e-1 saturated Channel 3ff0f51ac9afe1dc None
+3-ary 2-cube adaptive2 hotspot 2e-1 saturated Channel 4000f51ac9afe1dc None
+3-ary 2-cube adaptive2 hotspot 5e-1 saturated Channel 401532617c1bda52 None
+5-ary 2-cube deterministic uniform 1e-5 ok 4023de1de2c04485 4020b46d2cb1505e 3f3bf08880383307 3ff94bc6a7ef9db5 4022d2c04490118a 40241397026381ea -
+5-ary 2-cube deterministic uniform 3e-5 ok 4023def562160216 4020b4d4d8ef7dcd 3f54f6851212402f 3ff94bc6a7ef9db5 4022d363b002a5c6 40241478ec19e159 -
+5-ary 2-cube deterministic uniform 1e-4 ok 4023e1e8717240d1 4020b63fd3254673 3f717e4a783538cd 3ff94bc6a7ef9db5 4022d5a05f4e8e38 402417907512fe22 -
+5-ary 2-cube deterministic uniform 3e-4 ok 4023ea5ccde6ec2c 4020ba4df43fd3e6 3f8a5812a4923aed 3ff94bc6a7ef9db5 4022dc0ac63e42b4 4024206d35d57477 -
+5-ary 2-cube deterministic uniform 1e-3 ok 402408474fc830bb 4020c88bb613f492 3fa642c4b6487261 3ff94bc6a7ef9db5 4022f2c809644ff2 40243fc72aa8f74a -
+5-ary 2-cube deterministic uniform 2e-3 ok 402433ea3e9b07fc 4020dd055cb15831 3fb6b60675de09de 3ff94bc6a7ef9db5 4023140e157d7b02 40246d7cad3a8a94 -
+5-ary 2-cube deterministic uniform 4e-3 ok 40248e84fd62aa08 40210670322648ae 3fc7a6fd8f9b68dd 3ff94bc6a7ef9db5 40235989d5c6e41a 4024cc50d21b6b37 -
+5-ary 2-cube deterministic uniform 7e-3 ok 40251f74526fc065 402145c1bb217c66 3fd607384a0a08f3 3ff94bc6a7ef9db5 4023c9c75320a264 402563ca1f192ccc -
+5-ary 2-cube deterministic uniform 1.2e-2 ok 40262cb56d2aa081 4021b2957a7706ba 3fe50a71db5a60f8 3ff94bc6a7ef9db5 40249dba088b4122 40267c814e174d2c -
+5-ary 2-cube deterministic uniform 2e-2 ok 40283736b70fbdd1 402269cab5aa6840 3ff51f99633b0ecc 3ff94bc6a7ef9db5 402644b8519c6fc2 40289ae99826cd6c -
+5-ary 2-cube deterministic uniform 3.5e-2 ok 402dfe9b64e005ea 4023e2c3cd488731 400bc97b0a662c08 3ff94bc6a7ef9db5 402b3453973e2504 402e8d768e006618 -
+5-ary 2-cube deterministic uniform 6e-2 ok 403defe7620e0fd9 4026cbf82c4920a0 4030f52ee16a85ae 3ff94bc6a7ef9db5 403ba2d145fdd1d7 403e65b89ade1c40 -
+5-ary 2-cube deterministic uniform 1e-1 saturated Channel 3ff8dead384d1481 None
+5-ary 2-cube deterministic uniform 2e-1 saturated Channel 401162827667656b None
+5-ary 2-cube deterministic uniform 5e-1 saturated Channel 4026466666666666 None
+5-ary 2-cube deterministic hotspot 1e-5 ok 4023de362bbd031a 4020b48574ea796a 3f3bf0ea4afcfe28 3ff94bc6a7ef9db4 4022d2c09ddfb290 40241397f18433fc -
+5-ary 2-cube deterministic hotspot 3e-5 ok 4023df3e473ffc10 4020b51db737fc0a 3f54f7614189fb8c 3ff94bc6a7ef9db4 4022d364c08b79f2 4024147bbe3007c8 -
+5-ary 2-cube deterministic hotspot 1e-4 ok 4023e2dbe4971c84 4020b732f9a64f53 3f7180af96cbd7c4 3ff94bc6a7ef9db4 4022d5a4219afe36 4024179a131215c2 -
+5-ary 2-cube deterministic hotspot 3e-4 ok 4023ed3b2bc97600 4020bd299b8b54ca 3f8a62ed00b5fb59 3ff94bc6a7ef9db4 4022dc17df104f76 4024208bebf94d3f -
+5-ary 2-cube deterministic hotspot 1e-3 ok 402412070768250c 4020d22c8822750e 3fa661aa47bc4819 3ff94bc6a7ef9db4 4022f3099a6011ea 40244043eaa9120b -
+5-ary 2-cube deterministic hotspot 2e-3 ok 402447f7b47d41b2 4020f092c651b518 3fb6f60c96cc71c5 3ff94bc6a7ef9db4 402314d3a27aed3c 40246eb9f2823ea6 -
+5-ary 2-cube deterministic hotspot 4e-3 ok 4024b900ec52a8c6 40212ec58c1b092a 3fc830a2ce6af97e 3ff94bc6a7ef9db4 40235c3c14370b5a 4024cff80388f960 -
+5-ary 2-cube deterministic hotspot 7e-3 ok 402570d6e555ba3e 40218fc644b256b2 3fd6f2f974adfac6 3ff94bc6a7ef9db4 4023d21b7fa884d2 40256dd9dd5338fc -
+5-ary 2-cube deterministic hotspot 1.2e-2 ok 4026d0db76fc7406 40223c5b46ca5c65 3fe6b075b3423eb5 3ff94bc6a7ef9db4 4024b9c5319763ca 40269bb199091289 -
+5-ary 2-cube deterministic hotspot 2e-2 saturated Channel 3ff0acd22e973822 None
+5-ary 2-cube deterministic hotspot 3.5e-2 saturated Channel 40077bd7d6475337 None
+5-ary 2-cube deterministic hotspot 6e-2 saturated Channel 40156d40aaeafab6 None
+5-ary 2-cube deterministic hotspot 1e-1 saturated Channel 4021db0b39192644 None
+5-ary 2-cube deterministic hotspot 2e-1 saturated Channel 4031db0b39192644 None
+5-ary 2-cube deterministic hotspot 5e-1 saturated Channel 404651ce075f6fd3 None
+5-ary 2-cube adaptive1 uniform 1e-5 ok 4023ddf6d4a0ca59 4020b4461fcc5c91 3f3befeb3d0847e3 3ff94bc6a7ef9db5 4022d2b33f1fc432 4024136abf5431fb 3e73924e7c3f1e5b
+5-ary 2-cube adaptive1 uniform 3e-5 ok 4023de802d5aee49 4020b45faf445116 3f54f523152f75bd 3ff94bc6a7ef9db5 4022d33c97d9e822 402413f4180e55ea 3e9e886216c17088
+5-ary 2-cube adaptive1 uniform 1e-4 ok 4023e061489da7ce 4020b4b9256828fa 3f717a71bc58ead6 3ff94bc6a7ef9db5 4022d51db31ca19a 402415d533510f72 3ecc6362f5eb6fda
+5-ary 2-cube adaptive1 uniform 3e-4 ok 4023e5c3414a617f 4020b5b8c017bedc 3f8a46b0d2bbb1c4 3ff94bc6a7ef9db5 4022da7fabc9557e 40241b372bfdca4c 3ef6249f51a10a74
+5-ary 2-cube adaptive1 uniform 1e-3 ok 4023f8c1f8105761 4020b9375d847abd 3fa611c58de8ed71 3ff94bc6a7ef9db5 4022ed7e628b178c 40242e35e2c49758 3f24954f44ec511c
+5-ary 2-cube adaptive1 uniform 2e-3 ok 4024145219abe45f 4020be35636c10b8 3fb651f0a0eff820 3ff94bc6a7ef9db5 4023090e83d56c7e 402449c6047062c0 3f4053e00887293e
+5-ary 2-cube adaptive1 uniform 4e-3 ok 40244d027ce902a7 4020c83177ebd780 3fc6d60bffcddc11 3ff94bc6a7ef9db5 402341bee0a508cc 4024827668f69b06 3f59df2f2fb23934
+5-ary 2-cube adaptive1 uniform 7e-3 ok 4024a63035d8a26e 4020d72bf13bc956 3fd4b16df3dcac23 3ff94bc6a7ef9db5 40239aec53903474 4024dba42fe71ed2 3f705efa4d4cb427
+5-ary 2-cube adaptive1 uniform 1.2e-2 ok 4025470ef49d749e 4020f02641f35d76 3fe2d6fddac23711 3ff94bc6a7ef9db5 40243bc843f29722 40257c837e593a83 3f83e845914b14f8
+5-ary 2-cube adaptive1 uniform 2e-2 ok 40266e4ab863ce9c 4021183c034aa074 3ff164af00d9d389 3ff94bc6a7ef9db5 402562eaf8eecbe8 4026a3c44514cf25 3f96d426c88c9ad4
+5-ary 2-cube adaptive1 uniform 3.5e-2 ok 402948748afca367 402164bc16d093b8 4002e8fe7cb86fe0 3ff94bc6a7ef9db5 40283c00dfd8be2e 40297e2546d09e0c 3fab79356cc78c4f
+5-ary 2-cube adaptive1 uniform 6e-2 ok 40311ee238173d1b 4021effc026efae6 401a489f31831733 3ff94bc6a7ef9db5 403093d4a421a59f 40313ab1bc152834 3fbe08ba27f76d74
+5-ary 2-cube adaptive1 uniform 1e-1 ok 4061f240a33fd3ad 40231c6fafc12a6c 40608de21af3e1cb 3ff94bc6a7ef9db5 4061dc984f45b3d3 4061f69580d84072 3fcc7a5dd0684417
+5-ary 2-cube adaptive1 uniform 2e-1 saturated Channel 3ff81c609b4dafe4 None
+5-ary 2-cube adaptive1 uniform 5e-1 saturated Channel 4019cb8b18585a10 None
+5-ary 2-cube adaptive1 hotspot 1e-5 ok 4023de0233b17c4a 4020b4517e817b17 3f3bf01906be3bac 3ff94bc6a7ef9db4 4022d2b3599c38a4 4024136ad9d0a66c 3e8008f5652ddb63
+5-ary 2-cube adaptive1 hotspot 3e-5 ok 4023dea24cb2b438 4020b481cb63aca6 3f54f58a227b5bc9 3ff94bc6a7ef9db4 4022d33ce974f592 402413f469a96359 3ea903fadce35c9c
+5-ary 2-cube adaptive1 hotspot 1e-4 ok 4023e0d31f82155a 4020b52ad87b5adf 3f717b90463629d3 3ff94bc6a7ef9db4 4022d51edc36a778 402415d65c6b1550 3ed74223163f37a6
+5-ary 2-cube adaptive1 hotspot 3e-4 ok 4023e7199dc925d4 4020b70dd951a4b2 3f8a4bbde635b08b 3ff94bc6a7ef9db4 4022da83fee892ac 40241b3b7f1d079b 3f02240b9dcc072c
+5-ary 2-cube adaptive1 hotspot 1e-3 ok 4023fd4122d7acbe 4020bda85c808e46 3fa61ff1592ac161 3ff94bc6a7ef9db4 4022ed96c32e499c 40242e4e4367e1c3 3f30db4286edb6b8
+5-ary 2-cube adaptive1 hotspot 2e-3 ok 40241d6d9ceeb4f6 4020c71765bff6a0 3fb66eb118654f94 3ff94bc6a7ef9db4 4023095c6e74f0f8 40244a13ef11d4b9 3f4ab79da7a02bab
+5-ary 2-cube adaptive1 hotspot 4e-3 ok 40245fb3b37f3ff6 4020d9f5d76bf3b6 3fc71141c556225e 3ff94bc6a7ef9db4 402342d48b2b172c 4024838c13a3dbb2 3f651a97ebc3b565
+5-ary 2-cube adaptive1 hotspot 7e-3 ok 4024c842da9d5ad2 4020f64781bcb17c 3fd510507c56b3ed 3ff94bc6a7ef9db4 40239e2ada75c696 4024dee2b88c35ed 3f7a886bdf5a81b2
+5-ary 2-cube adaptive1 hotspot 1.2e-2 ok 40258600a5fec37e 402125a369327a42 3fe36e467ce55860 3ff94bc6a7ef9db4 402445b74fd009f6 402586729c7b148e 3f8fc9ba618fbfcc
+5-ary 2-cube adaptive1 hotspot 2e-2 ok 4026e7817ce3afb8 402172d779b11bb3 3ff2598971a50273 3ff94bc6a7ef9db4 40258252ade01624 4026c32ca1fe231a 3fa1b1a39ba36769
+5-ary 2-cube adaptive1 hotspot 3.5e-2 ok 402a8384a9b4cc5e 4022137deba53706 40051a37a4468686 3ff94bc6a7ef9db4 4028c9b7695006b2 402a0be3150f6554 3fb40c2ec83f57d9
+5-ary 2-cube adaptive1 hotspot 6e-2 saturated Channel 4002a9bdda5a2fbf None
+5-ary 2-cube adaptive1 hotspot 1e-1 saturated Channel 40163fceabd79d68 None
+5-ary 2-cube adaptive1 hotspot 2e-1 saturated Channel 402cc1d376506b7d None
+5-ary 2-cube adaptive1 hotspot 5e-1 saturated Channel 4041f6877e8464eb None
+5-ary 2-cube adaptive2 uniform 1e-5 ok 4023ddf6d4a0ca59 4020b4461fcc5c91 3f3befeb3d0847e3 3ff94bc6a7ef9db5 4022d2b33f1fc432 4024136abf5431fb 3d302600b2d48898
+5-ary 2-cube adaptive2 uniform 3e-5 ok 4023de802d5aee49 4020b45faf445116 3f54f523152f75bd 3ff94bc6a7ef9db5 4022d33c97d9e822 402413f4180e55ea 3d35c7dab4957a07
+5-ary 2-cube adaptive2 uniform 1e-4 ok 4023e061489da7ba 4020b4b9256828e6 3f717a71bc58eaa4 3ff94bc6a7ef9db5 4022d51db31ca194 402415d533510f5b 3d74fd265a821bf0
+5-ary 2-cube adaptive2 uniform 3e-4 ok 4023e5c3414a58b1 4020b5b8c017b616 3f8a46b0d2bb9083 3ff94bc6a7ef9db5 4022da7fabc9528a 40241b372bfdc051 3dc85b0cbd3c5b80
+5-ary 2-cube adaptive2 uniform 1e-3 ok 4023f8c1f809eca7 4020b9375d7e2438 3fa611c58dd4b82e 3ff94bc6a7ef9db5 4022ed7e6288e680 40242e35e2bd5448 3e2507369fc8b2e2
+5-ary 2-cube adaptive2 uniform 2e-3 ok 4024145219287d47 4020be3562ebe621 3fb651f09f51b76d 3ff94bc6a7ef9db5 4023090e83a77720 402449c603dbe4e9 3e5a7e480f198c6a
+5-ary 2-cube adaptive2 uniform 4e-3 ok 40244d02723dc673 4020c8316dc769f8 3fc6d60bde1a3109 3ff94bc6a7ef9db5 402341bedcbcc04a 402482765cf12e15 3e90b08ebb3f81a8
+5-ary 2-cube adaptive2 uniform 7e-3 ok 4024a62fb7c1d5b7 4020d72b7e10b0ec 3fd4b16c96662272 3ff94bc6a7ef9db5 40239aec2240cebe 4024dba3a2753d82 3ebaf2780852299a
+5-ary 2-cube adaptive2 uniform 1.2e-2 ok 402547097afe352b 4020f0219935c8a5 3fe2d6f0cca78cf3 3ff94bc6a7ef9db5 40243bc5e57cfa14 40257c7d65b1a763 3ee44f1a3504b76e
+5-ary 2-cube adaptive2 uniform 2e-2 ok 40266e12729109f8 40211811c4b3e280 3ff1643ec6f99e06 3ff94bc6a7ef9db5 402562cedd051d2c 4026a3865d469fbb 3f0bdd7a31171ca6
+5-ary 2-cube adaptive2 uniform 3.5e-2 ok 4029454cba669903 402162f41b29fda2 4002e37f28fa9ea6 3ff94bc6a7ef9db5 40283a0921802d3c 40297ac0a5c7e1c4 3f367951fbce6d82
+5-ary 2-cube adaptive2 uniform 6e-2 ok 403101ba6de6dd6c 4021dfc40988a036 4019f46ffa8e4dd9 3ff94bc6a7ef9db5 40307c1829e6b7c0 40311c747b807e90 3f60d772d5f97006
+5-ary 2-cube adaptive2 uniform 1e-1 ok 405763b5709cfa6c 4022a7c7e38d5656 4054a98d598b912a 3ff94bc6a7ef9db5 40574245f4c04e10 40576a65562f834b 3f866e6bb0d53a62
+5-ary 2-cube adaptive2 uniform 2e-1 saturated InjectionQueue 4000b35514d77003 None
+5-ary 2-cube adaptive2 uniform 5e-1 saturated Channel 4011c6038d1fa254 None
+5-ary 2-cube adaptive2 hotspot 1e-5 ok 4023de0233b17c4a 4020b4517e817b17 3f3bf01906be3bac 3ff94bc6a7ef9db4 4022d2b3599c38a4 4024136ad9d0a66c 3d30a74299e2d25e
+5-ary 2-cube adaptive2 hotspot 3e-5 ok 4023dea24cb2b436 4020b481cb63aca4 3f54f58a227b5bc2 3ff94bc6a7ef9db4 4022d33ce974f592 402413f469a96359 3d44b89df8eb8320
+5-ary 2-cube adaptive2 hotspot 1e-4 ok 4023e0d31f821494 4020b52ad87b5a18 3f717b90463627de 3ff94bc6a7ef9db4 4022d51edc36a772 402415d65c6b153a 3d963e7c5e7b2efb
+5-ary 2-cube adaptive2 hotspot 3e-4 ok 4023e7199dc8ca76 4020b70dd95149a9 3f8a4bbde634575d 3ff94bc6a7ef9db4 4022da83fee88f5c 40241b3b7f1cfd23 3deac5ba32b2c5e2
+5-ary 2-cube adaptive2 hotspot 1e-3 ok 4023fd4122945a4e 4020bda85c3e1025 3fa61ff158567290 3ff94bc6a7ef9db4 4022ed96c32b4e50 40242e4e435fbc19 3e4723220dee31d7
+5-ary 2-cube adaptive2 hotspot 2e-3 ok 40241d6d9777f054 4020c717606bbdff 3fb66eb1071f4f1d 3ff94bc6a7ef9db4 4023095c6e26de7a 40244a13ee5b4c42 3e7d26a2ce8ef02e
+5-ary 2-cube adaptive2 hotspot 4e-3 ok 40245fb33f133774 4020d9f568c71cfa 3fc711405389b102 3ff94bc6a7ef9db4 402342d481f2169e 4024838c02268469 3eb25d1c0cde37bc
+5-ary 2-cube adaptive2 hotspot 7e-3 ok 4024c83d525ce3e0 4020f64275512f15 3fd5104101b822af 3ff94bc6a7ef9db4 40239e2a3782a952 4024dee1b7b7181d 3edda5e9c6b88273
+5-ary 2-cube adaptive2 hotspot 1.2e-2 ok 402585c12aeed058 4021256d8a814667 3fe36dacb6f963b5 3ff94bc6a7ef9db4 402445ac1e40e100 402586639e758f88 3f0655fdad0f6795
+5-ary 2-cube adaptive2 hotspot 2e-2 ok 4026e4e4d59a9f30 402170e5bee53eab 3ff254320dbb667b 3ff94bc6a7ef9db4 4025819966bb6b62 4026c250e6fd2ffc 3f2e950f8c81f11c
+5-ary 2-cube adaptive2 hotspot 3.5e-2 ok 402a5cf8d6bd13d2 4021fe6f2b92aecd 4004d44358b1c537 3ff94bc6a7ef9db4 4028b79f66fb4df0 4029f856eb58548f 3f5854abcddcde4e
+5-ary 2-cube adaptive2 hotspot 6e-2 saturated Channel 3ff7bd8be7296f66 None
+5-ary 2-cube adaptive2 hotspot 1e-1 saturated Channel 4004fb1ef8f1a171 None
+5-ary 2-cube adaptive2 hotspot 2e-1 saturated Channel 401fa9394395d8cf None
+5-ary 2-cube adaptive2 hotspot 5e-1 saturated Channel 403d4c8e8fb0f1f0 None
+2-ary 3-cube deterministic uniform 1e-5 ok 40230c0b3f89779d 4020b458c8bafafb 3f3bf036624dbd5e 3ff2bbd4b30dc038 40224d1174f58baa 40232bdf8bf77446 -
+2-ary 3-cube deterministic uniform 3e-5 ok 40230cb9efc505f8 4020b497ab0189df 3f54f5cc38823d20 3ff2bbd4b30dc038 40224d9ad2627fa6 40232c9474aac707 -
+2-ary 3-cube deterministic uniform 1e-4 ok 40230f1dec45d7e0 4020b573ccdf4772 3f717c4826c33a0c 3ff2bbd4b30dc038 40224f7c23296bcb 40232f0e38753f39 -
+2-ary 3-cube deterministic uniform 3e-4 ok 402315f76a88c15a 4020b7e914d50e06 3f8a4efd47ed35a3 3ff2bbd4b30dc038 402254dff4261be0 40233625fe43dcef -
+2-ary 3-cube deterministic uniform 1e-3 ok 40232e2b24f25671 4020c08771106638 3fa6291d80383272 3ff2bbd4b30dc038 402267f3efbac6e8 40234f34587b9909 -
+2-ary 3-cube deterministic uniform 2e-3 ok 4023515f6da1fbc8 4020cce1e16ec6dc 3fb6817ae8be729b 3ff2bbd4b30dc038 402283cbcd79cd84 402373a2b2fe037e -
+2-ary 3-cube deterministic uniform 4e-3 ok 40239a195f9bf182 4020e5bc0c06ebb8 3fc738af4cd370a1 3ff2bbd4b30dc038 4022bda79fb72235 4023bed6ff976965 -
+2-ary 3-cube deterministic uniform 7e-3 ok 40240d6607b1b84f 40210b618572e4e2 3fd5513d7ba36cb0 3ff2bbd4b30dc038 40231a48deaa3593 402435eae3dda36e -
+2-ary 3-cube deterministic uniform 1.2e-2 ok 4024e039fe1cc41d 40214b1fc844e407 3fe3d9f9f76280f7 3ff2bbd4b30dc038 4023c654ad680bca 40250f358b90382b -
+2-ary 3-cube deterministic uniform 2e-2 ok 40266d09afc656d6 4021b3c982bf54b4 3ff30e2cb52a50db 3ff2bbd4b30dc038 4025126ad0053d20 4026a6ced5113075 -
+2-ary 3-cube deterministic uniform 3.5e-2 ok 402a7d4e9bffe4e8 4022815cde651435 400691dc9ce462af 3ff2bbd4b30dc038 40289ffeb207685b 402accdbeda94f01 -
+2-ary 3-cube deterministic uniform 6e-2 ok 4034e94f9dc30d22 4023f5896d43547a 4023859b37e10dc4 3ff2bbd4b30dc038 40337ef8a533a69c 403525b371daf38d -
+2-ary 3-cube deterministic uniform 1e-1 saturated InjectionQueue 3ff21b672a7bb377 None
+2-ary 3-cube deterministic uniform 2e-1 saturated Channel 40053162166f6a90 None
+2-ary 3-cube deterministic uniform 5e-1 saturated Channel 401b277f44c118de None
+2-ary 3-cube deterministic hotspot 1e-5 ok 40230c10495222ba 4020b45dd25b12fe 3f3bf04aabdaaaf7 3ff2bbd4b30dc038 40224d11c53de41d 40232bdfdc409d91 -
+2-ary 3-cube deterministic hotspot 3e-5 ok 40230cc90e792e3c 4020b4a6c8485e8c 3f54f5f9e2f511a6 3ff2bbd4b30dc038 40224d9bc42f2346 40232c95667ec25c -
+2-ary 3-cube deterministic hotspot 1e-4 ok 40230f50626aa74e 4020b5a63322dea9 3f717cc73084f07b 3ff2bbd4b30dc038 40224f7f54485976 40232f1169e5c662 -
+2-ary 3-cube deterministic hotspot 3e-4 ok 4023168f54f77088 4020b8806fbce6d3 3f8a513b6346b80f 3ff2bbd4b30dc038 402254e9e766129b 4023362ff4629b66 -
+2-ary 3-cube deterministic hotspot 1e-3 ok 4023302bd1a837f0 4020c281cb061758 3fa62f7040689089 3ff2bbd4b30dc038 402268198ee40dca 40234f5a179810db -
+2-ary 3-cube deterministic hotspot 2e-3 ok 402355733ff316c7 4020d0dbdbdc4117 3fb68e66da8ed452 3ff2bbd4b30dc038 402284243e2f9b4f 402373fba3d66bcf -
+2-ary 3-cube deterministic hotspot 4e-3 ok 4023a28eaab2653a 4020edc5598e11f3 3fc753aeb0a6d005 3ff2bbd4b30dc038 4022be90ceeac9be 4023bfc23208ae7c -
+2-ary 3-cube deterministic hotspot 7e-3 ok 40241d1128c9ff95 402119aaed1d9936 3fd57d74a955caf8 3ff2bbd4b30dc038 40231c85aef7661b 4024382deaa17835 -
+2-ary 3-cube deterministic hotspot 1.2e-2 ok 4024fdf0bd95fdf8 40216445fa62511c 3fe42302cd1f4d55 3ff2bbd4b30dc038 4023cc5ccfb0e6b6 402515502e5c304b -
+2-ary 3-cube deterministic hotspot 2e-2 ok 4026a85158025042 4021df8c3b9eeea2 3ff38a54300d4cc9 3ff2bbd4b30dc038 40252461b7975edc 4026b8fa3f6bcd17 -
+2-ary 3-cube deterministic hotspot 3.5e-2 ok 402b1ab0d00614a1 4022d4944c53a2b6 4007ba87b542e78e 3ff2bbd4b30dc038 4028ee70ea7d1d7f 402b1bf5b589e566 -
+2-ary 3-cube deterministic hotspot 6e-2 saturated Channel 3ff822dba7a14eda None
+2-ary 3-cube deterministic hotspot 1e-1 saturated Channel 400805fd8cf8a0eb None
+2-ary 3-cube deterministic hotspot 2e-1 saturated Channel 40182ad51be94be6 None
+2-ary 3-cube deterministic hotspot 5e-1 saturated Channel 402e358a62e39ede None
+2-ary 3-cube adaptive1 uniform 1e-5 ok 40230bf896048ea8 4020b4461fcc5c90 3f3befeb3d0847dd 3ff2bbd4b30dc038 40224d11745f4120 40232bc9c64ac63f 3e64fd80b5350610
+2-ary 3-cube adaptive1 uniform 3e-5 ok 40230c81eebeb298 4020b45faf445115 3f54f523152f75ba 3ff2bbd4b30dc038 40224d9acd196510 40232c531f04ea2f 3e91409be0a9a519
+2-ary 3-cube adaptive1 uniform 1e-4 ok 40230e630a016c0c 4020b4b9256828e8 3f717a71bc58eaa8 3ff2bbd4b30dc038 40224f7be85c1e81 40232e343a47a3a4 3ec0fcb77ba453bd
+2-ary 3-cube adaptive1 uniform 3e-4 ok 402313c502ae1eac 4020b5b8c017b7bf 3f8a46b0d2bb96cf 3ff2bbd4b30dc038 402254dde108cf79 4023339632f4568a 3eebec7fc0ca4da4
+2-ary 3-cube adaptive1 uniform 1e-3 ok 402326c3b96f0f08 4020b9375d7f7dfa 3fa611c58dd90699 3ff2bbd4b30dc038 402267dc97c867bd 40234694e9b5803f 3f1b7d87bc3987de
+2-ary 3-cube adaptive1 uniform 2e-3 ok 40234253daaa2e37 4020be3563091614 3fb651f09fb00de1 3ff2bbd4b30dc038 4022836cb8e7b0bb 402362250af54322 3f368ac4bcfb7eb2
+2-ary 3-cube adaptive1 uniform 4e-3 ok 40237b04363aa7f7 4020c831703fb316 3fc6d60be64f367f 3ff2bbd4b30dc038 4022bc1d121d114c 40239ad566ea4114 3f52779bf412b8a0
+2-ary 3-cube adaptive1 uniform 7e-3 ok 4023d4319999722e 4020d72b9bb4fbca 3fd4b16cf057cb9a 3ff2bbd4b30dc038 4023154a5a4fd88a 4023f402ced0611f 3f68065eaf6f50a0
+2-ary 3-cube adaptive1 uniform 1.2e-2 ok 4024750cb9c5de6d 4020f022ddc32f3d 3fe2d6f45a0f728c 3ff2bbd4b30dc038 4023b6245392dae4 402494de2023b459 3f7e08e58a7cfe36
+2-ary 3-cube adaptive1 uniform 2e-2 ok 40259c2469e7014b 4021181df01fbe29 3ff1645f1b2c58d9 3ff2bbd4b30dc038 4024dd311cc57e20 4025bbf7a16c9728 3f91b74311efc190
+2-ary 3-cube adaptive1 uniform 3.5e-2 ok 4028744848cd5aad 40216381207e85c0 4002e53247b47397 3ff2bbd4b30dc038 4027b4d41cbb6c95 40289430fad057b1 3fa61636ca157d6a
+2-ary 3-cube adaptive1 uniform 6e-2 ok 4030a273d2a67699 4021e530255a8140 401a1079d32167d6 3ff2bbd4b30dc038 403040497e0b79b0 4030b2d03615a0bf 3fb9228a80942a3c
+2-ary 3-cube adaptive1 uniform 1e-1 ok 405aa1cc12415a7d 4022d14bc7b00b73 4057fcb3467f220e 3ff2bbd4b30dc038 405a84b423f4b38b 405aa6a564a37651 3fc8de86abf42d25
+2-ary 3-cube adaptive1 uniform 2e-1 saturated InjectionQueue 400230e7d6db1769 None
+2-ary 3-cube adaptive1 uniform 5e-1 saturated Channel 400e3e7db1a5ecf2 None
+2-ary 3-cube adaptive1 hotspot 1e-5 ok 40230bfb8746e639 4020b44910f70202 3f3beff716180297 3ff2bbd4b30dc038 40224d11c496b898 40232bca16823db7 3e69e8cc2394f75c
+2-ary 3-cube adaptive1 hotspot 3e-5 ok 40230c8ac313f4e0 4020b46882c4416a 3f54f53dbf6de07d 3ff2bbd4b30dc038 40224d9bbe4e070c 40232c5410398c2b 3e954ba73eac8e22
+2-ary 3-cube adaptive1 hotspot 1e-4 ok 40230e807ef05da8 4020b4d691129f5e 3f717abbe0321424 3ff2bbd4b30dc038 40224f7f12de4f1b 40232e3764c9d43d 3ec4f7d7e867b245
+2-ary 3-cube adaptive1 hotspot 3e-4 ok 4023141d99501605 4020b61103171d67 3f8a47ff5d025ac9 3ff2bbd4b30dc038 402254e798648184 4023339fea500895 3ef13bd74cb2b574
+2-ary 3-cube adaptive1 hotspot 1e-3 ok 402327ed98529c83 4020ba5d922a0401 3fa6156fc6e07b12 3ff2bbd4b30dc038 402267ff8e6a85b4 402346b7e0579e42 3f20f70d3f1c5b5b
+2-ary 3-cube adaptive1 hotspot 2e-3 ok 402344af21392cde 4020c081cc8385fb 3fb6595f29f76e3d 3ff2bbd4b30dc038 402283ba2ece6c82 4023627280dc00c2 3f3bd14d70e4dd52
+2-ary 3-cube adaptive1 hotspot 4e-3 ok 40237fda32307ac1 4020ccca46653b57 3fc6e5555a61d8d3 3ff2bbd4b30dc038 4022bcd76991b5e1 40239b8fbe5f3583 3f56c68cf8ddd7fc
+2-ary 3-cube adaptive1 hotspot 7e-3 ok 4023dd00c4fa58bc 4020df3736cf017e 3fd4c9def933e6d1 3ff2bbd4b30dc038 402316e9017656fa 4023f5a175fd6712 3f6d96f2cf998320
+2-ary 3-cube adaptive1 hotspot 1.2e-2 ok 402485451e667114 4020fdef29dee0d1 3fe2fdb5e25d83bf 3ff2bbd4b30dc038 4023ba080104ca1d 402498c1ce0f8343 3f826f92bc73a2f2
+2-ary 3-cube adaptive1 hotspot 2e-2 ok 4025bae24cd4c72d 40212f2b89fa89ec 3ff1a1e163c429d3 3ff2bbd4b30dc038 4024e7535e0e3a7d 4025c619ea41f5f1 3f95988b76ea9b2e
+2-ary 3-cube adaptive1 hotspot 3.5e-2 ok 4028bd2f139d4d84 40218c7de3d10c2e 400364da65aa253c 3ff2bbd4b30dc038 4027d9059696ecea 4028b8630b4d34c2 3faa7b977fa7f2af
+2-ary 3-cube adaptive1 hotspot 6e-2 ok 40312d5bb2b6fe04 402231141bd9483e 401ba4516665f783 3ff2bbd4b30dc038 4030a8ea572d40f8 40311b75e69cb8e3 3fbd482c1eb9b7d5
+2-ary 3-cube adaptive1 hotspot 1e-1 saturated Channel 3ff28328ebb4e733 None
+2-ary 3-cube adaptive1 hotspot 2e-1 saturated Channel 400c0cca9178abb1 None
+2-ary 3-cube adaptive1 hotspot 5e-1 saturated Channel 40243d90d4f2e7aa None
+2-ary 3-cube adaptive2 uniform 1e-5 ok 40230bf896048ea8 4020b4461fcc5c90 3f3befeb3d0847dd 3ff2bbd4b30dc038 40224d11745f4120 40232bc9c64ac63f 3d300a3ada1a5a84
+2-ary 3-cube adaptive2 uniform 3e-5 ok 40230c81eebeb298 4020b45faf445115 3f54f523152f75ba 3ff2bbd4b30dc038 40224d9acd196510 40232c531f04ea2f 3d31ba4c5e79b671
+2-ary 3-cube adaptive2 uniform 1e-4 ok 40230e630a016c09 4020b4b9256828e5 3f717a71bc58eaa1 3ff2bbd4b30dc038 40224f7be85c1e81 40232e343a47a3a0 3d5eccebc9da4459
+2-ary 3-cube adaptive2 uniform 3e-4 ok 402313c502ae1cff 4020b5b8c017b614 3f8a46b0d2bb907b 3ff2bbd4b30dc038 402254dde108cf77 4023339632f45496 3db22af7d5868224
+2-ary 3-cube adaptive2 uniform 1e-3 ok 402326c3b96db0f6 4020b9375d7e2437 3fa611c58dd4b82b 3ff2bbd4b30dc038 402267dc97c8636e 40234694e9b3e88d 3e118dd83fc1edde
+2-ary 3-cube adaptive2 uniform 2e-3 ok 40234253da8c4196 4020be3562ebe620 3fb651f09f51b76a 3ff2bbd4b30dc038 4022836cb8e6f40e 402362250ad2792d 3e479ff6071f637a
+2-ary 3-cube adaptive2 uniform 4e-3 ok 40237b0433a18abe 4020c8316dc769f3 3fc6d60bde1a30f8 3ff2bbd4b30dc038 4022bc1d11fc3d36 40239ad563e7c255 3e7fcbe92938409c
+2-ary 3-cube adaptive2 uniform 7e-3 ok 4023d431792598d4 4020d72b7e10afd4 3fd4b16c96661f22 3ff2bbd4b30dc038 4023154a57804b26 4023f402a96bd072 3eab1317f7531b22
+2-ary 3-cube adaptive2 uniform 1.2e-2 ok 4024750b3c61a8a6 4020f021993583dc 3fe2d6f0cca6cc36 3ff2bbd4b30dc038 4023b6241abc507e 402494dc6ca7e203 3ed57ae803c15310
+2-ary 3-cube adaptive2 uniform 2e-2 ok 40259c1433e23d83 40211811c4a5f286 3ff1643ec6d497af 3ff2bbd4b30dc038 4024dd2d123a85fb 4025bbe56428dc1a 3efef1715f5c6410
+2-ary 3-cube adaptive2 uniform 3.5e-2 ok 4028734e7440bbf2 402162f416e89778 4002e37f1bd9b1cc 3ff2bbd4b30dc038 4027b46751c4bc22 4028931fa4aabbeb 3f2a552002bc26ee
+2-ary 3-cube adaptive2 uniform 6e-2 ok 403098b93afe5f99 4021dfc2e09861d3 4019f469fe054ab0 3ff2bbd4b30dc038 4030394588c47266 4030a8a1d8b2b1cc 3f54d0ae11f76248
+2-ary 3-cube adaptive2 uniform 1e-1 ok 405744b866c6c38f 4022a784f3d967f0 4054a4d8757f5f90 3ff2bbd4b30dc038 40572cd952f4f10d 405748b2ea1466a5 3f7d6265f3142078
+2-ary 3-cube adaptive2 uniform 2e-1 saturated InjectionQueue 40008a687fe30910 None
+2-ary 3-cube adaptive2 uniform 5e-1 saturated Channel 40030fd28a197870 None
+2-ary 3-cube adaptive2 hotspot 1e-5 ok 40230bfb8746e639 4020b44910f70202 3f3beff716180297 3ff2bbd4b30dc038 40224d11c496b898 40232bca16823db7 3d30123c36e7d4d0
+2-ary 3-cube adaptive2 hotspot 3e-5 ok 40230c8ac313f4e0 4020b46882c4416a 3f54f53dbf6de07d 3ff2bbd4b30dc038 40224d9bbe4e070c 40232c5410398c2b 3d33146a5c456679
+2-ary 3-cube adaptive2 hotspot 1e-4 ok 40230e807ef05da0 4020b4d691129f56 3f717abbe0321410 3ff2bbd4b30dc038 40224f7f12de4f1b 40232e3764c9d43a 3d69e2f0eafd1b65
+2-ary 3-cube adaptive2 hotspot 3e-4 ok 4023141d99501200 4020b61103171966 3f8a47ff5d024b9b 3ff2bbd4b30dc038 402254e798648180 4023339fea50069f 3dc02b036efcd3a3
+2-ary 3-cube adaptive2 hotspot 1e-3 ok 402327ed984f52c6 4020ba5d9226c4a0 3fa6156fc6d61f52 3ff2bbd4b30dc038 402267ff8e6a7b58 402346b7e0560077 3e1f4a45d1639606
+2-ary 3-cube adaptive2 hotspot 2e-3 ok 402344af20f1069b 4020c081cc3d26f4 3fb6595f2913cfd1 3ff2bbd4b30dc038 402283ba2ecca546 4023627280b82a65 3e550e5c4dd623dc
+2-ary 3-cube adaptive2 hotspot 4e-3 ok 40237fda2be58acf 4020ccca4069eb9e 3fc6e5554679ca82 3ff2bbd4b30dc038 4022bcd7694215a8 40239b8fbb2d9ac8 3e8c56dbf147f89b
+2-ary 3-cube adaptive2 hotspot 7e-3 ok 4023dd0075fcae1c 4020df36eead140d 3fd4c9de1dbc4101 3ff2bbd4b30dc038 402316e8fa9a99cb 4023f5a14c861f17 3eb82171504a4ad9
+2-ary 3-cube adaptive2 hotspot 1.2e-2 ok 402485417a240353 4020fdec111d6ae5 3fe2fdad2a4e066e 3ff2bbd4b30dc038 4023ba077583d248 402498bfc76f63d2 3ee324cf5663b308
+2-ary 3-cube adaptive2 hotspot 2e-2 ok 4025babab5bac445 40212f0de1ea15b4 3ff1a191eb77b450 3ff2bbd4b30dc038 4024e7496f04abcd 4025c601c0f3041d 3f0b92705c7dca80
+2-ary 3-cube adaptive2 hotspot 3.5e-2 ok 4028bad61b4d90e9 40218b2d530642af 400360b8c79658cb 3ff2bbd4b30dc038 4027d7fd2f11f9ce 4028b6b581f948f5 3f376e4688853b7c
+2-ary 3-cube adaptive2 hotspot 6e-2 ok 403116622e2e0fc4 402224ba6ebfd728 401b611eae7520b1 3ff2bbd4b30dc038 4030981da9310b44 40310779f9766c63 3f625d05b45f7d2b
+2-ary 3-cube adaptive2 hotspot 1e-1 ok 4061cea972609431 40231b5936d438d7 4060777c358d3524 3ff2bbd4b30dc038 4061bc4041d8ca96 4061ca2d11f897de 3f88dbc6e9e644a0
+2-ary 3-cube adaptive2 hotspot 2e-1 saturated Channel 3fff16b11c6d1e12 None
+2-ary 3-cube adaptive2 hotspot 5e-1 saturated Channel 401e1e6ddd0f1b41 None
+8-ary 1-cube deterministic uniform 1e-5 ok 4023a4eff4213012 4020b484943a82a5 3f3bf0e6c215e0b5 3ff7819bf0c94a05 4023a4eff4213012 4023a4eff4213012 -
+8-ary 1-cube deterministic uniform 3e-5 ok 4023a5f64c6a95d0 4020b51b13872ec8 3f54f75947b8db27 3ff7819bf0c94a05 4023a5f64c6a95d0 4023a5f64c6a95d0 -
+8-ary 1-cube deterministic uniform 1e-4 ok 4023a98dab8ef2f3 4020b72a1a4ef58f 3f71809936a11543 3ff7819bf0c94a05 4023a98dab8ef2f3 4023a98dab8ef2f3 -
+8-ary 1-cube deterministic uniform 3e-4 ok 4023b3da78c5ebd6 4020bd0e595036b9 3f8a6285722f6ea6 3ff7819bf0c94a05 4023b3da78c5ebd6 4023b3da78c5ebd6 -
+8-ary 1-cube deterministic uniform 1e-3 ok 4023d85df36506fc 4020d1ca0792a9fa 3fa6606db933c10a 3ff7819bf0c94a05 4023d85df36506fc 4023d85df36506fc -
+8-ary 1-cube deterministic uniform 2e-3 ok 40240dd10722e2b6 4020efb712f4adf7 3fb6f33b0a85bf0b 3ff7819bf0c94a05 40240dd10722e2b6 40240dd10722e2b6 -
+8-ary 1-cube deterministic uniform 4e-3 ok 40247d862147874b 40212cace2931a28 3fc8297026d0f87b 3ff7819bf0c94a05 40247d862147874b 40247d862147874b -
+8-ary 1-cube deterministic uniform 7e-3 ok 4025324cbf181057 40218afccb5b3098 3fd6e38eb476cfba 3ff7819bf0c94a05 4025324cbf181057 4025324cbf181057 -
+8-ary 1-cube deterministic uniform 1.2e-2 ok 4026892fad0195e2 4022304f60e17413 3fe68acce06f88e1 3ff7819bf0c94a05 4026892fad0195e2 4026892fad0195e2 -
+8-ary 1-cube deterministic uniform 2e-2 ok 40293e5daef39b9f 4023502ca5c75584 3ff7efec5898e6cc 3ff7819bf0c94a05 40293e5daef39b9f 40293e5daef39b9f -
+8-ary 1-cube deterministic uniform 3.5e-2 ok 4030e6e3379afca3 4025c8964486d951 401229f9592bed6b 3ff7819bf0c94a05 4030e6e3379afca3 4030e6e3379afca3 -
+8-ary 1-cube deterministic uniform 6e-2 saturated Channel 400311de5170db62 None
+8-ary 1-cube deterministic uniform 1e-1 saturated Channel 4011fce632b0b27e None
+8-ary 1-cube deterministic uniform 2e-1 saturated Channel 4023de4bf50873e7 None
+8-ary 1-cube deterministic uniform 5e-1 saturated Channel 4039750750750750 None
+8-ary 1-cube deterministic hotspot 1e-5 ok 4023a4f9380f6632 4020b48dd7de19a8 3f3bf10c11a4478d 3ff7819bf0c94a04 4023a4f1d4491aa1 4023a4f1d4491aa1 -
+8-ary 1-cube deterministic hotspot 3e-5 ok 4023a6121c0e0dfa 4020b536e08a917a 3f54f7ad4a67f517 3ff7819bf0c94a04 4023a5fbeefc99b9 4023a5fbeefc99b9 -
+8-ary 1-cube deterministic hotspot 1e-4 ok 4023a9ea8ca9092a 4020b786de2a58ef 3f7181832c37cdf1 3ff7819bf0c94a04 4023a9a08cba2614 4023a9a08cba2614 -
+8-ary 1-cube deterministic hotspot 3e-4 ok 4023b4f29fef175e 4020be257756bbbe 3f8a66a9fcc97d6b 3ff7819bf0c94a04 4023b413f0f7ce47 4023b413f0f7ce47 -
+8-ary 1-cube deterministic hotspot 1e-3 ok 4023dc15d634309e 4020d5761babdeb8 3fa66c3c6f28a5e6 3ff7819bf0c94a04 4023d9277dfe3587 4023d9277dfe3587 -
+8-ary 1-cube deterministic hotspot 2e-3 ok 4024157669097b12 4020f72b70afcb32 3fb70bbd20434f9c 3ff7819bf0c94a04 40240f823713c39e 40240f823713c39e -
+8-ary 1-cube deterministic hotspot 4e-3 ok 40248db70c4aee96 40213c0a54fcbd97 3fc85e4e4d41ef7a 3ff7819bf0c94a04 4024816d45862cb1 4024816d45862cb1 -
+8-ary 1-cube deterministic hotspot 7e-3 ok 4025514cc19b7040 4021a724ad222190 3fd73e92cc04adfb 3ff7819bf0c94a04 40253abc6513197f 40253abc6513197f -
+8-ary 1-cube deterministic hotspot 1.2e-2 ok 4026c7b34c0be51a 4022648d0a66eb93 3fe72f2c38bd0465 3ff7819bf0c94a04 40269daefeab6cfd 40269daefeab6cfd -
+8-ary 1-cube deterministic hotspot 2e-2 ok 4029caec437823b2 4023b3a35df5c716 3ff938ab3b499adc 3ff7819bf0c94a04 40297a6c2418b08b 40297a6c2418b08b -
+8-ary 1-cube deterministic hotspot 3.5e-2 saturated Channel 3ffc252554d07252 None
+8-ary 1-cube deterministic hotspot 6e-2 saturated Channel 400ee55e726930f9 None
+8-ary 1-cube deterministic hotspot 1e-1 saturated Channel 401c09de384ec474 None
+8-ary 1-cube deterministic hotspot 2e-1 saturated Channel 402c34de1ec74cba None
+8-ary 1-cube deterministic hotspot 5e-1 saturated Channel 4041a10ad33c8ff2 None
+8-ary 1-cube adaptive1 uniform 1e-5 ok 4023a4b17dbc0aa8 4020b4461fcc6756 3f3befeb3d087340 3ff7819bf0c94a05 4023a4b17dbc0aa8 4023a4b17dbc0aa8 3f1a954c9050bb45
+8-ary 1-cube adaptive1 uniform 3e-5 ok 4023a53ad67746be 4020b45faf4573e6 3f54f5231532e450 3ff7819bf0c94a05 4023a53ad67746be 4023a53ad67746be 3f33eef079e24dfe
+8-ary 1-cube adaptive1 uniform 1e-4 ok 4023a71bf1e2f0ec 4020b4b925922f51 3f717a71bcc2d16e 3ff7819bf0c94a05 4023a71bf1e2f0ec 4023a71bf1e2f0ec 3f50996f02165b70
+8-ary 1-cube adaptive1 uniform 3e-4 ok 4023ac7deed4a03d 4020b5b8c482988c 3f8a46b0e379be77 3ff7819bf0c94a05 4023ac7deed4a03d 4023ac7deed4a03d 3f68d942bcc4d896
+8-ary 1-cube adaptive1 uniform 1e-3 ok 4023bf7d44e009c3 4020b937ff356d9a 3fa611c79172e868 3ff7819bf0c94a05 4023bf7d44e009c3 4023bf7d44e009c3 3f848fcb91bd6ee2
+8-ary 1-cube adaptive1 uniform 2e-3 ok 4023db11dafb9387 4020be3a5b8163ef 3fb65200b0832b5d 3ff7819bf0c94a05 4023db11dafb9387 4023db11dafb9387 3f945b78fa3540cc
+8-ary 1-cube adaptive1 uniform 4e-3 ok 402413e59bb57651 4020c857ee5ed3ea 3fc6d68bcf5e4961 3ff7819bf0c94a05 402413e59bb57651 402413e59bb57651 3fa3f5e3152bdb99
+8-ary 1-cube adaptive1 uniform 7e-3 ok 40246dc1ebabe7b1 4020d7f05d35f8b5 3fd4b3c20b98b763 3ff7819bf0c94a05 40246dc1ebabe7b1 40246dc1ebabe7b1 3fb0f8220da3698a
+8-ary 1-cube adaptive1 uniform 1.2e-2 ok 402511fe3c400e68 4020f3ba5813914b 3fe2e10661353dc5 3ff7819bf0c94a05 402511fe3c400e68 402511fe3c400e68 3fbbc66cff40d2c6
+8-ary 1-cube adaptive1 uniform 2e-2 ok 402648b56ae89cc3 40212700f44236b4 3ff18c07c469e66c 3ff7819bf0c94a05 402648b56ae89cc3 402648b56ae89cc3 3fc595ad56c94fd4
+8-ary 1-cube adaptive1 uniform 3.5e-2 ok 4029842b54cd49c2 4021a654d7384450 4003b68bfdef70c5 3ff7819bf0c94a05 4029842b54cd49c2 4029842b54cd49c2 3fd0c42150276e30
+8-ary 1-cube adaptive1 uniform 6e-2 ok 4032fa796ad44793 4022f4d6bc0e715c 40200fe89b80f48a 3ff7819bf0c94a05 4032fa796ad44793 4032fa796ad44793 3fd83621705230fc
+8-ary 1-cube adaptive1 uniform 1e-1 saturated Channel 3ffc0a96efb7aa35 None
+8-ary 1-cube adaptive1 uniform 2e-1 saturated Channel 401ac80f0af4b2c5 None
+8-ary 1-cube adaptive1 uniform 5e-1 saturated Channel 4033e4bfc7319d33 None
+8-ary 1-cube adaptive1 hotspot 1e-5 ok 4023a4b46efe650e 4020b44910f70f9e 3f3beff716183965 3ff7819bf0c94a04 4023a4b1cdf38265 4023a4b1cdf38265 3f1be04390c3f607
+8-ary 1-cube adaptive1 hotspot 3e-5 ok 4023a543aaccd58c 4020b46882c5b0b9 3f54f53dbf72362d 3ff7819bf0c94a04 4023a53bc7abf008 4023a53bc7abf008 3f34e70c615ea89f
+8-ary 1-cube adaptive1 hotspot 1e-4 ok 4023a73966dcf344 4020b4d69147b308 3f717abbe0b7d5c6 3ff7819bf0c94a04 4023a71f1c66320e 4023a71f1c66320e 3f5167db7776a2b4
+8-ary 1-cube adaptive1 hotspot 3e-4 ok 4023acd686a0f840 4020b61108ab450c 3f8a47ff7227d0f5 3ff7819bf0c94a04 4023ac87a64db967 4023ac87a64db967 3f6a0d78e005132f
+8-ary 1-cube adaptive1 hotspot 1e-3 ok 4023c0a74ebdf1da 4020ba5e5e52b919 3fa61572520f8117 3ff7819bf0c94a04 4023bfa040185b34 4023bfa040185b34 3f858c8c7fd3b0ed
+8-ary 1-cube adaptive1 hotspot 2e-3 ok 4023dd6e7758c876 4020c08812576754 3fb65973741bf07a 3ff7819bf0c94a04 4023db5f795eaf52 4023db5f795eaf52 3f95528d704edf88
+8-ary 1-cube adaptive1 hotspot 4e-3 ok 402418c62a717782 4020ccfad0c2b128 3fc6e5f6e567463d 3ff7819bf0c94a04 402414a173926d88 402414a173926d88 3fa4e22e359972b2
+8-ary 1-cube adaptive1 hotspot 7e-3 ok 402476c922a6026a 4020e02f1a14b858 3fd4ccd14f041a1f 3ff7819bf0c94a04 40246f6a87b48432 40246f6a87b48432 3fb1b9daee5bd379
+8-ary 1-cube adaptive1 hotspot 1.2e-2 ok 4025234f2d606514 402102747f0e054f 3fe30a7303936846 3ff7819bf0c94a04 402516249c19d5b9 402516249c19d5b9 3fbcf1b9ce0a4ecc
+8-ary 1-cube adaptive1 hotspot 2e-2 ok 40266ca5204bb1f6 402141e8da02f1d1 3ff1d446417cb72c 3ff7819bf0c94a04 40265495ce335e6b 40265495ce335e6b 3fc66b1e46ea7aed
+8-ary 1-cube adaptive1 hotspot 3.5e-2 ok 4029ee5450e05972 4021e12171eaefc1 400473fd837101bf 3ff7819bf0c94a04 4029b9bae15e1684 4029b9bae15e1684 3fd153bfea43b2ea
+8-ary 1-cube adaptive1 hotspot 6e-2 saturated Channel 3ff16463273e47e9 None
+8-ary 1-cube adaptive1 hotspot 1e-1 saturated Channel 401034587e0357eb None
+8-ary 1-cube adaptive1 hotspot 2e-1 saturated Channel 40243d3d9dd7aeeb None
+8-ary 1-cube adaptive1 hotspot 5e-1 saturated Channel 403ea366037901e9 None
+8-ary 1-cube adaptive2 uniform 1e-5 ok 4023a4b17dbbffe2 4020b4461fcc5c90 3f3befeb3d0847dd 3ff7819bf0c94a05 4023a4b17dbbffe2 4023a4b17dbbffe2 3e26169a8b29f59a
+8-ary 1-cube adaptive2 uniform 3e-5 ok 4023a53ad67623d2 4020b45faf445115 3f54f523152f75ba 3ff7819bf0c94a05 4023a53ad67623d2 4023a53ad67623d2 3e58d94dcb685d06
+8-ary 1-cube adaptive2 uniform 1e-4 ok 4023a71bf1b8dd43 4020b4b9256828e5 3f717a71bc58eaa1 3ff7819bf0c94a05 4023a71bf1b8dd43 4023a71bf1b8dd43 3e91418f69530399
+8-ary 1-cube adaptive2 uniform 3e-4 ok 4023ac7dea658e64 4020b5b8c017b63f 3f8a46b0d2bb911f 3ff7819bf0c94a05 4023ac7dea658e64 4023ac7dea658e64 3ec369bbda852182
+8-ary 1-cube adaptive2 uniform 1e-3 ok 4023bf7ca12568a5 4020b9375d7e69ce 3fa611c58dd5960c 3ff7819bf0c94a05 4023bf7ca12568a5 4023bf7ca12568a5 3efaf615bc2f9d89
+8-ary 1-cube adaptive2 uniform 2e-3 ok 4023db0cc24ca7f7 4020be3562f4a2cd 3fb651f09f6df4af 3ff7819bf0c94a05 4023db0cc24ca7f7 4023db0cc24ca7f7 3f1af5053352192a
+8-ary 1-cube adaptive2 uniform 4e-3 ok 402413bd1c8177f0 4020c8316ee143ad 3fc6d60be1c2c087 3ff7819bf0c94a05 402413bd1c8177f0 402413bd1c8177f0 3f3af0c41f734a50
+8-ary 1-cube adaptive2 uniform 7e-3 ok 40246cea74db5eaf 4020d72b9053b684 3fd4b16ccdcfdd33 3ff7819bf0c94a05 40246cea74db5eaf 40246cea74db5eaf 3f549767bf796782
+8-ary 1-cube adaptive2 uniform 1.2e-2 ok 40250dc5661a4ee6 4020f022ab39dba0 3fe2d6f3cc74a053 3ff7819bf0c94a05 40250dc5661a4ee6 40250dc5661a4ee6 3f6e1c441bcf2e99
+8-ary 1-cube adaptive2 uniform 2e-2 ok 402634dfa515fa16 4021181faf25e3ff 3ff16463beb766ad 3ff7819bf0c94a05 402634dfa515fa16 402634dfa515fa16 3f84a45feefd8738
+8-ary 1-cube adaptive2 uniform 3.5e-2 ok 40290d973ec71620 402163d5d4bbe5b8 4002e637afc81c9c 3ff7819bf0c94a05 40290d973ec71620 40290d973ec71620 3f9e5ec75c1a80c4
+8-ary 1-cube adaptive2 uniform 6e-2 ok 4030fa761f135e7c 4021ebaa6f880a70 401a321ca10b1291 3ff7819bf0c94a05 4030fa761f135e7c 4030fa761f135e7c 3fb41e8346d1fc36
+8-ary 1-cube adaptive2 uniform 1e-1 ok 40624b9f8e76d446 402320d436d1fce4 4060ea8f132821e4 3ff7819bf0c94a05 40624b9f8e76d446 40624b9f8e76d446 3fc666b3c58c7395
+8-ary 1-cube adaptive2 uniform 2e-1 saturated Channel 400f55e344e32eca None
+8-ary 1-cube adaptive2 uniform 5e-1 saturated Channel 402ddeb8fe0b8198 None
+8-ary 1-cube adaptive2 hotspot 1e-5 ok 4023a4b46efe5772 4020b44910f70202 3f3beff716180297 3ff7819bf0c94a04 4023a4b1cdf3775a 4023a4b1cdf3775a 3e28891c5df808ba
+8-ary 1-cube adaptive2 hotspot 3e-5 ok 4023a543aacb661a 4020b46882c4416a 3f54f53dbf6de07d 3ff7819bf0c94a04 4023a53bc7aac5ce 4023a53bc7aac5ce 3e5b9a1fd38f2ed8
+8-ary 1-cube adaptive2 hotspot 1e-4 ok 4023a73966a7ceda 4020b4d691129f56 3f717abbe0321410 3ff7819bf0c94a04 4023a71f1c3b0ddd 4023a71f1c3b0ddd 3e932b04ab034e22
+8-ary 1-cube adaptive2 hotspot 3e-4 ok 4023acd68107837c 4020b611031719a8 3f8a47ff5d024c96 3ff7819bf0c94a04 4023ac87a1c1406e 4023ac87a1c1406e 3ec5905e3d7d7d2e
+8-ary 1-cube adaptive2 hotspot 1e-3 ok 4023c0a680072fe4 4020ba5d92272f30 3fa6156fc6d77334 3ff7819bf0c94a04 4023bf9f97c782c5 4023bf9f97c782c5 3efdf2c2b4837cd0
+8-ary 1-cube adaptive2 hotspot 2e-3 ok 4023dd6808b637d6 4020c081cc4a9033 3fb6595f293f30ce 3ff7819bf0c94a04 4023db5a3832afe7 4023db5a3832afe7 3f1df162afa2d446
+8-ary 1-cube adaptive2 hotspot 4e-3 ok 40241893156649da 4020ccca421c9ee0 3fc6e5554c206e66 3ff7819bf0c94a04 4024147773d6763a 4024147773d6763a 3f3debe4495d1bfc
+8-ary 1-cube adaptive2 hotspot 7e-3 ok 402475b97cc0f276 4020df370b07bfcd 3fd4c9de74012cf5 3ff7819bf0c94a04 40246e891965354f 40246e891965354f 3f56dd14209b4860
+8-ary 1-cube adaptive2 hotspot 1.2e-2 ok 40251dfc5b280ce4 4020fdedbecd0acc 3fe2fdb1e41d8d7b 3ff7819bf0c94a04 402511a8e3bcfeb0 402511a8e3bcfeb0 3f70b41610dbb8f8
+8-ary 1-cube adaptive2 hotspot 2e-2 ok 402653911eba4a38 40212f23fbfb1c4e 3ff1a1cd25302548 3ff7819bf0c94a04 40263eff2b568409 40263eff2b568409 3f86db1642630173
+8-ary 1-cube adaptive2 hotspot 3.5e-2 ok 40295619223c6158 40218c9969b9534d 40036530e9a79328 3ff7819bf0c94a04 402931a3891221d0 402931a3891221d0 3fa0b75289902e7f
+8-ary 1-cube adaptive2 hotspot 6e-2 ok 4031870f5ba1e056 40223836cad7fad1 401bcb68dca53934 3ff7819bf0c94a04 403164a47c0a0481 403164a47c0a0481 3fb5dee94178a956
+8-ary 1-cube adaptive2 hotspot 1e-1 saturated Channel 3ff8c726975274a1 None
+8-ary 1-cube adaptive2 hotspot 2e-1 saturated Channel 401dd6d86ea77164 None
+8-ary 1-cube adaptive2 hotspot 5e-1 saturated Channel 403ac026fd62b381 None
 ";
 
 #[test]
