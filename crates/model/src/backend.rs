@@ -13,7 +13,11 @@
 //!
 //! Each entry point builds one model of the fabric and rebinds it to every
 //! rate it visits ([`AnalyticalModel::set_rate`], [`TorusModel::set_rate`]),
-//! so a sweep or a saturation search pays for one construction.
+//! so a sweep or a saturation search pays for one construction. On the torus
+//! both halves are cheap: a uniform model stores its loads per ring digit, so
+//! building and rebinding cost `O(k)` and a pointwise [`ModelBackend::evaluate`]
+//! is mostly the evaluation's own pass over the channels (only a hot-spot
+//! pattern adds a per-channel traversal-count table, built once).
 
 use crate::multicluster::AnalyticalModel;
 use crate::options::ModelOptions;

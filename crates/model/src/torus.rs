@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! hop-count distribution   P(d)          exact per-ring convolution
-//! channel message rates    η_c           exact per-channel loads (see below)
+//! channel message rates    η_c           exact per-ring-digit loads (see below)
 //! stage service times      S_k           backward recursion of Eqs. (16)–(18)
 //! source-queue waiting     W             M/G/1, Draper–Ghosh variance (Eq. 22)
 //! tail-flit time           R             d·t_cs + t_cn per journey (Eq. 24 analogue)
@@ -28,17 +28,25 @@
 //! ## Channel loads
 //!
 //! Dimension-order routing makes the per-dimension digit pairs independent and
-//! uniform, so the uniform-traffic load of every link channel — per node,
-//! dimension, ring direction *and dateline virtual channel* — follows exactly
-//! from a single `k × k` enumeration of one ring (the direction tie-break and
-//! the Dally–Seitz dateline VC switch mirror `KaryNCube` hop for hop; the
-//! workspace integration tests pin this against a brute-force count over the
-//! simulator's own itineraries). Hot-spot traffic adds the enumerated loads of
-//! every `source → hotspot` route on top. The per-stage blocking recursion uses
-//! the *usage-weighted mean* channel rate of the message class (background or
-//! hot-spot), and saturation is declared from a worst-case recursion over the
-//! most loaded channel — the direct-network counterparts of the per-network
-//! mean rates and utilisation checks of the tree model.
+//! uniform, so the uniform-traffic load of a link channel depends only on the
+//! ring digit it leaves, its ring direction *and its dateline virtual channel*:
+//! one enumeration of a single ring gives all `4k` of those loads, whatever
+//! the node and dimension (the direction tie-break and the Dally–Seitz dateline
+//! VC switch mirror `KaryNCube` hop for hop; the workspace integration tests
+//! pin this against a brute-force count over the simulator's own
+//! itineraries). Binding a rate therefore rescales `4k` numbers, not one per
+//! channel. Hot-spot traffic adds the traversal counts of every
+//! `source → hotspot` route on top; only that table is dense (one count per
+//! link channel), and only a hot-spot pattern builds it.
+//!
+//! The per-stage blocking recursion uses the *usage-weighted mean* channel
+//! rate of the message class (background or hot-spot), and saturation is
+//! declared from a worst-case recursion over the most loaded channel — the
+//! direct-network counterparts of the per-network mean rates and utilisation
+//! checks of the tree model. One evaluation gathers all of these in one pass
+//! over the channels, walked in channel-index order with the node digits
+//! stepped as an odometer, so each weighted sum adds the same terms in the
+//! same order whatever the table layout.
 //!
 //! ## Assumptions and limits
 //!
@@ -58,10 +66,15 @@ use crate::{ModelError, Result};
 use mcnet_system::{TorusSystem, TrafficConfig, TrafficPattern};
 use mcnet_topology::{KaryNCube, NodeId};
 
-/// Largest torus population the analytical model accepts. The per-channel load
-/// tables are dense (`N · n · 2 · 2` entries), so the model is capped well below
-/// the simulator's `MAX_TORUS_NODES` id budget.
+/// Largest torus population the analytical model accepts. A hot-spot pattern
+/// keeps a dense traversal count per link channel (`N · n · 2 · 2` entries),
+/// and every evaluation walks all the channels, so the model is capped well
+/// below the simulator's `MAX_TORUS_NODES` id budget.
 const MAX_MODEL_TORUS_NODES: usize = 1 << 16;
+
+/// The most dimensions a modelled torus can have (`k ≥ 2`): the length of the
+/// channel walk's digit odometer.
+const MAX_MODEL_TORUS_DIMENSIONS: usize = MAX_MODEL_TORUS_NODES.ilog2() as usize;
 
 /// The latency report of one torus-model evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,18 +116,82 @@ pub struct TorusLatencyReport {
     pub escape_fraction: Option<f64>,
 }
 
-/// Per-channel load tables of one torus + traffic point.
+/// The link-channel loads of one torus + traffic point, per ring digit.
+///
+/// The four channels leaving a ring digit are indexed `2·dir_idx + vc`
+/// (`dir_idx` 0 for `+1`, 1 for `−1`; `vc` the dateline virtual channel); a
+/// link channel of the whole torus is numbered
+/// `((node·n + dimension)·2 + dir_idx)·2 + vc`.
 #[derive(Debug, Clone, PartialEq)]
 struct ChannelLoads {
-    /// Total message rate per link channel (background + hot-spot), indexed by
-    /// [`TorusModel::channel_index`]; derived from the usage counts by
-    /// [`TorusModel::set_rate`].
-    rate: Vec<f64>,
-    /// Relative traversal weight of every link channel under the background
-    /// (uniform) destination component.
-    uniform_usage: Vec<f64>,
-    /// Traversal count of every link channel over all `source → hotspot` routes.
-    hotspot_usage: Vec<f64>,
+    /// `usage[digit]`: traversals of each channel leaving `digit`, summed over
+    /// all `k²` ordered digit pairs of one ring (the background component).
+    usage: Vec<[f64; 4]>,
+    /// `ring_rate[digit]`: the background message rate of each channel leaving
+    /// `digit`; derived from `usage` by [`TorusModel::set_rate`].
+    ring_rate: Vec<[f64; 4]>,
+    /// `Σ usage` over every link channel of the torus (an exact integer).
+    uniform_total: f64,
+    /// The hot-spot component, when the pattern has one.
+    hotspot: Option<HotspotLoads>,
+}
+
+/// The hot-spot component of [`ChannelLoads`].
+#[derive(Debug, Clone, PartialEq)]
+struct HotspotLoads {
+    /// Traversal count of every link channel over all `source → hotspot`
+    /// routes, in link-channel order.
+    counts: Vec<u32>,
+    /// `Σ counts`.
+    total: f64,
+    /// `f·λ_g`, added once per traversal to a channel's background rate; set
+    /// by [`TorusModel::set_rate`].
+    addend: f64,
+}
+
+/// The class-weighted loads of one evaluation, gathered in one pass over the
+/// link channels.
+#[derive(Debug, Clone, Copy)]
+struct LoadScan {
+    /// The largest link-channel rate.
+    vc_max: f64,
+    /// The largest *link-total* rate: both dateline VCs of a
+    /// `(node, dimension, direction)` link folded together (minimal-adaptive
+    /// routing preserves exactly these totals, only the VC split changes).
+    link_max: f64,
+    /// The background class.
+    uniform: ClassRates,
+    /// The hot-spot class (zero under uniform traffic).
+    hotspot: ClassRates,
+}
+
+/// The usage-weighted mean rates of one message class: the expected rate of
+/// the channel (`vc`) and of the link (`link`) a random hop of the class
+/// acquires. Sums until [`ChannelLoads::scan`] divides them by the class's
+/// total usage.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClassRates {
+    vc: f64,
+    link: f64,
+}
+
+impl ClassRates {
+    /// Adds one link's two dateline channels, used `usage` times at rates
+    /// `rate`.
+    #[inline]
+    fn add(&mut self, usage: [f64; 2], rate: [f64; 2], link_rate: f64) {
+        self.vc += usage[0] * rate[0];
+        self.vc += usage[1] * rate[1];
+        self.link += (usage[0] + usage[1]) * link_rate;
+    }
+
+    /// The sums divided by the class's total usage (zero for an unused class).
+    fn mean(self, total: f64) -> ClassRates {
+        if total == 0.0 {
+            return ClassRates::default();
+        }
+        ClassRates { vc: self.vc / total, link: self.link / total }
+    }
 }
 
 /// The analytical k-ary n-cube model, bound to one system and traffic point.
@@ -192,7 +269,7 @@ impl TorusModel {
         let (hop_probs, intra_probs, inter_probs, intra_fraction) =
             hop_distributions(&ring.distance_probs, torus.dimensions());
 
-        let loads = ChannelLoads::build(&cube, &ring, hotspot)?;
+        let loads = ChannelLoads::build(&cube, ring.usage, hotspot)?;
         let n = n_total as f64;
         let mut model = TorusModel {
             torus: torus.clone(),
@@ -212,10 +289,10 @@ impl TorusModel {
         Ok(model)
     }
 
-    /// Binds the model to a per-node generation rate: derives the per-channel
-    /// rate table from the stored (rate-independent) usage counts. A
-    /// subsequent [`TorusModel::evaluate`] is that of a model built at the new
-    /// rate.
+    /// Binds the model to a per-node generation rate: derives the per-digit
+    /// background rates from the stored (rate-independent) usage counts, `4k`
+    /// numbers whatever the torus size. A subsequent [`TorusModel::evaluate`]
+    /// is that of a model built at the new rate.
     pub fn set_rate(&mut self, rate: f64) -> Result<()> {
         self.traffic = self.traffic.with_rate(rate).map_err(ModelError::from)?;
         let n = self.cube.num_nodes() as f64;
@@ -224,29 +301,20 @@ impl TorusModel {
         // component: non-hot sources send (1 − f)·λ_g uniformly, the hot node
         // sends its full λ_g uniformly; the symmetric equivalent spreads the
         // difference. Hot-spot routes add f·λ_g per traversal.
-        let (lambda_uniform, hot_addend) = match (self.hotspot, self.traffic.pattern) {
-            (Some(_), TrafficPattern::Hotspot { fraction, .. }) => {
-                (rate * ((n - 1.0) * (1.0 - fraction) + 1.0) / n, Some(fraction * rate))
+        let lambda_uniform = match (&mut self.loads.hotspot, self.traffic.pattern) {
+            (Some(hot), TrafficPattern::Hotspot { fraction, .. }) => {
+                hot.addend = fraction * rate;
+                rate * ((n - 1.0) * (1.0 - fraction) + 1.0) / n
             }
-            _ => (rate, None),
+            _ => rate,
         };
         // A channel leaving digit `a` of dimension `i` is traversed
         // `usage[a][dir][vc]·k^(n-1)` times over all N² ordered pairs, i.e. at
         // rate λ_u · usage/k · N/(N−1) once destinations exclude the source.
         let correction = n / (n - 1.0);
-        for (r, &u) in self.loads.rate.iter_mut().zip(&self.loads.uniform_usage) {
+        let usage = self.loads.usage.as_flattened();
+        for (r, &u) in self.loads.ring_rate.as_flattened_mut().iter_mut().zip(usage) {
             *r = lambda_uniform * u / k * correction;
-        }
-        if let Some(addend) = hot_addend {
-            // One addition of f·λ_g per traversal (the counts are exact
-            // integers), not a product, so the pinned bits hold; most channels
-            // carry none.
-            let counts = self.loads.rate.iter_mut().zip(&self.loads.hotspot_usage);
-            for (r, &count) in counts.filter(|(_, count)| **count > 0.0) {
-                for _ in 0..count as usize {
-                    *r += addend;
-                }
-            }
         }
         Ok(())
     }
@@ -259,13 +327,6 @@ impl TorusModel {
     /// The traffic point the model is bound to.
     pub fn traffic(&self) -> &TrafficConfig {
         &self.traffic
-    }
-
-    /// The dense index of a link channel: `node`, `dimension`, ring direction
-    /// (`+1`/`-1`) and dateline virtual channel.
-    fn channel_index(&self, node: usize, dimension: usize, direction: i8, vc: usize) -> usize {
-        let dir_idx = usize::from(direction < 0);
-        ((node * self.cube.dimensions() + dimension) * 2 + dir_idx) * 2 + vc
     }
 
     /// The modelled message rate of one link channel (messages per time unit on
@@ -291,7 +352,15 @@ impl TorusModel {
                 ),
             });
         }
-        Ok(self.loads.rate[self.channel_index(node, dimension, direction, vc)])
+        let j = 2 * usize::from(direction < 0) + vc;
+        let rate = self.loads.ring_rate[self.cube.digit(node, dimension)][j];
+        Ok(match &self.loads.hotspot {
+            Some(hot) => {
+                let channel = (node * self.cube.dimensions() + dimension) * 4 + j;
+                with_hotspot_traffic(rate, hot.counts[channel], hot.addend)
+            }
+            None => rate,
+        })
     }
 
     /// The modelled arrival rate of a node's ejection channel.
@@ -332,7 +401,8 @@ impl TorusModel {
         // Saturation gate: the most loaded link channel, on the longest journey,
         // with the most loaded ejection channel as the final stage.
         let m_tcs = self.times.message_switch_time();
-        let eta_max = self.loads.rate.iter().cloned().fold(0.0f64, f64::max);
+        let loads = self.loads.scan(&self.cube);
+        let eta_max = loads.vc_max;
         let ej_max = self.max_ejection_rate();
         let worst = longest_journey(self.hop_probs.len(), ej_max, &self.times, |walk| {
             walk.extend(eta_max, m_tcs)
@@ -340,7 +410,7 @@ impl TorusModel {
         service::check_channel_utilization(&worst, None)?;
 
         // Background (uniformly-routed) class.
-        let eta_uni = usage_weighted_rate(&self.loads.uniform_usage, &self.loads.rate);
+        let eta_uni = loads.uniform.vc;
         let ej_uni = self.mean_background_ejection_rate();
         let class = |probs: &[f64], eta_link: f64, eta_ejection: f64| {
             class_network_latency(probs, eta_ejection, &self.times, |walk| {
@@ -355,9 +425,8 @@ impl TorusModel {
         // source is uniformly far from the hot node, so the hot class shares
         // the background hop distribution.
         let s_hot = if let Some(hot_node) = self.hotspot {
-            let eta_hot = usage_weighted_rate(&self.loads.hotspot_usage, &self.loads.rate);
             let ej_hot = self.ejection_rate(hot_node)?;
-            Some(class(&self.hop_probs, eta_hot, ej_hot))
+            Some(class(&self.hop_probs, loads.hotspot.vc, ej_hot))
         } else {
             None
         };
@@ -388,8 +457,8 @@ impl TorusModel {
 
         // Saturation gate: the most loaded physical link, with the adaptive /
         // escape split it settles into at this load.
-        let eta_vc_max = self.loads.rate.iter().cloned().fold(0.0f64, f64::max);
-        let (link_uni, link_max) = self.link_rate_stats(&self.loads.uniform_usage);
+        let loads = self.loads.scan(&self.cube);
+        let (eta_vc_max, link_max) = (loads.vc_max, loads.link_max);
         let beta_max = escape_fraction(link_max, v, candidates, hold);
         let (eta_a_max, eta_e_max) = (link_max * (1.0 - beta_max) / v, beta_max * eta_vc_max);
         let worst =
@@ -400,7 +469,7 @@ impl TorusModel {
 
         // Background class: usage-weighted link totals drive the fixed point,
         // the usage-weighted deterministic VC rate scales the escape class.
-        let eta_vc_uni = usage_weighted_rate(&self.loads.uniform_usage, &self.loads.rate);
+        let ClassRates { vc: eta_vc_uni, link: link_uni } = loads.uniform;
         let beta_uni = escape_fraction(link_uni, v, candidates, hold);
         let eta_a_uni = link_uni * (1.0 - beta_uni) / v;
         let eta_e_uni = beta_uni * eta_vc_uni;
@@ -416,8 +485,7 @@ impl TorusModel {
 
         // Hot-spot class: its own link loads, its own escape share.
         let (s_hot, beta_hot) = if let Some(hot_node) = self.hotspot {
-            let (link_hot, _) = self.link_rate_stats(&self.loads.hotspot_usage);
-            let eta_vc_hot = usage_weighted_rate(&self.loads.hotspot_usage, &self.loads.rate);
+            let ClassRates { vc: eta_vc_hot, link: link_hot } = loads.hotspot;
             let beta_hot = escape_fraction(link_hot, v, candidates, hold);
             let eta_a_hot = link_hot * (1.0 - beta_hot) / v;
             let s = journey(
@@ -519,10 +587,13 @@ impl TorusModel {
         })
     }
 
-    /// The most loaded ejection channel's arrival rate.
+    /// The most loaded ejection channel's arrival rate. Every node but the hot
+    /// one (if any) ejects at the same rate, so two nodes stand for all.
     fn max_ejection_rate(&self) -> f64 {
-        (0..self.cube.num_nodes())
+        let hot = self.hotspot.unwrap_or(0);
+        [hot, usize::from(hot == 0)]
             .map(|t| self.ejection_rate(t).unwrap_or(0.0))
+            .into_iter()
             .fold(0.0f64, f64::max)
     }
 
@@ -536,24 +607,6 @@ impl TorusModel {
         let p_move = 1.0 - 1.0 / k;
         let p_nonzero = 1.0 - (1.0 / k).powi(n);
         (n as f64 * p_move / p_nonzero).max(1.0)
-    }
-
-    /// Per-physical-link statistics of a class: the usage-weighted mean and the
-    /// global maximum of the *link-total* message rate (both dateline VCs of a
-    /// `(node, dimension, direction)` link folded together — minimal-adaptive
-    /// routing preserves exactly these totals, only the VC split changes).
-    fn link_rate_stats(&self, usage: &[f64]) -> (f64, f64) {
-        let mut weighted = 0.0;
-        let mut weight = 0.0;
-        let mut max = 0.0f64;
-        for base in (0..self.loads.rate.len()).step_by(2) {
-            let link_rate = self.loads.rate[base] + self.loads.rate[base + 1];
-            let link_usage = usage[base] + usage[base + 1];
-            weighted += link_usage * link_rate;
-            weight += link_usage;
-            max = max.max(link_rate);
-        }
-        (if weight == 0.0 { 0.0 } else { weighted / weight }, max)
     }
 
     /// Convenience: the total mean latency, or `None` when saturated.
@@ -576,14 +629,15 @@ impl TorusModel {
     }
 }
 
-/// Usage-weighted mean channel rate: the expected rate of the channel a random
-/// hop of the class acquires.
-fn usage_weighted_rate(usage: &[f64], rate: &[f64]) -> f64 {
-    let total: f64 = usage.iter().sum();
-    if total == 0.0 {
-        return 0.0;
+/// A channel's rate: its background `rate` plus `f·λ_g` for each of its
+/// `count` hot-spot traversals — one addition per traversal, not a product,
+/// so the pinned bits hold.
+#[inline]
+fn with_hotspot_traffic(mut rate: f64, count: u32, addend: f64) -> f64 {
+    for _ in 0..count {
+        rate += addend;
     }
-    usage.iter().zip(rate).map(|(u, r)| u * r).sum::<f64>() / total
+    rate
 }
 
 /// The stationary escape share `β` of one class: the probability that a header
@@ -685,10 +739,10 @@ fn mean_hops(probs: &[f64]) -> f64 {
 /// Usage statistics of one k-ring under dimension-order routing with the
 /// simulator's direction tie-break and dateline discipline.
 struct RingUsage {
-    /// `usage[digit][dir_idx][vc]`: expected traversals of the channel leaving
+    /// `usage[digit][2·dir_idx + vc]`: traversals of the channel leaving
     /// `digit` in direction `dir_idx` (0 = +1, 1 = −1) on `vc`, summed over all
     /// `k²` ordered digit pairs.
-    usage: Vec<[[f64; 2]; 2]>,
+    usage: Vec<[f64; 4]>,
     /// `distance_probs[d]`: probability of ring distance `d` (`d = 0..=k/2`)
     /// for a uniform digit pair.
     distance_probs: Vec<f64>,
@@ -696,37 +750,43 @@ struct RingUsage {
 
 impl RingUsage {
     fn enumerate(k: usize) -> RingUsage {
-        let mut usage = vec![[[0.0f64; 2]; 2]; k];
-        let mut distance_counts = vec![0usize; k / 2 + 1];
-        for a in 0..k {
-            for b in 0..k {
-                let forward = (b + k - a) % k;
-                if forward == 0 {
-                    distance_counts[0] += 1;
-                    continue;
-                }
-                let backward = k - forward;
-                // The simulator's tie-break: forward wins on equality.
-                let (dir_idx, steps, step): (usize, usize, isize) =
-                    if forward <= backward { (0, forward, 1) } else { (1, backward, -1) };
-                distance_counts[steps] += 1;
-                let mut digit = a;
+        // The simulator's tie-break: forward wins on equality, so from every
+        // digit the ⌊k/2⌋ destinations ahead are reached forward and the
+        // ⌊(k−1)/2⌋ behind backward.
+        let forward = k / 2;
+        let backward = (k - 1) / 2;
+        let mut usage = vec![[0.0f64; 4]; k];
+        for start in 0..k {
+            for (dir_idx, routes) in [(0, forward), (1, backward)] {
+                // One walk as far as the farthest destination: its `hop`-th
+                // channel carries every route longer than `hop` hops.
+                let dateline = if dir_idx == 0 { k - 1 } else { 0 };
+                let mut digit = start;
                 let mut wrapped = false;
-                for _ in 0..steps {
-                    if k > 2 {
-                        let crosses = (step == 1 && digit == k - 1) || (step == -1 && digit == 0);
-                        wrapped = wrapped || crosses;
-                    }
-                    usage[digit][dir_idx][usize::from(wrapped)] += 1.0;
-                    digit = (digit as isize + step).rem_euclid(k as isize) as usize;
+                for hop in 0..routes {
+                    wrapped = wrapped || (k > 2 && digit == dateline);
+                    usage[digit][2 * dir_idx + usize::from(wrapped)] += (routes - hop) as f64;
+                    digit = match (dir_idx, digit) {
+                        (0, d) if d == k - 1 => 0,
+                        (0, d) => d + 1,
+                        (_, 0) => k - 1,
+                        (_, d) => d - 1,
+                    };
                 }
             }
         }
+        // Each start digit reaches itself, one destination at every distance
+        // up to `forward` ahead and one at every distance up to `backward`
+        // behind.
         let pairs = (k * k) as f64;
-        RingUsage {
-            usage,
-            distance_probs: distance_counts.iter().map(|&c| c as f64 / pairs).collect(),
-        }
+        let distance_probs = (0..=k / 2)
+            .map(|d| {
+                let routes =
+                    if d == 0 { 1 } else { usize::from(d <= forward) + usize::from(d <= backward) };
+                (k * routes) as f64 / pairs
+            })
+            .collect();
+        RingUsage { usage, distance_probs }
     }
 }
 
@@ -782,55 +842,99 @@ fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
 }
 
 impl ChannelLoads {
-    /// Records the rate-independent usage counts of every link channel; the
-    /// rate table is left zero for [`TorusModel::set_rate`] to fill.
-    fn build(cube: &KaryNCube, ring: &RingUsage, hotspot: Option<usize>) -> Result<ChannelLoads> {
-        let k = cube.radix();
+    /// Records the rate-independent usage counts; the rates are left zero for
+    /// [`TorusModel::set_rate`] to fill.
+    fn build(
+        cube: &KaryNCube,
+        usage: Vec<[f64; 4]>,
+        hotspot: Option<usize>,
+    ) -> Result<ChannelLoads> {
         let n_nodes = cube.num_nodes();
         let dims = cube.dimensions();
-        let channels = n_nodes * dims * 2 * 2;
-
-        let mut uniform_usage = vec![0.0f64; channels];
-        let mut hotspot_usage = vec![0.0f64; channels];
-
-        let index = |node: usize, dim: usize, dir_idx: usize, vc: usize| {
-            ((node * dims + dim) * 2 + dir_idx) * 2 + vc
-        };
-
-        // Background usage: exact from the single-ring enumeration.
-        for node in 0..n_nodes {
-            let mut rest = node;
-            for dim in 0..dims {
-                let digit = rest % k;
-                rest /= k;
-                // The four (direction, VC) channels of a link are adjacent.
-                let c = index(node, dim, 0, 0);
-                uniform_usage[c..c + 4].copy_from_slice(ring.usage[digit].as_flattened());
-            }
-        }
+        // Every digit occurs `N/k` times in each of the `n` dimensions. The
+        // counts are integers, so the product is exact.
+        let ring_total: f64 = usage.as_flattened().iter().sum();
+        let uniform_total = ring_total * (n_nodes / cube.radix() * dims) as f64;
 
         // Hot-spot usage: enumerate every source → hotspot route (with the
         // shared dateline-VC definition) and count its traversals.
-        if let Some(h) = hotspot {
-            let target = NodeId::from_index(h);
-            let mut hops = Vec::new();
-            for src in 0..n_nodes {
-                if src == h {
-                    continue;
+        let hotspot = match hotspot {
+            Some(h) => {
+                let mut counts = vec![0u32; n_nodes * dims * 4];
+                let target = NodeId::from_index(h);
+                let mut hops = Vec::new();
+                for src in (0..n_nodes).filter(|&src| src != h) {
+                    hops.clear();
+                    cube.route_into(NodeId::from_index(src), target, &mut hops)?;
+                    let vcs = cube.dateline_vcs_iter(NodeId::from_index(src), &hops)?;
+                    let mut from = src;
+                    for (hop, vc) in hops.iter().zip(vcs) {
+                        let j = 2 * usize::from(hop.direction < 0) + usize::from(vc);
+                        counts[(from * dims + hop.dimension) * 4 + j] += 1;
+                        from = hop.node.index();
+                    }
                 }
-                hops.clear();
-                cube.route_into(NodeId::from_index(src), target, &mut hops)?;
-                let vcs = cube.dateline_vcs_iter(NodeId::from_index(src), &hops)?;
-                let mut from = src;
-                for (hop, vc) in hops.iter().zip(vcs) {
-                    let dir_idx = usize::from(hop.direction < 0);
-                    hotspot_usage[index(from, hop.dimension, dir_idx, vc as usize)] += 1.0;
-                    from = hop.node.index();
+                let total = counts.iter().map(|&c| f64::from(c)).sum();
+                Some(HotspotLoads { counts, total, addend: 0.0 })
+            }
+            None => None,
+        };
+        let ring_rate = vec![[0.0; 4]; usage.len()];
+        Ok(ChannelLoads { usage, ring_rate, uniform_total, hotspot })
+    }
+
+    /// One pass over every link channel, in link-channel order, reading the
+    /// class-weighted mean rates and the largest channel and link rates. The
+    /// node digits step as an odometer, so a channel's background load is a
+    /// lookup of its digit's.
+    fn scan(&self, cube: &KaryNCube) -> LoadScan {
+        let (k, dims) = (cube.radix(), cube.dimensions());
+        let mut digits = [0usize; MAX_MODEL_TORUS_DIMENSIONS];
+        // Every digit occurs in the torus, so the background rates' maximum is
+        // the largest channel rate under uniform traffic; hot-spot traversals
+        // only raise rates.
+        let mut vc_max = self.ring_rate.as_flattened().iter().fold(0.0f64, |m, &r| m.max(r));
+        let mut link_max = 0.0f64;
+        let mut uniform = ClassRates::default();
+        let mut hotspot = ClassRates::default();
+        let mut channel = 0;
+        for _ in 0..cube.num_nodes() {
+            for &digit in &digits[..dims] {
+                let (usage, ring_rate) = (&self.usage[digit], &self.ring_rate[digit]);
+                for j in [0, 2] {
+                    let mut rate = [ring_rate[j], ring_rate[j + 1]];
+                    let usage = [usage[j], usage[j + 1]];
+                    let hot = self.hotspot.as_ref().map(|hot| {
+                        let counts = [hot.counts[channel + j], hot.counts[channel + j + 1]];
+                        for (rate, count) in rate.iter_mut().zip(counts) {
+                            *rate = with_hotspot_traffic(*rate, count, hot.addend);
+                        }
+                        counts
+                    });
+                    let link_rate = rate[0] + rate[1];
+                    uniform.add(usage, rate, link_rate);
+                    link_max = link_max.max(link_rate);
+                    if let Some(counts) = hot.filter(|counts| counts != &[0, 0]) {
+                        vc_max = vc_max.max(rate[0]).max(rate[1]);
+                        hotspot.add(counts.map(f64::from), rate, link_rate);
+                    }
                 }
+                channel += 4;
+            }
+            for digit in &mut digits[..dims] {
+                *digit += 1;
+                if *digit < k {
+                    break;
+                }
+                *digit = 0;
             }
         }
-
-        Ok(ChannelLoads { rate: vec![0.0; channels], uniform_usage, hotspot_usage })
+        LoadScan {
+            vc_max,
+            link_max,
+            uniform: uniform.mean(self.uniform_total),
+            hotspot: hotspot.mean(self.hotspot.as_ref().map_or(0.0, |hot| hot.total)),
+        }
     }
 }
 
@@ -895,10 +999,60 @@ mod tests {
         // Σ_c η_c must equal N·λ·d_avg (messages × hops, spread over channels).
         for &(k, nd) in &[(4usize, 2usize), (3, 2), (2, 3)] {
             let m = model(k, nd, 1e-3);
-            let total: f64 = m.loads.rate.iter().sum();
+            let mut total = 0.0;
+            for node in 0..m.cube.num_nodes() {
+                for dim in 0..nd {
+                    for (dir, vc) in [(1, 0), (1, 1), (-1, 0), (-1, 1)] {
+                        total += m.link_rate(node, dim, dir, vc).unwrap();
+                    }
+                }
+            }
             let n = m.cube.num_nodes() as f64;
             let expected = n * 1e-3 * m.cube.average_distance();
             assert!((total - expected).abs() < 1e-9 * expected.max(1.0), "({k},{nd})");
+        }
+    }
+
+    #[test]
+    fn the_channel_walk_matches_a_per_channel_reading() {
+        // The odometer walk must read every channel in index order with its
+        // own digit: the same sums, term for term, as walking the channels by
+        // `link_rate` with the digits divided out of each node index.
+        let torus = |k, nd| TorusSystem::new(k, nd).unwrap();
+        let uniform = TrafficConfig::uniform(16, 256.0, 2e-3).unwrap();
+        for (k, nd, hotspot) in [(4, 2, None), (3, 2, Some(4)), (2, 3, Some(7)), (5, 1, Some(0))] {
+            let traffic = match hotspot {
+                Some(hotspot) => uniform
+                    .with_pattern(TrafficPattern::Hotspot { hotspot, fraction: 0.3 })
+                    .unwrap(),
+                None => uniform,
+            };
+            let m = TorusModel::new(&torus(k, nd), &traffic, ModelOptions::default()).unwrap();
+            let (mut vc_max, mut link_max) = (0.0f64, 0.0f64);
+            let (mut uniform_sums, mut hot_sums) = (ClassRates::default(), ClassRates::default());
+            for node in 0..m.cube.num_nodes() {
+                for dim in 0..nd {
+                    let usage = m.loads.usage[m.cube.digit(node, dim)];
+                    for (dir, j) in [(1, 0), (-1, 2)] {
+                        let rate = [0, 1].map(|vc| m.link_rate(node, dim, dir, vc).unwrap());
+                        vc_max = vc_max.max(rate[0]).max(rate[1]);
+                        link_max = link_max.max(rate[0] + rate[1]);
+                        uniform_sums.add([usage[j], usage[j + 1]], rate, rate[0] + rate[1]);
+                        if let Some(hot) = &m.loads.hotspot {
+                            let c = (node * nd + dim) * 4 + j;
+                            let counts = [hot.counts[c], hot.counts[c + 1]].map(f64::from);
+                            hot_sums.add(counts, rate, rate[0] + rate[1]);
+                        }
+                    }
+                }
+            }
+            let scan = m.loads.scan(&m.cube);
+            let hot_total = m.loads.hotspot.as_ref().map_or(0.0, |hot| hot.total);
+            let bits = |r: ClassRates| [r.vc.to_bits(), r.link.to_bits()];
+            assert_eq!(scan.vc_max.to_bits(), vc_max.to_bits(), "({k},{nd})");
+            assert_eq!(scan.link_max.to_bits(), link_max.to_bits(), "({k},{nd})");
+            assert_eq!(bits(scan.uniform), bits(uniform_sums.mean(m.loads.uniform_total)));
+            assert_eq!(bits(scan.hotspot), bits(hot_sums.mean(hot_total)), "({k},{nd})");
         }
     }
 
