@@ -89,8 +89,8 @@ impl ArrivalQueue {
         (node != ABSENT_NODE).then(|| (key_time(self.time[0]), node))
     }
 
-    /// Arms a node that has no pending arrival (used while priming;
-    /// `O(log n)`). A node past the current capacity grows the tree.
+    /// Arms a node that has no pending arrival (`O(log n)`). A node past the
+    /// current capacity grows the tree.
     pub fn push(&mut self, time: f64, node: u32) {
         debug_assert!(node != ABSENT_NODE, "node index {node} is reserved");
         if node as usize >= self.node.len() {
@@ -121,6 +121,46 @@ impl ArrivalQueue {
         self.replay(min.1, ABSENT_TIME);
         self.len -= 1;
         Some(min)
+    }
+
+    /// Replaces every pending arrival with one per node: the `i`-th item is
+    /// node `i`'s first arrival, `None` leaving the node unarmed (as a node
+    /// absent from a trace). A bottom-up build in `O(n)`, where `n`
+    /// [`push`](Self::push)es cost `O(n log n)`; the tree is the one those
+    /// pushes build, so it pops in the same order. More items than the
+    /// capacity grow the tree.
+    pub fn rebuild(&mut self, arrivals: impl ExactSizeIterator<Item = Option<f64>>) {
+        if arrivals.len() > self.node.len() {
+            *self = ArrivalQueue::with_capacity(arrivals.len());
+        } else {
+            self.clear();
+        }
+        let leaves = self.node.len();
+        // Each key starts in the slot `winner_slot` gives its leaf; the
+        // matches are then played level by level, each in place between its
+        // two contestants' slots: the loser stays at the internal node and the
+        // winner moves to where the match above expects it.
+        for (node, time) in arrivals.enumerate() {
+            if let Some(time) = time {
+                let slot = winner_slot(leaves, node);
+                (self.time[slot], self.node[slot]) = (time_key(time), node as u32);
+                self.len += 1;
+            }
+        }
+        // The `m` matches one level above `2m` contestants: match `j` is
+        // internal node `m + j`, its contestants wait at `m + j` and
+        // `winner_slot(m, j)`.
+        let mut m = leaves / 2;
+        while m > 0 {
+            for j in 0..m {
+                let (at, to) = (m + j, winner_slot(m, j));
+                if (self.time[at], self.node[at]) < (self.time[to], self.node[to]) {
+                    self.time.swap(at, to);
+                    self.node.swap(at, to);
+                }
+            }
+            m /= 2;
+        }
     }
 
     /// Removes every pending arrival (the generation phase is over), keeping
@@ -198,6 +238,18 @@ impl ArrivalQueue {
     }
 }
 
+/// Where [`ArrivalQueue::rebuild`] keeps contestant `j` of a level of `m`
+/// (a power of two) until its match. Contestants `2i` and `2i + 1` meet at
+/// internal node `m/2 + i`: the even one waits at that node, where the loser
+/// stays, and the odd one where the winner goes, the slot of contestant `i`
+/// one level up. Unrolling that over a run of `t` trailing one bits gives the
+/// closed form. Over `j < m` the slots are a permutation of `0..m`.
+#[inline]
+fn winner_slot(m: usize, j: usize) -> usize {
+    let t = j.trailing_ones();
+    ((m >> t) + (j >> t)) >> 1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +308,42 @@ mod tests {
             q.replace_min(time + increment);
         }
         assert_eq!(q.len(), 8);
+    }
+
+    #[test]
+    fn rebuild_makes_the_tree_pushes_make() {
+        for nodes in [0usize, 1, 2, 3, 5, 8, 13, 64, 100] {
+            // Coarse times (ties everywhere), every third node unarmed.
+            let time = |node: usize| (node % 3 != 1).then(|| ((node * 7) % 5) as f64 * 0.5);
+            let mut pushed = ArrivalQueue::with_capacity(nodes);
+            for node in 0..nodes {
+                if let Some(t) = time(node) {
+                    pushed.push(t, node as u32);
+                }
+            }
+            // A used queue, rebuilt in place.
+            let mut rebuilt = ArrivalQueue::with_capacity(nodes);
+            for node in 0..nodes {
+                rebuilt.push(9.0 - node as f64, node as u32);
+            }
+            rebuilt.rebuild((0..nodes).map(time));
+            assert_eq!((&rebuilt.time, &rebuilt.node), (&pushed.time, &pushed.node), "{nodes}");
+            assert_eq!(rebuilt.len(), pushed.len());
+        }
+        // Past the capacity, the tree grows first.
+        let mut grown = ArrivalQueue::with_capacity(2);
+        grown.rebuild([Some(3.0), None, Some(1.0), Some(1.0), Some(0.5)].into_iter());
+        let order: Vec<_> = std::iter::from_fn(|| grown.pop_min()).collect();
+        assert_eq!(order, [(0.5, 4), (1.0, 2), (1.0, 3), (3.0, 0)]);
+    }
+
+    #[test]
+    fn winner_slots_are_a_permutation() {
+        for m in [1usize, 2, 4, 8, 64] {
+            let mut slots: Vec<_> = (0..m).map(|j| winner_slot(m, j)).collect();
+            slots.sort_unstable();
+            assert!(slots.iter().copied().eq(0..m), "{m}");
+        }
     }
 
     #[test]

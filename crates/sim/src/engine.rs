@@ -99,9 +99,9 @@ pub struct Simulation {
     /// High-water mark of messages plus records over the current run.
     peak_in_flight: usize,
     traffic: Box<dyn TrafficSource>,
-    /// The plain-data description `traffic` was built from; a [`reset`]
-    /// (Self::reset) with an equal spec rebinds the existing source in place,
-    /// a different spec rebuilds it over the same partition.
+    /// The plain-data description `traffic` was built from; a
+    /// [`reset`](Self::reset) with an equal spec rebinds the existing source
+    /// in place, a different spec rebuilds it over the same partition.
     source_spec: TrafficSourceSpec,
     /// The node partition the source samples over (cluster ranges on the
     /// tree, dimension-0 sub-rings on the torus) — kept for source rebuilds.
@@ -109,9 +109,9 @@ pub struct Simulation {
     stats: SimStats,
     rng: SmallRng,
     message_flits: f64,
-    /// Flit length the backend's channel times were built with — a [`reset`]
-    /// (Self::reset) must keep the same message geometry or the baked flit
-    /// times would be stale.
+    /// Flit length the backend's channel times were built with — a
+    /// [`reset`](Self::reset) must keep the same message geometry or the
+    /// baked flit times would be stale.
     flit_bytes: f64,
     generation_target: u64,
     max_events: u64,
@@ -301,7 +301,6 @@ impl Simulation {
         self.routes.begin_run();
         self.pool.reset();
         self.queue.reset();
-        self.arrivals.clear();
         self.arrivals_processed = 0;
         // A completed run is quiescent: every generated message was delivered
         // or dropped, so nothing is in flight (the waiter arena asserts the
@@ -318,9 +317,9 @@ impl Simulation {
     }
 
     /// The per-run set-up both construction and [`reset`](Self::reset) end
-    /// in, over an empty arrival queue and event queue: sizes the
-    /// statistics, sets the run targets, seeds the RNG streams, primes the
-    /// arrival processes and materializes the fault plan.
+    /// in, over an empty event queue: sizes the statistics, sets the run
+    /// targets, seeds the RNG streams, rebuilds the arrival queue with every
+    /// node's first arrival and materializes the fault plan.
     fn rewind(&mut self, config: &SimConfig, faults: Option<&FaultPlan>) -> Result<()> {
         let expected_scale = self.message_flits * self.backend.drain_scale();
         self.stats.reset(config.warmup_messages, config.measured_messages, expected_scale);
@@ -339,11 +338,10 @@ impl Simulation {
         // Prime every node's arrival process in node order. A `None` means the
         // node never generates (e.g. absent from a trace) and is simply not
         // armed.
-        for node in 0..self.backend.total_nodes() {
-            if let Some(t) = self.traffic.next_arrival(&mut self.rng, node, 0.0) {
-                self.arrivals.push(t, node as u32);
-            }
-        }
+        let (traffic, rng) = (&mut self.traffic, &mut self.rng);
+        self.arrivals.rebuild(
+            (0..self.backend.total_nodes()).map(|node| traffic.next_arrival(rng, node, 0.0)),
+        );
         // Materialize the fault plan: every resolved target channel gets its
         // own timed down/up event (switch faults fan out to the whole incident
         // set). Fault-free runs take none of this — the event mix, RNG draw

@@ -222,9 +222,10 @@ pub struct ReplicatedReport {
 /// The shared replication driver: fans per-replication configs over the
 /// worker pool and aggregates in replication order, for any backend's
 /// single-run function. Each worker thread carries one engine cache slot from
-/// `slots`, so a run function built on [`Scenario::run_point_reusing`] resets
-/// one engine per worker instead of allocating one per replication. The
-/// caches survive the call, so a driver running many
+/// `slots`, so a run function built on
+/// [`Scenario::run_point_reusing`](crate::scenario::Scenario::run_point_reusing)
+/// resets one engine per worker instead of allocating one per replication.
+/// The caches survive the call, so a driver running many
 /// replication sets back to back (a replicated sweep, a campaign column)
 /// builds exactly `max_workers()` engines over its whole lifetime instead of
 /// one set per batch. `N` replications on `W` workers build at most `W`

@@ -3,6 +3,8 @@
 //! on a coarse grid, so exact ties between nodes are the rule — the
 //! `ArrivalQueue` must report exactly the `(time, node)` minimum of a
 //! reference binary heap after every step, and drain in exactly its order.
+//! A queue primed by the bottom-up `rebuild` must pop exactly the sequence of
+//! one primed by per-node `push`es.
 
 use mcnet::sim::arrivals::ArrivalQueue;
 use proptest::prelude::*;
@@ -115,6 +117,54 @@ proptest! {
         capacity in 0usize..8,
     ) {
         check_tape(&raw, nodes, capacity);
+    }
+}
+
+/// Primes one queue by `push`ing every armed node in node order and another
+/// by `rebuild`ing a used queue of `capacity` leaves (fewer than the nodes
+/// grows it), then checks both pop the same `(time, node)` sequence while
+/// re-arms of the minimum, picked by `draws`, interleave with the pops. Node
+/// `i` first fires at `raw[i]·0.5`, or is unarmed (as a node absent from a
+/// trace) when `raw[i] ≥ 16`.
+fn check_rebuild(raw: &[u32], capacity: usize, draws: &[u32]) {
+    let time = |&t: &u32| (t < 16).then(|| f64::from(t) * 0.5);
+    let mut pushed = ArrivalQueue::with_capacity(raw.len());
+    for (node, t) in raw.iter().enumerate() {
+        if let Some(t) = time(t) {
+            pushed.push(t, node as u32);
+        }
+    }
+    let mut rebuilt = ArrivalQueue::with_capacity(capacity);
+    for node in 0..capacity as u32 {
+        rebuilt.push(f64::from(node), node);
+    }
+    rebuilt.rebuild(raw.iter().map(time));
+    assert_eq!(rebuilt.len(), pushed.len());
+    for &draw in draws {
+        assert_eq!(rebuilt.peek(), pushed.peek());
+        match pushed.peek() {
+            Some((t, _)) if draw % 4 != 0 => {
+                let next = t + f64::from(draw % 8) * 0.5;
+                pushed.replace_min(next);
+                rebuilt.replace_min(next);
+            }
+            _ => assert_eq!(rebuilt.pop_min(), pushed.pop_min()),
+        }
+    }
+    let rest: Vec<_> = std::iter::from_fn(|| rebuilt.pop_min()).collect();
+    assert_eq!(rest, std::iter::from_fn(|| pushed.pop_min()).collect::<Vec<_>>());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn rebuild_pops_like_pushes(
+        raw in collection::vec(0u32..20, 0..=600),
+        capacity in 0usize..700,
+        draws in collection::vec(0u32..1000, 0..=400),
+    ) {
+        check_rebuild(&raw, capacity, &draws);
     }
 }
 
