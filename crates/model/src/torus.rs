@@ -119,9 +119,9 @@ pub struct TorusLatencyReport {
 /// The link-channel loads of one torus + traffic point, per ring digit.
 ///
 /// The four channels leaving a ring digit are indexed `2·dir_idx + vc`
-/// (`dir_idx` 0 for `+1`, 1 for `−1`; `vc` the dateline virtual channel); a
-/// link channel of the whole torus is numbered
-/// `((node·n + dimension)·2 + dir_idx)·2 + vc`.
+/// (`dir_idx` 0 for `+1`, 1 for `−1`; `vc` the dateline virtual channel), and
+/// the link channels of the whole torus are numbered in that order within
+/// `(node, dimension)`, `(node·n + dimension)·4 + 2·dir_idx + vc`.
 #[derive(Debug, Clone, PartialEq)]
 struct ChannelLoads {
     /// `usage[digit]`: traversals of each channel leaving `digit`, summed over
@@ -591,10 +591,8 @@ impl TorusModel {
     /// one (if any) ejects at the same rate, so two nodes stand for all.
     fn max_ejection_rate(&self) -> f64 {
         let hot = self.hotspot.unwrap_or(0);
-        [hot, usize::from(hot == 0)]
-            .map(|t| self.ejection_rate(t).unwrap_or(0.0))
-            .into_iter()
-            .fold(0.0f64, f64::max)
+        let rate = |node| self.ejection_rate(node).unwrap_or(0.0);
+        0.0f64.max(rate(hot)).max(rate(usize::from(hot == 0)))
     }
 
     /// `E[#dimensions still to correct | dest ≠ src]` — the number of
