@@ -901,18 +901,17 @@ impl ChannelLoads {
                 let (usage, ring_rate) = (&self.usage[digit], &self.ring_rate[digit]);
                 for j in [0, 2] {
                     let mut rate = [ring_rate[j], ring_rate[j + 1]];
-                    let usage = [usage[j], usage[j + 1]];
-                    let hot = self.hotspot.as_ref().map(|hot| {
-                        let counts = [hot.counts[channel + j], hot.counts[channel + j + 1]];
+                    let mut counts = [0, 0];
+                    if let Some(hot) = &self.hotspot {
+                        counts = [hot.counts[channel + j], hot.counts[channel + j + 1]];
                         for (rate, count) in rate.iter_mut().zip(counts) {
                             *rate = with_hotspot_traffic(*rate, count, hot.addend);
                         }
-                        counts
-                    });
+                    }
                     let link_rate = rate[0] + rate[1];
-                    uniform.add(usage, rate, link_rate);
+                    uniform.add([usage[j], usage[j + 1]], rate, link_rate);
                     link_max = link_max.max(link_rate);
-                    if let Some(counts) = hot.filter(|counts| counts != &[0, 0]) {
+                    if counts != [0, 0] {
                         vc_max = vc_max.max(rate[0]).max(rate[1]);
                         hotspot.add(counts.map(f64::from), rate, link_rate);
                     }
