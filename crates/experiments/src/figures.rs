@@ -153,24 +153,6 @@ fn replicated_point(
     }
 }
 
-/// Builds one panel (one organization and message length, one series per
-/// flit size) through [`build_series_replicated`].
-fn build_panel_replicated(
-    title: &str,
-    system: &MultiClusterSystem,
-    sweeps: &[FigureSweep],
-    effort: EvaluationEffort,
-    reps: usize,
-    seed: u64,
-    fold: &mut u64,
-) -> Result<FigurePanel> {
-    let mut series = Vec::with_capacity(sweeps.len());
-    for sweep in sweeps {
-        series.push(build_series_replicated(system, sweep, effort, reps, seed, fold)?);
-    }
-    Ok(FigurePanel { title: title.to_string(), system: system.summary(), series })
-}
-
 /// The paper's Fig. 3: organization A (`N = 1120`, `m = 8`), panels for `M = 32`
 /// and `M = 64`, each with `L_m ∈ {256, 512}`; every point simulated `reps`
 /// times (seeds `seed … seed+reps-1`) over a reused engine pool.
@@ -179,29 +161,22 @@ pub fn figure3_replicated(
     reps: usize,
     seed: u64,
 ) -> Result<ReplicatedFigure> {
-    let system = organizations::table1_org_a();
-    let mut fold = FNV_OFFSET;
-    let panels = vec![
-        build_panel_replicated(
-            "Fig. 3 (left): N=1120, m=8, M=32",
-            &system,
-            &[FigureSweep::fig3_m32(256.0), FigureSweep::fig3_m32(512.0)],
-            effort,
-            reps,
-            seed,
-            &mut fold,
-        )?,
-        build_panel_replicated(
-            "Fig. 3 (right): N=1120, m=8, M=64",
-            &system,
-            &[FigureSweep::fig3_m64(256.0), FigureSweep::fig3_m64(512.0)],
-            effort,
-            reps,
-            seed,
-            &mut fold,
-        )?,
-    ];
-    Ok(ReplicatedFigure { panels, digest: fold })
+    figure_replicated(
+        &organizations::table1_org_a(),
+        &[
+            (
+                "Fig. 3 (left): N=1120, m=8, M=32",
+                [FigureSweep::fig3_m32(256.0), FigureSweep::fig3_m32(512.0)],
+            ),
+            (
+                "Fig. 3 (right): N=1120, m=8, M=64",
+                [FigureSweep::fig3_m64(256.0), FigureSweep::fig3_m64(512.0)],
+            ),
+        ],
+        effort,
+        reps,
+        seed,
+    )
 }
 
 /// The paper's Fig. 4: organization B (`N = 544`, `m = 4`), panels for `M = 32`
@@ -212,29 +187,44 @@ pub fn figure4_replicated(
     reps: usize,
     seed: u64,
 ) -> Result<ReplicatedFigure> {
-    let system = organizations::table1_org_b();
+    figure_replicated(
+        &organizations::table1_org_b(),
+        &[
+            (
+                "Fig. 4 (left): N=544, m=4, M=32",
+                [FigureSweep::fig4_m32(256.0), FigureSweep::fig4_m32(512.0)],
+            ),
+            (
+                "Fig. 4 (right): N=544, m=4, M=64",
+                [FigureSweep::fig4_m64(256.0), FigureSweep::fig4_m64(512.0)],
+            ),
+        ],
+        effort,
+        reps,
+        seed,
+    )
+}
+
+/// Builds a figure on one organization from its panels, each a title and one
+/// sweep per flit size, through [`build_series_replicated`]. Digests fold in
+/// (panel, series, point, replication) order.
+fn figure_replicated(
+    system: &MultiClusterSystem,
+    panels: &[(&str, [FigureSweep; 2])],
+    effort: EvaluationEffort,
+    reps: usize,
+    seed: u64,
+) -> Result<ReplicatedFigure> {
     let mut fold = FNV_OFFSET;
-    let panels = vec![
-        build_panel_replicated(
-            "Fig. 4 (left): N=544, m=4, M=32",
-            &system,
-            &[FigureSweep::fig4_m32(256.0), FigureSweep::fig4_m32(512.0)],
-            effort,
-            reps,
-            seed,
-            &mut fold,
-        )?,
-        build_panel_replicated(
-            "Fig. 4 (right): N=544, m=4, M=64",
-            &system,
-            &[FigureSweep::fig4_m64(256.0), FigureSweep::fig4_m64(512.0)],
-            effort,
-            reps,
-            seed,
-            &mut fold,
-        )?,
-    ];
-    Ok(ReplicatedFigure { panels, digest: fold })
+    let mut built = Vec::with_capacity(panels.len());
+    for (title, sweeps) in panels {
+        let series = sweeps
+            .iter()
+            .map(|sweep| build_series_replicated(system, sweep, effort, reps, seed, &mut fold))
+            .collect::<Result<_>>()?;
+        built.push(FigurePanel { title: title.to_string(), system: system.summary(), series });
+    }
+    Ok(ReplicatedFigure { panels: built, digest: fold })
 }
 
 /// The analytical curve of a tree system: the model's mean latency at every
