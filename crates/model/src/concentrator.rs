@@ -13,28 +13,23 @@
 //!
 //! The factor 2 accounts for the concentrate buffer (ECN1 → ICN2) and the dispatch
 //! buffer (ICN2 → ECN1), which see the same rate and service time.
+//!
+//! Eq. (33) is the zero-variance case of the Pollaczek–Khinchine wait the source queue
+//! uses (`mg1::waiting_time`): with `C² = 0` it reads `ρ·x̄ / (2·(1 − ρ))`.
 
 use crate::service::ChannelTimes;
-use crate::{ModelError, Result, SaturatedComponent};
+use crate::{mg1, ModelError, Result, SaturatedComponent};
 
 /// Mean waiting time of one concentrator (or dispatcher) buffer for the ordered pair
 /// `(i, v)` — the M/D/1 waiting time of Eq. (33).
 pub fn concentrator_waiting(lambda_icn2: f64, times: &ChannelTimes, cluster: usize) -> Result<f64> {
-    if lambda_icn2 < 0.0 || !lambda_icn2.is_finite() {
-        return Err(ModelError::InvalidConfiguration {
-            reason: format!("negative or non-finite ICN2 rate {lambda_icn2}"),
-        });
-    }
-    let service = times.message_switch_time();
-    let rho = concentrator_utilization(lambda_icn2, times);
-    if rho >= 1.0 {
-        return Err(ModelError::Saturated {
+    mg1::waiting_time(lambda_icn2, times.message_switch_time(), 0.0)?.map_err(|utilization| {
+        ModelError::Saturated {
             component: SaturatedComponent::Concentrator,
-            utilization: rho,
+            utilization,
             cluster: Some(cluster),
-        });
-    }
-    Ok(lambda_icn2 * service * service / (2.0 * (1.0 - rho)))
+        }
+    })
 }
 
 /// Utilisation of one concentrator (or dispatcher) buffer for the ordered pair
@@ -81,6 +76,32 @@ mod tests {
         let rho = lambda * service;
         let expected = rho * service / (2.0 * (1.0 - rho));
         assert!((concentrator_waiting(lambda, &t, 0).unwrap() - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn is_the_shared_wait_without_variance() {
+        let t = times(32, 256.0);
+        let service = t.message_switch_time();
+        let saturation = 1.0 / service;
+        for lambda in [0.0, 0.5 * saturation, 0.99 * saturation] {
+            let w = concentrator_waiting(lambda, &t, 3).unwrap();
+            let shared = mg1::waiting_time(lambda, service, 0.0).unwrap().unwrap();
+            assert_eq!(w.to_bits(), shared.to_bits(), "λ = {lambda}");
+            // Eq. 33 as written, `λ·x̄·x̄ / (2·(1 − ρ))`, has the same bits.
+            let rho = concentrator_utilization(lambda, &t);
+            assert_eq!(w.to_bits(), (lambda * service * service / (2.0 * (1.0 - rho))).to_bits());
+        }
+        for lambda in [1.01 * saturation, 1.5 * saturation] {
+            let rho = mg1::waiting_time(lambda, service, 0.0).unwrap().unwrap_err();
+            assert_eq!(
+                concentrator_waiting(lambda, &t, 3),
+                Err(ModelError::Saturated {
+                    component: SaturatedComponent::Concentrator,
+                    utilization: rho,
+                    cluster: Some(3),
+                })
+            );
+        }
     }
 
     #[test]

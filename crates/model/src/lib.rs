@@ -22,9 +22,9 @@
 //!            ┌ hop-count distribution  P_{j,n}          (Eq. 4,  crate mcnet-topology)
 //!            ├ channel message rates   λ, η             (Eqs. 5–13,  [`rates`])
 //!  inputs ──►├ stage service times     S_k              (Eqs. 14–18, 28–29, [`service`])
-//!            ├ source-queue waiting    W                (Eqs. 19–23, 30, [`source_queue`])
+//!            ├ source-queue waiting    W                (Eqs. 19–23, 30, [`source_queue`] via `mg1`)
 //!            ├ tail-flit time          R                (Eqs. 24, 32, [`tail`])
-//!            ├ concentrator waiting    W_d              (Eqs. 33–34, [`concentrator`])
+//!            ├ concentrator waiting    W_d              (Eqs. 33–34, [`concentrator`] via `mg1`)
 //!            └ composition             T, ℓ             (Eqs. 25, 31, 35–36, [`multicluster`])
 //! ```
 //!
@@ -81,6 +81,7 @@ pub mod backend;
 pub mod concentrator;
 pub mod inter;
 pub mod intra;
+mod mg1;
 pub mod multicluster;
 pub mod options;
 pub mod processor_heterogeneity;
@@ -178,9 +179,32 @@ impl From<mcnet_topology::TopologyError> for ModelError {
     }
 }
 
+/// Rejects a negative or non-finite queue parameter (a rate, a mean service time
+/// or its variance), naming it in the error.
+pub(crate) fn check_nonnegative(name: &str, value: f64) -> Result<f64> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(value)
+    } else {
+        Err(ModelError::InvalidConfiguration {
+            reason: format!("invalid parameter {name} = {value}"),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parameter_checks() {
+        assert_eq!(check_nonnegative("x", 0.0), Ok(0.0));
+        assert_eq!(check_nonnegative("x", 1.5), Ok(1.5));
+        for bad in [-0.1, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(check_nonnegative("x", bad).is_err(), "{bad} accepted");
+        }
+        let e = check_nonnegative("lambda", -1.0).unwrap_err();
+        assert!(e.to_string().contains("lambda = -1"), "{e}");
+    }
 
     #[test]
     fn error_display() {

@@ -4,11 +4,11 @@
 //! the network latency `S` of the message it is injecting (blocking inside the network
 //! keeps the channel busy, which is why the service-time distribution is "general").
 //! The first two moments of that service time come from the Draper–Ghosh approximation
-//! (Eq. 22): mean `S`, standard deviation `S − M·t_cn`.
+//! (Eq. 22): mean `S`, standard deviation `S − M·t_cn`, clamped at zero. The wait
+//! itself is the Pollaczek–Khinchine formula the concentrator shares, `mg1::waiting_time`.
 
 use crate::options::{ModelOptions, SourceQueueRate, VarianceApproximation};
-use crate::{ModelError, Result, SaturatedComponent};
-use mcnet_queueing::{MG1Queue, QueueingError, ServiceTime};
+use crate::{check_nonnegative, mg1, ModelError, Result, SaturatedComponent};
 
 /// Which network's injection channel the queue feeds (only used for error reporting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,19 +48,16 @@ pub fn waiting_time(input: &SourceQueueInput, options: &ModelOptions) -> Result<
         SourceQueueRate::PerNode => input.per_node_rate,
         SourceQueueRate::ClusterAggregate => input.aggregate_rate,
     };
-    let service = match options.variance {
+    let variance = match options.variance {
         VarianceApproximation::DraperGhosh => {
-            ServiceTime::draper_ghosh(input.network_latency, input.minimum_latency)
+            let minimum = check_nonnegative("minimum_latency", input.minimum_latency)?;
+            let sigma = (input.network_latency - minimum).max(0.0);
+            sigma * sigma
         }
-        VarianceApproximation::None => ServiceTime::deterministic(input.network_latency),
-    }
-    .map_err(|e| ModelError::InvalidConfiguration { reason: e.to_string() })?;
-
-    let queue = MG1Queue::new(rate, service)
-        .map_err(|e| ModelError::InvalidConfiguration { reason: e.to_string() })?;
-    match queue.waiting_time() {
-        Ok(w) => Ok(w),
-        Err(QueueingError::Saturated { utilization }) => Err(ModelError::Saturated {
+        VarianceApproximation::None => 0.0,
+    };
+    mg1::waiting_time(rate, input.network_latency, variance)?.map_err(|utilization| {
+        ModelError::Saturated {
             component: match input.kind {
                 SourceQueueKind::Intra => SaturatedComponent::IntraSourceQueue,
                 SourceQueueKind::Inter => SaturatedComponent::InterSourceQueue,
@@ -68,9 +65,8 @@ pub fn waiting_time(input: &SourceQueueInput, options: &ModelOptions) -> Result<
             },
             utilization,
             cluster: input.cluster,
-        }),
-        Err(e) => Err(ModelError::InvalidConfiguration { reason: e.to_string() }),
-    }
+        }
+    })
 }
 
 #[cfg(test)]
@@ -129,6 +125,30 @@ mod tests {
     }
 
     #[test]
+    fn draper_ghosh_sigma_is_clamped() {
+        // A latency at or below its minimum leaves no variance: the wait is the
+        // deterministic-service one, bit for bit.
+        let options = ModelOptions::default();
+        let deterministic = options.without_variance();
+        for latency in [8.832, 5.0] {
+            let inp = input(1e-3, 0.0, latency);
+            assert_eq!(
+                waiting_time(&inp, &options).unwrap().to_bits(),
+                waiting_time(&inp, &deterministic).unwrap().to_bits()
+            );
+        }
+        // The minimum latency is an input of the variance only.
+        for minimum in [-1.0, f64::NAN] {
+            let inp = SourceQueueInput { minimum_latency: minimum, ..input(1e-3, 0.0, 100.0) };
+            assert!(matches!(
+                waiting_time(&inp, &options),
+                Err(ModelError::InvalidConfiguration { .. })
+            ));
+            assert!(waiting_time(&inp, &deterministic).is_ok());
+        }
+    }
+
+    #[test]
     fn saturation_reports_component_and_cluster() {
         let mut inp = input(0.02, 0.0, 100.0); // ρ = 2
         inp.cluster = Some(5);
@@ -156,10 +176,14 @@ mod tests {
             waiting_time(&inp, &ModelOptions::default()),
             Err(ModelError::InvalidConfiguration { .. })
         ));
-        let inp = input(1e-3, 0.0, -5.0);
-        assert!(matches!(
-            waiting_time(&inp, &ModelOptions::default()),
-            Err(ModelError::InvalidConfiguration { .. })
-        ));
+        for latency in [-5.0, f64::NAN, f64::INFINITY] {
+            let inp = input(1e-3, 0.0, latency);
+            for options in [ModelOptions::default(), ModelOptions::default().without_variance()] {
+                assert!(matches!(
+                    waiting_time(&inp, &options),
+                    Err(ModelError::InvalidConfiguration { .. })
+                ));
+            }
+        }
     }
 }

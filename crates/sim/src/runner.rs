@@ -2,9 +2,8 @@
 
 use crate::engine::Simulation;
 use crate::message::MessageClass;
-use crate::stats::ClassSummary;
+use crate::stats::{ClassSummary, RunningStats};
 use crate::{Result, SimError};
-use mcnet_queueing::stats::RunningStats;
 use mcnet_system::TrafficConfig;
 
 /// Measurement protocol of one simulation run.
@@ -268,7 +267,7 @@ pub(crate) fn aggregate_replications(replication_reports: Vec<SimReport>) -> Rep
     for r in &replication_reports {
         stats.push(r.mean_latency);
     }
-    let halfwidth = mcnet_queueing::stats::confidence_interval_halfwidth(&stats, 0.95);
+    let halfwidth = stats.halfwidth_95();
     ReplicatedReport {
         mean_latency: stats.mean(),
         halfwidth_95: halfwidth.is_finite().then_some(halfwidth),

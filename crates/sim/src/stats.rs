@@ -20,14 +20,22 @@
 //!   accumulator and an optional **windowed time series** of deliveries and
 //!   drops, so reports show the degradation dip and recovery curve around each
 //!   fault window.
+//!
+//! The accumulators under it are this module's own: `RunningStats` (Welford's
+//! online mean and variance), a fixed-width latency `Histogram`, and the 95%
+//! Student-t half-width that [`ReplicatedReport`](crate::ReplicatedReport) reports
+//! across replications.
 
 use crate::message::MessageClass;
-use mcnet_queueing::stats::{Histogram, RunningStats};
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Bins of the latency histogram; its bin width is a tenth of the expected
+/// latency scale, so it spans 100 zero-load latencies.
+const HISTOGRAM_BINS: usize = 1000;
 
 /// Hard cap on time-series buckets; deliveries past it land in the last bucket
 /// so a tiny window width cannot balloon memory.
@@ -84,7 +92,6 @@ pub struct SimStats {
     intra_latency: RunningStats,
     inter_latency: RunningStats,
     histogram: Histogram,
-    max_latency: f64,
     /// Retransmissions scheduled after fault aborts.
     retransmits: u64,
     /// Messages dropped after exhausting their retry budget.
@@ -130,7 +137,22 @@ impl SimStats {
     /// message counts. The histogram bin width adapts to the expected latency scale
     /// (`expected_scale` ≈ a zero-load message latency).
     pub fn new(warmup: u64, measured: u64, expected_scale: f64) -> Self {
-        let bin = (expected_scale / 10.0).max(1e-9);
+        let histogram = Histogram::new(histogram_bin_width(expected_scale), HISTOGRAM_BINS);
+        Self::with_histogram(warmup, measured, histogram)
+    }
+
+    /// Rewinds the accumulator for a fresh run with new warm-up/measurement
+    /// targets and latency scale — what [`SimStats::new`] produces, but keeping
+    /// the histogram's bin storage. The windowed time series is disabled again;
+    /// a fault plan re-enables it per run.
+    pub fn reset(&mut self, warmup: u64, measured: u64, expected_scale: f64) {
+        let mut histogram = std::mem::take(&mut self.histogram);
+        histogram.reset(histogram_bin_width(expected_scale));
+        *self = Self::with_histogram(warmup, measured, histogram);
+    }
+
+    /// An empty accumulator around an empty `histogram`.
+    fn with_histogram(warmup: u64, measured: u64, histogram: Histogram) -> Self {
         SimStats {
             warmup,
             measured_target: measured,
@@ -140,8 +162,7 @@ impl SimStats {
             latency: RunningStats::new(),
             intra_latency: RunningStats::new(),
             inter_latency: RunningStats::new(),
-            histogram: Histogram::new(bin, 1000),
-            max_latency: 0.0,
+            histogram,
             retransmits: 0,
             dropped: 0,
             dropped_measured: 0,
@@ -151,32 +172,6 @@ impl SimStats {
             digest: FNV_OFFSET,
             windows: None,
         }
-    }
-
-    /// Rewinds the accumulator for a fresh run with new warm-up/measurement
-    /// targets and latency scale — field-for-field what [`SimStats::new`]
-    /// produces, but keeping the histogram's bin storage. The windowed time
-    /// series is disabled again; a fault plan re-enables it per run.
-    pub fn reset(&mut self, warmup: u64, measured: u64, expected_scale: f64) {
-        let bin = (expected_scale / 10.0).max(1e-9);
-        self.warmup = warmup;
-        self.measured_target = measured;
-        self.generated = 0;
-        self.delivered = 0;
-        self.delivered_measured = 0;
-        self.latency = RunningStats::new();
-        self.intra_latency = RunningStats::new();
-        self.inter_latency = RunningStats::new();
-        self.histogram.reset(bin);
-        self.max_latency = 0.0;
-        self.retransmits = 0;
-        self.dropped = 0;
-        self.dropped_measured = 0;
-        self.attempt_latency = RunningStats::new();
-        self.adaptive_misroutes = 0;
-        self.escape_fallbacks = 0;
-        self.digest = FNV_OFFSET;
-        self.windows = None;
     }
 
     /// Turns on the windowed time series with the given bucket width (fault
@@ -228,7 +223,6 @@ impl SimStats {
         self.delivered_measured += 1;
         self.latency.push(delivery.latency);
         self.histogram.record(delivery.latency);
-        self.max_latency = self.max_latency.max(delivery.latency);
         self.attempt_latency.push(delivery.latency / f64::from(delivery.attempts.max(1)));
         match delivery.class {
             MessageClass::Intra => self.intra_latency.push(delivery.latency),
@@ -345,9 +339,9 @@ impl SimStats {
         self.latency.std_error()
     }
 
-    /// Largest measured latency.
+    /// Largest measured latency (0 before the first measured delivery).
     pub fn max_latency(&self) -> f64 {
-        self.max_latency
+        self.latency.max().unwrap_or(0.0)
     }
 
     /// Approximate latency quantile from the histogram.
@@ -362,6 +356,178 @@ impl SimStats {
             MessageClass::Inter => &self.inter_latency,
         };
         ClassSummary { count: s.count(), mean: s.mean(), std_dev: s.std_dev() }
+    }
+}
+
+/// Histogram bin width for a run whose zero-load latency is about `expected_scale`.
+fn histogram_bin_width(expected_scale: f64) -> f64 {
+    (expected_scale / 10.0).max(1e-9)
+}
+
+/// Numerically stable running mean / variance / maximum (Welford's algorithm).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunningStats {
+    count: u64,
+    mean: f64,
+    m2: f64,
+    max: f64,
+}
+
+impl RunningStats {
+    /// Creates an empty accumulator.
+    pub(crate) fn new() -> Self {
+        RunningStats { count: 0, mean: 0.0, m2: 0.0, max: f64::NEG_INFINITY }
+    }
+
+    /// Adds one observation.
+    pub(crate) fn push(&mut self, x: f64) {
+        self.count += 1;
+        let delta = x - self.mean;
+        self.mean += delta / self.count as f64;
+        self.m2 += delta * (x - self.mean);
+        self.max = self.max.max(x);
+    }
+
+    /// Number of observations.
+    pub(crate) fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sample mean (0 if empty).
+    pub(crate) fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.mean
+        }
+    }
+
+    /// Unbiased sample variance (0 for fewer than two observations).
+    fn variance(&self) -> f64 {
+        if self.count < 2 {
+            0.0
+        } else {
+            self.m2 / (self.count - 1) as f64
+        }
+    }
+
+    /// Sample standard deviation.
+    pub(crate) fn std_dev(&self) -> f64 {
+        self.variance().sqrt()
+    }
+
+    /// Standard error of the mean.
+    pub(crate) fn std_error(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.std_dev() / (self.count as f64).sqrt()
+        }
+    }
+
+    /// Maximum observation (`None` if empty).
+    pub(crate) fn max(&self) -> Option<f64> {
+        (self.count > 0).then_some(self.max)
+    }
+
+    /// Two-sided 95% confidence-interval half-width for the mean, from the
+    /// Student-t critical value at `count − 1` degrees of freedom; infinite
+    /// below two observations.
+    pub(crate) fn halfwidth_95(&self) -> f64 {
+        if self.count < 2 {
+            return f64::INFINITY;
+        }
+        critical_value_95(self.count - 1) * self.std_error()
+    }
+}
+
+/// Two-sided 95% critical value for the given degrees of freedom: tabulated
+/// Student-t values for few degrees of freedom, the normal limit beyond.
+fn critical_value_95(dof: u64) -> f64 {
+    const TABLE: &[(u64, f64)] = &[
+        (1, 12.706),
+        (2, 4.303),
+        (3, 3.182),
+        (4, 2.776),
+        (5, 2.571),
+        (6, 2.447),
+        (7, 2.365),
+        (8, 2.306),
+        (9, 2.262),
+        (10, 2.228),
+        (15, 2.131),
+        (20, 2.086),
+        (30, 2.042),
+        (60, 2.000),
+        (120, 1.980),
+    ];
+    TABLE.iter().find(|&&(d, _)| dof <= d).map_or(1.960, |&(_, t)| t)
+}
+
+/// A fixed-width histogram over `[0, width · bins)` with an overflow count.
+#[derive(Debug, Clone, Default)]
+struct Histogram {
+    bin_width: f64,
+    counts: Vec<u64>,
+    overflow: u64,
+    total: u64,
+}
+
+impl Histogram {
+    /// Creates a histogram with `bins` bins of width `bin_width`.
+    ///
+    /// # Panics
+    /// Panics if `bin_width` is not positive or `bins` is zero.
+    fn new(bin_width: f64, bins: usize) -> Self {
+        assert!(bin_width > 0.0, "bin width must be positive");
+        assert!(bins > 0, "at least one bin is required");
+        Histogram { bin_width, counts: vec![0; bins], overflow: 0, total: 0 }
+    }
+
+    /// Forgets every recorded observation and adopts a new bin width, keeping
+    /// the allocated bin storage.
+    ///
+    /// # Panics
+    /// Panics if `bin_width` is not positive.
+    fn reset(&mut self, bin_width: f64) {
+        assert!(bin_width > 0.0, "bin width must be positive");
+        self.bin_width = bin_width;
+        self.counts.fill(0);
+        self.overflow = 0;
+        self.total = 0;
+    }
+
+    /// Records one (non-negative) observation; negative values count as overflow.
+    fn record(&mut self, x: f64) {
+        self.total += 1;
+        if x < 0.0 {
+            self.overflow += 1;
+            return;
+        }
+        let idx = (x / self.bin_width) as usize;
+        if idx < self.counts.len() {
+            self.counts[idx] += 1;
+        } else {
+            self.overflow += 1;
+        }
+    }
+
+    /// Approximate quantile (by linear scan over bins); returns the upper edge of the
+    /// bin containing the requested quantile, or `None` if the histogram is empty or
+    /// the quantile falls in the overflow region.
+    fn quantile(&self, q: f64) -> Option<f64> {
+        if self.total == 0 || !(0.0..=1.0).contains(&q) {
+            return None;
+        }
+        let target = (q * self.total as f64).ceil() as u64;
+        let mut acc = 0u64;
+        for (i, &c) in self.counts.iter().enumerate() {
+            acc += c;
+            if acc >= target {
+                return Some((i + 1) as f64 * self.bin_width);
+            }
+        }
+        None
     }
 }
 
@@ -496,5 +662,83 @@ mod tests {
         );
         assert_eq!(series[2].delivered, 1);
         assert_eq!(series[2].start, 20.0);
+    }
+
+    #[test]
+    fn running_stats_basic() {
+        let mut s = RunningStats::new();
+        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
+            s.push(x);
+        }
+        assert_eq!(s.count(), 8);
+        assert!((s.mean() - 5.0).abs() < 1e-12);
+        // Sample variance of this classic dataset is 32/7.
+        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
+        assert_eq!(s.max(), Some(9.0));
+        assert!(s.std_error() > 0.0);
+    }
+
+    #[test]
+    fn empty_stats_are_safe() {
+        let s = RunningStats::new();
+        assert_eq!(s.count(), 0);
+        assert_eq!(s.mean(), 0.0);
+        assert_eq!(s.variance(), 0.0);
+        assert_eq!(s.max(), None);
+        assert_eq!(s.std_error(), 0.0);
+        assert_eq!(SimStats::new(0, 10, 10.0).max_latency(), 0.0);
+    }
+
+    #[test]
+    fn histogram_bins_and_quantiles() {
+        let mut h = Histogram::new(10.0, 10);
+        for i in 0..100 {
+            h.record(i as f64);
+        }
+        assert_eq!(h.total, 100);
+        assert_eq!(h.overflow, 0);
+        assert!(h.counts.iter().all(|&c| c == 10));
+        assert_eq!(h.quantile(0.5), Some(50.0));
+        assert_eq!(h.quantile(1.0), Some(100.0));
+        h.record(1e6);
+        h.record(-1.0);
+        assert_eq!(h.overflow, 2);
+        assert_eq!(h.quantile(2.0), None);
+    }
+
+    #[test]
+    fn empty_histogram_quantile_is_none() {
+        let h = Histogram::new(1.0, 4);
+        assert_eq!(h.quantile(0.5), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "bin width")]
+    fn histogram_rejects_zero_width() {
+        let _ = Histogram::new(0.0, 4);
+    }
+
+    #[test]
+    fn confidence_interval_behaviour() {
+        let mut s = RunningStats::new();
+        s.push(1.0);
+        assert!(s.halfwidth_95().is_infinite());
+        for x in [1.0, 2.0, 3.0, 4.0, 5.0] {
+            s.push(x);
+        }
+        // Six samples: Student-t at 5 degrees of freedom.
+        assert_eq!(s.halfwidth_95(), 2.571 * s.std_error());
+    }
+
+    #[test]
+    fn critical_values_are_monotone_in_dof() {
+        assert_eq!(critical_value_95(1), 12.706);
+        assert_eq!(critical_value_95(11), 2.131);
+        assert_eq!(critical_value_95(120), 1.980);
+        assert_eq!(critical_value_95(121), 1.960);
+        let values: Vec<f64> = (1..200).map(critical_value_95).collect();
+        assert!(values.windows(2).all(|w| w[1] <= w[0]));
+        assert!(critical_value_95(1) > critical_value_95(5));
+        assert!(critical_value_95(5) > critical_value_95(1000));
     }
 }

@@ -6,10 +6,11 @@
 //! downstream users (and the examples in `examples/`) need a single dependency:
 //!
 //! * [`topology`] — m-port n-tree fat-trees, NCA / Up*/Down* routing, k-ary n-cubes;
-//! * [`queueing`] — M/G/1 queues, service-time descriptors, statistics;
 //! * [`system`] — cluster / network / traffic configuration, Table 1 organizations;
-//! * [`model`] — the paper's analytical mean-latency model (Eqs. 1–36) + extensions;
-//! * [`sim`] — the flit-level discrete-event wormhole simulator used for validation;
+//! * [`model`] — the paper's analytical mean-latency model (Eqs. 1–36) + extensions,
+//!   including the M/G/1 waits of its source queues and concentrators;
+//! * [`sim`] — the flit-level discrete-event wormhole simulator used for validation,
+//!   with its run statistics;
 //! * [`experiments`] — the harness regenerating every table and figure.
 //!
 //! ## Quickstart
@@ -33,7 +34,6 @@
 
 pub use mcnet_experiments as experiments;
 pub use mcnet_model as model;
-pub use mcnet_queueing as queueing;
 pub use mcnet_sim as sim;
 pub use mcnet_system as system;
 pub use mcnet_topology as topology;

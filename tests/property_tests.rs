@@ -1,8 +1,8 @@
-//! Property-based tests over the core invariants of the topology, queueing and model
+//! Property-based tests over the core invariants of the topology, model and simulator
 //! crates, using randomly generated (but always valid) configurations.
 
+use mcnet::model::source_queue::{self, SourceQueueInput, SourceQueueKind};
 use mcnet::model::{AnalyticalModel, ModelError, ModelOptions};
-use mcnet::queueing::{MG1Queue, ServiceTime};
 use mcnet::sim::routes::RouteTable;
 use mcnet::sim::FabricBackend;
 use mcnet::system::{ClusterSpec, MultiClusterSystem, TrafficConfig};
@@ -67,16 +67,29 @@ proptest! {
 
     #[test]
     fn mg1_waiting_time_is_nonnegative_and_monotone_in_load(
-        service_mean in 0.1f64..100.0,
-        scv in 0.0f64..4.0,
+        latency in 0.1f64..100.0,
+        minimum_fraction in 0.0f64..1.0,
         rho1 in 0.05f64..0.45,
         rho2 in 0.5f64..0.95,
     ) {
-        let service = ServiceTime::new(service_mean, scv * service_mean * service_mean).unwrap();
-        let low = MG1Queue::new(rho1 / service_mean, service).unwrap().waiting_time().unwrap();
-        let high = MG1Queue::new(rho2 / service_mean, service).unwrap().waiting_time().unwrap();
-        prop_assert!(low >= 0.0);
-        prop_assert!(high > low);
+        // A source queue with service mean S and Draper–Ghosh σ = S − M·t_cn,
+        // with and without that variance.
+        let wait = |rho: f64, options: &ModelOptions| {
+            let input = SourceQueueInput {
+                kind: SourceQueueKind::Injection,
+                per_node_rate: rho / latency,
+                aggregate_rate: rho / latency,
+                network_latency: latency,
+                minimum_latency: minimum_fraction * latency,
+                cluster: None,
+            };
+            source_queue::waiting_time(&input, options).unwrap()
+        };
+        for options in [ModelOptions::default(), ModelOptions::default().without_variance()] {
+            let (low, high) = (wait(rho1, &options), wait(rho2, &options));
+            prop_assert!(low >= 0.0);
+            prop_assert!(high > low);
+        }
     }
 
     #[test]
