@@ -181,14 +181,19 @@ impl From<mcnet_topology::TopologyError> for ModelError {
 
 /// Rejects a negative or non-finite queue parameter (a rate, a mean service time
 /// or its variance), naming it in the error.
+#[inline]
 pub(crate) fn check_nonnegative(name: &str, value: f64) -> Result<f64> {
     if value.is_finite() && value >= 0.0 {
         Ok(value)
     } else {
-        Err(ModelError::InvalidConfiguration {
-            reason: format!("invalid parameter {name} = {value}"),
-        })
+        Err(invalid_parameter(name, value))
     }
+}
+
+/// The error [`check_nonnegative`] returns, kept off the evaluation path.
+#[cold]
+fn invalid_parameter(name: &str, value: f64) -> ModelError {
+    ModelError::InvalidConfiguration { reason: format!("invalid parameter {name} = {value}") }
 }
 
 #[cfg(test)]
