@@ -1,8 +1,9 @@
 //! Traffic-source subsystem contracts, end to end: ON-OFF sources converge to
 //! the configured long-run rate, the committed trace exemplar replays exactly
 //! and reproduces its pinned digest, heterogeneous multipliers shift the load
-//! the analytical model evaluates at, and a reused engine hops between source
-//! kinds bit-identically to fresh builds.
+//! the analytical model evaluates at, heterogeneous multipliers over an ON-OFF
+//! source reproduce a pinned digest, and a reused engine hops through every
+//! source kind bit-identically to fresh builds.
 
 use std::path::Path;
 
@@ -115,6 +116,28 @@ fn heterogeneous_multipliers_shift_load_and_the_model_follows() {
 }
 
 #[test]
+fn heterogeneous_over_on_off_reproduces_its_pinned_digest() {
+    // Per-node multipliers dilate a bursty inner source's clock; the
+    // composition has no spec exemplar (the model does not see the skew, so
+    // a spec would fail `model_vs_sim`'s gate), so its digest is pinned here.
+    let multipliers: Vec<f64> = (0..16).map(|i| if i % 4 == 0 { 2.5 } else { 0.5 }).collect();
+    let report = Scenario::builder()
+        .torus(TorusSystem::new(4, 2).unwrap())
+        .traffic(TrafficConfig::uniform(8, 256.0, 1e-3).unwrap())
+        .config(SimConfig::quick(17))
+        .source(TrafficSourceSpec::HeterogeneousRates {
+            multipliers,
+            inner: Box::new(TrafficSourceSpec::OnOff { duty: 0.5, mean_on: None }),
+        })
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(report.delivered_messages, report.generated_messages);
+    assert_eq!(format!("{:016x}", report.digest), "2dd8f2105a5ac67c");
+}
+
+#[test]
 fn reused_engine_hops_between_source_kinds_bit_identically() {
     // reset() may swap the source spec between runs (the campaign burstiness
     // axis does exactly this); every hop must reproduce the digest of a
@@ -123,8 +146,19 @@ fn reused_engine_hops_between_source_kinds_bit_identically() {
     let traffic = TrafficConfig::uniform(8, 256.0, 1e-3).unwrap();
     let config = SimConfig::quick(42);
     let on_off = TrafficSourceSpec::OnOff { duty: 0.5, mean_on: None };
-    let fresh_digest = |source: &TrafficSourceSpec| {
-        let mut sim = Simulation::new_torus_full(
+    let heterogeneous = TrafficSourceSpec::HeterogeneousRates {
+        multipliers: (0..16).map(|i| if i < 8 { 0.5 } else { 1.5 }).collect(),
+        inner: Box::new(on_off.clone()),
+    };
+    // 1200 records, every node a source, never self-addressed (6i + 3 is odd).
+    let trace = TrafficSourceSpec::TraceReplay {
+        path: None,
+        records: Some(
+            (0..1200u32).map(|i| (50.0 * f64::from(i + 1), i % 16, (i * 7 + 3) % 16)).collect(),
+        ),
+    };
+    let build = |source: &TrafficSourceSpec| {
+        Simulation::new_torus_full(
             &torus,
             &traffic,
             &config,
@@ -132,29 +166,37 @@ fn reused_engine_hops_between_source_kinds_bit_identically() {
             RoutingPolicy::Deterministic,
             source,
         )
-        .unwrap();
+        .unwrap()
+    };
+    let fresh_digest = |source: &TrafficSourceSpec| {
+        let mut sim = build(source);
         sim.run().unwrap();
         sim.stats().digest()
     };
-    let poisson_digest = fresh_digest(&TrafficSourceSpec::Poisson);
-    let on_off_digest = fresh_digest(&on_off);
-    assert_ne!(poisson_digest, on_off_digest, "burstiness must change the event stream");
+    let hops = [
+        ("poisson", TrafficSourceSpec::Poisson),
+        ("on_off", on_off),
+        ("heterogeneous", heterogeneous),
+        ("trace_replay", trace),
+        ("poisson", TrafficSourceSpec::Poisson),
+    ];
+    let digests: Vec<u64> = hops.iter().map(|(_, source)| fresh_digest(source)).collect();
+    for i in 0..hops.len() - 1 {
+        assert_ne!(
+            digests[i],
+            digests[i + 1],
+            "{} → {} must change the event stream",
+            hops[i].0,
+            hops[i + 1].0
+        );
+    }
 
-    let mut sim = Simulation::new_torus_full(
-        &torus,
-        &traffic,
-        &config,
-        None,
-        RoutingPolicy::Deterministic,
-        &TrafficSourceSpec::Poisson,
-    )
-    .unwrap();
+    let mut sim = build(&hops[0].1);
     sim.run().unwrap();
-    assert_eq!(sim.stats().digest(), poisson_digest);
-    sim.reset(&traffic, &on_off, &config, None).unwrap();
-    sim.run().unwrap();
-    assert_eq!(sim.stats().digest(), on_off_digest, "poisson → on_off reset diverged");
-    sim.reset(&traffic, &TrafficSourceSpec::Poisson, &config, None).unwrap();
-    sim.run().unwrap();
-    assert_eq!(sim.stats().digest(), poisson_digest, "on_off → poisson reset diverged");
+    assert_eq!(sim.stats().digest(), digests[0]);
+    for (i, (name, source)) in hops.iter().enumerate().skip(1) {
+        sim.reset(&traffic, source, &config, None).unwrap();
+        sim.run().unwrap();
+        assert_eq!(sim.stats().digest(), digests[i], "{} → {name} reset diverged", hops[i - 1].0);
+    }
 }
