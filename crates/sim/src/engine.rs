@@ -47,8 +47,7 @@ use crate::policy::RoutingPolicy;
 use crate::routes::{RouteEntry, RouteMeta, RouteTable};
 use crate::runner::SimConfig;
 use crate::stats::{Delivery, SimStats};
-use crate::traffic::Poisson;
-use crate::traffic_source::{TrafficSource, TrafficSourceSpec};
+use crate::traffic_source::{self, TrafficSource, TrafficSourceSpec};
 use crate::{Result, SimError};
 use mcnet_system::{MultiClusterSystem, TorusSystem, TrafficConfig};
 use mcnet_topology::kary_ncube::CubeHop;
@@ -98,7 +97,7 @@ pub struct Simulation {
     record_routes: Vec<RouteEntry>,
     /// High-water mark of messages plus records over the current run.
     peak_in_flight: usize,
-    traffic: Box<dyn TrafficSource>,
+    traffic: TrafficSource,
     /// The plain-data description `traffic` was built from; a
     /// [`reset`](Self::reset) with an equal spec rebinds the existing source
     /// in place, a different spec rebuilds it over the same partition.
@@ -152,7 +151,7 @@ impl Simulation {
         source: &TrafficSourceSpec,
     ) -> Result<Self> {
         let backend = FabricBackend::tree_with(system, traffic_cfg, policy)?;
-        let cluster_ranges = Poisson::cluster_ranges_of(system);
+        let cluster_ranges = traffic_source::cluster_ranges(system);
         Self::from_backend(backend, cluster_ranges, source, traffic_cfg, config, faults)
     }
 

@@ -111,7 +111,6 @@ pub mod routes;
 pub mod runner;
 pub mod scenario;
 pub mod stats;
-pub mod traffic;
 pub mod traffic_source;
 
 pub use backend::FabricBackend;

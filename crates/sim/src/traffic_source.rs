@@ -1,48 +1,49 @@
-//! Pluggable traffic sources: bursty MMPP/ON-OFF arrivals, per-node
-//! heterogeneity and trace replay behind the Poisson default.
+//! Traffic sources: the paper's Poisson process, bursty ON-OFF arrivals,
+//! per-node heterogeneity and trace replay, as one closed enum.
 //!
 //! The paper's analysis (assumptions 1–2) fixes stationary Poisson arrivals
-//! with a static destination mix; the engine historically hard-wired that
-//! process. This module generalises message generation behind the
-//! [`TrafficSource`] trait — the next arrival *time* of a node plus the
-//! destination of the message it emits — with four implementations:
+//! with a static destination mix: each node generates messages as an
+//! independent Poisson process with rate `λ_g`, and destinations are uniform
+//! over all other nodes. The hot-spot and cluster-local patterns are provided
+//! for the simulator only (the paper lists non-uniform traffic as future
+//! work). A [`TrafficSource`] gives the next arrival *time* of a node plus the
+//! destination of the message it emits; its four variants are:
 //!
-//! * [`Poisson`] — the paper's process, extracted
-//!   unchanged. Runs through the trait are bit-identical to the legacy inline
-//!   sampler (pinned by test and by the frozen golden digests).
-//! * [`OnOff`] — a two-state Markov-modulated Poisson process (an interrupted
-//!   Poisson process): each node alternates between exponentially distributed
-//!   ON bursts, during which it generates at `rate / duty`, and silent OFF
-//!   gaps. The long-run mean rate equals the configured rate, so analytical
-//!   comparisons stay anchored; the squared coefficient of variation of the
-//!   inter-arrival times (the *burstiness index*) grows as the duty cycle
-//!   shrinks: `c² = 1 + 2·(rate/duty)·(1 − duty)²·mean_on`.
-//! * [`HeterogeneousRates`] — per-node rate multipliers over any inner source,
-//!   by dilating the inner source's per-node clock.
-//! * [`TraceReplay`] — replays a sorted `(time, src, dst[, class])` record
-//!   stream from a JSON or CSV trace file (or inline spec records), with
+//! * [`TrafficSource::Poisson`] — the paper's process. Fixed-seed runs are
+//!   bit-identical to the original inline sampler (pinned by test and by the
+//!   frozen golden digests).
+//! * [`TrafficSource::OnOff`] — a two-state Markov-modulated Poisson process
+//!   (an interrupted Poisson process): each node alternates between
+//!   exponentially distributed ON bursts, during which it generates at
+//!   `rate / duty`, and silent OFF gaps. The long-run mean rate equals the
+//!   configured rate, so analytical comparisons stay anchored; the squared
+//!   coefficient of variation of the inter-arrival times (the *burstiness
+//!   index*) grows as the duty cycle shrinks:
+//!   `c² = 1 + 2·(rate/duty)·(1 − duty)²·mean_on`.
+//! * [`TrafficSource::Heterogeneous`] — per-node rate multipliers over a
+//!   Poisson or ON-OFF clock, by dilating that clock node by node.
+//! * [`TrafficSource::Trace`] — replays a sorted `(time, src, dst[, class])`
+//!   record stream from a JSON or CSV trace file (or inline spec records), with
 //!   typed [`SimError::InvalidSpec`] rejection of malformed input.
 //!
 //! Sources are described declaratively by the plain-data [`TrafficSourceSpec`]
 //! (the `"source"` key inside a scenario spec's `"traffic"` object) and built
 //! against a node partition at simulation-construction time. Every source
 //! draws from the engine's single traffic RNG stream in a deterministic
-//! per-node order, so fixed-seed runs stay bit-reproducible — and the Poisson
-//! spec consumes exactly the legacy draw sequence.
+//! per-node order, so fixed-seed runs stay bit-reproducible.
 
 use std::collections::BTreeMap;
 
 use crate::json::Json;
 use crate::scenario::{get_f64, get_str, reject_unknown_keys, spec_error};
-use crate::traffic::Poisson;
 use crate::{Result, SimError};
-use mcnet_system::TrafficConfig;
+use mcnet_system::{MultiClusterSystem, TrafficConfig, TrafficPattern};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// One node-indexed arrival process: the engine asks for the next arrival time
-/// of a node (absolute simulation time) and, when that arrival fires, for the
-/// destination of the generated message.
+/// One node-indexed arrival process, built from a [`TrafficSourceSpec`]: the
+/// engine asks for the next arrival time of a node (absolute simulation time)
+/// and, when that arrival fires, for the destination of the generated message.
 ///
 /// Contract:
 /// * `next_arrival(rng, node, prev)` is called once per generated message with
@@ -52,72 +53,255 @@ use rand::Rng;
 ///   finite traces).
 /// * `destination(rng, src)` is called exactly once per arrival, immediately
 ///   after the arrival fires and **before** the node's next `next_arrival`
-///   re-arm, mirroring the legacy draw order.
+///   re-arm.
 /// * `rebind` re-validates and adopts a new traffic configuration over the
 ///   same node partition and rewinds all per-node state to its
 ///   post-construction value, so an engine [`reset`](crate::engine::Simulation::reset)
 ///   is bit-identical to a fresh build.
-pub trait TrafficSource: std::fmt::Debug + Send {
+#[derive(Debug, Clone)]
+pub enum TrafficSource {
+    /// The paper's process: exponential inter-arrival times at the configured
+    /// rate.
+    Poisson(Poisson),
+    /// The Poisson destination mix, with arrival times modulated by ON and OFF
+    /// dwells.
+    OnOff(Poisson, OnOff),
+    /// The Poisson destination mix, with a Poisson or ON-OFF clock dilated by
+    /// per-node rate multipliers.
+    Heterogeneous(Poisson, HeterogeneousRates),
+    /// A finite trace, replayed without RNG draws.
+    Trace(TraceReplay),
+}
+
+impl TrafficSource {
     /// Absolute time of `node`'s next arrival, or `None` if the node
     /// generates no further messages.
-    fn next_arrival(&mut self, rng: &mut SmallRng, node: usize, prev: f64) -> Option<f64>;
+    pub fn next_arrival(&mut self, rng: &mut SmallRng, node: usize, prev: f64) -> Option<f64> {
+        match self {
+            TrafficSource::Poisson(base) => Some(base.next_arrival(rng, prev)),
+            TrafficSource::OnOff(_, bursts) => Some(bursts.next_arrival(rng, node, prev)),
+            TrafficSource::Heterogeneous(base, rates) => {
+                Some(rates.next_arrival(base, rng, node, prev))
+            }
+            TrafficSource::Trace(trace) => trace.next_arrival(node),
+        }
+    }
 
     /// Destination of the message generated at `src`'s current arrival.
-    fn destination(&mut self, rng: &mut SmallRng, src: usize) -> usize;
-
-    /// The long-run mean per-node generation rate (messages per time unit).
-    fn mean_rate(&self) -> f64;
+    pub fn destination(&mut self, rng: &mut SmallRng, src: usize) -> usize {
+        match self {
+            TrafficSource::Poisson(base)
+            | TrafficSource::OnOff(base, _)
+            | TrafficSource::Heterogeneous(base, _) => base.destination(rng, src),
+            TrafficSource::Trace(trace) => trace.destination(src),
+        }
+    }
 
     /// Total number of messages this source can ever generate, if finite
     /// (trace replay); `None` for open-ended stochastic sources.
-    fn message_limit(&self) -> Option<u64> {
-        None
+    pub fn message_limit(&self) -> Option<u64> {
+        match self {
+            TrafficSource::Trace(trace) => Some(trace.total_records),
+            _ => None,
+        }
     }
 
     /// Re-validates and adopts a new traffic configuration over the same node
     /// partition, rewinding per-node state for a fresh run.
-    fn rebind(&mut self, traffic: &TrafficConfig) -> Result<()>;
+    pub fn rebind(&mut self, traffic: &TrafficConfig) -> Result<()> {
+        match self {
+            TrafficSource::Poisson(base) => base.rebind(traffic)?,
+            TrafficSource::OnOff(base, bursts) => {
+                base.rebind(traffic)?;
+                bursts.rewind(base.rate);
+            }
+            TrafficSource::Heterogeneous(base, rates) => {
+                base.rebind(traffic)?;
+                rates.rewind(base.rate);
+            }
+            TrafficSource::Trace(trace) => {
+                // The records are immutable; a reset only rewinds the cursors.
+                // The configured generation rate is ignored by replay (timing
+                // comes from the trace), but the geometry must still be a
+                // valid configuration.
+                traffic.validate().map_err(SimError::from)?;
+                trace.cursors.fill(0);
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Expected messages per ON burst when an [`OnOff`] spec omits `mean_on`:
+/// Expected messages per ON burst when an ON-OFF spec omits `mean_on`:
 /// the default ON dwell is `DEFAULT_BURST_MESSAGES · duty / rate`, which keeps
 /// the burstiness index `c² = 1 + 2·K·(1 − duty)²` independent of the rate
 /// axis — a campaign `burstiness` sweep changes only the duty cycle.
 pub const DEFAULT_BURST_MESSAGES: f64 = 20.0;
 
-/// Exponential draw with the same zero-endpoint guard as
-/// [`Poisson::sample_interarrival`]: strictly positive, finite.
-fn exp_draw(rng: &mut SmallRng, rate: f64) -> f64 {
+/// The mean ON dwell of an ON-OFF source: `mean_on` as specified, or the
+/// rate-coupled default of [`DEFAULT_BURST_MESSAGES`] expected messages per
+/// burst.
+fn on_dwell(duty: f64, mean_on: Option<f64>, rate: f64) -> f64 {
+    mean_on.unwrap_or(DEFAULT_BURST_MESSAGES * duty / rate)
+}
+
+/// Samples an exponential time with the given rate.
+///
+/// The uniform draw is guarded away from the `u = 0` endpoint: `gen::<f64>()`
+/// returns values in `[0, 1)`, and `−ln(1 − 0)/λ = 0` would produce a zero
+/// inter-arrival time — two messages generated at the same instant at the
+/// same node, creating event ties the queue has to break arbitrarily. The
+/// guard clamps the `ln` argument to the largest double below 1, so the
+/// result is always strictly positive and finite.
+fn exp_draw<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     let u: f64 = rng.gen::<f64>();
+    // 1 − u ∈ (0, 1]; exclude 1 itself (drawn iff u == 0) to keep ln < 0.
     let v = (1.0 - u).min(1.0 - f64::EPSILON / 2.0);
     -v.ln() / rate
 }
 
-// ---- Poisson (extracted legacy process) -----------------------------------------
+/// The contiguous cluster partition of a multi-cluster tree system, in the
+/// `(start, end)` form the sources consume.
+pub(crate) fn cluster_ranges(system: &MultiClusterSystem) -> Vec<(usize, usize)> {
+    (0..system.num_clusters())
+        .map(|c| {
+            let r = system.node_range(c).expect("cluster index in range");
+            (r.start, r.end)
+        })
+        .collect()
+}
 
-impl TrafficSource for Poisson {
-    fn next_arrival(&mut self, rng: &mut SmallRng, _node: usize, prev: f64) -> Option<f64> {
-        // Exactly the legacy draw: one exponential inter-arrival per call,
-        // added to the previous arrival (0.0 at priming).
-        Some(prev + self.sample_interarrival(rng))
+/// The partition range a node belongs to. Binary search: the ranges are
+/// sorted and contiguous, and the torus mapping grows their count to
+/// `k^(n-1)` sub-rings — a linear scan here would sit on the per-message
+/// sampling path.
+fn partition_of(ranges: &[(usize, usize)], node: usize) -> (usize, usize) {
+    let idx = ranges.partition_point(|&(_, e)| e <= node);
+    let range = ranges[idx];
+    debug_assert!(node >= range.0 && node < range.1, "node belongs to some partition");
+    range
+}
+
+// ---- Poisson: the paper's process and the destination mix -----------------------
+
+/// The paper's stationary Poisson source: exponential inter-arrival times at
+/// the configured rate and a static destination mix. The ON-OFF and
+/// heterogeneous sources keep its destination mix and replace its clock.
+#[derive(Debug, Clone)]
+pub struct Poisson {
+    rate: f64,
+    pattern: TrafficPattern,
+    total_nodes: usize,
+    /// Contiguous `(start, end)` node ranges: clusters (tree) or sub-ring
+    /// neighborhoods (torus), used by the local-favouring pattern to sample
+    /// within / outside the source's partition.
+    cluster_ranges: Vec<(usize, usize)>,
+}
+
+impl Poisson {
+    /// Validates the traffic configuration and builds the source over a node
+    /// partition.
+    fn new(
+        traffic: &TrafficConfig,
+        total_nodes: usize,
+        cluster_ranges: Vec<(usize, usize)>,
+    ) -> Result<Self> {
+        Self::check(traffic, total_nodes)?;
+        Ok(Poisson {
+            rate: traffic.generation_rate,
+            pattern: traffic.pattern,
+            total_nodes,
+            cluster_ranges,
+        })
     }
 
-    fn destination(&mut self, rng: &mut SmallRng, src: usize) -> usize {
-        self.sample_destination(rng, src)
+    /// Validates a traffic configuration against a node count.
+    fn check(traffic: &TrafficConfig, total_nodes: usize) -> Result<()> {
+        traffic.validate().map_err(SimError::from)?;
+        if traffic.generation_rate <= 0.0 {
+            return Err(SimError::InvalidConfiguration {
+                reason: "simulation requires a positive generation rate".into(),
+            });
+        }
+        if let TrafficPattern::Hotspot { hotspot, .. } = traffic.pattern {
+            if hotspot >= total_nodes {
+                return Err(SimError::InvalidConfiguration {
+                    reason: format!("hotspot node {hotspot} outside the system"),
+                });
+            }
+        }
+        Ok(())
     }
 
-    fn mean_rate(&self) -> f64 {
-        self.generation_rate()
-    }
-
+    /// Re-validates and adopts a new traffic configuration over the same node
+    /// partition: the rate and pattern may change between runs, the topology
+    /// (and therefore the partition ranges) may not.
     fn rebind(&mut self, traffic: &TrafficConfig) -> Result<()> {
-        Poisson::rebind(self, traffic)
+        Self::check(traffic, self.total_nodes)?;
+        self.rate = traffic.generation_rate;
+        self.pattern = traffic.pattern;
+        Ok(())
+    }
+
+    /// One exponential inter-arrival after `prev`.
+    fn next_arrival(&self, rng: &mut SmallRng, prev: f64) -> f64 {
+        prev + exp_draw(rng, self.rate)
+    }
+
+    /// Samples a destination for a message generated at global node `src`.
+    fn destination<R: Rng + ?Sized>(&self, rng: &mut R, src: usize) -> usize {
+        match self.pattern {
+            TrafficPattern::Uniform => self.uniform_other(rng, src),
+            TrafficPattern::Hotspot { hotspot, fraction } => {
+                // The fraction coin is drawn unconditionally so the RNG stream
+                // does not depend on whether the source happens to be the
+                // hot-spot node — runs stay comparable across patterns and
+                // hot-spot placements.
+                let coin = rng.gen::<f64>();
+                if hotspot != src && coin < fraction {
+                    hotspot
+                } else {
+                    self.uniform_other(rng, src)
+                }
+            }
+            TrafficPattern::LocalFavoring { locality } => {
+                let (start, end) = partition_of(&self.cluster_ranges, src);
+                let cluster_size = end - start;
+                // A cluster of one node cannot keep traffic local.
+                if cluster_size > 1 && rng.gen::<f64>() < locality {
+                    // Uniform within the cluster, excluding the source.
+                    let mut d = rng.gen_range(start..end - 1);
+                    if d >= src {
+                        d += 1;
+                    }
+                    d
+                } else if self.total_nodes > cluster_size {
+                    // Uniform over all nodes outside the source cluster.
+                    let outside = self.total_nodes - cluster_size;
+                    let mut idx = rng.gen_range(0..outside);
+                    if idx >= start {
+                        idx += cluster_size;
+                    }
+                    idx
+                } else {
+                    self.uniform_other(rng, src)
+                }
+            }
+        }
+    }
+
+    fn uniform_other<R: Rng + ?Sized>(&self, rng: &mut R, src: usize) -> usize {
+        let mut d = rng.gen_range(0..self.total_nodes - 1);
+        if d >= src {
+            d += 1;
+        }
+        d
     }
 }
 
 // ---- ON-OFF (2-state MMPP / interrupted Poisson) --------------------------------
 
-/// Per-node modulation state of an [`OnOff`] source.
+/// Per-node modulation state of an [`OnOff`] clock.
 #[derive(Debug, Clone, Copy, Default)]
 struct BurstState {
     /// Whether the stationary initial state has been drawn yet.
@@ -128,18 +312,13 @@ struct BurstState {
     until: f64,
 }
 
-/// Two-state Markov-modulated Poisson source: each node independently
-/// alternates between exponential ON dwells (mean `mean_on`), during which it
-/// generates at `rate / duty`, and exponential OFF dwells sized so the
-/// long-run ON fraction equals `duty` — the long-run mean rate is therefore
-/// exactly the configured `generation_rate`, whatever the duty cycle.
-///
-/// Destination sampling is delegated to the embedded [`Poisson`] source, so
-/// the pattern machinery (uniform / hot-spot / cluster-local) carries over
-/// unchanged.
-#[derive(Debug)]
+/// The clock of a two-state Markov-modulated Poisson source: each node
+/// independently alternates between exponential ON dwells (mean `mean_on`),
+/// during which it generates at `rate / duty`, and exponential OFF dwells
+/// sized so the long-run ON fraction equals `duty` — the long-run mean rate is
+/// therefore exactly the configured `generation_rate`, whatever the duty cycle.
+#[derive(Debug, Clone)]
 pub struct OnOff {
-    base: Poisson,
     duty: f64,
     /// `mean_on` as specified, or `None` for the rate-coupled default.
     spec_mean_on: Option<f64>,
@@ -150,20 +329,10 @@ pub struct OnOff {
 }
 
 impl OnOff {
-    /// Builds an ON-OFF source over a node partition. `duty` is the long-run
-    /// ON fraction in `(0, 1)`; `mean_on` the mean ON dwell (default:
-    /// [`DEFAULT_BURST_MESSAGES`] expected messages per burst).
-    pub fn new(
-        traffic: &TrafficConfig,
-        total_nodes: usize,
-        cluster_ranges: Vec<(usize, usize)>,
-        duty: f64,
-        spec_mean_on: Option<f64>,
-    ) -> Result<Self> {
-        check_on_off(duty, spec_mean_on)?;
-        let base = Poisson::from_parts(traffic, total_nodes, cluster_ranges)?;
-        let mut source = OnOff {
-            base,
+    /// Builds the clock for `total_nodes` nodes at the configured `rate`. The
+    /// spec's `validate` has checked `duty` and `spec_mean_on`.
+    fn new(duty: f64, spec_mean_on: Option<f64>, rate: f64, total_nodes: usize) -> Self {
+        let mut clock = OnOff {
             duty,
             spec_mean_on,
             mean_on: 0.0,
@@ -171,27 +340,20 @@ impl OnOff {
             lambda_on: 0.0,
             states: vec![BurstState::default(); total_nodes],
         };
-        source.derive();
-        Ok(source)
+        clock.rewind(rate);
+        clock
     }
 
-    /// Recomputes the dwell parameters from the base rate and duty cycle.
-    fn derive(&mut self) {
-        let rate = self.base.generation_rate();
-        self.mean_on = self.spec_mean_on.unwrap_or(DEFAULT_BURST_MESSAGES * self.duty / rate);
+    /// Recomputes the dwell parameters from `rate` and the duty cycle and
+    /// returns every node to its unprimed state.
+    fn rewind(&mut self, rate: f64) {
+        self.mean_on = on_dwell(self.duty, self.spec_mean_on, rate);
         self.mean_off = self.mean_on * (1.0 - self.duty) / self.duty;
         self.lambda_on = rate / self.duty;
+        self.states.fill(BurstState::default());
     }
 
-    /// The burstiness index (squared coefficient of variation of the
-    /// inter-arrival times) of this source's interrupted Poisson process.
-    pub fn burstiness(&self) -> f64 {
-        1.0 + 2.0 * self.lambda_on * (1.0 - self.duty).powi(2) * self.mean_on
-    }
-}
-
-impl TrafficSource for OnOff {
-    fn next_arrival(&mut self, rng: &mut SmallRng, node: usize, prev: f64) -> Option<f64> {
+    fn next_arrival(&mut self, rng: &mut SmallRng, node: usize, prev: f64) -> f64 {
         let state = &mut self.states[node];
         let mut t = prev;
         if !state.primed {
@@ -207,7 +369,7 @@ impl TrafficSource for OnOff {
             if state.on {
                 let dt = exp_draw(rng, self.lambda_on);
                 if t + dt <= state.until {
-                    return Some(t + dt);
+                    return t + dt;
                 }
                 // No arrival before the burst ends: discard the overshoot
                 // (memorylessness again) and dwell OFF.
@@ -220,21 +382,6 @@ impl TrafficSource for OnOff {
                 state.until = t + exp_draw(rng, 1.0 / self.mean_on);
             }
         }
-    }
-
-    fn destination(&mut self, rng: &mut SmallRng, src: usize) -> usize {
-        self.base.sample_destination(rng, src)
-    }
-
-    fn mean_rate(&self) -> f64 {
-        self.base.generation_rate()
-    }
-
-    fn rebind(&mut self, traffic: &TrafficConfig) -> Result<()> {
-        Poisson::rebind(&mut self.base, traffic)?;
-        self.derive();
-        self.states.iter_mut().for_each(|s| *s = BurstState::default());
-        Ok(())
     }
 }
 
@@ -257,61 +404,35 @@ fn check_on_off(duty: f64, mean_on: Option<f64>) -> Result<()> {
 
 // ---- Per-node heterogeneous rates -----------------------------------------------
 
-/// Wraps any inner source with per-node rate multipliers by dilating the inner
-/// source's per-node clock: a node with multiplier `m` sees the inner process
-/// sped up by `m` (inter-arrival gaps divided by `m`), so its long-run rate is
-/// `m ·` the inner rate while burst structure and destination sampling carry
-/// over unchanged.
-#[derive(Debug)]
+/// Per-node rate multipliers over a Poisson or ON-OFF clock: a node with
+/// multiplier `m` sees the inner clock sped up by `m` (inter-arrival gaps
+/// divided by `m`), so its long-run rate is `m ·` the inner rate while burst
+/// structure and destination sampling carry over unchanged.
+#[derive(Debug, Clone)]
 pub struct HeterogeneousRates {
-    inner: Box<dyn TrafficSource>,
+    /// The inner ON-OFF clock, or `None` for an inner Poisson clock.
+    bursts: Option<OnOff>,
     multipliers: Vec<f64>,
-    mean_multiplier: f64,
     /// Per-node previous arrival on the *inner* (undilated) clock.
     inner_prev: Vec<f64>,
 }
 
 impl HeterogeneousRates {
-    /// Wraps `inner` with one positive finite multiplier per node.
-    pub fn new(
-        inner: Box<dyn TrafficSource>,
-        multipliers: Vec<f64>,
-        total_nodes: usize,
-    ) -> Result<Self> {
-        check_multipliers(&multipliers)?;
-        if multipliers.len() != total_nodes {
-            return Err(spec_error(format!(
-                "traffic.source: heterogeneous needs one multiplier per node ({} nodes, got {})",
-                total_nodes,
-                multipliers.len()
-            )));
-        }
-        let mean_multiplier = multipliers.iter().sum::<f64>() / multipliers.len() as f64;
-        let inner_prev = vec![0.0; total_nodes];
-        Ok(HeterogeneousRates { inner, multipliers, mean_multiplier, inner_prev })
-    }
-}
-
-impl TrafficSource for HeterogeneousRates {
-    fn next_arrival(&mut self, rng: &mut SmallRng, node: usize, prev: f64) -> Option<f64> {
-        let inner_t = self.inner.next_arrival(rng, node, self.inner_prev[node])?;
-        let gap = inner_t - self.inner_prev[node];
+    fn next_arrival(&mut self, base: &Poisson, rng: &mut SmallRng, node: usize, prev: f64) -> f64 {
+        let inner_prev = self.inner_prev[node];
+        let inner_t = match &mut self.bursts {
+            None => base.next_arrival(rng, inner_prev),
+            Some(bursts) => bursts.next_arrival(rng, node, inner_prev),
+        };
         self.inner_prev[node] = inner_t;
-        Some(prev + gap / self.multipliers[node])
+        prev + (inner_t - inner_prev) / self.multipliers[node]
     }
 
-    fn destination(&mut self, rng: &mut SmallRng, src: usize) -> usize {
-        self.inner.destination(rng, src)
-    }
-
-    fn mean_rate(&self) -> f64 {
-        self.inner.mean_rate() * self.mean_multiplier
-    }
-
-    fn rebind(&mut self, traffic: &TrafficConfig) -> Result<()> {
-        self.inner.rebind(traffic)?;
-        self.inner_prev.iter_mut().for_each(|t| *t = 0.0);
-        Ok(())
+    fn rewind(&mut self, rate: f64) {
+        if let Some(bursts) = &mut self.bursts {
+            bursts.rewind(rate);
+        }
+        self.inner_prev.fill(0.0);
     }
 }
 
@@ -355,14 +476,13 @@ pub(crate) struct RawRecord {
 /// destinations come straight from the records, and the per-run message count
 /// equals the record count (the engine caps its generation target at the
 /// source's [`message_limit`](TrafficSource::message_limit)).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TraceReplay {
     /// Per-source-node record queues, each sorted by time (inherited from the
     /// global sort).
     per_node: Vec<Vec<TraceRecord>>,
     cursors: Vec<usize>,
     total_records: u64,
-    per_node_rate: f64,
 }
 
 impl TraceReplay {
@@ -383,8 +503,8 @@ impl TraceReplay {
                 )));
             }
             if let Some(inter) = rec.class {
-                let same = range_of(cluster_ranges, rec.src as usize)
-                    == range_of(cluster_ranges, rec.dst as usize);
+                let same = partition_of(cluster_ranges, rec.src as usize)
+                    == partition_of(cluster_ranges, rec.dst as usize);
                 if inter == same {
                     return Err(spec_error(format!(
                         "traffic.source: trace record {i} declares class {:?} but nodes {} and {} \
@@ -398,55 +518,26 @@ impl TraceReplay {
             }
             per_node[rec.src as usize].push(TraceRecord { time: rec.time, dst: rec.dst as u32 });
         }
-        let span = records[records.len() - 1].time - records[0].time;
-        let per_node_rate =
-            if span > 0.0 { (records.len() - 1) as f64 / span / total_nodes as f64 } else { 0.0 };
         Ok(TraceReplay {
             per_node,
             cursors: vec![0; total_nodes],
             total_records: records.len() as u64,
-            per_node_rate,
         })
     }
-}
 
-impl TrafficSource for TraceReplay {
-    fn next_arrival(&mut self, _rng: &mut SmallRng, node: usize, _prev: f64) -> Option<f64> {
+    fn next_arrival(&mut self, node: usize) -> Option<f64> {
         let rec = self.per_node[node].get(self.cursors[node])?;
         self.cursors[node] += 1;
         Some(rec.time)
     }
 
-    fn destination(&mut self, _rng: &mut SmallRng, src: usize) -> usize {
+    fn destination(&self, src: usize) -> usize {
         // The cursor was advanced by the `next_arrival` that scheduled this
         // arrival, so the fired record sits one slot back.
         let cursor = self.cursors[src];
         debug_assert!(cursor > 0, "destination queried before any arrival at node {src}");
         self.per_node[src][cursor - 1].dst as usize
     }
-
-    fn mean_rate(&self) -> f64 {
-        self.per_node_rate
-    }
-
-    fn message_limit(&self) -> Option<u64> {
-        Some(self.total_records)
-    }
-
-    fn rebind(&mut self, traffic: &TrafficConfig) -> Result<()> {
-        // The records are immutable; a reset only rewinds the cursors. The
-        // configured generation rate is ignored by replay (timing comes from
-        // the trace), but the geometry must still be a valid configuration.
-        traffic.validate().map_err(SimError::from)?;
-        self.cursors.iter_mut().for_each(|c| *c = 0);
-        Ok(())
-    }
-}
-
-/// The partition range a node belongs to (ranges sorted and contiguous).
-fn range_of(ranges: &[(usize, usize)], node: usize) -> (usize, usize) {
-    let idx = ranges.partition_point(|&(_, e)| e <= node);
-    ranges[idx]
 }
 
 /// Validates the global ordering invariants of a parsed trace: at least two
@@ -655,24 +746,43 @@ impl TrafficSourceSpec {
         traffic: &TrafficConfig,
         total_nodes: usize,
         cluster_ranges: Vec<(usize, usize)>,
-    ) -> Result<Box<dyn TrafficSource>> {
+    ) -> Result<TrafficSource> {
         self.validate()?;
-        match self {
+        Ok(match self {
             TrafficSourceSpec::Poisson => {
-                Ok(Box::new(Poisson::from_parts(traffic, total_nodes, cluster_ranges)?))
+                TrafficSource::Poisson(Poisson::new(traffic, total_nodes, cluster_ranges)?)
             }
             TrafficSourceSpec::OnOff { duty, mean_on } => {
-                Ok(Box::new(OnOff::new(traffic, total_nodes, cluster_ranges, *duty, *mean_on)?))
+                let base = Poisson::new(traffic, total_nodes, cluster_ranges)?;
+                let bursts = OnOff::new(*duty, *mean_on, base.rate, total_nodes);
+                TrafficSource::OnOff(base, bursts)
             }
             TrafficSourceSpec::HeterogeneousRates { multipliers, inner } => {
-                let inner = inner.build(traffic, total_nodes, cluster_ranges)?;
-                Ok(Box::new(HeterogeneousRates::new(inner, multipliers.clone(), total_nodes)?))
+                let (base, bursts) = match inner.build(traffic, total_nodes, cluster_ranges)? {
+                    TrafficSource::Poisson(base) => (base, None),
+                    TrafficSource::OnOff(base, bursts) => (base, Some(bursts)),
+                    _ => unreachable!("validate admits only a poisson or on_off inner source"),
+                };
+                if multipliers.len() != total_nodes {
+                    return Err(spec_error(format!(
+                        "traffic.source: heterogeneous needs one multiplier per node ({} nodes, \
+                         got {})",
+                        total_nodes,
+                        multipliers.len()
+                    )));
+                }
+                let rates = HeterogeneousRates {
+                    bursts,
+                    multipliers: multipliers.clone(),
+                    inner_prev: vec![0.0; total_nodes],
+                };
+                TrafficSource::Heterogeneous(base, rates)
             }
             TrafficSourceSpec::TraceReplay { .. } => {
                 let records = self.load_trace()?;
-                Ok(Box::new(TraceReplay::bind(&records, total_nodes, &cluster_ranges)?))
+                TrafficSource::Trace(TraceReplay::bind(&records, total_nodes, &cluster_ranges)?)
             }
-        }
+        })
     }
 
     /// The long-run mean per-node rate this source delivers when the traffic
@@ -704,7 +814,7 @@ impl TrafficSourceSpec {
         match self {
             TrafficSourceSpec::Poisson => Ok(1.0),
             TrafficSourceSpec::OnOff { duty, mean_on } => {
-                let mean_on = mean_on.unwrap_or(DEFAULT_BURST_MESSAGES * duty / rate);
+                let mean_on = on_dwell(*duty, *mean_on, rate);
                 Ok(1.0 + 2.0 * (rate / duty) * (1.0 - duty).powi(2) * mean_on)
             }
             TrafficSourceSpec::HeterogeneousRates { inner, .. } => inner.burstiness(rate),
@@ -925,35 +1035,187 @@ mod tests {
 
     fn parts() -> (usize, Vec<(usize, usize)>) {
         let system = organizations::small_test_org();
-        (system.total_nodes(), Poisson::cluster_ranges_of(&system))
+        (system.total_nodes(), cluster_ranges(&system))
+    }
+
+    fn poisson(pattern: TrafficPattern) -> Poisson {
+        let (nodes, ranges) = parts();
+        Poisson::new(&traffic(1e-3).with_pattern(pattern).unwrap(), nodes, ranges).unwrap()
+    }
+
+    /// An adversarial generator whose `f64` draws are exactly 0.0 — the endpoint
+    /// that used to produce zero inter-arrival times.
+    struct ZeroRng;
+
+    impl rand::Rng for ZeroRng {
+        fn next_u64(&mut self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn interarrival_is_strictly_positive_even_for_a_zero_draw() {
+        let mut rng = ZeroRng;
+        assert_eq!(rng.gen::<f64>(), 0.0, "the shim must expose the hazardous endpoint");
+        let dt = exp_draw(&mut rng, 1e-3);
+        assert!(dt > 0.0, "zero inter-arrival time would tie generation events: {dt}");
+        assert!(dt.is_finite());
+    }
+
+    #[test]
+    fn interarrival_mean_matches_rate() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let n = 100_000;
+        let mean: f64 = (0..n).map(|_| exp_draw(&mut rng, 1e-3)).sum::<f64>() / n as f64;
+        assert!((mean - 1000.0).abs() < 15.0, "mean inter-arrival {mean}");
     }
 
     #[test]
     fn poisson_trait_path_is_bit_identical_to_the_legacy_sampler() {
-        // The extracted source must consume exactly the legacy draw sequence:
-        // priming equals one inter-arrival from t = 0, re-arming equals one
-        // inter-arrival from the previous time, destinations delegate 1:1.
+        // The Poisson source must consume exactly the legacy draw sequence,
+        // written out here: priming and re-arming each take one guarded
+        // exponential inter-arrival from the previous time, and a uniform
+        // destination is one draw over the other nodes.
         let (nodes, ranges) = parts();
-        let cfg = traffic(1e-3);
-        let legacy = Poisson::from_parts(&cfg, nodes, ranges.clone()).unwrap();
-        let mut via_trait: Box<dyn TrafficSource> =
-            TrafficSourceSpec::Poisson.build(&cfg, nodes, ranges).unwrap();
+        let rate = 1e-3;
+        let mut source = TrafficSourceSpec::Poisson.build(&traffic(rate), nodes, ranges).unwrap();
 
         let mut rng_a = SmallRng::seed_from_u64(99);
         let mut rng_b = SmallRng::seed_from_u64(99);
         let mut prev = 0.0;
         for step in 0..4096usize {
             let node = step % nodes;
-            let t_legacy = prev + legacy.sample_interarrival(&mut rng_a);
-            let d_legacy = legacy.sample_destination(&mut rng_a, node);
-            let t_trait = via_trait.next_arrival(&mut rng_b, node, prev).unwrap();
-            let d_trait = via_trait.destination(&mut rng_b, node);
-            assert_eq!(t_legacy.to_bits(), t_trait.to_bits(), "arrival diverged at step {step}");
-            assert_eq!(d_legacy, d_trait, "destination diverged at step {step}");
-            prev = t_trait;
+            let u: f64 = rng_a.gen::<f64>();
+            let t_legacy = prev + -(1.0 - u).min(1.0 - f64::EPSILON / 2.0).ln() / rate;
+            let mut d_legacy = rng_a.gen_range(0..nodes - 1);
+            if d_legacy >= node {
+                d_legacy += 1;
+            }
+            let t_source = source.next_arrival(&mut rng_b, node, prev).unwrap();
+            let d_source = source.destination(&mut rng_b, node);
+            assert_eq!(t_legacy.to_bits(), t_source.to_bits(), "arrival diverged at step {step}");
+            assert_eq!(d_legacy, d_source, "destination diverged at step {step}");
+            prev = t_source;
         }
         // And the RNG streams are fully aligned afterwards.
         assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+    }
+
+    #[test]
+    fn uniform_destinations_cover_all_other_nodes() {
+        let src = poisson(TrafficPattern::Uniform);
+        let mut rng = SmallRng::seed_from_u64(2);
+        let n = src.total_nodes;
+        let mut counts = vec![0usize; n];
+        let samples = 50_000;
+        for _ in 0..samples {
+            let d = src.destination(&mut rng, 5);
+            assert_ne!(d, 5);
+            counts[d] += 1;
+        }
+        assert_eq!(counts[5], 0);
+        let expected = samples as f64 / (n - 1) as f64;
+        for (i, &c) in counts.iter().enumerate() {
+            if i == 5 {
+                continue;
+            }
+            assert!(
+                (c as f64 - expected).abs() < expected * 0.15,
+                "destination {i} sampled {c} times, expected ≈ {expected}"
+            );
+        }
+    }
+
+    #[test]
+    fn hotspot_receives_extra_traffic() {
+        let src = poisson(TrafficPattern::Hotspot { hotspot: 3, fraction: 0.5 });
+        let mut rng = SmallRng::seed_from_u64(3);
+        let samples = 20_000;
+        let hot = (0..samples).filter(|_| src.destination(&mut rng, 10) == 3).count();
+        let frac = hot as f64 / samples as f64;
+        assert!(frac > 0.45 && frac < 0.60, "hotspot fraction {frac}");
+    }
+
+    #[test]
+    fn hotspot_coin_is_consumed_regardless_of_source() {
+        // The fraction coin must be drawn even when the source *is* the hot-spot
+        // node, so the RNG stream (and therefore the rest of the run) does not
+        // depend on which node generates. Pinned with a fixed seed: sampling at
+        // the hot-spot equals uniform sampling after manually burning one coin.
+        let hotspot = 3usize;
+        let hotspot_src = poisson(TrafficPattern::Hotspot { hotspot, fraction: 0.5 });
+        let uniform_src = poisson(TrafficPattern::Uniform);
+        for seed in 0..32 {
+            let mut rng_a = SmallRng::seed_from_u64(seed);
+            let d_hot = hotspot_src.destination(&mut rng_a, hotspot);
+
+            let mut rng_b = SmallRng::seed_from_u64(seed);
+            let _coin: f64 = rng_b.gen();
+            let d_uniform = uniform_src.destination(&mut rng_b, hotspot);
+
+            assert_eq!(d_hot, d_uniform, "seed {seed}: RNG stream diverged by source node");
+            // And the generators are fully aligned afterwards.
+            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn local_favoring_keeps_traffic_in_cluster() {
+        let system = organizations::small_test_org();
+        let src = poisson(TrafficPattern::LocalFavoring { locality: 0.8 });
+        let mut rng = SmallRng::seed_from_u64(4);
+        // Source in the last cluster (16 nodes in the small test org).
+        let range = system.node_range(3).unwrap();
+        let src_node = range.start + 2;
+        let samples = 20_000;
+        let local = (0..samples)
+            .filter(|_| {
+                let d = src.destination(&mut rng, src_node);
+                assert_ne!(d, src_node);
+                range.contains(&d)
+            })
+            .count();
+        let frac = local as f64 / samples as f64;
+        assert!((frac - 0.8).abs() < 0.05, "local fraction {frac}");
+    }
+
+    #[test]
+    fn torus_source_maps_patterns_onto_subrings() {
+        use mcnet_system::TorusSystem;
+        let torus = TorusSystem::new(4, 2).unwrap();
+        let local = traffic(1e-3).with_pattern(TrafficPattern::LocalFavoring { locality: 0.8 });
+        let src = Poisson::new(&local.unwrap(), torus.total_nodes(), torus.neighborhood_ranges())
+            .unwrap();
+        let mut rng = SmallRng::seed_from_u64(11);
+        // Node 5 lives in sub-ring 1 (nodes 4..8).
+        let samples = 20_000;
+        let local = (0..samples)
+            .filter(|_| {
+                let d = src.destination(&mut rng, 5);
+                assert_ne!(d, 5);
+                (4..8).contains(&d)
+            })
+            .count();
+        let frac = local as f64 / samples as f64;
+        assert!((frac - 0.8).abs() < 0.05, "sub-ring locality fraction {frac}");
+
+        // Hot-spot validation uses the torus node count.
+        let bad = traffic(1e-3)
+            .with_pattern(TrafficPattern::Hotspot { hotspot: 100, fraction: 0.1 })
+            .unwrap();
+        assert!(Poisson::new(&bad, torus.total_nodes(), torus.neighborhood_ranges()).is_err());
+    }
+
+    #[test]
+    fn invalid_configurations_rejected() {
+        let (nodes, ranges) = parts();
+        let build =
+            |cfg: &TrafficConfig| TrafficSourceSpec::Poisson.build(cfg, nodes, ranges.clone());
+        assert!(build(&traffic(0.0)).is_err());
+        let bad_hotspot = traffic(1e-3)
+            .with_pattern(TrafficPattern::Hotspot { hotspot: 10_000, fraction: 0.1 })
+            .unwrap();
+        assert!(build(&bad_hotspot).is_err());
     }
 
     #[test]
@@ -961,7 +1223,8 @@ mod tests {
         let (nodes, ranges) = parts();
         let rate = 1e-3;
         for duty in [0.9, 0.5, 0.2] {
-            let mut src = OnOff::new(&traffic(rate), nodes, ranges.clone(), duty, None).unwrap();
+            let spec = TrafficSourceSpec::OnOff { duty, mean_on: None };
+            let mut src = spec.build(&traffic(rate), nodes, ranges.clone()).unwrap();
             let mut rng = SmallRng::seed_from_u64(7);
             let mut prev = 0.0;
             let n = 200_000u64;
@@ -973,14 +1236,18 @@ mod tests {
                 (observed - rate).abs() < rate * 0.05,
                 "duty {duty}: long-run rate {observed:.3e} vs configured {rate:.3e}"
             );
-            assert!(src.burstiness() > 1.0, "duty {duty} must be burstier than Poisson");
+            assert!(
+                spec.burstiness(rate).unwrap() > 1.0,
+                "duty {duty} must be burstier than Poisson"
+            );
         }
     }
 
     #[test]
     fn on_off_arrivals_are_strictly_monotone() {
         let (nodes, ranges) = parts();
-        let mut src = OnOff::new(&traffic(1e-3), nodes, ranges, 0.3, None).unwrap();
+        let spec = TrafficSourceSpec::OnOff { duty: 0.3, mean_on: None };
+        let mut src = spec.build(&traffic(1e-3), nodes, ranges).unwrap();
         let mut rng = SmallRng::seed_from_u64(3);
         let mut prev = 0.0;
         for _ in 0..50_000 {
@@ -1098,7 +1365,6 @@ mod tests {
         let mut fresh = SmallRng::seed_from_u64(1);
         assert_eq!(rng.gen::<u64>(), fresh.gen::<u64>());
         // Rebind rewinds the cursors for a bit-identical rerun.
-        let mut src = src;
         src.rebind(&traffic(1e-3)).unwrap();
         assert_eq!(src.next_arrival(&mut rng, 0, 0.0), Some(10.0));
     }
@@ -1109,7 +1375,7 @@ mod tests {
         let cfg = traffic(1e-3);
         let build = |spec: TrafficSourceSpec| spec.build(&cfg, nodes, ranges.clone());
         let is_invalid_spec =
-            |r: Result<Box<dyn TrafficSource>>| matches!(r, Err(SimError::InvalidSpec { .. }));
+            |r: Result<TrafficSource>| matches!(r, Err(SimError::InvalidSpec { .. }));
         // Unsorted and duplicate timestamps.
         assert!(is_invalid_spec(build(inline_trace(vec![(2.0, 0, 1), (1.0, 1, 0)]))));
         assert!(is_invalid_spec(build(inline_trace(vec![(1.0, 0, 1), (1.0, 1, 0)]))));
