@@ -136,16 +136,7 @@ fn replicated_point(
             for r in &rep.replications {
                 fold_digest(fold, r.digest);
             }
-            let n = rep.replications.len();
-            let err = if n >= 2 {
-                let mean = rep.mean_latency;
-                let var =
-                    rep.replications.iter().map(|r| (r.mean_latency - mean).powi(2)).sum::<f64>()
-                        / (n - 1) as f64;
-                (var / n as f64).sqrt()
-            } else {
-                rep.replications[0].latency_std_error
-            };
+            let err = rep.std_error.unwrap_or(rep.replications[0].latency_std_error);
             Ok(Some((rep.mean_latency, err)))
         }
         Err(SimError::EventBudgetExhausted { .. }) => Ok(None),

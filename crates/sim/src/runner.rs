@@ -216,6 +216,11 @@ pub struct ReplicatedReport {
     /// replication used to be reported as a half-width of `0.0` — false perfect
     /// confidence; the absence of an estimate is now explicit.
     pub halfwidth_95: Option<f64>,
+    /// Standard error of the mean over the replication means, or `None`
+    /// below two replications, as for [`halfwidth_95`](Self::halfwidth_95).
+    /// It is the two-pass form `√(Σ(xᵢ − x̄)² / ((n − 1)·n))`, which can differ
+    /// from the streaming form behind the half-width in the last bit.
+    pub std_error: Option<f64>,
 }
 
 /// The shared replication driver: fans per-replication configs over the
@@ -268,9 +273,16 @@ pub(crate) fn aggregate_replications(replication_reports: Vec<SimReport>) -> Rep
         stats.push(r.mean_latency);
     }
     let halfwidth = stats.halfwidth_95();
+    let (mean, n) = (stats.mean(), stats.count() as f64);
     ReplicatedReport {
-        mean_latency: stats.mean(),
+        mean_latency: mean,
         halfwidth_95: halfwidth.is_finite().then_some(halfwidth),
+        std_error: (n >= 2.0).then(|| {
+            let var =
+                replication_reports.iter().map(|r| (r.mean_latency - mean).powi(2)).sum::<f64>()
+                    / (n - 1.0);
+            (var / n).sqrt()
+        }),
         replications: replication_reports,
     }
 }
@@ -357,7 +369,11 @@ mod tests {
         assert!(means.iter().any(|&m| (m - means[0]).abs() > 0.0));
         let avg = means.iter().sum::<f64>() / means.len() as f64;
         assert!((agg.mean_latency - avg).abs() < 1e-12);
-        assert!(agg.halfwidth_95.expect("3 replications give a CI") >= 0.0);
+        let halfwidth = agg.halfwidth_95.expect("3 replications give a CI");
+        assert!(halfwidth >= 0.0);
+        // The half-width is the Student-t multiple (2 dof) of the standard error.
+        let std_error = agg.std_error.expect("3 replications give a standard error");
+        assert!((halfwidth - 4.303 * std_error).abs() <= 1e-12 * halfwidth);
         assert!(tree_scenario(SimConfig::quick(1)).replicate(0).is_err());
     }
 
@@ -369,8 +385,10 @@ mod tests {
         let one = scenario.replicate(1).unwrap();
         assert_eq!(one.replications.len(), 1);
         assert_eq!(one.halfwidth_95, None);
+        assert_eq!(one.std_error, None);
         let two = scenario.replicate(2).unwrap();
         assert!(two.halfwidth_95.is_some());
+        assert!(two.std_error.is_some());
     }
 
     #[test]
