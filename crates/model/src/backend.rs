@@ -328,7 +328,7 @@ mod tests {
         for rate in [5e-4, 6e-4] {
             let traffic = TrafficConfig::uniform(32, 256.0, rate).unwrap();
             let options = ModelOptions::default();
-            let rates = crate::rates::SystemRates::compute(&system, &traffic, &options).unwrap();
+            let rates = crate::rates::SystemRates::compute(&system, &traffic).unwrap();
             let service = traffic.message_flits as f64
                 * system.technology().switch_channel_time(traffic.flit_bytes);
             let c = system.num_clusters();

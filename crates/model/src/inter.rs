@@ -229,9 +229,8 @@ mod tests {
     fn setup(rate: f64) -> (SystemRates, HopCache, ChannelTimes) {
         let sys = organizations::table1_org_b();
         let traffic = TrafficConfig::uniform(32, 256.0, rate).unwrap();
-        let options = ModelOptions::default();
-        let rates = SystemRates::compute(&sys, &traffic, &options).unwrap();
-        let hops = HopCache::build(&sys, &options).unwrap();
+        let rates = SystemRates::compute(&sys, &traffic).unwrap();
+        let hops = HopCache::build(&sys).unwrap();
         let times = ChannelTimes::new(&NetworkTechnology::paper_default(), &traffic);
         (rates, hops, times)
     }

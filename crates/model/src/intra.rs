@@ -72,7 +72,7 @@ mod tests {
     fn setup(rate: f64) -> (SystemRates, ChannelTimes) {
         let sys = organizations::table1_org_a();
         let traffic = TrafficConfig::uniform(32, 256.0, rate).unwrap();
-        let rates = SystemRates::compute(&sys, &traffic, &ModelOptions::default()).unwrap();
+        let rates = SystemRates::compute(&sys, &traffic).unwrap();
         let times = ChannelTimes::new(&NetworkTechnology::paper_default(), &traffic);
         (rates, times)
     }

@@ -46,12 +46,11 @@
 //! ## Faithfulness and documented interpretation choices
 //!
 //! Two places in the published model are ambiguous or inconsistent with the published
-//! figures; [`ModelOptions`] exposes both choices so their effect can be measured (see
-//! the ablation benchmarks) rather than silently baked in:
+//! figures:
 //!
 //! * **Hop distribution** (Eq. 4): the published formula slightly over-weights short
 //!   distances compared with an exact enumeration of the constructed m-port n-tree
-//!   ([`mcnet_topology::distance::HopModel`]). Default: the paper's formula.
+//!   ([`mcnet_topology::distance::HopModel`]). The model uses the paper's formula.
 //! * **Source-queue arrival rate** (Eqs. 19–20 and 30): read literally, the source
 //!   queue of a single injection channel would receive the *cluster-aggregate* message
 //!   rate, which saturates far below the load range of the paper's own figures. The

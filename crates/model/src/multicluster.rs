@@ -108,8 +108,8 @@ impl<'a> AnalyticalModel<'a> {
         scale: &[f64],
         options: ModelOptions,
     ) -> Result<Self> {
-        let rates = SystemRates::compute_scaled(system, traffic, scale, &options)?;
-        let hops = HopCache::build(system, &options)?;
+        let rates = SystemRates::compute_scaled(system, traffic, scale)?;
+        let hops = HopCache::build(system)?;
         let times = ChannelTimes::new(system.technology(), traffic);
         Ok(AnalyticalModel { system, traffic: *traffic, options, rates, hops, times })
     }

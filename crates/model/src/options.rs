@@ -5,8 +5,6 @@
 //! collected here so that (a) the defaults reproduce the published figures, and (b) the
 //! effect of every choice can be quantified by the ablation benchmarks.
 
-use mcnet_topology::distance::HopModel;
-
 /// Which arrival rate feeds the M/G/1 source queue of an injection channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SourceQueueRate {
@@ -58,8 +56,6 @@ pub enum VarianceApproximation {
 /// All interpretation knobs of the analytical model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelOptions {
-    /// Which hop-count distribution to use (paper Eq. 4 or the exact enumeration).
-    pub hop_model: HopModel,
     /// Arrival-rate interpretation for the source queues.
     pub source_queue_rate: SourceQueueRate,
     /// Service-time variance model for the source queues.
@@ -78,7 +74,6 @@ pub struct ModelOptions {
 impl Default for ModelOptions {
     fn default() -> Self {
         ModelOptions {
-            hop_model: HopModel::PaperEq4,
             source_queue_rate: SourceQueueRate::PerNode,
             variance: VarianceApproximation::DraperGhosh,
             include_concentrator: true,
@@ -126,7 +121,6 @@ mod tests {
     #[test]
     fn defaults_reproduce_paper_reading() {
         let o = ModelOptions::default();
-        assert_eq!(o.hop_model, HopModel::PaperEq4);
         assert_eq!(o.source_queue_rate, SourceQueueRate::PerNode);
         assert_eq!(o.variance, VarianceApproximation::DraperGhosh);
         assert!(o.include_concentrator);

@@ -18,10 +18,9 @@
 //! (Eqs. 8–9), and the `4·n·N` denominator is the paper's count of channels over which
 //! the traffic spreads.
 
-use crate::options::ModelOptions;
 use crate::{ModelError, Result};
 use mcnet_system::{MultiClusterSystem, TrafficConfig, TrafficPattern};
-use mcnet_topology::distance::HopDistribution;
+use mcnet_topology::distance::{HopDistribution, HopModel};
 
 /// The average destination-cluster distribution of every source cluster — the
 /// non-uniform-traffic generalization of the paper's uniform-destination
@@ -218,14 +217,10 @@ pub struct SystemRates {
 }
 
 impl SystemRates {
-    /// Computes every per-cluster rate for the given system, traffic and options.
-    pub fn compute(
-        system: &MultiClusterSystem,
-        traffic: &TrafficConfig,
-        options: &ModelOptions,
-    ) -> Result<Self> {
+    /// Computes every per-cluster rate for the given system and traffic.
+    pub fn compute(system: &MultiClusterSystem, traffic: &TrafficConfig) -> Result<Self> {
         let scale = vec![1.0; system.num_clusters()];
-        Self::compute_scaled(system, traffic, &scale, options)
+        Self::compute_scaled(system, traffic, &scale)
     }
 
     /// Computes the rates with a per-cluster scaling of the generation rate: cluster
@@ -236,7 +231,6 @@ impl SystemRates {
         system: &MultiClusterSystem,
         traffic: &TrafficConfig,
         scale: &[f64],
-        options: &ModelOptions,
     ) -> Result<Self> {
         traffic.validate().map_err(ModelError::from)?;
         if scale.len() != system.num_clusters() {
@@ -254,7 +248,7 @@ impl SystemRates {
             });
         }
         let m = system.ports();
-        let icn2_hops = HopDistribution::with_model(m, system.icn2_levels(), options.hop_model)?;
+        let icn2_hops = HopDistribution::with_model(m, system.icn2_levels(), HopModel::PaperEq4)?;
         let icn2_average_distance = icn2_hops.average_distance();
 
         // The uniform pattern keeps the paper's published formulas verbatim
@@ -272,7 +266,7 @@ impl SystemRates {
                 None => system.outgoing_probability(i)?,
                 Some(mix) => 1.0 - mix.stay(i),
             };
-            let hops = HopDistribution::with_model(m, spec.levels, options.hop_model)?;
+            let hops = HopDistribution::with_model(m, spec.levels, HopModel::PaperEq4)?;
             // The rate-dependent fields are filled in by `rebind` below.
             clusters.push(ClusterRates {
                 cluster: i,
@@ -440,15 +434,15 @@ pub struct HopCache {
 
 impl HopCache {
     /// Builds the cache for every distinct cluster size of the system plus ICN2.
-    pub fn build(system: &MultiClusterSystem, options: &ModelOptions) -> Result<Self> {
+    pub fn build(system: &MultiClusterSystem) -> Result<Self> {
         let m = system.ports();
         let mut per_levels = std::collections::BTreeMap::new();
         for (_, spec) in system.iter_clusters() {
             if let std::collections::btree_map::Entry::Vacant(e) = per_levels.entry(spec.levels) {
-                e.insert(HopDistribution::with_model(m, spec.levels, options.hop_model)?);
+                e.insert(HopDistribution::with_model(m, spec.levels, HopModel::PaperEq4)?);
             }
         }
-        let icn2 = HopDistribution::with_model(m, system.icn2_levels(), options.hop_model)?;
+        let icn2 = HopDistribution::with_model(m, system.icn2_levels(), HopModel::PaperEq4)?;
         Ok(HopCache { per_levels, icn2 })
     }
 
@@ -475,7 +469,7 @@ mod tests {
 
     fn rates_for(system: &MultiClusterSystem, rate: f64) -> SystemRates {
         let traffic = TrafficConfig::uniform(32, 256.0, rate).unwrap();
-        SystemRates::compute(system, &traffic, &ModelOptions::default()).unwrap()
+        SystemRates::compute(system, &traffic).unwrap()
     }
 
     #[test]
@@ -602,7 +596,7 @@ mod tests {
             .unwrap()
             .with_pattern(TrafficPattern::Hotspot { hotspot: 0, fraction: 0.4 })
             .unwrap();
-        let rates = SystemRates::compute(&sys, &traffic, &ModelOptions::default()).unwrap();
+        let rates = SystemRates::compute(&sys, &traffic).unwrap();
         assert!(rates.mix.is_some());
         // Journeys *into* the hot cluster see more ECN1/ICN2 traffic than
         // journeys out of it toward a cold cluster.
@@ -612,7 +606,7 @@ mod tests {
         assert!(into_hot.lambda_icn2 > out_of_hot.lambda_icn2);
         // Uniform rates keep the published symmetric form and report no mix.
         let uniform = TrafficConfig::uniform(32, 256.0, 1e-4).unwrap();
-        let u = SystemRates::compute(&sys, &uniform, &ModelOptions::default()).unwrap();
+        let u = SystemRates::compute(&sys, &uniform).unwrap();
         assert!(u.mix.is_none());
         assert!(u.destination_weights(0).is_none());
         assert!((u.pair(0, 2).lambda_ecn1 - u.pair(2, 0).lambda_ecn1).abs() < 1e-18);
