@@ -58,7 +58,7 @@ use rand::Rng;
 ///   same node partition and rewinds all per-node state to its
 ///   post-construction value, so an engine [`reset`](crate::engine::Simulation::reset)
 ///   is bit-identical to a fresh build.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum TrafficSource {
     /// The paper's process: exponential inter-arrival times at the configured
     /// rate.
@@ -249,7 +249,7 @@ impl Poisson {
     }
 
     /// Samples a destination for a message generated at global node `src`.
-    fn destination<R: Rng + ?Sized>(&self, rng: &mut R, src: usize) -> usize {
+    fn destination(&self, rng: &mut SmallRng, src: usize) -> usize {
         match self.pattern {
             TrafficPattern::Uniform => self.uniform_other(rng, src),
             TrafficPattern::Hotspot { hotspot, fraction } => {
@@ -290,7 +290,7 @@ impl Poisson {
         }
     }
 
-    fn uniform_other<R: Rng + ?Sized>(&self, rng: &mut R, src: usize) -> usize {
+    fn uniform_other(&self, rng: &mut SmallRng, src: usize) -> usize {
         let mut d = rng.gen_range(0..self.total_nodes - 1);
         if d >= src {
             d += 1;
@@ -317,7 +317,7 @@ struct BurstState {
 /// during which it generates at `rate / duty`, and exponential OFF dwells
 /// sized so the long-run ON fraction equals `duty` — the long-run mean rate is
 /// therefore exactly the configured `generation_rate`, whatever the duty cycle.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct OnOff {
     duty: f64,
     /// `mean_on` as specified, or `None` for the rate-coupled default.
@@ -408,7 +408,7 @@ fn check_on_off(duty: f64, mean_on: Option<f64>) -> Result<()> {
 /// multiplier `m` sees the inner clock sped up by `m` (inter-arrival gaps
 /// divided by `m`), so its long-run rate is `m ·` the inner rate while burst
 /// structure and destination sampling carry over unchanged.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HeterogeneousRates {
     /// The inner ON-OFF clock, or `None` for an inner Poisson clock.
     bursts: Option<OnOff>,
@@ -476,7 +476,7 @@ pub(crate) struct RawRecord {
 /// destinations come straight from the records, and the per-run message count
 /// equals the record count (the engine caps its generation target at the
 /// source's [`message_limit`](TrafficSource::message_limit)).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TraceReplay {
     /// Per-source-node record queues, each sorted by time (inherited from the
     /// global sort).
