@@ -76,6 +76,11 @@ pub enum TrafficSource {
 impl TrafficSource {
     /// Absolute time of `node`'s next arrival, or `None` if the node
     /// generates no further messages.
+    ///
+    /// Kept out of line, as is [`destination`](Self::destination): inlined,
+    /// every variant's sampler (the ON-OFF dwell loop twice) lands in the
+    /// engine's event loop.
+    #[inline(never)]
     pub fn next_arrival(&mut self, rng: &mut SmallRng, node: usize, prev: f64) -> Option<f64> {
         match self {
             TrafficSource::Poisson(base) => Some(base.next_arrival(rng, prev)),
@@ -88,6 +93,7 @@ impl TrafficSource {
     }
 
     /// Destination of the message generated at `src`'s current arrival.
+    #[inline(never)]
     pub fn destination(&mut self, rng: &mut SmallRng, src: usize) -> usize {
         match self {
             TrafficSource::Poisson(base)
