@@ -1,15 +1,15 @@
 //! Free-form design-space sweep: evaluates the analytical model over a grid of message
 //! lengths and flit sizes for a chosen organization, printing the latency and the
 //! saturation rate of every combination. Demonstrates the "practical evaluation tool"
-//! use-case the paper motivates.
+//! use-case the paper motivates. Exits non-zero if a saturation search fails.
 //!
 //! Usage: `sweep [a|b]`
 
-use mcnet_model::{ModelBackend, ModelOptions};
+use mcnet_model::{ModelBackend, ModelError, ModelOptions};
 use mcnet_system::sweep::geometry_grid;
 use mcnet_system::{organizations, TrafficConfig};
 
-fn main() {
+fn main() -> Result<(), ModelError> {
     let org = std::env::args().nth(1).unwrap_or_else(|| "b".into());
     let system = match org.as_str() {
         "a" => organizations::table1_org_a(),
@@ -22,14 +22,11 @@ fn main() {
     for (flits, bytes) in geometry_grid(&[16, 32, 64, 128], &[128.0, 256.0, 512.0]) {
         let traffic = TrafficConfig::uniform(flits, bytes, 1e-4).expect("valid traffic");
         let latency = backend
-            .mean_latency(&traffic, ModelOptions::default())
-            .expect("model builds")
+            .mean_latency(&traffic, ModelOptions::default())?
             .map(|l| format!("{l:.1}"))
             .unwrap_or_else(|| "saturated".into());
-        let sat = backend
-            .saturation_rate(&traffic, ModelOptions::default(), 1e-1, 1e-7)
-            .map(|s| format!("{s:.2e}"))
-            .unwrap_or_else(|_| "-".into());
-        println!("| {flits} | {bytes} | {latency} | {sat} |");
+        let sat = backend.find_saturation_rate(&traffic, ModelOptions::default(), 1e-4)?;
+        println!("| {flits} | {bytes} | {latency} | {sat:.2e} |");
     }
+    Ok(())
 }

@@ -8,14 +8,14 @@
 //! * [`accuracy_report`] — the historical figure-panel view: the relative error
 //!   of the model against the simulation per traffic point of a (tree-fabric)
 //!   figure panel, split into the steady-state and near-saturation regions.
-//! * [`validate_spec`] / [`validate_specs`] — the **spec-driven validation
-//!   sweep**: any serialized [`ScenarioSpec`] (tree or torus, uniform or
-//!   hot-spot) is swept over fractions of its *analytical* saturation rate,
-//!   evaluated through [`mcnet_sim::Scenario::evaluate`] and simulated through
+//! * [`validate_spec`] — the **spec-driven validation sweep**: any serialized
+//!   [`ScenarioSpec`] (tree or torus, uniform or hot-spot) is swept over
+//!   fractions of its *analytical* saturation rate, evaluated through
+//!   [`mcnet_sim::Scenario::evaluate`] and simulated through
 //!   [`mcnet_sim::Scenario::sweep_outcomes`], and summarized with the same
-//!   region split — one report over every fabric × pattern the spec files
-//!   cover. The `model_vs_sim` binary (and the CI step of the same name) is
-//!   the command-line face of this path.
+//!   region split. The `model_vs_sim` binary (and the CI step of the same
+//!   name) runs it over every spec file and is the command-line face of this
+//!   path.
 
 use crate::figures::FigurePanel;
 use crate::{EvaluationEffort, ExperimentError, Result};
@@ -208,17 +208,6 @@ pub fn validate_spec(
         model_saturation: saturation,
         summary: summarize_points(points),
     })
-}
-
-/// Validates a whole spec set (tree/torus × uniform/hot-spot in the shipped
-/// `specs/` directory) into one report.
-pub fn validate_specs(
-    specs: &[ScenarioSpec],
-    effort: EvaluationEffort,
-    fractions: &[f64],
-    steady_fraction: f64,
-) -> Result<Vec<SpecValidation>> {
-    specs.iter().map(|spec| validate_spec(spec, effort, fractions, steady_fraction)).collect()
 }
 
 /// Renders a spec-validation set as one markdown table.

@@ -16,7 +16,7 @@
 //! | Ablation A3: model vs simulation cost | [`ablations::cost_comparison`] | (bench) |
 //! | Backend comparison (tree vs k-ary n-cube) | [`backends::tree_vs_torus`] | `backend_compare` |
 //! | Any serialized scenario spec (`specs/*.json`) | [`mcnet_sim::ScenarioSpec`] | `scenario` |
-//! | Spec-driven model-vs-sim validation (tree/torus × uniform/hot-spot) | [`comparison::validate_specs`] | `model_vs_sim` |
+//! | Spec-driven model-vs-sim validation (tree/torus × uniform/hot-spot) | [`comparison::validate_spec`] | `model_vs_sim` |
 //!
 //! All builders accept an [`EvaluationEffort`] so the same code path serves quick CI
 //! runs, the Criterion benches and full paper-protocol reproductions. Simulation

@@ -5,8 +5,8 @@
 //! multi-cluster tree or a k-ary n-cube torus — and evaluates any supported
 //! traffic point through one surface: [`ModelBackend::evaluate`] (mean latency
 //! plus the per-class breakdown), [`ModelBackend::mean_latency`] and the
-//! pattern-aware saturation search [`ModelBackend::saturation_rate`] /
-//! [`ModelBackend::find_saturation_rate`]. The scenario layer in `mcnet-sim`
+//! pattern-aware saturation search [`ModelBackend::find_saturation_rate`]. The
+//! scenario layer in `mcnet-sim`
 //! re-exports this type as its `Fabric`, so the simulator and the model are
 //! built from one fabric description, which is what lets a single serialized
 //! scenario run through either world.
@@ -53,8 +53,7 @@ pub struct ModelReport {
     pub max_channel_utilization: f64,
     /// The largest concentrator/dispatcher (bridge) utilisation
     /// `ρ = λ_I2^{(i,v)}·M·t_cs` that Eq. (33) charges, over every cluster
-    /// and the destination clusters it sends to (zero when the options
-    /// exclude the concentrators); `None` on the torus, which has no bridges
+    /// and the destination clusters it sends to; `None` on the torus, which has no bridges
     /// — the model-side counterpart of the simulator's
     /// `SimReport::max_bridge_utilization`. Kept apart from
     /// `max_channel_utilization`, which ranks channel loads only.
@@ -171,32 +170,13 @@ impl ModelBackend {
     }
 
     /// Finds the saturation generation rate for the given message geometry and
-    /// destination pattern (taken from `template`; its rate is ignored) by
-    /// bisection: the largest rate (within `tolerance`) at which the model
-    /// still has a steady state. `upper_bound` must be a saturated rate.
-    pub fn saturation_rate(
-        &self,
-        template: &TrafficConfig,
-        options: ModelOptions,
-        upper_bound: f64,
-        tolerance: f64,
-    ) -> Result<f64> {
-        let template = template.with_rate(upper_bound).map_err(ModelError::from)?;
-        let mut model = BoundModel::new(self, &template, options)?;
-        if model.steady_at(upper_bound)? {
-            return Err(ModelError::InvalidConfiguration {
-                reason: format!("the model is not saturated at the upper bound {upper_bound}"),
-            });
-        }
-        model.bisect(upper_bound, tolerance)
-    }
-
-    /// Like [`ModelBackend::saturation_rate`], but finds its own bracket by
+    /// destination pattern (taken from `template`): the largest rate at which
+    /// the model still has a steady state. The search brackets the knee by
     /// doubling (or, when the template's rate is already saturated, halving)
-    /// from the template's rate. The bracket is a factor of two wide before
-    /// the bisection starts, so `relative_tolerance` is relative to the found
-    /// saturation rate (within that factor) no matter how far off the starting
-    /// rate was.
+    /// from the template's rate, then bisects. The bracket is a factor of two
+    /// wide before the bisection starts, so `relative_tolerance` is relative
+    /// to the found saturation rate (within that factor) no matter how far off
+    /// the starting rate was.
     pub fn find_saturation_rate(
         &self,
         template: &TrafficConfig,
@@ -341,9 +321,6 @@ mod tests {
             assert!(expected > 0.0 && expected < 1.0);
             // Not folded into the channel figure the campaign screen ranks by.
             assert_ne!(report.max_channel_utilization, expected);
-            // Excluding the concentrators charges no bridge.
-            let without = backend.evaluate(&traffic, options.without_concentrator()).unwrap();
-            assert_eq!(without.max_bridge_utilization, Some(0.0));
         }
         let torus = ModelBackend::Torus(TorusSystem::new(4, 2).unwrap());
         let traffic = TrafficConfig::uniform(16, 256.0, 1e-3).unwrap();
@@ -458,13 +435,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn bad_upper_bound_is_rejected() {
-        let tree = ModelBackend::Tree(organizations::table1_org_b());
-        let template = TrafficConfig::uniform(32, 256.0, 1e-4).unwrap();
-        assert!(tree.saturation_rate(&template, ModelOptions::default(), 1e-7, 1e-9).is_err());
-    }
-
     /// Whether a model built afresh at `rate` has a steady state: every probe
     /// of the oracle searches below pays for its own construction.
     fn fresh_steady(
@@ -532,7 +502,7 @@ mod tests {
 
     #[test]
     fn saturation_searches_match_a_fresh_model_per_probe() {
-        // The searches rebind one model per call; an oracle that builds a
+        // The search rebinds one model per call; an oracle that builds a
         // fresh model at every probe must land on the same bits, from a start
         // below the knee and from one above it.
         let org_b = organizations::table1_org_b();
@@ -580,9 +550,6 @@ mod tests {
                     "{label}"
                 );
                 assert_eq!(found.to_bits(), expected.to_bits(), "{label}");
-                let bisected = backend.saturation_rate(&template, *options, 1.0, 1e-7).unwrap();
-                let expected = oracle_saturation_rate(backend, &template, *options, 1.0, 1e-7);
-                assert_eq!(bisected.to_bits(), expected.to_bits(), "{label}");
             }
         }
         // Spot values: Org B and the adaptive 16-ary 2-cube with two VCs.

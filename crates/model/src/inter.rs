@@ -30,15 +30,14 @@ pub struct InterClusterLatency {
     /// Mean message latency through the inter-cluster networks,
     /// `T_{E1&I2}^{(i)}` (Eq. 31) — does **not** include the concentrator wait.
     pub total: f64,
-    /// Mean concentrator/dispatcher waiting time `W_d^{(i)}` (Eq. 34); zero when the
-    /// model options exclude the concentrators.
+    /// Mean concentrator/dispatcher waiting time `W_d^{(i)}` (Eq. 34).
     pub concentrator_wait: f64,
     /// Worst per-channel utilisation seen by the service-time recursion over all
     /// destination clusters.
     pub max_channel_utilization: f64,
     /// The largest concentrator/dispatcher utilisation `ρ = λ_I2^{(i,v)}·M·t_cs`
     /// that Eq. (33) charges over the destination clusters this cluster sends
-    /// to; zero when the model options exclude the concentrators.
+    /// to.
     pub max_bridge_utilization: f64,
 }
 
@@ -182,7 +181,6 @@ fn pair_latency(
         &SourceQueueInput {
             kind: SourceQueueKind::Inter,
             per_node_rate: src.per_node_ecn1_rate,
-            aggregate_rate: pair.lambda_ecn1,
             network_latency: network.latency,
             minimum_latency: times.message_node_time(),
             cluster: Some(source),
@@ -191,21 +189,13 @@ fn pair_latency(
     )?;
 
     let tail = tail::inter_tail_time(hops_src, hops_dst, hops.icn2(), times);
-    let (concentrator, bridge_utilization) = if options.include_concentrator {
-        (
-            concentrator::concentrator_waiting(pair.lambda_icn2, times, source)?,
-            concentrator::concentrator_utilization(pair.lambda_icn2, times),
-        )
-    } else {
-        (0.0, 0.0)
-    };
     Ok(PairLatency {
         network: network.latency,
         wait,
         tail,
-        concentrator,
+        concentrator: concentrator::concentrator_waiting(pair.lambda_icn2, times, source)?,
         max_utilization: network.max_utilization,
-        bridge_utilization,
+        bridge_utilization: concentrator::concentrator_utilization(pair.lambda_icn2, times),
     })
 }
 
@@ -267,24 +257,6 @@ mod tests {
         let high = fresh_latency(&r2, &h2, 11, &t2, &ModelOptions::default()).unwrap();
         assert!(high.total > low.total);
         assert!(high.concentrator_wait > low.concentrator_wait);
-    }
-
-    #[test]
-    fn concentrator_can_be_excluded() {
-        let (rates, hops, times) = setup(2e-4);
-        let with = fresh_latency(&rates, &hops, 0, &times, &ModelOptions::default()).unwrap();
-        let without = fresh_latency(
-            &rates,
-            &hops,
-            0,
-            &times,
-            &ModelOptions::default().without_concentrator(),
-        )
-        .unwrap();
-        assert!(with.concentrator_wait > 0.0);
-        assert_eq!(without.concentrator_wait, 0.0);
-        // The merged-network part is unaffected by the concentrator switch.
-        assert!((with.network - without.network).abs() < 1e-12);
     }
 
     #[test]

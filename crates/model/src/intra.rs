@@ -45,7 +45,6 @@ pub(crate) fn intra_cluster_latency(
         &SourceQueueInput {
             kind: SourceQueueKind::Intra,
             per_node_rate: rates.per_node_icn1_rate,
-            aggregate_rate: rates.lambda_icn1,
             network_latency: network.latency,
             minimum_latency: times.message_node_time(),
             cluster: Some(rates.cluster),
@@ -80,7 +79,7 @@ mod tests {
     #[test]
     fn components_add_up() {
         let (rates, times) = setup(1e-4);
-        let hops = HopDistribution::paper(8, 3);
+        let hops = HopDistribution::paper(8, 3).unwrap();
         let lat = intra_cluster_latency(rates.cluster(31), &hops, &times, &ModelOptions::default())
             .unwrap();
         assert!((lat.total - (lat.network + lat.source_wait + lat.tail)).abs() < 1e-12);
@@ -90,7 +89,7 @@ mod tests {
 
     #[test]
     fn latency_grows_with_load() {
-        let hops = HopDistribution::paper(8, 3);
+        let hops = HopDistribution::paper(8, 3).unwrap();
         let (r1, t1) = setup(5e-5);
         let (r2, t2) = setup(4e-4);
         let low =
@@ -106,23 +105,10 @@ mod tests {
         // Org A clusters 0..11 have n_i = 1: the network latency is M·t_cn and no
         // switch-to-switch hops exist.
         let (rates, times) = setup(1e-4);
-        let hops = HopDistribution::paper(8, 1);
+        let hops = HopDistribution::paper(8, 1).unwrap();
         let lat = intra_cluster_latency(rates.cluster(0), &hops, &times, &ModelOptions::default())
             .unwrap();
         assert!((lat.network - times.message_node_time()).abs() < 1e-9);
         assert!((lat.tail - times.t_cn).abs() < 1e-12);
-    }
-
-    #[test]
-    fn literal_aggregate_option_gives_higher_waiting() {
-        let (rates, times) = setup(2e-4);
-        let hops = HopDistribution::paper(8, 3);
-        let per_node =
-            intra_cluster_latency(rates.cluster(31), &hops, &times, &ModelOptions::default())
-                .unwrap();
-        let literal =
-            intra_cluster_latency(rates.cluster(31), &hops, &times, &ModelOptions::literal())
-                .unwrap();
-        assert!(literal.source_wait > per_node.source_wait);
     }
 }

@@ -45,19 +45,23 @@
 //!
 //! ## Faithfulness and documented interpretation choices
 //!
-//! Two places in the published model are ambiguous or inconsistent with the published
-//! figures:
+//! Each equation is read one way; these are the readings where the published text
+//! leaves room for another.
 //!
-//! * **Hop distribution** (Eq. 4): the published formula slightly over-weights short
-//!   distances compared with an exact enumeration of the constructed m-port n-tree
-//!   ([`mcnet_topology::distance::HopModel`]). The model uses the paper's formula.
+//! * **Hop distribution** (Eq. 4): the published formula counts twice as many
+//!   destinations at every distance below the root as the constructed m-port n-tree
+//!   has, so it slightly over-weights short distances. The model uses the published
+//!   formula, because that is what the paper's figures were computed with.
 //! * **Source-queue arrival rate** (Eqs. 19–20 and 30): read literally, the source
 //!   queue of a single injection channel would receive the *cluster-aggregate* message
 //!   rate, which saturates far below the load range of the paper's own figures. The
-//!   physically consistent reading — each node's injection channel receives that
-//!   node's own rate — reproduces the published curves and is the default
-//!   ([`SourceQueueRate::PerNode`]); the literal reading is available as
-//!   [`SourceQueueRate::ClusterAggregate`].
+//!   model feeds each node's injection channel that node's own rate, the physically
+//!   consistent reading, which reproduces the published curves.
+//! * **Concentrators and dispatchers** (Eqs. 33–34): every inter-cluster message is
+//!   charged both M/D/1 waits, as published.
+//!
+//! The settable choices that remain, the source-queue variance and the torus routing
+//! discipline, are collected in [`ModelOptions`].
 //!
 //! ## Example
 //!
@@ -92,7 +96,7 @@ pub mod torus;
 
 pub use backend::{ModelBackend, ModelDetail, ModelReport};
 pub use multicluster::{AnalyticalModel, ClusterLatency, LatencyReport};
-pub use options::{ModelOptions, SourceQueueRate, TorusRouting};
+pub use options::{ModelOptions, TorusRouting};
 pub use torus::{TorusLatencyReport, TorusModel};
 
 /// Errors produced while evaluating the analytical model.

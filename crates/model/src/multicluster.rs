@@ -91,7 +91,7 @@ impl<'a> AnalyticalModel<'a> {
         Self::with_options(system, traffic, ModelOptions::default())
     }
 
-    /// Builds the model with explicit interpretation options.
+    /// Builds the model with explicit model options.
     pub fn with_options(
         system: &'a MultiClusterSystem,
         traffic: &TrafficConfig,
@@ -135,7 +135,7 @@ impl<'a> AnalyticalModel<'a> {
         &self.traffic
     }
 
-    /// The interpretation options in effect.
+    /// The model options in effect.
     pub fn options(&self) -> &ModelOptions {
         &self.options
     }
@@ -321,9 +321,9 @@ mod tests {
         let sys = organizations::table1_org_b();
         let template = TrafficConfig::uniform(32, 256.0, 1e-4).unwrap();
         let sat = crate::ModelBackend::Tree(sys.clone())
-            .saturation_rate(&template, ModelOptions::default(), 1e-2, 1e-6)
+            .find_saturation_rate(&template, ModelOptions::default(), 1e-4)
             .unwrap();
-        assert_eq!(sat, 9.716796875e-4);
+        assert_eq!(sat, 9.7216796875e-4);
         // The curve must still be evaluable slightly below and saturated above.
         let below = TrafficConfig::uniform(32, 256.0, sat * 0.95).unwrap();
         assert!(AnalyticalModel::new(&sys, &below).unwrap().evaluate().is_ok());
@@ -331,14 +331,6 @@ mod tests {
         assert!(AnalyticalModel::new(&sys, &above).unwrap().evaluate().is_err());
         // And it should fall inside the paper's Fig. 4 axis range (0 .. 1e-3).
         assert!(sat > 2e-4 && sat < 2e-3, "saturation rate {sat}");
-    }
-
-    #[test]
-    fn saturation_search_rejects_bad_upper_bound() {
-        let sys = organizations::table1_org_b();
-        let template = TrafficConfig::uniform(32, 256.0, 1e-4).unwrap();
-        let tree = crate::ModelBackend::Tree(sys);
-        assert!(tree.saturation_rate(&template, ModelOptions::default(), 1e-6, 1e-7).is_err());
     }
 
     #[test]

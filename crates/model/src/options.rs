@@ -1,25 +1,17 @@
-//! Tunable interpretation choices of the analytical model.
+//! The settable choices of the analytical model.
 //!
-//! The published model (like most workshop-length analytical models) leaves a couple of
-//! details open to interpretation. Instead of hard-coding one reading, the choices are
-//! collected here so that (a) the defaults reproduce the published figures, and (b) the
-//! effect of every choice can be quantified by the ablation benchmarks.
-
-/// Which arrival rate feeds the M/G/1 source queue of an injection channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SourceQueueRate {
-    /// Each node's injection channel receives that node's own message rate
-    /// (`(1 − P_o)·λ_g` for ICN1, `P_o·λ_g` for ECN1). This is the physically
-    /// consistent reading and the one whose saturation points match the paper's
-    /// published figures; it is the default.
-    #[default]
-    PerNode,
-    /// The literal reading of Eqs. (19–20)/(30): the source queue receives the
-    /// cluster-aggregate rate `λ_I1^{(i)} = N_i(1 − P_o^{(i)})λ_g` (respectively the
-    /// pairwise aggregate `λ_{E1}^{(i,v)}`). Provided for the fidelity ablation; it
-    /// saturates well below the load range of the published figures.
-    ClusterAggregate,
-}
+//! The tree model reads each of the paper's equations one way, and that reading is not
+//! an option. The source queue of an injection channel (Eqs. 19–20 and 30) receives
+//! its own node's message rate, `(1 − P_o)·λ_g` for ICN1 and `P_o·λ_g` for ECN1: read
+//! literally, the equations would feed one channel the whole cluster's rate, which
+//! saturates far below the load range of the paper's own Figs. 3–4. The hop
+//! distribution is the published Eq. (4), and every inter-cluster message is charged
+//! the concentrator/dispatcher wait of Eqs. (33)–(34).
+//!
+//! Two choices remain, each with a caller outside the tests: the service-time
+//! variance of the source queues (the variance ablation switches the Draper–Ghosh term
+//! off) and the routing discipline the torus model assumes (the scenario layer selects
+//! the adaptive one for adaptive torus specs).
 
 /// Routing discipline assumed by the torus channel-load model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,17 +45,11 @@ pub enum VarianceApproximation {
     None,
 }
 
-/// All interpretation knobs of the analytical model.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The settable choices of the analytical model; the default reproduces the paper.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ModelOptions {
-    /// Arrival-rate interpretation for the source queues.
-    pub source_queue_rate: SourceQueueRate,
     /// Service-time variance model for the source queues.
     pub variance: VarianceApproximation,
-    /// Whether the concentrator/dispatcher waiting time (Eqs. 33–34) is included in the
-    /// inter-cluster latency. The paper includes it; switching it off quantifies the
-    /// concentrators' contribution in the ablation benches.
-    pub include_concentrator: bool,
     /// Routing discipline of the torus model (ignored by the tree model, whose
     /// deterministic NCA loads also describe randomized up*/down* routing in
     /// the mean — randomization only redistributes load across symmetric
@@ -71,38 +57,10 @@ pub struct ModelOptions {
     pub torus_routing: TorusRouting,
 }
 
-impl Default for ModelOptions {
-    fn default() -> Self {
-        ModelOptions {
-            source_queue_rate: SourceQueueRate::PerNode,
-            variance: VarianceApproximation::DraperGhosh,
-            include_concentrator: true,
-            torus_routing: TorusRouting::Deterministic,
-        }
-    }
-}
-
 impl ModelOptions {
-    /// The defaults: the paper's formulas with the per-node source-queue reading.
-    pub fn paper() -> Self {
-        Self::default()
-    }
-
-    /// Every choice set to the literal text of the paper, including the
-    /// cluster-aggregate source-queue rate.
-    pub fn literal() -> Self {
-        ModelOptions { source_queue_rate: SourceQueueRate::ClusterAggregate, ..Self::default() }
-    }
-
     /// Disables the Draper–Ghosh variance term (M/D/1 source queues).
     pub fn without_variance(mut self) -> Self {
         self.variance = VarianceApproximation::None;
-        self
-    }
-
-    /// Excludes the concentrator/dispatcher waiting time.
-    pub fn without_concentrator(mut self) -> Self {
-        self.include_concentrator = false;
         self
     }
 
@@ -121,22 +79,17 @@ mod tests {
     #[test]
     fn defaults_reproduce_paper_reading() {
         let o = ModelOptions::default();
-        assert_eq!(o.source_queue_rate, SourceQueueRate::PerNode);
         assert_eq!(o.variance, VarianceApproximation::DraperGhosh);
-        assert!(o.include_concentrator);
-        assert_eq!(ModelOptions::paper(), ModelOptions::default());
+        assert_eq!(o.torus_routing, TorusRouting::Deterministic);
     }
 
     #[test]
     fn builders_flip_the_right_flags() {
-        let o = ModelOptions::literal();
-        assert_eq!(o.source_queue_rate, SourceQueueRate::ClusterAggregate);
         let o = ModelOptions::default().without_variance();
         assert_eq!(o.variance, VarianceApproximation::None);
-        let o = ModelOptions::default().without_concentrator();
-        assert!(!o.include_concentrator);
+        assert_eq!(o.torus_routing, TorusRouting::Deterministic);
         let o = ModelOptions::default().with_adaptive_torus(2);
         assert_eq!(o.torus_routing, TorusRouting::AdaptiveMinimal { adaptive_vcs: 2 });
-        assert_eq!(ModelOptions::default().torus_routing, TorusRouting::Deterministic);
+        assert_eq!(o.variance, VarianceApproximation::DraperGhosh);
     }
 }

@@ -20,7 +20,7 @@
 
 use crate::{ModelError, Result};
 use mcnet_system::{MultiClusterSystem, TrafficConfig, TrafficPattern};
-use mcnet_topology::distance::{HopDistribution, HopModel};
+use mcnet_topology::distance::HopDistribution;
 
 /// The average destination-cluster distribution of every source cluster — the
 /// non-uniform-traffic generalization of the paper's uniform-destination
@@ -248,7 +248,7 @@ impl SystemRates {
             });
         }
         let m = system.ports();
-        let icn2_hops = HopDistribution::with_model(m, system.icn2_levels(), HopModel::PaperEq4)?;
+        let icn2_hops = HopDistribution::paper(m, system.icn2_levels())?;
         let icn2_average_distance = icn2_hops.average_distance();
 
         // The uniform pattern keeps the paper's published formulas verbatim
@@ -266,7 +266,7 @@ impl SystemRates {
                 None => system.outgoing_probability(i)?,
                 Some(mix) => 1.0 - mix.stay(i),
             };
-            let hops = HopDistribution::with_model(m, spec.levels, HopModel::PaperEq4)?;
+            let hops = HopDistribution::paper(m, spec.levels)?;
             // The rate-dependent fields are filled in by `rebind` below.
             clusters.push(ClusterRates {
                 cluster: i,
@@ -439,10 +439,10 @@ impl HopCache {
         let mut per_levels = std::collections::BTreeMap::new();
         for (_, spec) in system.iter_clusters() {
             if let std::collections::btree_map::Entry::Vacant(e) = per_levels.entry(spec.levels) {
-                e.insert(HopDistribution::with_model(m, spec.levels, HopModel::PaperEq4)?);
+                e.insert(HopDistribution::paper(m, spec.levels)?);
             }
         }
-        let icn2 = HopDistribution::with_model(m, system.icn2_levels(), HopModel::PaperEq4)?;
+        let icn2 = HopDistribution::paper(m, system.icn2_levels())?;
         Ok(HopCache { per_levels, icn2 })
     }
 

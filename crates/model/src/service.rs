@@ -228,7 +228,6 @@ pub fn check_channel_utilization(outcome: &StageOutcome, cluster: Option<usize>)
 mod tests {
     use super::*;
     use mcnet_system::NetworkTechnology;
-    use mcnet_topology::distance::HopModel;
 
     fn times(m: usize, lm: f64) -> ChannelTimes {
         let traffic = TrafficConfig::uniform(m, lm, 1e-4).unwrap();
@@ -363,11 +362,11 @@ mod tests {
 
     #[test]
     fn shared_walks_match_the_per_journey_recursion() {
-        // Both hop models, uneven depths and rates from idle to saturated: every
+        // Two port counts, uneven depths and rates from idle to saturated: every
         // mean and utilisation must carry the per-journey recursion's bits.
         let t = times(32, 256.0);
-        for model in [HopModel::PaperEq4, HopModel::Exact] {
-            let hops = |n| HopDistribution::with_model(8, n, model).unwrap();
+        for m in [8, 4] {
+            let hops = |n| HopDistribution::paper(m, n).unwrap();
             for &(eta_ecn1, eta_icn2) in &[(0.0, 0.0), (1e-4, 3e-4), (4e-3, 1e-3), (0.2, 0.05)] {
                 for n in 1..=4 {
                     let h = hops(n);
@@ -408,7 +407,7 @@ mod tests {
     #[test]
     fn mean_network_latency_is_probability_weighted() {
         let t = times(32, 256.0);
-        let hops = HopDistribution::paper(8, 3);
+        let hops = HopDistribution::paper(8, 3).unwrap();
         let mean = mean_intra_network_latency(&hops, 0.0, &t);
         // At zero load every j >= 2 journey costs M·t_cs and j = 1 costs M·t_cn.
         let expected = hops.probability(1) * t.message_node_time()
@@ -419,9 +418,9 @@ mod tests {
     #[test]
     fn mean_inter_latency_combines_three_distributions() {
         let t = times(32, 256.0);
-        let hi = HopDistribution::paper(8, 2);
-        let hv = HopDistribution::paper(8, 3);
-        let hc = HopDistribution::paper(8, 2);
+        let hi = HopDistribution::paper(8, 2).unwrap();
+        let hv = HopDistribution::paper(8, 3).unwrap();
+        let hc = HopDistribution::paper(8, 2).unwrap();
         let out = mean_inter_network_latency(&hi, &hv, &hc, 1e-4, 1e-4, &t, &mut Vec::new());
         assert!(out.latency > t.message_switch_time());
         assert!(out.max_utilization < 1.0);

@@ -7,7 +7,7 @@
 //! (Eq. 22): mean `S`, standard deviation `S − M·t_cn`, clamped at zero. The wait
 //! itself is the Pollaczek–Khinchine formula the concentrator shares, `mg1::waiting_time`.
 
-use crate::options::{ModelOptions, SourceQueueRate, VarianceApproximation};
+use crate::options::{ModelOptions, VarianceApproximation};
 use crate::{check_nonnegative, mg1, ModelError, Result, SaturatedComponent};
 
 /// Which network's injection channel the queue feeds (only used for error reporting).
@@ -29,9 +29,6 @@ pub struct SourceQueueInput {
     pub kind: SourceQueueKind,
     /// Per-node arrival rate of messages using this channel.
     pub per_node_rate: f64,
-    /// Aggregate arrival rate used by the literal reading of the paper
-    /// ([`SourceQueueRate::ClusterAggregate`]).
-    pub aggregate_rate: f64,
     /// Mean network latency `S` (the service time of the queue).
     pub network_latency: f64,
     /// Minimum possible network latency, `M·t_cn`, used by the variance approximation.
@@ -42,12 +39,8 @@ pub struct SourceQueueInput {
 }
 
 /// Computes the mean source-queue waiting time `W` (Eq. 23 / Eq. 30) under the given
-/// interpretation options.
+/// variance model.
 pub fn waiting_time(input: &SourceQueueInput, options: &ModelOptions) -> Result<f64> {
-    let rate = match options.source_queue_rate {
-        SourceQueueRate::PerNode => input.per_node_rate,
-        SourceQueueRate::ClusterAggregate => input.aggregate_rate,
-    };
     let variance = match options.variance {
         VarianceApproximation::DraperGhosh => {
             let minimum = check_nonnegative("minimum_latency", input.minimum_latency)?;
@@ -56,8 +49,8 @@ pub fn waiting_time(input: &SourceQueueInput, options: &ModelOptions) -> Result<
         }
         VarianceApproximation::None => 0.0,
     };
-    mg1::waiting_time(rate, input.network_latency, variance)?.map_err(|utilization| {
-        ModelError::Saturated {
+    mg1::waiting_time(input.per_node_rate, input.network_latency, variance)?.map_err(
+        |utilization| ModelError::Saturated {
             component: match input.kind {
                 SourceQueueKind::Intra => SaturatedComponent::IntraSourceQueue,
                 SourceQueueKind::Inter => SaturatedComponent::InterSourceQueue,
@@ -65,19 +58,18 @@ pub fn waiting_time(input: &SourceQueueInput, options: &ModelOptions) -> Result<
             },
             utilization,
             cluster: input.cluster,
-        }
-    })
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn input(per_node: f64, aggregate: f64, latency: f64) -> SourceQueueInput {
+    fn input(per_node: f64, latency: f64) -> SourceQueueInput {
         SourceQueueInput {
             kind: SourceQueueKind::Intra,
             per_node_rate: per_node,
-            aggregate_rate: aggregate,
             network_latency: latency,
             minimum_latency: 8.832,
             cluster: Some(0),
@@ -86,7 +78,7 @@ mod tests {
 
     #[test]
     fn zero_rate_means_zero_waiting() {
-        let w = waiting_time(&input(0.0, 0.0, 100.0), &ModelOptions::default()).unwrap();
+        let w = waiting_time(&input(0.0, 100.0), &ModelOptions::default()).unwrap();
         assert_eq!(w, 0.0);
     }
 
@@ -98,26 +90,15 @@ mod tests {
         let sigma: f64 = s - 8.832;
         let rho = lambda * s;
         let expected = rho * s * (1.0 + sigma * sigma / (s * s)) / (2.0 * (1.0 - rho));
-        let w = waiting_time(&input(lambda, 999.0, s), &ModelOptions::default()).unwrap();
+        let w = waiting_time(&input(lambda, s), &ModelOptions::default()).unwrap();
         assert!((w - expected).abs() < 1e-9);
     }
 
     #[test]
-    fn aggregate_option_uses_other_rate() {
-        let opts_per_node = ModelOptions::default();
-        let opts_aggregate = ModelOptions::literal();
-        let inp = input(1e-4, 2e-3, 50.0);
-        let w1 = waiting_time(&inp, &opts_per_node).unwrap();
-        let w2 = waiting_time(&inp, &opts_aggregate).unwrap();
-        assert!(w2 > w1, "aggregate rate is larger, so waiting must be larger");
-    }
-
-    #[test]
     fn variance_option_lowers_waiting() {
-        let with = waiting_time(&input(1e-3, 0.0, 100.0), &ModelOptions::default()).unwrap();
+        let with = waiting_time(&input(1e-3, 100.0), &ModelOptions::default()).unwrap();
         let without =
-            waiting_time(&input(1e-3, 0.0, 100.0), &ModelOptions::default().without_variance())
-                .unwrap();
+            waiting_time(&input(1e-3, 100.0), &ModelOptions::default().without_variance()).unwrap();
         assert!(without < with, "removing variance halves the P-K numerator");
         // Deterministic service: W = ρ·S / (2(1-ρ)).
         let rho = 1e-3 * 100.0;
@@ -131,7 +112,7 @@ mod tests {
         let options = ModelOptions::default();
         let deterministic = options.without_variance();
         for latency in [8.832, 5.0] {
-            let inp = input(1e-3, 0.0, latency);
+            let inp = input(1e-3, latency);
             assert_eq!(
                 waiting_time(&inp, &options).unwrap().to_bits(),
                 waiting_time(&inp, &deterministic).unwrap().to_bits()
@@ -139,7 +120,7 @@ mod tests {
         }
         // The minimum latency is an input of the variance only.
         for minimum in [-1.0, f64::NAN] {
-            let inp = SourceQueueInput { minimum_latency: minimum, ..input(1e-3, 0.0, 100.0) };
+            let inp = SourceQueueInput { minimum_latency: minimum, ..input(1e-3, 100.0) };
             assert!(matches!(
                 waiting_time(&inp, &options),
                 Err(ModelError::InvalidConfiguration { .. })
@@ -150,7 +131,7 @@ mod tests {
 
     #[test]
     fn saturation_reports_component_and_cluster() {
-        let mut inp = input(0.02, 0.0, 100.0); // ρ = 2
+        let mut inp = input(0.02, 100.0); // ρ = 2
         inp.cluster = Some(5);
         let err = waiting_time(&inp, &ModelOptions::default()).unwrap_err();
         match err {
@@ -171,13 +152,13 @@ mod tests {
 
     #[test]
     fn invalid_inputs_are_reported() {
-        let inp = input(-1.0, 0.0, 100.0);
+        let inp = input(-1.0, 100.0);
         assert!(matches!(
             waiting_time(&inp, &ModelOptions::default()),
             Err(ModelError::InvalidConfiguration { .. })
         ));
         for latency in [-5.0, f64::NAN, f64::INFINITY] {
-            let inp = input(1e-3, 0.0, latency);
+            let inp = input(1e-3, latency);
             for options in [ModelOptions::default(), ModelOptions::default().without_variance()] {
                 assert!(matches!(
                     waiting_time(&inp, &options),

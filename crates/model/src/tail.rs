@@ -57,7 +57,7 @@ mod tests {
 
     #[test]
     fn single_switch_tree_tail_is_one_node_hop() {
-        let hops = HopDistribution::paper(8, 1);
+        let hops = HopDistribution::paper(8, 1).unwrap();
         let r = intra_tail_time(&hops, &times());
         assert!((r - 0.276).abs() < 1e-12);
     }
@@ -65,7 +65,7 @@ mod tests {
     #[test]
     fn intra_tail_is_distance_weighted() {
         let t = times();
-        let hops = HopDistribution::paper(8, 3);
+        let hops = HopDistribution::paper(8, 3).unwrap();
         let r = intra_tail_time(&hops, &t);
         // By hand: Σ_j P_j [(2j-2) t_cs + t_cn].
         let expected: f64 =
@@ -79,8 +79,8 @@ mod tests {
     #[test]
     fn inter_tail_exceeds_intra_tail() {
         let t = times();
-        let h3 = HopDistribution::paper(8, 3);
-        let h2 = HopDistribution::paper(8, 2);
+        let h3 = HopDistribution::paper(8, 3).unwrap();
+        let h2 = HopDistribution::paper(8, 2).unwrap();
         let intra = intra_tail_time(&h3, &t);
         let inter = inter_tail_time(&h3, &h3, &h2, &t);
         assert!(inter > intra, "crossing three networks takes longer than one");
@@ -89,10 +89,10 @@ mod tests {
     #[test]
     fn inter_tail_grows_with_destination_cluster_size() {
         let t = times();
-        let h_src = HopDistribution::paper(8, 2);
-        let h_icn2 = HopDistribution::paper(8, 2);
-        let small = inter_tail_time(&h_src, &HopDistribution::paper(8, 1), &h_icn2, &t);
-        let large = inter_tail_time(&h_src, &HopDistribution::paper(8, 3), &h_icn2, &t);
+        let h_src = HopDistribution::paper(8, 2).unwrap();
+        let h_icn2 = HopDistribution::paper(8, 2).unwrap();
+        let small = inter_tail_time(&h_src, &HopDistribution::paper(8, 1).unwrap(), &h_icn2, &t);
+        let large = inter_tail_time(&h_src, &HopDistribution::paper(8, 3).unwrap(), &h_icn2, &t);
         assert!(large > small);
     }
 
@@ -100,7 +100,7 @@ mod tests {
     fn larger_flits_take_longer() {
         let traffic = TrafficConfig::uniform(32, 512.0, 1e-4).unwrap();
         let t512 = ChannelTimes::new(&NetworkTechnology::paper_default(), &traffic);
-        let hops = HopDistribution::paper(8, 3);
+        let hops = HopDistribution::paper(8, 3).unwrap();
         assert!(intra_tail_time(&hops, &t512) > intra_tail_time(&hops, &times()));
     }
 }

@@ -516,7 +516,6 @@ impl TorusModel {
         escape_fraction: Option<f64>,
     ) -> Result<TorusLatencyReport> {
         let lambda = self.traffic.generation_rate;
-        let n = self.cube.num_nodes() as f64;
         let t_cs = self.times.t_cs;
         let t_cn = self.times.t_cn;
 
@@ -541,20 +540,15 @@ impl TorusModel {
         // Injection source queue: every message of a node passes through its one
         // injection channel, which stays busy for the message's entire network
         // latency — the M/G/1 of Eqs. (19)–(23) with the Draper–Ghosh variance.
-        // The torus has no cluster-aggregate reading: the rate is per-node.
         let source_wait = source_queue::waiting_time(
             &SourceQueueInput {
                 kind: SourceQueueKind::Injection,
                 per_node_rate: lambda,
-                aggregate_rate: lambda * n,
                 network_latency: network,
                 minimum_latency: self.times.message_node_time(),
                 cluster: None,
             },
-            &ModelOptions {
-                source_queue_rate: crate::options::SourceQueueRate::PerNode,
-                ..self.options
-            },
+            &self.options,
         )?;
 
         let total = source_wait + network + tail;

@@ -22,9 +22,9 @@
 use mcnet_model::{AnalyticalModel, ModelError, ModelOptions, TorusModel};
 use mcnet_system::{organizations, MultiClusterSystem, TorusSystem, TrafficConfig, TrafficPattern};
 
-/// Rates from deep in the steady region of the literal reading to well past
-/// the knee of every organization under the per-node reading (the 32-node
-/// `small_test` organization saturates last, between 3e-3 and 1e-2).
+/// Rates from deep in the steady region to well past the knee of every
+/// organization (the 32-node `small_test` organization saturates last, between
+/// 3e-3 and 1e-2).
 const RATES: [f64; 14] =
     [2.5e-6, 1e-5, 4e-5, 1e-4, 2e-4, 3e-4, 4e-4, 5e-4, 6e-4, 8e-4, 1.2e-3, 3e-3, 1e-2, 3e-2];
 
@@ -79,7 +79,6 @@ fn actual() -> String {
             for (options_name, options) in [
                 ("default", ModelOptions::default()),
                 ("without_variance", ModelOptions::default().without_variance()),
-                ("literal", ModelOptions::literal()),
             ] {
                 for rate in RATES {
                     let model =
@@ -139,20 +138,6 @@ A uniform without_variance 1.2e-3 saturated Channel 4004d8c9782f3b1e Some(0)
 A uniform without_variance 3e-3 saturated Channel 3ff396fbfaf79368 Some(0)
 A uniform without_variance 1e-2 saturated Channel 3ff1f9a7a5519da6 Some(0)
 A uniform without_variance 3e-2 saturated Channel 401151d771eea8cc Some(0)
-A uniform literal 2.5e-6 ok 4033c156f4a58659 b3ac15e0efeef45d
-A uniform literal 1e-5 ok 403415c80b1d9a65 5688cdb11adae1ed
-A uniform literal 4e-5 ok 403587797bf5180e 5322e6c7ff4fd395
-A uniform literal 1e-4 ok 403946647ca1867a 5ed12e4a8203f8d5
-A uniform literal 2e-4 ok 404968ee31713d6f 6f689fb77fae43cd
-A uniform literal 3e-4 saturated InterSourceQueue 3ff006586dbe7c47 Some(12)
-A uniform literal 4e-4 saturated InterSourceQueue 3ff64087321c578a Some(0)
-A uniform literal 5e-4 saturated InterSourceQueue 400046fb7f188c60 Some(0)
-A uniform literal 6e-4 saturated InterSourceQueue 40071593e9578637 Some(0)
-A uniform literal 8e-4 saturated Channel 3ff7c12a2125ed1f Some(0)
-A uniform literal 1.2e-3 saturated InterSourceQueue 3ff225502d731d98 Some(0)
-A uniform literal 3e-3 saturated InterSourceQueue 3ff07647890d2e2b Some(0)
-A uniform literal 1e-2 saturated Channel 3ff1f9a7a5519da6 Some(0)
-A uniform literal 3e-2 saturated Channel 401151d771eea8cc Some(0)
 A hotspot default 2.5e-6 ok 403410663451e845 b89a4c8dd70d7b91
 A hotspot default 1e-5 ok 40346dd40c00b710 c738412e5dd1734f
 A hotspot default 4e-5 ok 403606bb423407a8 a387c7cf2fa99c46
@@ -181,20 +166,6 @@ A hotspot without_variance 1.2e-3 saturated Channel 3fff3362d40a0d55 Some(0)
 A hotspot without_variance 3e-3 saturated Concentrator 3ff13ef3d731c921 Some(0)
 A hotspot without_variance 1e-2 saturated Concentrator 3ff3234e915454c3 Some(0)
 A hotspot without_variance 3e-2 saturated Channel 400effb02ce1338a Some(0)
-A hotspot literal 2.5e-6 ok 403422c7f31f5501 f347481c787d7c29
-A hotspot literal 1e-5 ok 4034bc40c60fa700 b93d9ba92fe770dc
-A hotspot literal 4e-5 ok 4037af2c8788c4ff 1138414164b40651
-A hotspot literal 1e-4 ok 40445ce5dfc9331b d4666bf0f0629b1a
-A hotspot literal 2e-4 saturated InterSourceQueue 40001542ff4fd98a Some(0)
-A hotspot literal 3e-4 saturated Channel 3ff5929d569308ce Some(0)
-A hotspot literal 4e-4 saturated InterSourceQueue 3ff017a27abe424f Some(0)
-A hotspot literal 5e-4 saturated InterSourceQueue 3ff6ab7c3733ece8 Some(0)
-A hotspot literal 6e-4 saturated InterSourceQueue 3ffed8e4c8d7b0d2 Some(0)
-A hotspot literal 8e-4 saturated Channel 3ff004e574f2c3c1 Some(0)
-A hotspot literal 1.2e-3 saturated Channel 3fff3362d40a0d55 Some(0)
-A hotspot literal 3e-3 saturated InterSourceQueue 400e16764b3126d1 Some(0)
-A hotspot literal 1e-2 saturated InterSourceQueue 4016754d4bed6fec Some(0)
-A hotspot literal 3e-2 saturated Channel 400effb02ce1338a Some(0)
 B uniform default 2.5e-6 ok 4035de93c4307d5c 232c8de70a03c97d
 B uniform default 1e-5 ok 4036053cb4ff0c18 a2dd9cf4cafe4737
 B uniform default 4e-5 ok 4036a3fff03ddcf0 7a4097caeb8ea449
@@ -223,20 +194,6 @@ B uniform without_variance 1.2e-3 saturated Channel 3ff469d249ea59d4 Some(0)
 B uniform without_variance 3e-3 saturated Channel 4002453627514bfc Some(0)
 B uniform without_variance 1e-2 saturated Channel 40193f83a90314ee Some(0)
 B uniform without_variance 3e-2 saturated Channel 403a149b6069138c Some(0)
-B uniform literal 2.5e-6 ok 4035e5c6e45d8f18 c858c22add9d07b0
-B uniform literal 1e-5 ok 403622ae0a617f3d e4f16cb714b92bf9
-B uniform literal 4e-5 ok 40372511bdd4b4f3 1f0d385ae84cecdf
-B uniform literal 1e-4 ok 40398167c68aa2f9 6ef7b1ff8eaceeb6
-B uniform literal 2e-4 ok 403f2026221672c8 175f836050539c2b
-B uniform literal 3e-4 ok 40456eed7bfeef38 4ae9a5d92097f584
-B uniform literal 4e-4 saturated InterSourceQueue 3ff184c92aaf33ca Some(11)
-B uniform literal 5e-4 saturated InterSourceQueue 3ff1706654d2571a Some(8)
-B uniform literal 6e-4 saturated InterSourceQueue 3ff3ccbc8fbbaf15 Some(0)
-B uniform literal 8e-4 saturated InterSourceQueue 4000d48fe9a9b006 Some(0)
-B uniform literal 1.2e-3 saturated InterSourceQueue 3ff9e464ff5e8931 Some(0)
-B uniform literal 3e-3 saturated InterSourceQueue 4010ed2746b2f8fd Some(0)
-B uniform literal 1e-2 saturated Channel 40193f83a90314ee Some(0)
-B uniform literal 3e-2 saturated Channel 403a149b6069138c Some(0)
 B hotspot default 2.5e-6 ok 403626f6550fa62f 11fd70e2b08129d9
 B hotspot default 1e-5 ok 40365dc0cf9bda68 898445085224f691
 B hotspot default 4e-5 ok 403742bca5af972d 4c667adb9226c75a
@@ -265,20 +222,6 @@ B hotspot without_variance 1.2e-3 saturated Channel 40173d39064194b3 Some(0)
 B hotspot without_variance 3e-3 saturated Channel 3ff987887532e700 Some(0)
 B hotspot without_variance 1e-2 saturated Channel 401674ecd119b1f6 Some(0)
 B hotspot without_variance 3e-2 saturated Channel 40367674a3769ab0 Some(0)
-B hotspot literal 2.5e-6 ok 40363168e15bd274 05d21784c84c2bb9
-B hotspot literal 1e-5 ok 403689196bc01ebd fa514298ca0cdf20
-B hotspot literal 4e-5 ok 40380dcdd9766501 fba1e7f30c3bc900
-B hotspot literal 1e-4 ok 403c38034e1b29ab 615fc25e9b33426c
-B hotspot literal 2e-4 ok 40505117e365be88 cf556bfe9663555e
-B hotspot literal 3e-4 saturated InterSourceQueue 3ff88cc35168021a Some(0)
-B hotspot literal 4e-4 saturated InterSourceQueue 4006a876a414a2b9 Some(0)
-B hotspot literal 5e-4 saturated Channel 3ff4115dfbae4de5 Some(0)
-B hotspot literal 6e-4 saturated Channel 3ffe473511a4f77b Some(0)
-B hotspot literal 8e-4 saturated InterSourceQueue 3ff7b4c99363172c Some(0)
-B hotspot literal 1.2e-3 saturated InterSourceQueue 3ff444728378b887 Some(0)
-B hotspot literal 3e-3 saturated InterSourceQueue 400aab1afc1f745d Some(0)
-B hotspot literal 1e-2 saturated Channel 401674ecd119b1f6 Some(0)
-B hotspot literal 3e-2 saturated Channel 40367674a3769ab0 Some(0)
 medium uniform default 2.5e-6 ok 4033f75da63e4d99 652ad9a3b5041881
 medium uniform default 1e-5 ok 403403cec078bed3 510959ab097a6b75
 medium uniform default 4e-5 ok 4034360da5e0d186 92ff91985911c415
@@ -307,20 +250,6 @@ medium uniform without_variance 1.2e-3 ok 403f5a6974611a5a a03026c023a80aad
 medium uniform without_variance 3e-3 saturated Concentrator 3ff0ba4fcd53467d Some(0)
 medium uniform without_variance 1e-2 saturated Channel 3ff0ddf5b88ca982 Some(0)
 medium uniform without_variance 3e-2 saturated Channel 4012c028a0f31c72 Some(0)
-medium uniform literal 2.5e-6 ok 4033fa18f6cd0f9a a42987375916df11
-medium uniform literal 1e-5 ok 40340ed063a527a9 5c4afeaaa79b58b5
-medium uniform literal 4e-5 ok 403463648461070c 41ca2d6055055865
-medium uniform literal 1e-4 ok 40351559113d9710 95cd05a308f1720d
-medium uniform literal 2e-4 ok 40365bef1f0cb35f 2fbe82c62ccfe705
-medium uniform literal 3e-4 ok 4037d0b2905df0db bd7c753591d199f5
-medium uniform literal 4e-4 ok 403981e064a4aa4d 1b1d89f5834040d9
-medium uniform literal 5e-4 ok 403b85abfe2a763e 44ed8eb6643d972d
-medium uniform literal 6e-4 ok 403e01e12be997b4 10dd4798d5d4b0a9
-medium uniform literal 8e-4 ok 4042fe63027f22ca 20a95566f51f9721
-medium uniform literal 1.2e-3 saturated InterSourceQueue 3ff03d1b18fa79dd Some(4)
-medium uniform literal 3e-3 saturated InterSourceQueue 3ffadd453bf7e2a8 Some(0)
-medium uniform literal 1e-2 saturated Channel 3ff0ddf5b88ca982 Some(0)
-medium uniform literal 3e-2 saturated Channel 4012c028a0f31c72 Some(0)
 medium hotspot default 2.5e-6 ok 40342b379a86b22e 7271092e91c364ea
 medium hotspot default 1e-5 ok 40343ad7cab34bba c9687dea89fc8f66
 medium hotspot default 4e-5 ok 40347a2702830ba1 10dbb137432eef89
@@ -349,20 +278,6 @@ medium hotspot without_variance 1.2e-3 ok 4043197c7fd09df0 a221f7b0599084d1
 medium hotspot without_variance 3e-3 saturated Channel 3ffd80a92ced76a6 Some(0)
 medium hotspot without_variance 1e-2 saturated Concentrator 3ff2512a732d6dc0 Some(0)
 medium hotspot without_variance 3e-2 saturated Channel 40109f7f62d5b541 Some(0)
-medium hotspot literal 2.5e-6 ok 40342eaf3be59ac2 5bbb98d47fac3cc0
-medium hotspot literal 1e-5 ok 403448d92ffc2e87 60657d4fa23882b0
-medium hotspot literal 4e-5 ok 4034b4739100bef9 46014e943080a180
-medium hotspot literal 1e-4 ok 40359b41847312db a597e11fe9439d0b
-medium hotspot literal 2e-4 ok 403754de6695e17e 4cfd3c1f2ff4dc0f
-medium hotspot literal 3e-4 ok 4039713310bdc732 41a9b0794d20705c
-medium hotspot literal 4e-4 ok 403c29c599e67f06 68dc22b31e3e3faa
-medium hotspot literal 5e-4 ok 4040014e0d2e89df b48c6d4ec4e018bd
-medium hotspot literal 6e-4 ok 404357e806585645 853c018479060d36
-medium hotspot literal 8e-4 saturated InterSourceQueue 3ff2016f98b34f3b Some(6)
-medium hotspot literal 1.2e-3 saturated InterSourceQueue 3ff810d9caa146a0 Some(0)
-medium hotspot literal 3e-3 saturated InterSourceQueue 3ff5df0402ee5b5d Some(0)
-medium hotspot literal 1e-2 saturated InterSourceQueue 401655711fcdb007 Some(0)
-medium hotspot literal 3e-2 saturated Channel 40109f7f62d5b541 Some(0)
 small_test uniform default 2.5e-6 ok 4031f83820a9ddcd 6f17a5d46e1459ed
 small_test uniform default 1e-5 ok 4031fb842f52d786 5b58c64f0508f04e
 small_test uniform default 4e-5 ok 403208bf6623c524 ca744de156a8957b
@@ -391,20 +306,6 @@ small_test uniform without_variance 1.2e-3 ok 40343e57c9413e8c a8cdcfa85c64914c
 small_test uniform without_variance 3e-3 ok 403905d5c519f50a 8699f5feeecefcb6
 small_test uniform without_variance 1e-2 saturated Concentrator 3ff3967e4e4ba1b8 Some(0)
 small_test uniform without_variance 3e-2 saturated Concentrator 3ffcf7ccd18916d3 Some(0)
-small_test uniform literal 2.5e-6 ok 4031f92c604bde91 22d0f6b3e9480435
-small_test uniform literal 1e-5 ok 4031ff572440e660 60506e8b05411b22
-small_test uniform literal 4e-5 ok 4032182ae7c4112c 7634519d98880ac5
-small_test uniform literal 1e-4 ok 40324a99b5a8ea42 9e23223248bbc8ad
-small_test uniform literal 2e-4 ok 4032a10dc4a1b22e 1b1db1bba9fc4890
-small_test uniform literal 3e-4 ok 4032faac919cac30 e288c5395c74af05
-small_test uniform literal 4e-4 ok 403357ac5e8d5039 27f3e3745d6542ca
-small_test uniform literal 5e-4 ok 4033b848faa9eb37 6559591f6aba8871
-small_test uniform literal 6e-4 ok 40341cc48c44deaa c16ac240361c78ff
-small_test uniform literal 8e-4 ok 4034f286a55e70d5 0c07a0064eb0d55a
-small_test uniform literal 1.2e-3 ok 4036dba217e1ee8e 3c054a3f919c635f
-small_test uniform literal 3e-3 ok 404602836d73dd9c 4dbf8bf74184317e
-small_test uniform literal 1e-2 saturated InterSourceQueue 3ff6c1d3fae46b56 Some(0)
-small_test uniform literal 3e-2 saturated InterSourceQueue 4016cfdc5590dd18 Some(0)
 small_test hotspot default 2.5e-6 ok 40321b89f1e242c6 75accf7d5bea7efb
 small_test hotspot default 1e-5 ok 40321f145e8c69ea 40187b7d70baf072
 small_test hotspot default 4e-5 ok 40322d4b34975582 803ce2728dde97d1
@@ -433,20 +334,6 @@ small_test hotspot without_variance 1.2e-3 ok 40349596690e86c2 a42e289596b01220
 small_test hotspot without_variance 3e-3 ok 403a1395d84a0966 5a04f79c99654bcb
 small_test hotspot without_variance 1e-2 saturated Concentrator 3ff6f09b7df288ef Some(0)
 small_test hotspot without_variance 3e-2 saturated Concentrator 3ffa7c28fa16f04c Some(0)
-small_test hotspot literal 2.5e-6 ok 40321c97df5863af b10890c01da66d43
-small_test hotspot literal 1e-5 ok 4032234e80791012 2b00ceaa70d0ff06
-small_test hotspot literal 4e-5 ok 40323e5ae22a3c6e eb38611ed91671f4
-small_test hotspot literal 1e-4 ok 40327568774dddd8 5e82d59fb2be44ea
-small_test hotspot literal 2e-4 ok 4032d42072fca80f f896ce9e81cee1f3
-small_test hotspot literal 3e-4 ok 403336ca5ab3d7d3 92da46de2ee92d2a
-small_test hotspot literal 4e-4 ok 40339db4ae180998 791b392e4e6a99c1
-small_test hotspot literal 5e-4 ok 4034093774848d5c ea13bb0162fae9ff
-small_test hotspot literal 6e-4 ok 403479b5deb3e1fa 6452ce5d48d238c2
-small_test hotspot literal 8e-4 ok 40356b76a62f4523 562f00ff6936af57
-small_test hotspot literal 1.2e-3 ok 4037a2ef69936a0a 3cd0d8b7b9deb8ab
-small_test hotspot literal 3e-3 ok 405874de29afa38d 60bc4008e821188e
-small_test hotspot literal 1e-2 saturated InterSourceQueue 3ff4870dff199151 Some(0)
-small_test hotspot literal 3e-2 saturated InterSourceQueue 401424167640dd2c Some(0)
 B uniform rate_scaled 2.5e-6 ok 4035dd82a698679d 353fc0e34bb1bdb8
 B uniform rate_scaled 1e-5 ok 403600f28ab1cde2 eb7f49060013c622
 B uniform rate_scaled 4e-5 ok 4036927b1909a95f 83f7b741f53fa1c4

@@ -26,7 +26,7 @@ use crate::cube::CubeFabric;
 use crate::fabric::{Fabric, Itinerary};
 use crate::policy::RoutingPolicy;
 use crate::scenario::Fabric as ScenarioFabric;
-use crate::{Result, SimError};
+use crate::Result;
 use mcnet_system::{MultiClusterSystem, TorusSystem, TrafficConfig};
 
 /// A network fabric the wormhole engine can run over.
@@ -61,13 +61,7 @@ impl FabricBackend {
         traffic: &TrafficConfig,
         policy: RoutingPolicy,
     ) -> Result<Self> {
-        policy.validate()?;
-        if let RoutingPolicy::AdaptiveTorus { .. } = policy {
-            return Err(SimError::InvalidConfiguration {
-                reason: "adaptive_torus routing applies to the torus fabric, not the tree"
-                    .to_string(),
-            });
-        }
+        policy.validate_for(None)?;
         let mut fabric = Fabric::build(system, traffic)?;
         fabric.set_randomized_routing(matches!(policy, RoutingPolicy::RandomizedUpDown));
         Ok(FabricBackend::Tree(Box::new(fabric)))
@@ -82,27 +76,11 @@ impl FabricBackend {
         traffic: &TrafficConfig,
         policy: RoutingPolicy,
     ) -> Result<Self> {
-        policy.validate()?;
+        policy.validate_for(Some(torus))?;
         let adaptive_vcs = match policy {
-            RoutingPolicy::Deterministic => 0,
             RoutingPolicy::AdaptiveTorus { adaptive_vcs } => adaptive_vcs,
-            RoutingPolicy::RandomizedUpDown => {
-                return Err(SimError::InvalidConfiguration {
-                    reason: "randomized_updown routing applies to the tree fabric, not the torus"
-                        .to_string(),
-                });
-            }
+            RoutingPolicy::Deterministic | RoutingPolicy::RandomizedUpDown => 0,
         };
-        // The engine tracks dateline crossings in a per-dimension bitmask of
-        // one byte; real torus configurations stop well short of 8 dimensions.
-        if adaptive_vcs > 0 && torus.dimensions() > 8 {
-            return Err(SimError::InvalidConfiguration {
-                reason: format!(
-                    "adaptive_torus routing supports at most 8 dimensions (got {})",
-                    torus.dimensions()
-                ),
-            });
-        }
         Ok(FabricBackend::Cube(CubeFabric::build_with(torus, traffic, adaptive_vcs)?))
     }
 

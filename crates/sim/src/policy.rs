@@ -25,6 +25,7 @@
 //! construction, and fixed-seed adaptive runs are themselves reproducible.
 
 use crate::{Result, SimError};
+use mcnet_system::TorusSystem;
 
 /// Default number of unrestricted adaptive VCs per directed torus link.
 pub const DEFAULT_ADAPTIVE_VCS: u8 = 1;
@@ -48,6 +49,11 @@ impl RoutingPolicy {
     /// Upper bound on `adaptive_vcs`: more VCs than this would only dilute the
     /// per-VC bandwidth share without adding routing freedom on minimal paths.
     pub const MAX_ADAPTIVE_VCS: u8 = 4;
+
+    /// Upper bound on the torus dimensions adaptive routing supports: the
+    /// engine tracks an adaptive message's dateline crossings in a
+    /// per-dimension bitmask of one byte.
+    pub(crate) const MAX_ADAPTIVE_DIMENSIONS: usize = 8;
 
     /// `true` for the deterministic (fixed-route) policy.
     #[inline]
@@ -75,8 +81,8 @@ impl RoutingPolicy {
         }
     }
 
-    /// Validates the policy's own parameters (fabric compatibility is checked
-    /// where the policy meets a concrete fabric).
+    /// Validates the policy's own parameters; `validate_for` adds the fabric
+    /// rules.
     pub fn validate(self) -> Result<()> {
         if let RoutingPolicy::AdaptiveTorus { adaptive_vcs } = self {
             if adaptive_vcs == 0 || adaptive_vcs > Self::MAX_ADAPTIVE_VCS {
@@ -89,6 +95,34 @@ impl RoutingPolicy {
             }
         }
         Ok(())
+    }
+
+    /// Validates the policy against the fabric it routes on, `torus` being
+    /// `None` for the tree: its own parameters, then adaptive routing needs a
+    /// torus of at most [`RoutingPolicy::MAX_ADAPTIVE_DIMENSIONS`] dimensions
+    /// and randomized routing needs a tree. Scenario validation and the
+    /// engine's fabric constructors both check through here.
+    pub(crate) fn validate_for(self, torus: Option<&TorusSystem>) -> Result<()> {
+        self.validate()?;
+        let reason = match (self, torus) {
+            (RoutingPolicy::AdaptiveTorus { .. }, None) => {
+                "adaptive_torus routing needs a torus fabric".to_string()
+            }
+            (RoutingPolicy::AdaptiveTorus { .. }, Some(torus))
+                if torus.dimensions() > Self::MAX_ADAPTIVE_DIMENSIONS =>
+            {
+                format!(
+                    "adaptive_torus routing supports at most {} dimensions (got {})",
+                    Self::MAX_ADAPTIVE_DIMENSIONS,
+                    torus.dimensions()
+                )
+            }
+            (RoutingPolicy::RandomizedUpDown, Some(_)) => {
+                "randomized_updown routing needs a tree fabric".to_string()
+            }
+            _ => return Ok(()),
+        };
+        Err(SimError::InvalidConfiguration { reason })
     }
 }
 

@@ -518,7 +518,8 @@ impl ScenarioBuilder {
 
     /// Sets the routing policy (defaults to [`RoutingPolicy::Deterministic`]).
     /// The policy must match the fabric — [`RoutingPolicy::AdaptiveTorus`]
-    /// needs a torus, [`RoutingPolicy::RandomizedUpDown`] a tree — which is
+    /// needs a torus of at most 8 dimensions,
+    /// [`RoutingPolicy::RandomizedUpDown`] a tree — which is
     /// checked at [`build`](Self::build).
     pub fn routing(mut self, policy: RoutingPolicy) -> Self {
         self.routing = Some(policy);
@@ -597,21 +598,10 @@ impl Scenario {
             plan.validate()?;
             plan.validate_against(&self.fabric)?;
         }
-        self.routing.validate()?;
-        match (&self.routing, &self.fabric) {
-            (RoutingPolicy::AdaptiveTorus { .. }, Fabric::Tree(_)) => {
-                return Err(SimError::InvalidConfiguration {
-                    reason: "adaptive_torus routing needs a torus fabric".into(),
-                });
-            }
-            (RoutingPolicy::RandomizedUpDown, Fabric::Torus(_)) => {
-                return Err(SimError::InvalidConfiguration {
-                    reason: "randomized_updown routing needs a tree fabric".into(),
-                });
-            }
-            _ => {}
-        }
-        Ok(())
+        self.routing.validate_for(match &self.fabric {
+            Fabric::Tree(_) => None,
+            Fabric::Torus(torus) => Some(torus),
+        })
     }
 }
 

@@ -25,8 +25,7 @@
 //!   derived) routing algorithm used by the paper;
 //! * [`distance::HopDistribution`] — the hop-count probability distribution
 //!   `P_{j,n}` of Eq. (4) and the average message distance `d_avg` of Eqs. (8)–(9),
-//!   both in the paper's published form and as an exact enumeration over the
-//!   constructed topology;
+//!   in the paper's published form;
 //! * [`kary_ncube::KaryNCube`] — the k-ary n-cube topology of the prior-art models
 //!   the paper builds on (used for baseline/ablation benchmarks).
 //!
@@ -44,7 +43,7 @@
 //! let path = router.route(0u32.into(), 100u32.into()).unwrap();
 //! assert!(path.num_links() <= 2 * 3);
 //!
-//! let hops = HopDistribution::paper(8, 3);
+//! let hops = HopDistribution::paper(8, 3).unwrap();
 //! assert!((hops.probabilities().iter().sum::<f64>() - 1.0).abs() < 1e-12);
 //! ```
 

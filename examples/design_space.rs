@@ -18,7 +18,7 @@ fn evaluate(label: &str, system: &MultiClusterSystem) {
         .map(|l| format!("{l:.1}"))
         .unwrap_or_else(|| "saturated".into());
     let sat = ModelBackend::Tree(system.clone())
-        .saturation_rate(&traffic, ModelOptions::default(), 1e-1, 1e-7)
+        .find_saturation_rate(&traffic, ModelOptions::default(), 1e-4)
         .map(|s| format!("{s:.2e}"))
         .unwrap_or_else(|_| "-".into());
     println!(

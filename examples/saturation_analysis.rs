@@ -19,7 +19,7 @@ fn main() {
         for (flits, bytes) in geometry_grid(&[32, 64], &[256.0, 512.0]) {
             let template = TrafficConfig::uniform(flits, bytes, 1e-4).expect("valid traffic");
             let sat = backend
-                .saturation_rate(&template, ModelOptions::default(), 1e-1, 1e-7)
+                .find_saturation_rate(&template, ModelOptions::default(), 1e-4)
                 .expect("saturation search converges");
             // Evaluate slightly past saturation to see which component trips first.
             let traffic = TrafficConfig::uniform(flits, bytes, sat * 1.02).expect("valid traffic");

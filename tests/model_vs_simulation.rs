@@ -94,7 +94,7 @@ fn both_model_and_simulation_grow_with_load() {
 fn tree_saturation_rate(system: MultiClusterSystem, flits: usize, bytes: f64) -> f64 {
     let template = TrafficConfig::uniform(flits, bytes, 1e-4).unwrap();
     ModelBackend::Tree(system)
-        .saturation_rate(&template, ModelOptions::default(), 1e-1, 1e-7)
+        .find_saturation_rate(&template, ModelOptions::default(), 1e-4)
         .unwrap()
 }
 

@@ -210,3 +210,26 @@ fn invalid_specs_are_rejected_with_typed_errors() {
     // Garbage documents: typed parse errors.
     assert!(matches!(ScenarioSpec::from_json("{ not json"), Err(SimError::InvalidSpec { .. })));
 }
+
+#[test]
+fn adaptive_routing_beyond_eight_dimensions_fails_at_build() {
+    // The engine routes adaptively on at most 8 torus dimensions. A spec past
+    // that must fail at build, like every other invalid spec, and not first
+    // when an engine is built for it.
+    let spec = |dimensions: usize| {
+        ScenarioSpec::from_json(&format!(
+            r#"{{
+                "name": "adaptive_{dimensions}d",
+                "fabric": {{"kind": "torus", "radix": 2, "dimensions": {dimensions}}},
+                "traffic": {{"message_flits": 8, "flit_bytes": 256.0, "generation_rate": 1e-3}},
+                "protocol": "quick", "seed": 1, "replications": 1,
+                "routing": {{"policy": "adaptive_torus", "adaptive_vcs": 2}}
+            }}"#
+        ))
+        .unwrap()
+    };
+    assert!(spec(8).build().is_ok());
+    let err = spec(9).build().unwrap_err();
+    assert!(matches!(err, SimError::InvalidConfiguration { .. }), "{err:?}");
+    assert!(err.to_string().contains("at most 8 dimensions"), "{err}");
+}
