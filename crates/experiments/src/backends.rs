@@ -92,8 +92,8 @@ pub fn tree_vs_torus(
 
     // One declarative scenario per backend, swept over the shared rate grid.
     // `sweep_replicated` runs the points sequentially on purpose: each
-    // replication set already fans over the bounded worker pool, so an outer
-    // parallel layer would multiply thread counts up to workers².
+    // replication set already fans over the bounded worker pool, and an outer
+    // parallel layer would only make those nested calls run inline.
     let base_traffic = TrafficConfig::uniform(message_flits, flit_bytes, lo)?;
     let tree_outcomes = Scenario::builder()
         .tree(tree.clone())

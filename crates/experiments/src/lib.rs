@@ -1,7 +1,7 @@
 //! # mcnet-experiments
 //!
 //! The evaluation harness: for every table and figure of the paper's validation section
-//! (and for the additional ablations listed in `DESIGN.md`), this crate builds the
+//! (and for the additional ablations in the table below), this crate builds the
 //! workload, runs both the analytical model (`mcnet-model`) and the discrete-event
 //! simulator (`mcnet-sim`), and renders the result as JSON and markdown.
 //!

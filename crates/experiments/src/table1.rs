@@ -75,8 +75,8 @@ fn summarize(name: &str, system: &MultiClusterSystem) -> OrganizationSummary {
 /// The two organizations of the paper's Table 1.
 ///
 /// Deliberately serial: `summarize` is microsecond-scale configuration math,
-/// so fanning it over the worker pool would cost more in thread spawns than
-/// the work itself. The pool backs the simulation-bearing sweeps instead
+/// so fanning it over the worker pool would cost more in helper wake-ups
+/// than the work itself. The pool backs the simulation-bearing sweeps instead
 /// (`mcnet_experiments::figures`, `mcnet_sim::runner`).
 pub fn table1_summary() -> Vec<OrganizationSummary> {
     vec![

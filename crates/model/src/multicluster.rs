@@ -108,8 +108,8 @@ impl<'a> AnalyticalModel<'a> {
         scale: &[f64],
         options: ModelOptions,
     ) -> Result<Self> {
-        let rates = SystemRates::compute_scaled(system, traffic, scale)?;
         let hops = HopCache::build(system)?;
+        let rates = SystemRates::compute_scaled(system, traffic, scale, &hops)?;
         let times = ChannelTimes::new(system.technology(), traffic);
         Ok(AnalyticalModel { system, traffic: *traffic, options, rates, hops, times })
     }

@@ -220,17 +220,19 @@ impl SystemRates {
     /// Computes every per-cluster rate for the given system and traffic.
     pub fn compute(system: &MultiClusterSystem, traffic: &TrafficConfig) -> Result<Self> {
         let scale = vec![1.0; system.num_clusters()];
-        Self::compute_scaled(system, traffic, &scale)
+        Self::compute_scaled(system, traffic, &scale, &HopCache::build(system)?)
     }
 
     /// Computes the rates with a per-cluster scaling of the generation rate: cluster
     /// `i` generates `scale[i]·λ_g` messages per node per time unit. The paper's model
     /// uses a scale of 1 everywhere; the processor-heterogeneity extension scales by
-    /// relative processing power.
+    /// relative processing power. The average distances (Eqs. 8–9) are read from
+    /// `hops`, the system's own [`HopCache`].
     pub fn compute_scaled(
         system: &MultiClusterSystem,
         traffic: &TrafficConfig,
         scale: &[f64],
+        hops: &HopCache,
     ) -> Result<Self> {
         traffic.validate().map_err(ModelError::from)?;
         if scale.len() != system.num_clusters() {
@@ -247,9 +249,7 @@ impl SystemRates {
                 reason: "rate scales must be finite and non-negative".into(),
             });
         }
-        let m = system.ports();
-        let icn2_hops = HopDistribution::paper(m, system.icn2_levels())?;
-        let icn2_average_distance = icn2_hops.average_distance();
+        let icn2_average_distance = hops.icn2().average_distance();
 
         // The uniform pattern keeps the paper's published formulas verbatim
         // (and bit-for-bit: Eq. 13's P_o rather than the equivalent 1 − q),
@@ -266,14 +266,13 @@ impl SystemRates {
                 None => system.outgoing_probability(i)?,
                 Some(mix) => 1.0 - mix.stay(i),
             };
-            let hops = HopDistribution::paper(m, spec.levels)?;
             // The rate-dependent fields are filled in by `rebind` below.
             clusters.push(ClusterRates {
                 cluster: i,
                 nodes: spec.num_nodes(),
                 levels: spec.levels,
                 outgoing_probability: p_o,
-                average_distance: hops.average_distance(),
+                average_distance: hops.cluster(spec.levels).average_distance(),
                 lambda_icn1: 0.0,
                 eta_icn1: 0.0,
                 per_node_icn1_rate: 0.0,

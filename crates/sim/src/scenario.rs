@@ -152,9 +152,9 @@ impl Scenario {
 
     /// [`Scenario::execute`] against a caller-held engine cache, for drivers
     /// (campaigns) that are themselves already fanned over the worker pool:
-    /// replications run *sequentially* on the calling thread — nesting another
-    /// `parallel_map` would multiply thread counts — and every run resets the
-    /// cached engine in place instead of allocating a fresh one.
+    /// replications run *sequentially* on the calling thread — a nested
+    /// `parallel_map` would run inline there anyway — and every run resets
+    /// the cached engine in place instead of allocating a fresh one.
     ///
     /// Bit-identical to [`Scenario::execute`]: replication `r` uses seed
     /// `seed + r` and the aggregate is computed in replication order, exactly
@@ -206,10 +206,10 @@ impl Scenario {
     /// Sweeps the generation rate over `rates` with `n` replications per point.
     ///
     /// Points run sequentially on purpose: each replication set already fans
-    /// over the bounded worker pool, and nesting `parallel_map` would multiply
-    /// thread counts up to workers² instead of sharing one pool. Every point
-    /// replicates from the same base seed (seeds `seed … seed+n-1`), the
-    /// backend-comparison contract.
+    /// over the bounded worker pool, and a `parallel_map` nested in a point
+    /// would run inline on that point's thread. Every point replicates from
+    /// the same base seed (seeds `seed … seed+n-1`), the backend-comparison
+    /// contract.
     ///
     /// One engine pool is threaded through the *whole* sweep: the per-worker
     /// engines warmed by the first point are reset — not reallocated — for
