@@ -23,7 +23,10 @@
 //! channel is the M/G/1 source-queue server, as in the tree model). Every
 //! journey of a class ends in the same ejection stage, so the `d`-link journey
 //! is the `d − 1`-link one with a link stage in front: one backward walk per
-//! class, extended one stage per `d`, solves every journey length in turn.
+//! stage sequence, extended one stage per `d`, solves every journey length in
+//! turn. The background classes (all, intra, inter) share their ejection and
+//! link stages, so they read one walk at their own hop weights; the hot-spot
+//! class and the worst-case journey advance beside it in the same loop.
 //!
 //! ## Channel loads
 //!
@@ -36,17 +39,22 @@
 //! pin this against a brute-force count over the simulator's own
 //! itineraries). Binding a rate therefore rescales `4k` numbers, not one per
 //! channel. Hot-spot traffic adds the traversal counts of every
-//! `source → hotspot` route on top; only that table is dense (one count per
-//! link channel), and only a hot-spot pattern builds it.
+//! `source → hotspot` route on top. Routes correct dimension 0 first and the
+//! dateline VC resets per ring, so those counts also follow from one ring per
+//! dimension: `k^d` sources share each route suffix in dimension `d`. Only
+//! that table is dense (one count per link channel), and only a hot-spot
+//! pattern builds it.
 //!
 //! The per-stage blocking recursion uses the *usage-weighted mean* channel
 //! rate of the message class (background or hot-spot), and saturation is
 //! declared from a worst-case recursion over the most loaded channel — the
 //! direct-network counterparts of the per-network mean rates and utilisation
-//! checks of the tree model. One evaluation gathers all of these in one pass
-//! over the channels, walked in channel-index order with the node digits
-//! stepped as an odometer, so each weighted sum adds the same terms in the
-//! same order whatever the table layout.
+//! checks of the tree model. Each weighted sum adds one term per channel, in
+//! channel-index order with the node digits stepped as an odometer, so it
+//! adds the same terms in the same order whatever the table layout. Under
+//! uniform traffic a channel's terms depend only on its digit, so binding a
+//! rate stores them per digit and an evaluation only adds them up; a
+//! hot-spot pattern computes them channel by channel.
 //!
 //! ## Assumptions and limits
 //!
@@ -64,7 +72,7 @@ use crate::service::{self, ChannelTimes, StageOutcome, StageWalk};
 use crate::source_queue::{self, SourceQueueInput, SourceQueueKind};
 use crate::{ModelError, Result};
 use mcnet_system::{TorusSystem, TrafficConfig, TrafficPattern};
-use mcnet_topology::{KaryNCube, NodeId};
+use mcnet_topology::KaryNCube;
 
 /// Largest torus population the analytical model accepts. A hot-spot pattern
 /// keeps a dense traversal count per link channel (`N · n · 2 · 2` entries),
@@ -127,13 +135,35 @@ struct ChannelLoads {
     /// `usage[digit]`: traversals of each channel leaving `digit`, summed over
     /// all `k²` ordered digit pairs of one ring (the background component).
     usage: Vec<[f64; 4]>,
-    /// `ring_rate[digit]`: the background message rate of each channel leaving
-    /// `digit`; derived from `usage` by [`TorusModel::set_rate`].
-    ring_rate: Vec<[f64; 4]>,
+    /// `ring[digit]`: the background rates of the channels leaving `digit`
+    /// and their terms of the background sums; derived from `usage` by
+    /// [`TorusModel::set_rate`].
+    ring: Vec<DigitRates>,
     /// `Σ usage` over every link channel of the torus (an exact integer).
     uniform_total: f64,
     /// The hot-spot component, when the pattern has one.
     hotspot: Option<HotspotLoads>,
+}
+
+/// The background loads of the four channels leaving one ring digit.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct DigitRates {
+    /// The channels' rates, indexed like [`ChannelLoads::usage`].
+    rate: [f64; 4],
+    /// Per direction (`dir_idx`): the link's two dateline VC rates summed.
+    link_rate: [f64; 2],
+    /// Per direction: the link's [`LinkTerms`] in the background sums.
+    terms: [LinkTerms; 2],
+}
+
+impl DigitRates {
+    fn new(usage: [f64; 4], rate: [f64; 4]) -> DigitRates {
+        let link_rate = [rate[0] + rate[1], rate[2] + rate[3]];
+        let terms = [0, 2].map(|j| {
+            LinkTerms::new([usage[j], usage[j + 1]], [rate[j], rate[j + 1]], link_rate[j / 2])
+        });
+        DigitRates { rate, link_rate, terms }
+    }
 }
 
 /// The hot-spot component of [`ChannelLoads`].
@@ -175,14 +205,34 @@ struct ClassRates {
     link: f64,
 }
 
-impl ClassRates {
-    /// Adds one link's two dateline channels, used `usage` times at rates
-    /// `rate`.
+/// What one link adds to a class's [`ClassRates`] sums.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct LinkTerms {
+    /// `usage·rate` of each of its two dateline channels.
+    vc: [f64; 2],
+    /// `Σ usage · link rate`.
+    link: f64,
+}
+
+impl LinkTerms {
+    /// The terms of a link whose two dateline channels are used `usage` times
+    /// at rates `rate`.
     #[inline]
-    fn add(&mut self, usage: [f64; 2], rate: [f64; 2], link_rate: f64) {
-        self.vc += usage[0] * rate[0];
-        self.vc += usage[1] * rate[1];
-        self.link += (usage[0] + usage[1]) * link_rate;
+    fn new(usage: [f64; 2], rate: [f64; 2], link_rate: f64) -> LinkTerms {
+        LinkTerms {
+            vc: [usage[0] * rate[0], usage[1] * rate[1]],
+            link: (usage[0] + usage[1]) * link_rate,
+        }
+    }
+}
+
+impl ClassRates {
+    /// Adds one link's terms.
+    #[inline]
+    fn add(&mut self, terms: LinkTerms) {
+        self.vc += terms.vc[0];
+        self.vc += terms.vc[1];
+        self.link += terms.link;
     }
 
     /// The sums divided by the class's total usage (zero for an unused class).
@@ -192,6 +242,22 @@ impl ClassRates {
         }
         ClassRates { vc: self.vc / total, link: self.link / total }
     }
+}
+
+/// The mean network latencies of one evaluation's message classes, read off
+/// its stage walks by [`TorusModel::walk_journeys`].
+#[derive(Debug, Clone, Copy)]
+struct Journeys {
+    /// The background class, and its sub-ring (intra) and crossing (inter)
+    /// parts.
+    uniform: f64,
+    intra: f64,
+    inter: f64,
+    /// The hot-spot class, when the pattern has one.
+    hot: Option<f64>,
+    /// The saturation gate: the longest journey over the most loaded channels,
+    /// ending in the most loaded ejection channel.
+    worst: StageOutcome,
 }
 
 /// The analytical k-ary n-cube model, bound to one system and traffic point.
@@ -269,7 +335,7 @@ impl TorusModel {
         let (hop_probs, intra_probs, inter_probs, intra_fraction) =
             hop_distributions(&ring.distance_probs, torus.dimensions());
 
-        let loads = ChannelLoads::build(&cube, ring.usage, hotspot)?;
+        let loads = ChannelLoads::build(&cube, ring.usage, hotspot);
         let n = n_total as f64;
         let mut model = TorusModel {
             torus: torus.clone(),
@@ -312,9 +378,8 @@ impl TorusModel {
         // `usage[a][dir][vc]·k^(n-1)` times over all N² ordered pairs, i.e. at
         // rate λ_u · usage/k · N/(N−1) once destinations exclude the source.
         let correction = n / (n - 1.0);
-        let usage = self.loads.usage.as_flattened();
-        for (r, &u) in self.loads.ring_rate.as_flattened_mut().iter_mut().zip(usage) {
-            *r = lambda_uniform * u / k * correction;
+        for (digit, &usage) in self.loads.ring.iter_mut().zip(&self.loads.usage) {
+            *digit = DigitRates::new(usage, usage.map(|u| lambda_uniform * u / k * correction));
         }
         Ok(())
     }
@@ -353,7 +418,7 @@ impl TorusModel {
             });
         }
         let j = 2 * usize::from(direction < 0) + vc;
-        let rate = self.loads.ring_rate[self.cube.digit(node, dimension)][j];
+        let rate = self.loads.ring[self.cube.digit(node, dimension)].rate[j];
         Ok(match &self.loads.hotspot {
             Some(hot) => {
                 let channel = (node * self.cube.dimensions() + dimension) * 4 + j;
@@ -398,39 +463,16 @@ impl TorusModel {
     /// The Draper–Ghosh baseline: dimension-order routing, one deterministic
     /// dateline VC per hop.
     fn evaluate_deterministic(&self) -> Result<TorusLatencyReport> {
-        // Saturation gate: the most loaded link channel, on the longest journey,
-        // with the most loaded ejection channel as the final stage.
         let m_tcs = self.times.message_switch_time();
         let loads = self.loads.scan(&self.cube);
-        let eta_max = loads.vc_max;
-        let ej_max = self.max_ejection_rate();
-        let worst = longest_journey(self.hop_probs.len(), ej_max, &self.times, |walk| {
-            walk.extend(eta_max, m_tcs)
-        });
-        service::check_channel_utilization(&worst, None)?;
-
-        // Background (uniformly-routed) class.
-        let eta_uni = loads.uniform.vc;
-        let ej_uni = self.mean_background_ejection_rate();
-        let class = |probs: &[f64], eta_link: f64, eta_ejection: f64| {
-            class_network_latency(probs, eta_ejection, &self.times, |walk| {
-                walk.extend(eta_link, m_tcs)
-            })
-        };
-        let s_uni = class(&self.hop_probs, eta_uni, ej_uni);
-        let s_intra = class(&self.intra_probs, eta_uni, ej_uni);
-        let s_inter = class(&self.inter_probs, eta_uni, ej_uni);
-
-        // Hot-spot class (empty under uniform traffic). A uniformly-placed
-        // source is uniformly far from the hot node, so the hot class shares
-        // the background hop distribution.
-        let s_hot = if let Some(hot_node) = self.hotspot {
-            let ej_hot = self.ejection_rate(hot_node)?;
-            Some(class(&self.hop_probs, loads.hotspot.vc, ej_hot))
-        } else {
-            None
-        };
-        self.compose(s_uni, s_intra, s_inter, s_hot, worst.max_utilization, None)
+        // Each link stage is one channel at its class's mean rate; the
+        // saturation gate's is the most loaded channel.
+        let journeys =
+            self.walk_journeys(loads.uniform.vc, loads.hotspot.vc, loads.vc_max, |walk, eta| {
+                walk.extend(eta, m_tcs)
+            })?;
+        service::check_channel_utilization(&journeys.worst, None)?;
+        self.compose(&journeys, None)
     }
 
     /// The minimal-adaptive variant in Duato's framework. The physical link
@@ -442,9 +484,9 @@ impl TorusModel {
     /// uniformly among free candidates), and the share `β` that found every
     /// candidate busy falls back to the escape class, which keeps the
     /// deterministic dateline discipline. `β` is the fixed point of
-    /// [`escape_fraction`]; a header then *waits* only when its candidates and
-    /// the escape channel are all busy, which [`adaptive_stage`] models as a
-    /// blocking product.
+    /// [`escape_fractions`]; a header then *waits* only when its candidates
+    /// and the escape channel are all busy, which [`adaptive_stage`] models as
+    /// a blocking product.
     fn evaluate_adaptive(&self, adaptive_vcs: usize) -> Result<TorusLatencyReport> {
         if adaptive_vcs == 0 {
             return Err(ModelError::InvalidConfiguration {
@@ -455,51 +497,83 @@ impl TorusModel {
         let candidates = v * self.mean_active_dimensions();
         let hold = self.times.message_switch_time();
 
-        // Saturation gate: the most loaded physical link, with the adaptive /
-        // escape split it settles into at this load.
+        // Each class's link totals drive its own escape share; the saturation
+        // gate's is the most loaded physical link's.
         let loads = self.loads.scan(&self.cube);
-        let (eta_vc_max, link_max) = (loads.vc_max, loads.link_max);
-        let beta_max = escape_fraction(link_max, v, candidates, hold);
-        let (eta_a_max, eta_e_max) = (link_max * (1.0 - beta_max) / v, beta_max * eta_vc_max);
-        let worst =
-            longest_journey(self.hop_probs.len(), self.max_ejection_rate(), &self.times, |walk| {
-                adaptive_stage(walk, eta_a_max, eta_e_max, candidates, hold)
-            });
-        service::check_channel_utilization(&worst, None)?;
-
-        // Background class: usage-weighted link totals drive the fixed point,
-        // the usage-weighted deterministic VC rate scales the escape class.
-        let ClassRates { vc: eta_vc_uni, link: link_uni } = loads.uniform;
-        let beta_uni = escape_fraction(link_uni, v, candidates, hold);
-        let eta_a_uni = link_uni * (1.0 - beta_uni) / v;
-        let eta_e_uni = beta_uni * eta_vc_uni;
-        let ej_uni = self.mean_background_ejection_rate();
-        let journey = |probs: &[f64], eta_a: f64, eta_e: f64, ej: f64| {
-            class_network_latency(probs, ej, &self.times, |walk| {
-                adaptive_stage(walk, eta_a, eta_e, candidates, hold)
-            })
+        let (link_max, link_uni, link_hot) =
+            (loads.link_max, loads.uniform.link, loads.hotspot.link);
+        let [beta_max, beta_uni, beta_hot] = match self.hotspot {
+            Some(_) => escape_fractions([link_max, link_uni, link_hot], v, candidates, hold),
+            None => {
+                let [beta_max, beta_uni] =
+                    escape_fractions([link_max, link_uni], v, candidates, hold);
+                [beta_max, beta_uni, 0.0]
+            }
         };
-        let s_uni = journey(&self.hop_probs, eta_a_uni, eta_e_uni, ej_uni);
-        let s_intra = journey(&self.intra_probs, eta_a_uni, eta_e_uni, ej_uni);
-        let s_inter = journey(&self.inter_probs, eta_a_uni, eta_e_uni, ej_uni);
-
-        // Hot-spot class: its own link loads, its own escape share.
-        let (s_hot, beta_hot) = if let Some(hot_node) = self.hotspot {
-            let ClassRates { vc: eta_vc_hot, link: link_hot } = loads.hotspot;
-            let beta_hot = escape_fraction(link_hot, v, candidates, hold);
-            let eta_a_hot = link_hot * (1.0 - beta_hot) / v;
-            let s = journey(
-                &self.hop_probs,
-                eta_a_hot,
-                beta_hot * eta_vc_hot,
-                self.ejection_rate(hot_node)?,
-            );
-            (Some(s), beta_hot)
-        } else {
-            (None, 0.0)
-        };
+        // A link stage's adaptive VCs share the link total left to them; its
+        // escape VC carries the escape share of the deterministic VC rate.
+        let stage = |link: f64, beta: f64, eta_vc: f64| (link * (1.0 - beta) / v, beta * eta_vc);
+        let journeys = self.walk_journeys(
+            stage(link_uni, beta_uni, loads.uniform.vc),
+            stage(link_hot, beta_hot, loads.hotspot.vc),
+            stage(link_max, beta_max, loads.vc_max),
+            |walk, (eta_adaptive, eta_escape)| {
+                adaptive_stage(walk, eta_adaptive, eta_escape, candidates, hold)
+            },
+        )?;
+        service::check_channel_utilization(&journeys.worst, None)?;
         let beta = self.hot_weight * beta_hot + (1.0 - self.hot_weight) * beta_uni;
-        self.compose(s_uni, s_intra, s_inter, s_hot, worst.max_utilization, Some(beta))
+        self.compose(&journeys, Some(beta))
+    }
+
+    /// Walks every stage sequence of one evaluation side by side, one link
+    /// stage per step: the background classes' shared walk, the hot-spot
+    /// class's (when the pattern has one) and the saturation gate's longest
+    /// journey, each ending in its own ejection stage and extended by `link`
+    /// at its own rates. A `d`-link journey is the `d − 1`-link one with a
+    /// link stage in front, so step `d` reads every class's `d`-link journey,
+    /// weighted by the class's hop-count probability (a hot-spot message is
+    /// uniformly far from the hot node, so its class shares the background
+    /// distribution).
+    fn walk_journeys<L: Copy>(
+        &self,
+        background: L,
+        hot: L,
+        worst: L,
+        link: impl Fn(&mut StageWalk, L),
+    ) -> Result<Journeys> {
+        let times = &self.times;
+        let mut background_walk = StageWalk::deliver(self.mean_background_ejection_rate(), times);
+        let mut hot_walk = match self.hotspot {
+            Some(node) => Some(StageWalk::deliver(self.ejection_rate(node)?, times)),
+            None => None,
+        };
+        let mut worst_walk = StageWalk::deliver(self.max_ejection_rate(), times);
+        let (mut uniform, mut intra, mut inter, mut hot_latency) = (0.0, 0.0, 0.0, 0.0);
+        let weights = self.hop_probs.iter().zip(&self.intra_probs).zip(&self.inter_probs);
+        for ((&p, &p_intra), &p_inter) in weights {
+            link(&mut worst_walk, worst);
+            link(&mut background_walk, background);
+            let latency = background_walk.outcome().latency;
+            for (sum, p) in [(&mut uniform, p), (&mut intra, p_intra), (&mut inter, p_inter)] {
+                if p != 0.0 {
+                    *sum += p * latency;
+                }
+            }
+            if let Some(walk) = &mut hot_walk {
+                link(walk, hot);
+                if p != 0.0 {
+                    hot_latency += p * walk.outcome().latency;
+                }
+            }
+        }
+        Ok(Journeys {
+            uniform,
+            intra,
+            inter,
+            hot: hot_walk.map(|_| hot_latency),
+            worst: worst_walk.outcome(),
+        })
     }
 
     /// Mixes the per-class network latencies into the full report — the
@@ -508,11 +582,7 @@ impl TorusModel {
     /// per-journey stage recursion treats blocking).
     fn compose(
         &self,
-        s_uni: StageOutcome,
-        s_intra: StageOutcome,
-        s_inter: StageOutcome,
-        s_hot: Option<StageOutcome>,
-        max_channel_utilization: f64,
+        journeys: &Journeys,
         escape_fraction: Option<f64>,
     ) -> Result<TorusLatencyReport> {
         let lambda = self.traffic.generation_rate;
@@ -527,12 +597,12 @@ impl TorusModel {
 
         // Class mixture: the network latency the injection channel is held for.
         let w_hot = self.hot_weight;
-        let network = match s_hot {
-            Some(hot) => w_hot * hot.latency + (1.0 - w_hot) * s_uni.latency,
-            None => s_uni.latency,
+        let network = match journeys.hot {
+            Some(hot) => w_hot * hot + (1.0 - w_hot) * journeys.uniform,
+            None => journeys.uniform,
         };
         let tail_of = |d: f64| d * t_cs + t_cn;
-        let tail = match s_hot {
+        let tail = match journeys.hot {
             Some(_) => w_hot * tail_of(d_hot) + (1.0 - w_hot) * tail_of(d_avg),
             None => tail_of(d_avg),
         };
@@ -552,14 +622,14 @@ impl TorusModel {
         )?;
 
         let total = source_wait + network + tail;
-        let intra = source_wait + s_intra.latency + tail_of(d_intra);
+        let intra = source_wait + journeys.intra + tail_of(d_intra);
         // On a 1-D torus every destination shares the single sub-ring: the
         // inter class is empty (all-zero distribution) and mirrors the intra
         // class instead of reporting a fabricated near-zero latency.
         let inter = if self.intra_fraction >= 1.0 {
             intra
         } else {
-            source_wait + s_inter.latency + tail_of(d_inter)
+            source_wait + journeys.inter + tail_of(d_inter)
         };
         Ok(TorusLatencyReport {
             generation_rate: lambda,
@@ -570,13 +640,13 @@ impl TorusModel {
             intra,
             inter,
             intra_fraction: self.intra_fraction,
-            hotspot_total: s_hot.map(|s| source_wait + s.latency + tail_of(d_hot)),
-            background_total: s_hot.map(|_| source_wait + s_uni.latency + tail_of(d_avg)),
-            average_hops: match s_hot {
+            hotspot_total: journeys.hot.map(|s| source_wait + s + tail_of(d_hot)),
+            background_total: journeys.hot.map(|_| source_wait + journeys.uniform + tail_of(d_avg)),
+            average_hops: match journeys.hot {
                 Some(_) => w_hot * d_hot + (1.0 - w_hot) * d_avg,
                 None => d_avg,
             },
-            max_channel_utilization,
+            max_channel_utilization: journeys.worst.max_utilization,
             escape_fraction,
         })
     }
@@ -632,71 +702,46 @@ fn with_hotspot_traffic(mut rate: f64, count: u32, addend: f64) -> f64 {
     rate
 }
 
-/// The stationary escape share `β` of one class: the probability that a header
-/// finds all of its adaptive candidates busy and falls back to the escape
-/// class. With the adaptive VCs carrying the load share `1 − β` spread over
-/// `V` channels per link, each candidate is busy with probability
-/// `η_link·(1 − β)/V · M·t_cs` (raw holding time), and candidate independence
-/// gives the fixed point
+/// The stationary escape shares `β` of several classes, one per link rate
+/// `η_link`: the probability that a header finds all of its adaptive
+/// candidates busy and falls back to the escape class. With the adaptive VCs
+/// carrying the load share `1 − β` spread over `V` channels per link, each
+/// candidate is busy with probability `η_link·(1 − β)/V · M·t_cs` (raw holding
+/// time), and candidate independence gives the fixed point
 ///
 /// ```text
 /// β = (η_link·(1 − β)/V · M·t_cs)^c̄
 /// ```
 ///
 /// with `c̄` the mean candidate count. Solved by damped iteration (the map is
-/// decreasing in `β`, so the plain iteration oscillates).
-fn escape_fraction(eta_link: f64, adaptive_vcs: f64, candidates: f64, hold: f64) -> f64 {
-    let mut beta = 0.5;
+/// decreasing in `β`, so the plain iteration oscillates). The chains iterate
+/// side by side so their `powf` steps overlap, but each stops on its own: at
+/// its first step under 1e-13, or after 200 steps, so its share is exactly
+/// the one it would reach alone.
+fn escape_fractions<const C: usize>(
+    eta_links: [f64; C],
+    adaptive_vcs: f64,
+    candidates: f64,
+    hold: f64,
+) -> [f64; C] {
+    let mut beta = [0.5; C];
+    let mut running = [true; C];
     for _ in 0..200 {
-        let eta_adaptive = eta_link * (1.0 - beta) / adaptive_vcs;
-        let next = (eta_adaptive * hold).clamp(0.0, 1.0).powf(candidates);
-        let damped = 0.5 * (beta + next);
-        if (damped - beta).abs() < 1e-13 {
-            return damped;
+        for c in 0..C {
+            if running[c] {
+                let eta_adaptive = eta_links[c] * (1.0 - beta[c]) / adaptive_vcs;
+                let next = (eta_adaptive * hold).clamp(0.0, 1.0).powf(candidates);
+                let damped = 0.5 * (beta[c] + next);
+                let converged = (damped - beta[c]).abs() < 1e-13;
+                running[c] = !converged;
+                beta[c] = damped;
+            }
         }
-        beta = damped;
+        if !running.contains(&true) {
+            break;
+        }
     }
     beta
-}
-
-/// Mean network latency of one class. A `d`-link journey is the ejection stage
-/// behind `d` link stages, so it is the `d − 1`-link journey with one more
-/// link stage in front: one walk from the ejection stage, extended by `link`
-/// once per hop, reads every journey of the class in turn, weighted by the
-/// class's hop-count distribution (`probs[d − 1]`).
-fn class_network_latency(
-    probs: &[f64],
-    eta_ejection: f64,
-    times: &ChannelTimes,
-    mut link: impl FnMut(&mut StageWalk),
-) -> StageOutcome {
-    let mut walk = StageWalk::deliver(eta_ejection, times);
-    let mut latency = 0.0;
-    let mut max_utilization: f64 = 0.0;
-    for &p in probs {
-        link(&mut walk);
-        if p == 0.0 {
-            continue;
-        }
-        let outcome = walk.outcome();
-        latency += p * outcome.latency;
-        max_utilization = max_utilization.max(outcome.max_utilization);
-    }
-    StageOutcome { latency, max_utilization }
-}
-
-/// The `d`-link journey alone: the ejection stage behind `d` stages of `link`.
-fn longest_journey(
-    d: usize,
-    eta_ejection: f64,
-    times: &ChannelTimes,
-    mut link: impl FnMut(&mut StageWalk),
-) -> StageOutcome {
-    let mut walk = StageWalk::deliver(eta_ejection, times);
-    for _ in 0..d {
-        link(&mut walk);
-    }
-    walk.outcome()
 }
 
 /// One link stage under minimal-adaptive routing, prepended to `walk`
@@ -752,18 +797,8 @@ impl RingUsage {
             for (dir_idx, routes) in [(0, forward), (1, backward)] {
                 // One walk as far as the farthest destination: its `hop`-th
                 // channel carries every route longer than `hop` hops.
-                let dateline = if dir_idx == 0 { k - 1 } else { 0 };
-                let mut digit = start;
-                let mut wrapped = false;
-                for hop in 0..routes {
-                    wrapped = wrapped || (k > 2 && digit == dateline);
-                    usage[digit][2 * dir_idx + usize::from(wrapped)] += (routes - hop) as f64;
-                    digit = match (dir_idx, digit) {
-                        (0, d) if d == k - 1 => 0,
-                        (0, d) => d + 1,
-                        (_, 0) => k - 1,
-                        (_, d) => d - 1,
-                    };
+                for (hop, (digit, j)) in ring_walk(k, start, dir_idx, routes).enumerate() {
+                    usage[digit][j] += (routes - hop) as f64;
                 }
             }
         }
@@ -779,6 +814,44 @@ impl RingUsage {
             })
             .collect();
         RingUsage { usage, distance_probs }
+    }
+}
+
+/// The channels a walk of `hops` hops round a k-ring leaves, from digit
+/// `start` in direction `dir_idx` (0 = +1, 1 = −1): each as its digit and its
+/// index `2·dir_idx + vc` there, `vc` the dateline virtual channel (1 from the
+/// hop that crosses the ring's wrap-around edge on; always 0 when `k = 2`).
+fn ring_walk(
+    k: usize,
+    start: usize,
+    dir_idx: usize,
+    hops: usize,
+) -> impl Iterator<Item = (usize, usize)> {
+    let dateline = if dir_idx == 0 { k - 1 } else { 0 };
+    let mut digit = start;
+    let mut wrapped = false;
+    (0..hops).map(move |_| {
+        wrapped = wrapped || (k > 2 && digit == dateline);
+        let channel = (digit, 2 * dir_idx + usize::from(wrapped));
+        digit = match (dir_idx, digit) {
+            (0, d) if d == k - 1 => 0,
+            (0, d) => d + 1,
+            (_, 0) => k - 1,
+            (_, d) => d - 1,
+        };
+        channel
+    })
+}
+
+/// The direction index (0 = +1, 1 = −1) and hop count of the ring route from
+/// digit `from` to `to`: the shorter way, ties broken forward, as
+/// `KaryNCube` routes.
+fn ring_way(k: usize, from: usize, to: usize) -> (usize, usize) {
+    let forward = (to + k - from) % k;
+    if forward <= k - forward {
+        (0, forward)
+    } else {
+        (1, k - forward)
     }
 }
 
@@ -836,102 +909,155 @@ fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
 impl ChannelLoads {
     /// Records the rate-independent usage counts; the rates are left zero for
     /// [`TorusModel::set_rate`] to fill.
-    fn build(
-        cube: &KaryNCube,
-        usage: Vec<[f64; 4]>,
-        hotspot: Option<usize>,
-    ) -> Result<ChannelLoads> {
+    fn build(cube: &KaryNCube, usage: Vec<[f64; 4]>, hotspot: Option<usize>) -> ChannelLoads {
         let n_nodes = cube.num_nodes();
         let dims = cube.dimensions();
         // Every digit occurs `N/k` times in each of the `n` dimensions. The
         // counts are integers, so the product is exact.
         let ring_total: f64 = usage.as_flattened().iter().sum();
         let uniform_total = ring_total * (n_nodes / cube.radix() * dims) as f64;
-
-        // Hot-spot usage: enumerate every source → hotspot route (with the
-        // shared dateline-VC definition) and count its traversals.
-        let hotspot = match hotspot {
-            Some(h) => {
-                let mut counts = vec![0u32; n_nodes * dims * 4];
-                let target = NodeId::from_index(h);
-                let mut hops = Vec::new();
-                for src in (0..n_nodes).filter(|&src| src != h) {
-                    hops.clear();
-                    cube.route_into(NodeId::from_index(src), target, &mut hops)?;
-                    let vcs = cube.dateline_vcs_iter(NodeId::from_index(src), &hops)?;
-                    let mut from = src;
-                    for (hop, vc) in hops.iter().zip(vcs) {
-                        let j = 2 * usize::from(hop.direction < 0) + usize::from(vc);
-                        counts[(from * dims + hop.dimension) * 4 + j] += 1;
-                        from = hop.node.index();
-                    }
-                }
-                let total = counts.iter().map(|&c| f64::from(c)).sum();
-                Some(HotspotLoads { counts, total, addend: 0.0 })
-            }
-            None => None,
-        };
-        let ring_rate = vec![[0.0; 4]; usage.len()];
-        Ok(ChannelLoads { usage, ring_rate, uniform_total, hotspot })
+        let hotspot = hotspot.map(|h| {
+            let counts = hotspot_counts(cube, h);
+            let total = counts.iter().map(|&c| f64::from(c)).sum();
+            HotspotLoads { counts, total, addend: 0.0 }
+        });
+        let ring = vec![DigitRates::default(); usage.len()];
+        ChannelLoads { usage, ring, uniform_total, hotspot }
     }
 
-    /// One pass over every link channel, in link-channel order, reading the
-    /// class-weighted mean rates and the largest channel and link rates. The
-    /// node digits step as an odometer, so a channel's background load is a
-    /// lookup of its digit's.
+    /// Reads the class-weighted mean rates and the largest channel and link
+    /// rates, adding each channel's terms in link-channel order with the node
+    /// digits stepped as an odometer.
     fn scan(&self, cube: &KaryNCube) -> LoadScan {
-        let (k, dims) = (cube.radix(), cube.dimensions());
-        let mut digits = [0usize; MAX_MODEL_TORUS_DIMENSIONS];
-        // Every digit occurs in the torus, so the background rates' maximum is
-        // the largest channel rate under uniform traffic; hot-spot traversals
-        // only raise rates.
-        let mut vc_max = self.ring_rate.as_flattened().iter().fold(0.0f64, |m, &r| m.max(r));
-        let mut link_max = 0.0f64;
-        let mut uniform = ClassRates::default();
-        let mut hotspot = ClassRates::default();
-        let mut channel = 0;
-        for _ in 0..cube.num_nodes() {
-            for &digit in &digits[..dims] {
-                let (usage, ring_rate) = (&self.usage[digit], &self.ring_rate[digit]);
-                for j in [0, 2] {
-                    let mut rate = [ring_rate[j], ring_rate[j + 1]];
-                    let mut counts = [0, 0];
-                    if let Some(hot) = &self.hotspot {
-                        counts = [hot.counts[channel + j], hot.counts[channel + j + 1]];
-                        for (rate, count) in rate.iter_mut().zip(counts) {
-                            *rate = with_hotspot_traffic(*rate, count, hot.addend);
-                        }
-                    }
-                    let link_rate = rate[0] + rate[1];
-                    uniform.add([usage[j], usage[j + 1]], rate, link_rate);
-                    link_max = link_max.max(link_rate);
-                    if counts != [0, 0] {
-                        vc_max = vc_max.max(rate[0]).max(rate[1]);
-                        hotspot.add(counts.map(f64::from), rate, link_rate);
-                    }
-                }
-                channel += 4;
-            }
-            for digit in &mut digits[..dims] {
-                *digit += 1;
-                if *digit < k {
-                    break;
-                }
-                *digit = 0;
-            }
+        match &self.hotspot {
+            None => self.scan_uniform(cube),
+            Some(hot) => self.scan_channels(cube, hot),
         }
+    }
+
+    /// [`ChannelLoads::scan`] under uniform traffic: every channel's terms are
+    /// its digit's, stored by [`TorusModel::set_rate`], and every digit occurs
+    /// in the torus, so the maxima are the ring's.
+    fn scan_uniform(&self, cube: &KaryNCube) -> LoadScan {
+        let mut vc_max = 0.0f64;
+        let mut link_max = 0.0f64;
+        for digit in &self.ring {
+            vc_max = digit.rate.iter().fold(vc_max, |m, &r| m.max(r));
+            link_max = digit.link_rate.iter().fold(link_max, |m, &r| m.max(r));
+        }
+        let mut uniform = ClassRates::default();
+        for_each_channel_digit(cube, |digit| {
+            for terms in self.ring[digit].terms {
+                uniform.add(terms);
+            }
+        });
         LoadScan {
             vc_max,
             link_max,
             uniform: uniform.mean(self.uniform_total),
-            hotspot: hotspot.mean(self.hotspot.as_ref().map_or(0.0, |hot| hot.total)),
+            hotspot: ClassRates::default(),
         }
     }
+
+    /// [`ChannelLoads::scan`] under a hot-spot pattern, one channel at a time:
+    /// a channel's rate is its digit's plus its hot-spot traversals.
+    fn scan_channels(&self, cube: &KaryNCube, hot: &HotspotLoads) -> LoadScan {
+        // Every digit occurs in the torus, so the background rates' maximum is
+        // the largest channel rate under uniform traffic; hot-spot traversals
+        // only raise rates.
+        let mut vc_max = self.ring.iter().flat_map(|d| d.rate).fold(0.0f64, |m, r| m.max(r));
+        let mut link_max = 0.0f64;
+        let mut uniform = ClassRates::default();
+        let mut hotspot = ClassRates::default();
+        let mut channel = 0;
+        for_each_channel_digit(cube, |digit| {
+            let (usage, ring_rate) = (&self.usage[digit], &self.ring[digit].rate);
+            for j in [0, 2] {
+                let counts = [hot.counts[channel + j], hot.counts[channel + j + 1]];
+                let rate = [0, 1]
+                    .map(|vc| with_hotspot_traffic(ring_rate[j + vc], counts[vc], hot.addend));
+                let link_rate = rate[0] + rate[1];
+                uniform.add(LinkTerms::new([usage[j], usage[j + 1]], rate, link_rate));
+                link_max = link_max.max(link_rate);
+                if counts != [0, 0] {
+                    vc_max = vc_max.max(rate[0]).max(rate[1]);
+                    hotspot.add(LinkTerms::new(counts.map(f64::from), rate, link_rate));
+                }
+            }
+            channel += 4;
+        });
+        LoadScan {
+            vc_max,
+            link_max,
+            uniform: uniform.mean(self.uniform_total),
+            hotspot: hotspot.mean(hot.total),
+        }
+    }
+}
+
+/// Calls `visit` with the ring digit of every `(node, dimension)` in
+/// link-channel order: nodes in index order, dimensions upwards within each.
+/// The node digits step as an odometer, so no index is divided.
+#[inline]
+fn for_each_channel_digit(cube: &KaryNCube, mut visit: impl FnMut(usize)) {
+    let (k, dims) = (cube.radix(), cube.dimensions());
+    let mut digits = [0usize; MAX_MODEL_TORUS_DIMENSIONS];
+    for _ in 0..cube.num_nodes() {
+        for &digit in &digits[..dims] {
+            visit(digit);
+        }
+        for digit in &mut digits[..dims] {
+            *digit += 1;
+            if *digit < k {
+                break;
+            }
+            *digit = 0;
+        }
+    }
+}
+
+/// The traversal count of every link channel over all `source → hot` routes,
+/// in link-channel order, with the dateline VCs of
+/// [`KaryNCube::dateline_vcs`]. Routes correct dimension 0 first and restart
+/// the dateline VC in each ring, so a route uses a dimension-`d` channel only
+/// at a node whose lower digits are already the hot node's, and the `k^d`
+/// sources that differ only in those digits share its dimension-`d` hops.
+/// The count of the channel leaving such a node on `j` is therefore `k^d`
+/// times the number of ring starts whose route to the hot node's digit `d`
+/// leaves the node's digit on `j`, and every other dimension-`d` count is 0.
+fn hotspot_counts(cube: &KaryNCube, hot: usize) -> Vec<u32> {
+    let (k, dims, n_nodes) = (cube.radix(), cube.dimensions(), cube.num_nodes());
+    let mut counts = vec![0u32; n_nodes * dims * 4];
+    let channels = |node: usize, d: usize| (node * dims + d) * 4;
+    // `stride = k^d`, the index step of dimension `d`.
+    let mut stride = 1;
+    for d in 0..dims {
+        let (low, target) = (hot % stride, cube.digit(hot, d));
+        // One ring: the nodes whose upper digits are all 0.
+        let sources = u32::try_from(stride).expect("a modelled torus has at most 2^16 nodes");
+        for start in 0..k {
+            let (dir_idx, hops) = ring_way(k, start, target);
+            for (digit, j) in ring_walk(k, start, dir_idx, hops) {
+                counts[channels(low + stride * digit, d) + j] += sources;
+            }
+        }
+        // Every other ring of the dimension repeats it.
+        let ring_span = stride * k;
+        for upper in (ring_span..n_nodes).step_by(ring_span) {
+            for digit in 0..k {
+                let from = channels(low + stride * digit, d);
+                counts.copy_within(from..from + 4, channels(low + stride * digit + upper, d));
+            }
+        }
+        stride = ring_span;
+    }
+    counts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcnet_topology::NodeId;
 
     fn model(k: usize, nd: usize, rate: f64) -> TorusModel {
         let torus = TorusSystem::new(k, nd).unwrap();
@@ -1004,46 +1130,250 @@ mod tests {
         }
     }
 
+    /// The fabrics `model_bits.rs` pins: radices with and without a
+    /// direction tie, `k = 2` (no dateline VC split) and a 1-D ring.
+    const FABRICS: [(usize, usize); 8] =
+        [(4, 2), (8, 2), (16, 2), (4, 3), (3, 2), (5, 2), (2, 3), (8, 1)];
+
+    /// Hot-spot nodes spread over a torus of `n` nodes.
+    fn hot_nodes(n: usize) -> [usize; 5] {
+        [0, 1, n / 3, n / 2 + 1, n - 1]
+    }
+
     #[test]
     fn the_channel_walk_matches_a_per_channel_reading() {
-        // The odometer walk must read every channel in index order with its
-        // own digit: the same sums, term for term, as walking the channels by
-        // `link_rate` with the digits divided out of each node index.
-        let torus = |k, nd| TorusSystem::new(k, nd).unwrap();
-        let uniform = TrafficConfig::uniform(16, 256.0, 2e-3).unwrap();
-        for (k, nd, hotspot) in [(4, 2, None), (3, 2, Some(4)), (2, 3, Some(7)), (5, 1, Some(0))] {
-            let traffic = match hotspot {
-                Some(hotspot) => uniform
-                    .with_pattern(TrafficPattern::Hotspot { hotspot, fraction: 0.3 })
-                    .unwrap(),
-                None => uniform,
-            };
-            let m = TorusModel::new(&torus(k, nd), &traffic, ModelOptions::default()).unwrap();
-            let (mut vc_max, mut link_max) = (0.0f64, 0.0f64);
-            let (mut uniform_sums, mut hot_sums) = (ClassRates::default(), ClassRates::default());
-            for node in 0..m.cube.num_nodes() {
-                for dim in 0..nd {
-                    let usage = m.loads.usage[m.cube.digit(node, dim)];
-                    for (dir, j) in [(1, 0), (-1, 2)] {
-                        let rate = [0, 1].map(|vc| m.link_rate(node, dim, dir, vc).unwrap());
-                        vc_max = vc_max.max(rate[0]).max(rate[1]);
-                        link_max = link_max.max(rate[0] + rate[1]);
-                        uniform_sums.add([usage[j], usage[j + 1]], rate, rate[0] + rate[1]);
-                        if let Some(hot) = &m.loads.hotspot {
-                            let c = (node * nd + dim) * 4 + j;
-                            let counts = [hot.counts[c], hot.counts[c + 1]].map(f64::from);
-                            hot_sums.add(counts, rate, rate[0] + rate[1]);
+        // Both scans must read every channel in index order with its own
+        // digit: the same sums, term for term and bit for bit, as walking the
+        // channels by `link_rate` with the digits divided out of each node
+        // index. Under uniform traffic that checks the stored per-digit terms.
+        for (k, nd) in FABRICS {
+            let torus = TorusSystem::new(k, nd).unwrap();
+            let hot_spots = hot_nodes(torus.total_nodes()).map(Some);
+            for hotspot in [None].into_iter().chain(hot_spots) {
+                for rate in [1e-5, 2e-3, 5e-2] {
+                    let uniform = TrafficConfig::uniform(16, 256.0, rate).unwrap();
+                    let traffic = match hotspot {
+                        Some(hotspot) => uniform
+                            .with_pattern(TrafficPattern::Hotspot { hotspot, fraction: 0.3 })
+                            .unwrap(),
+                        None => uniform,
+                    };
+                    let m = TorusModel::new(&torus, &traffic, ModelOptions::default()).unwrap();
+                    let scan = m.loads.scan(&m.cube);
+                    let per_channel = per_channel_scan(&m);
+                    let bits = |s: &LoadScan| {
+                        [s.vc_max, s.link_max, s.uniform.vc, s.uniform.link]
+                            .into_iter()
+                            .chain([s.hotspot.vc, s.hotspot.link])
+                            .map(f64::to_bits)
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(&scan), bits(&per_channel), "({k},{nd}) {hotspot:?} {rate}");
+                }
+            }
+        }
+    }
+
+    /// [`ChannelLoads::scan`] read channel by channel through
+    /// [`TorusModel::link_rate`], each sum written out term by term.
+    fn per_channel_scan(m: &TorusModel) -> LoadScan {
+        let nd = m.cube.dimensions();
+        let (mut vc_max, mut link_max) = (0.0f64, 0.0f64);
+        let (mut uniform, mut hotspot) = (ClassRates::default(), ClassRates::default());
+        for node in 0..m.cube.num_nodes() {
+            for dim in 0..nd {
+                let usage = m.loads.usage[m.cube.digit(node, dim)];
+                for (dir, j) in [(1, 0), (-1, 2)] {
+                    let rate = [0, 1].map(|vc| m.link_rate(node, dim, dir, vc).unwrap());
+                    let link = rate[0] + rate[1];
+                    vc_max = vc_max.max(rate[0]).max(rate[1]);
+                    link_max = link_max.max(link);
+                    uniform.vc += usage[j] * rate[0];
+                    uniform.vc += usage[j + 1] * rate[1];
+                    uniform.link += (usage[j] + usage[j + 1]) * link;
+                    if let Some(hot) = &m.loads.hotspot {
+                        let c = (node * nd + dim) * 4 + j;
+                        let counts = [hot.counts[c], hot.counts[c + 1]].map(f64::from);
+                        hotspot.vc += counts[0] * rate[0];
+                        hotspot.vc += counts[1] * rate[1];
+                        hotspot.link += (counts[0] + counts[1]) * link;
+                    }
+                }
+            }
+        }
+        let hot_total = m.loads.hotspot.as_ref().map_or(0.0, |hot| hot.total);
+        LoadScan {
+            vc_max,
+            link_max,
+            uniform: uniform.mean(m.loads.uniform_total),
+            hotspot: hotspot.mean(hot_total),
+        }
+    }
+
+    /// Every `source → hot` route walked hop by hop through
+    /// [`KaryNCube::route_into`] and [`KaryNCube::dateline_vcs_iter`], each
+    /// traversal counted.
+    fn routed_hotspot_counts(cube: &KaryNCube, hot: usize) -> Vec<u32> {
+        let dims = cube.dimensions();
+        let mut counts = vec![0u32; cube.num_nodes() * dims * 4];
+        let target = NodeId::from_index(hot);
+        let mut hops = Vec::new();
+        for src in (0..cube.num_nodes()).filter(|&src| src != hot) {
+            hops.clear();
+            cube.route_into(NodeId::from_index(src), target, &mut hops).unwrap();
+            let vcs = cube.dateline_vcs_iter(NodeId::from_index(src), &hops).unwrap();
+            let mut from = src;
+            for (hop, vc) in hops.iter().zip(vcs) {
+                let j = 2 * usize::from(hop.direction < 0) + usize::from(vc);
+                counts[(from * dims + hop.dimension) * 4 + j] += 1;
+                from = hop.node.index();
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn hotspot_counts_match_the_routes() {
+        for (k, nd) in FABRICS {
+            let cube = KaryNCube::new(k, nd).unwrap();
+            for hot in hot_nodes(cube.num_nodes()) {
+                let counts = hotspot_counts(&cube, hot);
+                assert_eq!(counts, routed_hotspot_counts(&cube, hot), "({k},{nd}) hot {hot}");
+            }
+        }
+    }
+
+    /// One escape share solved alone by the damped iteration, with the number
+    /// of steps it took.
+    fn lone_escape_fraction(
+        eta_link: f64,
+        adaptive_vcs: f64,
+        candidates: f64,
+        hold: f64,
+    ) -> (f64, usize) {
+        let mut beta = 0.5;
+        for step in 1..=200 {
+            let eta_adaptive = eta_link * (1.0 - beta) / adaptive_vcs;
+            let next = (eta_adaptive * hold).clamp(0.0, 1.0).powf(candidates);
+            let damped = 0.5 * (beta + next);
+            if (damped - beta).abs() < 1e-13 {
+                return (damped, step);
+            }
+            beta = damped;
+        }
+        (beta, 200)
+    }
+
+    #[test]
+    fn side_by_side_escape_shares_match_lone_fixed_points() {
+        let etas = [0.0, 1e-4, 3e-3, 1e-2, 3e-2, 0.1, 1.0];
+        let mut capped = 0;
+        for v in [1.0, 2.0, 3.0] {
+            for candidates in [1.0, 1.5, 2.9, 8.0, 50.0] {
+                for hold in [16.0, 64.0] {
+                    let lone = etas.map(|eta| lone_escape_fraction(eta, v, candidates, hold));
+                    capped += lone.iter().filter(|&&(_, steps)| steps == 200).count();
+                    let solve = |c: usize| {
+                        let solo = escape_fractions([etas[c]], v, candidates, hold);
+                        let pair =
+                            escape_fractions([etas[c], etas[(c + 1) % 7]], v, candidates, hold);
+                        let triple = escape_fractions(
+                            [etas[(c + 5) % 7], etas[(c + 3) % 7], etas[c]],
+                            v,
+                            candidates,
+                            hold,
+                        );
+                        [solo[0], pair[0], triple[2]]
+                    };
+                    for (c, &(beta, _)) in lone.iter().enumerate() {
+                        for side_by_side in solve(c) {
+                            assert_eq!(
+                                side_by_side.to_bits(),
+                                beta.to_bits(),
+                                "η {} V {v} c̄ {candidates} hold {hold}",
+                                etas[c]
+                            );
                         }
                     }
                 }
             }
-            let scan = m.loads.scan(&m.cube);
-            let hot_total = m.loads.hotspot.as_ref().map_or(0.0, |hot| hot.total);
-            let bits = |r: ClassRates| [r.vc.to_bits(), r.link.to_bits()];
-            assert_eq!(scan.vc_max.to_bits(), vc_max.to_bits(), "({k},{nd})");
-            assert_eq!(scan.link_max.to_bits(), link_max.to_bits(), "({k},{nd})");
-            assert_eq!(bits(scan.uniform), bits(uniform_sums.mean(m.loads.uniform_total)));
-            assert_eq!(bits(scan.hotspot), bits(hot_sums.mean(hot_total)), "({k},{nd})");
+        }
+        assert!(capped > 0, "no input reached the 200-step cap");
+    }
+
+    /// Mean network latency of one class from a walk of its own.
+    fn class_network_latency(
+        probs: &[f64],
+        eta_ejection: f64,
+        times: &ChannelTimes,
+        mut link: impl FnMut(&mut StageWalk),
+    ) -> f64 {
+        let mut walk = StageWalk::deliver(eta_ejection, times);
+        let mut latency = 0.0;
+        for &p in probs {
+            link(&mut walk);
+            if p != 0.0 {
+                latency += p * walk.outcome().latency;
+            }
+        }
+        latency
+    }
+
+    /// Checks [`TorusModel::walk_journeys`] against one walk per class and
+    /// one for the longest journey, bit for bit.
+    fn check_shared_walk<L: Copy>(m: &TorusModel, rates: [L; 3], link: impl Fn(&mut StageWalk, L)) {
+        let [background, hot, worst] = rates;
+        let journeys = m.walk_journeys(background, hot, worst, &link).unwrap();
+        let ej = m.mean_background_ejection_rate();
+        let class = |probs: &[f64], rate: L, ej: f64| {
+            class_network_latency(probs, ej, &m.times, |walk| link(walk, rate)).to_bits()
+        };
+        assert_eq!(journeys.uniform.to_bits(), class(&m.hop_probs, background, ej));
+        assert_eq!(journeys.intra.to_bits(), class(&m.intra_probs, background, ej));
+        assert_eq!(journeys.inter.to_bits(), class(&m.inter_probs, background, ej));
+        let hot_latency = m.hotspot.map(|h| class(&m.hop_probs, hot, m.ejection_rate(h).unwrap()));
+        assert_eq!(journeys.hot.map(f64::to_bits), hot_latency);
+        let mut longest = StageWalk::deliver(m.max_ejection_rate(), &m.times);
+        for _ in 0..m.hop_probs.len() {
+            link(&mut longest, worst);
+        }
+        let outcome = |o: StageOutcome| [o.latency.to_bits(), o.max_utilization.to_bits()];
+        assert_eq!(outcome(journeys.worst), outcome(longest.outcome()));
+    }
+
+    #[test]
+    fn the_shared_walk_matches_per_class_walks() {
+        for (k, nd) in FABRICS {
+            let torus = TorusSystem::new(k, nd).unwrap();
+            let hot = TrafficPattern::Hotspot { hotspot: torus.total_nodes() - 1, fraction: 0.2 };
+            for pattern in [TrafficPattern::Uniform, hot] {
+                for rate in [1e-4, 3e-3, 2e-2, 0.2] {
+                    let traffic = TrafficConfig::uniform(16, 256.0, rate)
+                        .unwrap()
+                        .with_pattern(pattern)
+                        .unwrap();
+                    let m = TorusModel::new(&torus, &traffic, ModelOptions::default()).unwrap();
+                    let loads = m.loads.scan(&m.cube);
+                    let m_tcs = m.times.message_switch_time();
+                    check_shared_walk(
+                        &m,
+                        [loads.uniform.vc, loads.hotspot.vc, loads.vc_max],
+                        |walk, eta| walk.extend(eta, m_tcs),
+                    );
+                    let split = |link: f64| (0.6 * link, 0.3 * link);
+                    check_shared_walk(
+                        &m,
+                        [
+                            split(loads.uniform.link),
+                            split(loads.hotspot.link),
+                            split(loads.link_max),
+                        ],
+                        |walk, (eta_adaptive, eta_escape)| {
+                            adaptive_stage(walk, eta_adaptive, eta_escape, 2.5, m_tcs)
+                        },
+                    );
+                }
+            }
         }
     }
 
