@@ -1,25 +1,16 @@
-//! Ablation A3: cost of one analytical-model evaluation vs one simulation run — the
+//! Cost of one analytical-model evaluation vs one simulation run — the
 //! quantitative argument for using analytical models in design-space exploration,
-//! which is the paper's stated motivation.
+//! which is the paper's stated motivation. The two rows share one Org B point; their
+//! ratio is the simulation's cost in model evaluations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcnet_bench::{model_latency, traffic};
-use mcnet_experiments::ablations::cost_comparison;
-use mcnet_experiments::EvaluationEffort;
 use mcnet_sim::{Scenario, SimConfig};
 use mcnet_system::organizations;
 
 fn bench_cost(c: &mut Criterion) {
     let system = organizations::table1_org_b();
     let t = traffic(32, 256.0, 3e-4);
-    let cost = cost_comparison(&system, &t, EvaluationEffort::Quick).expect("cost comparison runs");
-    println!(
-        "\n## Model vs simulation cost (Org B, quick protocol): model {:.3} ms, simulation {:.1} ms, speedup {:.0}x",
-        cost.model_seconds * 1e3,
-        cost.simulation_seconds * 1e3,
-        cost.speedup
-    );
-
     let mut group = c.benchmark_group("model_vs_sim_cost");
     group.bench_function("analytical_model", |b| {
         b.iter(|| std::hint::black_box(model_latency(&system, &t)))

@@ -1,19 +1,18 @@
 //! # mcnet-bench
 //!
-//! Criterion benchmarks regenerating every table and figure of the paper's evaluation
-//! plus the ablations listed in `DESIGN.md`. The benchmark *functions* live in
-//! `benches/`; this library only provides the shared helpers they use so that each
-//! bench file stays focused on its experiment.
+//! Criterion benchmarks regenerating every table and figure of the paper's evaluation,
+//! the heterogeneity ablation (A1) and the cost of the model against the simulator.
+//! The benchmark *functions* live in `benches/`; this library only provides the shared
+//! helpers they use so that each bench file stays focused on its experiment.
 //!
-//! | bench target | paper artifact / ablation |
+//! | bench target | paper artifact / study |
 //! |---|---|
 //! | `table1_organizations` | Table 1 |
 //! | `fig3_n1120` | Fig. 3 (analytical sweep of both panels) |
 //! | `fig4_n544` | Fig. 4 (analytical sweep of both panels) |
 //! | `accuracy_error` | the accuracy claim (model vs simulation) |
 //! | `ablation_heterogeneity` | A1: heterogeneous vs homogeneous organizations |
-//! | `ablation_variance_approx` | A2: Draper–Ghosh variance term |
-//! | `model_vs_sim_cost` | A3: model evaluation vs simulation cost |
+//! | `model_vs_sim_cost` | model evaluation vs simulation cost |
 //! | `topology_routing` | substrate: route construction throughput |
 //! | `event_queue` | substrate: future-event list hold cost at depths 32 and 1,024 |
 //! | `simulator_throughput` | substrate: event-processing throughput (tree backend) |

@@ -1,23 +1,14 @@
-//! Ablation studies (DESIGN.md A1–A3).
+//! Ablation A1: what cluster-size heterogeneity changes.
 //!
-//! These are not figures of the paper; they quantify design decisions the paper makes
-//! implicitly:
-//!
-//! * **A1 — heterogeneity**: how much does cluster-size heterogeneity change the
-//!   latency curve compared with a homogeneous system of (approximately) the same total
-//!   size? This is the gap the heterogeneity-aware model exists to capture.
-//! * **A2 — variance approximation**: the effect of the Draper–Ghosh service-time
-//!   variance term (Eq. 22) on the predicted latency.
-//! * **A3 — evaluation cost**: wall-clock cost of one model evaluation vs one
-//!   simulation run — the reason analytical models are used for design-space
-//!   exploration at all.
+//! Not a figure of the paper: it quantifies the design decision the paper makes
+//! implicitly, by asking how much cluster-size heterogeneity changes the latency curve
+//! compared with a homogeneous system of (approximately) the same total size. That gap
+//! is what the heterogeneity-aware model exists to capture. The `ablation_heterogeneity`
+//! bin prints it.
 
 use crate::figures::analysis_curve;
-use crate::{EvaluationEffort, Result};
-use mcnet_model::{AnalyticalModel, ModelOptions};
-use mcnet_sim::Scenario;
+use crate::Result;
 use mcnet_system::{organizations, MultiClusterSystem, TrafficConfig};
-use std::time::Instant;
 
 /// One row of the heterogeneity ablation (A1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,79 +64,6 @@ pub fn heterogeneity_ablation(
     })
 }
 
-/// Result of the variance-approximation ablation (A2) at one traffic point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VarianceAblation {
-    /// Generation rate.
-    pub rate: f64,
-    /// Latency with the Draper–Ghosh variance term (the paper's model).
-    pub with_variance: f64,
-    /// Latency with deterministic (zero-variance) source-queue service.
-    pub without_variance: f64,
-}
-
-/// Runs ablation A2 at one traffic point.
-pub fn variance_ablation(
-    system: &MultiClusterSystem,
-    traffic: &TrafficConfig,
-) -> Result<VarianceAblation> {
-    let with = AnalyticalModel::with_options(system, traffic, ModelOptions::default())?
-        .evaluate()?
-        .total_latency;
-    let without =
-        AnalyticalModel::with_options(system, traffic, ModelOptions::default().without_variance())?
-            .evaluate()?
-            .total_latency;
-    Ok(VarianceAblation {
-        rate: traffic.generation_rate,
-        with_variance: with,
-        without_variance: without,
-    })
-}
-
-/// Result of the cost comparison (A3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostComparison {
-    /// Wall-clock seconds for one analytical evaluation.
-    pub model_seconds: f64,
-    /// Wall-clock seconds for one simulation run at the given effort.
-    pub simulation_seconds: f64,
-    /// Ratio simulation / model.
-    pub speedup: f64,
-}
-
-/// Measures the wall-clock cost of one model evaluation vs one simulation run (A3).
-pub fn cost_comparison(
-    system: &MultiClusterSystem,
-    traffic: &TrafficConfig,
-    effort: EvaluationEffort,
-) -> Result<CostComparison> {
-    let t0 = Instant::now();
-    let _ = AnalyticalModel::new(system, traffic)?.evaluate()?;
-    let model_seconds = t0.elapsed().as_secs_f64();
-
-    // Scenario assembly (a system clone) happens outside the timed window so
-    // the measured cost stays one simulation run, as before.
-    let scenario = Scenario::builder()
-        .tree(system.clone())
-        .traffic(*traffic)
-        .config(effort.sim_config(1))
-        .build()?;
-    let t1 = Instant::now();
-    let _ = scenario.run()?;
-    let simulation_seconds = t1.elapsed().as_secs_f64();
-
-    Ok(CostComparison {
-        model_seconds,
-        simulation_seconds,
-        speedup: if model_seconds > 0.0 {
-            simulation_seconds / model_seconds
-        } else {
-            f64::INFINITY
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,23 +80,5 @@ mod tests {
         let h = ab.points[0].heterogeneous.unwrap();
         let o = ab.points[0].homogeneous.unwrap();
         assert!((h - o).abs() > 1e-9);
-    }
-
-    #[test]
-    fn variance_ablation_orders_correctly() {
-        let system = organizations::table1_org_b();
-        let traffic = TrafficConfig::uniform(32, 256.0, 4e-4).unwrap();
-        let ab = variance_ablation(&system, &traffic).unwrap();
-        assert!(ab.with_variance > ab.without_variance, "the variance term adds waiting time");
-    }
-
-    #[test]
-    fn cost_comparison_shows_model_is_cheaper() {
-        let system = organizations::small_test_org();
-        let traffic = TrafficConfig::uniform(16, 256.0, 1e-3).unwrap();
-        let c = cost_comparison(&system, &traffic, EvaluationEffort::Quick).unwrap();
-        assert!(c.model_seconds >= 0.0);
-        assert!(c.simulation_seconds > 0.0);
-        assert!(c.speedup > 1.0, "the analytical model must be cheaper than simulation");
     }
 }

@@ -1,7 +1,7 @@
 //! # mcnet-experiments
 //!
 //! The evaluation harness: for every table and figure of the paper's validation section
-//! (and for the additional ablations in the table below), this crate builds the
+//! (and for the additional studies in the table below), this crate builds the
 //! workload, runs both the analytical model (`mcnet-model`) and the discrete-event
 //! simulator (`mcnet-sim`), and renders the result as JSON and markdown.
 //!
@@ -12,8 +12,6 @@
 //! | Fig. 4 (N=544, m=4, M∈{32,64}, L_m∈{256,512}) | [`figures::figure4_replicated`] | `figures` |
 //! | Accuracy claim (model vs simulation error) | [`comparison::accuracy_report`] | `figures` |
 //! | Ablation A1: heterogeneity vs homogeneous | [`ablations::heterogeneity_ablation`] | `ablation_heterogeneity` |
-//! | Ablation A2: Draper–Ghosh variance | [`ablations::variance_ablation`] | (bench) |
-//! | Ablation A3: model vs simulation cost | [`ablations::cost_comparison`] | (bench) |
 //! | Backend comparison (tree vs k-ary n-cube) | [`backends::tree_vs_torus`] | `backend_compare` |
 //! | Any serialized scenario spec (`specs/*.json`) | [`mcnet_sim::ScenarioSpec`] | `scenario` |
 //! | Spec-driven model-vs-sim validation (tree/torus × uniform/hot-spot) | [`comparison::validate_spec`] | `model_vs_sim` |

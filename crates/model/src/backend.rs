@@ -217,7 +217,8 @@ impl ModelBackend {
 
 /// A model built for one backend, traffic geometry and option set: the only
 /// place that picks the tree or the torus model. Every [`ModelBackend`] entry
-/// point builds one and rebinds it to each rate it visits.
+/// point builds one and rebinds it to each rate it visits. Only the torus
+/// model reads the options; the tree model has one reading.
 enum BoundModel<'a> {
     Tree(AnalyticalModel<'a>),
     Torus(TorusModel),
@@ -230,9 +231,7 @@ impl<'a> BoundModel<'a> {
         options: ModelOptions,
     ) -> Result<Self> {
         Ok(match backend {
-            ModelBackend::Tree(system) => {
-                BoundModel::Tree(AnalyticalModel::with_options(system, traffic, options)?)
-            }
+            ModelBackend::Tree(system) => BoundModel::Tree(AnalyticalModel::new(system, traffic)?),
             ModelBackend::Torus(torus) => {
                 BoundModel::Torus(TorusModel::new(torus, traffic, options)?)
             }
@@ -308,7 +307,8 @@ mod tests {
         for rate in [5e-4, 6e-4] {
             let traffic = TrafficConfig::uniform(32, 256.0, rate).unwrap();
             let options = ModelOptions::default();
-            let rates = crate::rates::SystemRates::compute(&system, &traffic).unwrap();
+            let hops = crate::rates::HopCache::build(&system).unwrap();
+            let rates = crate::rates::SystemRates::compute(&system, &traffic, &hops).unwrap();
             let service = traffic.message_flits as f64
                 * system.technology().switch_channel_time(traffic.flit_bytes);
             let c = system.num_clusters();
@@ -367,12 +367,18 @@ mod tests {
         let hot = |t: &TrafficConfig| {
             t.with_pattern(TrafficPattern::Hotspot { hotspot: 3, fraction: 0.3 }).unwrap()
         };
-        for options in [ModelOptions::default(), ModelOptions::default().without_variance()] {
-            assert_batch_matches_pointwise(&tree, &tree_template, options, &rates);
-            assert_batch_matches_pointwise(&tree, &hot(&tree_template), options, &rates);
-            assert_batch_matches_pointwise(&torus, &torus_template, options, &rates);
-            assert_batch_matches_pointwise(&torus, &hot(&torus_template), options, &rates);
-        }
+        let options = ModelOptions::default();
+        assert_batch_matches_pointwise(&tree, &tree_template, options, &rates);
+        assert_batch_matches_pointwise(&tree, &hot(&tree_template), options, &rates);
+        assert_batch_matches_pointwise(&torus, &torus_template, options, &rates);
+        assert_batch_matches_pointwise(&torus, &hot(&torus_template), options, &rates);
+        // Local favoring reaches the tree model only through its destination mix.
+        let local =
+            tree_template.with_pattern(TrafficPattern::LocalFavoring { locality: 0.5 }).unwrap();
+        assert_batch_matches_pointwise(&tree, &local, options, &rates);
+        let uniform = tree.evaluate(&tree_template, options).unwrap().mean_latency;
+        let favoring = tree.evaluate(&local, options).unwrap().mean_latency;
+        assert!(favoring < uniform, "keeping half the traffic local: {favoring} vs {uniform}");
         // The adaptive torus variant goes through its own evaluation path.
         let adaptive = ModelOptions::default().with_adaptive_torus(2);
         assert_batch_matches_pointwise(&torus, &torus_template, adaptive, &rates);
@@ -446,7 +452,7 @@ mod tests {
         let traffic = template.with_rate(rate).unwrap();
         let outcome = match backend {
             ModelBackend::Tree(system) => {
-                AnalyticalModel::with_options(system, &traffic, options).unwrap().evaluate().err()
+                AnalyticalModel::new(system, &traffic).unwrap().evaluate().err()
             }
             ModelBackend::Torus(torus) => {
                 TorusModel::new(torus, &traffic, options).unwrap().evaluate().err()

@@ -9,7 +9,6 @@
 //! clusters `v ≠ i` (Eqs. 31 and 34).
 
 use crate::concentrator;
-use crate::options::ModelOptions;
 use crate::rates::{HopCache, SystemRates};
 use crate::service::{self, ChannelTimes, StageWalk};
 use crate::source_queue::{self, SourceQueueInput, SourceQueueKind};
@@ -88,7 +87,6 @@ pub(crate) fn inter_cluster_latency(
     hops: &HopCache,
     source: usize,
     times: &ChannelTimes,
-    options: &ModelOptions,
     table: &mut PairTable,
 ) -> Result<InterClusterLatency> {
     let num_clusters = rates.clusters().len();
@@ -117,7 +115,7 @@ pub(crate) fn inter_cluster_latency(
         let pair = match table.slots[slot] {
             Some(cached) => cached,
             None => {
-                let fresh = pair_latency(rates, hops, source, v, times, options, &mut table.walks)?;
+                let fresh = pair_latency(rates, hops, source, v, times, &mut table.walks)?;
                 table.slots[slot] = Some(fresh);
                 fresh
             }
@@ -157,7 +155,6 @@ fn pair_latency(
     source: usize,
     v: usize,
     times: &ChannelTimes,
-    options: &ModelOptions,
     walks: &mut Vec<StageWalk>,
 ) -> Result<PairLatency> {
     let src = rates.cluster(source);
@@ -177,16 +174,13 @@ fn pair_latency(
     );
     service::check_channel_utilization(&network, Some(source))?;
 
-    let wait = source_queue::waiting_time(
-        &SourceQueueInput {
-            kind: SourceQueueKind::Inter,
-            per_node_rate: src.per_node_ecn1_rate,
-            network_latency: network.latency,
-            minimum_latency: times.message_node_time(),
-            cluster: Some(source),
-        },
-        options,
-    )?;
+    let wait = source_queue::waiting_time(&SourceQueueInput {
+        kind: SourceQueueKind::Inter,
+        per_node_rate: src.per_node_ecn1_rate,
+        network_latency: network.latency,
+        minimum_latency: times.message_node_time(),
+        cluster: Some(source),
+    })?;
 
     let tail = tail::inter_tail_time(hops_src, hops_dst, hops.icn2(), times);
     Ok(PairLatency {
@@ -210,17 +204,16 @@ mod tests {
         hops: &HopCache,
         source: usize,
         times: &ChannelTimes,
-        options: &ModelOptions,
     ) -> Result<InterClusterLatency> {
         let mut table = PairTable::new(rates.rate_classes());
-        inter_cluster_latency(rates, hops, source, times, options, &mut table)
+        inter_cluster_latency(rates, hops, source, times, &mut table)
     }
 
     fn setup(rate: f64) -> (SystemRates, HopCache, ChannelTimes) {
         let sys = organizations::table1_org_b();
         let traffic = TrafficConfig::uniform(32, 256.0, rate).unwrap();
-        let rates = SystemRates::compute(&sys, &traffic).unwrap();
         let hops = HopCache::build(&sys).unwrap();
+        let rates = SystemRates::compute(&sys, &traffic, &hops).unwrap();
         let times = ChannelTimes::new(&NetworkTechnology::paper_default(), &traffic);
         (rates, hops, times)
     }
@@ -228,7 +221,7 @@ mod tests {
     #[test]
     fn components_add_up() {
         let (rates, hops, times) = setup(1e-4);
-        let lat = fresh_latency(&rates, &hops, 0, &times, &ModelOptions::default()).unwrap();
+        let lat = fresh_latency(&rates, &hops, 0, &times).unwrap();
         assert!((lat.total - (lat.network + lat.source_wait + lat.tail)).abs() < 1e-12);
         assert!(lat.network > 0.0 && lat.tail > 0.0);
         assert!(lat.concentrator_wait > 0.0);
@@ -238,12 +231,11 @@ mod tests {
     #[test]
     fn inter_latency_exceeds_intra_latency() {
         let (rates, hops, times) = setup(1e-4);
-        let inter = fresh_latency(&rates, &hops, 0, &times, &ModelOptions::default()).unwrap();
+        let inter = fresh_latency(&rates, &hops, 0, &times).unwrap();
         let intra = crate::intra::intra_cluster_latency(
             rates.cluster(0),
             hops.cluster(rates.cluster(0).levels),
             &times,
-            &ModelOptions::default(),
         )
         .unwrap();
         assert!(inter.total > intra.total, "three networks cost more than one");
@@ -253,8 +245,8 @@ mod tests {
     fn latency_grows_with_load() {
         let (r1, h1, t1) = setup(1e-4);
         let (r2, h2, t2) = setup(8e-4);
-        let low = fresh_latency(&r1, &h1, 11, &t1, &ModelOptions::default()).unwrap();
-        let high = fresh_latency(&r2, &h2, 11, &t2, &ModelOptions::default()).unwrap();
+        let low = fresh_latency(&r1, &h1, 11, &t1).unwrap();
+        let high = fresh_latency(&r2, &h2, 11, &t2).unwrap();
         assert!(high.total > low.total);
         assert!(high.concentrator_wait > low.concentrator_wait);
     }
@@ -263,7 +255,7 @@ mod tests {
     fn saturation_at_high_load_is_reported() {
         // At λ_g = 5e-3 the Org B concentrators are far past saturation.
         let (rates, hops, times) = setup(5e-3);
-        let err = fresh_latency(&rates, &hops, 11, &times, &ModelOptions::default());
+        let err = fresh_latency(&rates, &hops, 11, &times);
         assert!(err.is_err());
     }
 
@@ -272,8 +264,8 @@ mod tests {
         // Messages from a big cluster see more ECN1 contention (larger λ_E1) but the
         // same ICN2; totals must differ between a 16-node and a 64-node source.
         let (rates, hops, times) = setup(4e-4);
-        let small = fresh_latency(&rates, &hops, 0, &times, &ModelOptions::default()).unwrap();
-        let big = fresh_latency(&rates, &hops, 11, &times, &ModelOptions::default()).unwrap();
+        let small = fresh_latency(&rates, &hops, 0, &times).unwrap();
+        let big = fresh_latency(&rates, &hops, 11, &times).unwrap();
         assert!((small.total - big.total).abs() > 1e-9);
     }
 }

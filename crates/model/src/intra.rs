@@ -6,7 +6,6 @@
 //! 2. the network latency of the wormhole journey itself (`S^{(i)}`, Eqs. 3, 16–18),
 //! 3. the tail-flit draining time (`R^{(i)}`, Eq. 24).
 
-use crate::options::ModelOptions;
 use crate::rates::ClusterRates;
 use crate::service::{self, ChannelTimes};
 use crate::source_queue::{self, SourceQueueInput, SourceQueueKind};
@@ -36,21 +35,17 @@ pub(crate) fn intra_cluster_latency(
     rates: &ClusterRates,
     hops: &HopDistribution,
     times: &ChannelTimes,
-    options: &ModelOptions,
 ) -> Result<IntraClusterLatency> {
     let network = service::mean_intra_network_latency(hops, rates.eta_icn1, times);
     service::check_channel_utilization(&network, Some(rates.cluster))?;
 
-    let source_wait = source_queue::waiting_time(
-        &SourceQueueInput {
-            kind: SourceQueueKind::Intra,
-            per_node_rate: rates.per_node_icn1_rate,
-            network_latency: network.latency,
-            minimum_latency: times.message_node_time(),
-            cluster: Some(rates.cluster),
-        },
-        options,
-    )?;
+    let source_wait = source_queue::waiting_time(&SourceQueueInput {
+        kind: SourceQueueKind::Intra,
+        per_node_rate: rates.per_node_icn1_rate,
+        network_latency: network.latency,
+        minimum_latency: times.message_node_time(),
+        cluster: Some(rates.cluster),
+    })?;
 
     let tail = tail::intra_tail_time(hops, times);
     Ok(IntraClusterLatency {
@@ -65,13 +60,13 @@ pub(crate) fn intra_cluster_latency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rates::SystemRates;
+    use crate::rates::{HopCache, SystemRates};
     use mcnet_system::{organizations, NetworkTechnology, TrafficConfig};
 
     fn setup(rate: f64) -> (SystemRates, ChannelTimes) {
         let sys = organizations::table1_org_a();
         let traffic = TrafficConfig::uniform(32, 256.0, rate).unwrap();
-        let rates = SystemRates::compute(&sys, &traffic).unwrap();
+        let rates = SystemRates::compute(&sys, &traffic, &HopCache::build(&sys).unwrap()).unwrap();
         let times = ChannelTimes::new(&NetworkTechnology::paper_default(), &traffic);
         (rates, times)
     }
@@ -80,8 +75,7 @@ mod tests {
     fn components_add_up() {
         let (rates, times) = setup(1e-4);
         let hops = HopDistribution::paper(8, 3).unwrap();
-        let lat = intra_cluster_latency(rates.cluster(31), &hops, &times, &ModelOptions::default())
-            .unwrap();
+        let lat = intra_cluster_latency(rates.cluster(31), &hops, &times).unwrap();
         assert!((lat.total - (lat.network + lat.source_wait + lat.tail)).abs() < 1e-12);
         assert!(lat.network > 0.0 && lat.tail > 0.0 && lat.source_wait >= 0.0);
         assert!(lat.max_channel_utilization < 1.0);
@@ -92,10 +86,8 @@ mod tests {
         let hops = HopDistribution::paper(8, 3).unwrap();
         let (r1, t1) = setup(5e-5);
         let (r2, t2) = setup(4e-4);
-        let low =
-            intra_cluster_latency(r1.cluster(31), &hops, &t1, &ModelOptions::default()).unwrap();
-        let high =
-            intra_cluster_latency(r2.cluster(31), &hops, &t2, &ModelOptions::default()).unwrap();
+        let low = intra_cluster_latency(r1.cluster(31), &hops, &t1).unwrap();
+        let high = intra_cluster_latency(r2.cluster(31), &hops, &t2).unwrap();
         assert!(high.total > low.total);
         assert!(high.source_wait >= low.source_wait);
     }
@@ -106,8 +98,7 @@ mod tests {
         // switch-to-switch hops exist.
         let (rates, times) = setup(1e-4);
         let hops = HopDistribution::paper(8, 1).unwrap();
-        let lat = intra_cluster_latency(rates.cluster(0), &hops, &times, &ModelOptions::default())
-            .unwrap();
+        let lat = intra_cluster_latency(rates.cluster(0), &hops, &times).unwrap();
         assert!((lat.network - times.message_node_time()).abs() < 1e-9);
         assert!((lat.tail - times.t_cn).abs() < 1e-12);
     }

@@ -59,9 +59,13 @@
 //!   consistent reading, which reproduces the published curves.
 //! * **Concentrators and dispatchers** (Eqs. 33–34): every inter-cluster message is
 //!   charged both M/D/1 waits, as published.
+//! * **Source-queue variance** (Eq. 22): the service time has the Draper–Ghosh
+//!   standard deviation `S − M·t_cn`, clamped at zero.
+//! * **Equal processing power** (assumption 3): every node of every cluster generates
+//!   messages at the same rate `λ_g`.
 //!
-//! The settable choices that remain, the source-queue variance and the torus routing
-//! discipline, are collected in [`ModelOptions`].
+//! The tree model reads no option. The one settable choice, the torus routing
+//! discipline, is [`ModelOptions`].
 //!
 //! ## Example
 //!
@@ -87,7 +91,6 @@ pub mod intra;
 mod mg1;
 pub mod multicluster;
 pub mod options;
-pub mod processor_heterogeneity;
 pub mod rates;
 pub mod service;
 pub mod source_queue;

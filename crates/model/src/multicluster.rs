@@ -10,7 +10,6 @@
 
 use crate::inter::{self, InterClusterLatency, PairTable};
 use crate::intra::{self, IntraClusterLatency};
-use crate::options::ModelOptions;
 use crate::rates::{HopCache, SystemRates};
 use crate::service::ChannelTimes;
 use crate::{ModelError, Result};
@@ -79,39 +78,18 @@ impl LatencyReport {
 pub struct AnalyticalModel<'a> {
     system: &'a MultiClusterSystem,
     traffic: TrafficConfig,
-    options: ModelOptions,
     rates: SystemRates,
     hops: HopCache,
     times: ChannelTimes,
 }
 
 impl<'a> AnalyticalModel<'a> {
-    /// Builds the model with the default (paper) options.
+    /// Builds the model of `system` at one traffic point.
     pub fn new(system: &'a MultiClusterSystem, traffic: &TrafficConfig) -> Result<Self> {
-        Self::with_options(system, traffic, ModelOptions::default())
-    }
-
-    /// Builds the model with explicit model options.
-    pub fn with_options(
-        system: &'a MultiClusterSystem,
-        traffic: &TrafficConfig,
-        options: ModelOptions,
-    ) -> Result<Self> {
-        Self::with_rate_scaling(system, traffic, &vec![1.0; system.num_clusters()], options)
-    }
-
-    /// Builds the model with per-cluster generation-rate scaling (the
-    /// processor-heterogeneity extension).
-    pub fn with_rate_scaling(
-        system: &'a MultiClusterSystem,
-        traffic: &TrafficConfig,
-        scale: &[f64],
-        options: ModelOptions,
-    ) -> Result<Self> {
         let hops = HopCache::build(system)?;
-        let rates = SystemRates::compute_scaled(system, traffic, scale, &hops)?;
+        let rates = SystemRates::compute(system, traffic, &hops)?;
         let times = ChannelTimes::new(system.technology(), traffic);
-        Ok(AnalyticalModel { system, traffic: *traffic, options, rates, hops, times })
+        Ok(AnalyticalModel { system, traffic: *traffic, rates, hops, times })
     }
 
     /// Rebinds the model to a new per-node generation rate without rebuilding
@@ -135,11 +113,6 @@ impl<'a> AnalyticalModel<'a> {
         &self.traffic
     }
 
-    /// The model options in effect.
-    pub fn options(&self) -> &ModelOptions {
-        &self.options
-    }
-
     /// The precomputed rate quantities.
     pub fn rates(&self) -> &SystemRates {
         &self.rates
@@ -158,12 +131,8 @@ impl<'a> AnalyticalModel<'a> {
         let intra = match intra_table[class] {
             Some(cached) => cached,
             None => {
-                let fresh = intra::intra_cluster_latency(
-                    c,
-                    self.hops.cluster(c.levels),
-                    &self.times,
-                    &self.options,
-                )?;
+                let fresh =
+                    intra::intra_cluster_latency(c, self.hops.cluster(c.levels), &self.times)?;
                 intra_table[class] = Some(fresh);
                 fresh
             }
@@ -173,7 +142,6 @@ impl<'a> AnalyticalModel<'a> {
             &self.hops,
             cluster,
             &self.times,
-            &self.options,
             pair_table,
         )?;
         let p_o = c.outgoing_probability;
@@ -224,6 +192,7 @@ impl<'a> AnalyticalModel<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModelOptions;
     use mcnet_system::organizations;
 
     fn model(system: &MultiClusterSystem, rate: f64) -> LatencyReport {
@@ -331,19 +300,5 @@ mod tests {
         assert!(AnalyticalModel::new(&sys, &above).unwrap().evaluate().is_err());
         // And it should fall inside the paper's Fig. 4 axis range (0 .. 1e-3).
         assert!(sat > 2e-4 && sat < 2e-3, "saturation rate {sat}");
-    }
-
-    #[test]
-    fn rate_scaling_changes_the_result() {
-        let sys = organizations::small_test_org();
-        let traffic = TrafficConfig::uniform(32, 256.0, 2e-4).unwrap();
-        let uniform = AnalyticalModel::new(&sys, &traffic).unwrap().evaluate().unwrap();
-        let scale = vec![2.0, 2.0, 1.0, 0.5];
-        let scaled =
-            AnalyticalModel::with_rate_scaling(&sys, &traffic, &scale, ModelOptions::default())
-                .unwrap()
-                .evaluate()
-                .unwrap();
-        assert!((uniform.total_latency - scaled.total_latency).abs() > 1e-9);
     }
 }

@@ -6,12 +6,12 @@
 //! literally, the equations would feed one channel the whole cluster's rate, which
 //! saturates far below the load range of the paper's own Figs. 3–4. The hop
 //! distribution is the published Eq. (4), and every inter-cluster message is charged
-//! the concentrator/dispatcher wait of Eqs. (33)–(34).
+//! the concentrator/dispatcher wait of Eqs. (33)–(34). The source queue's service
+//! time always carries the Draper–Ghosh variance of Eq. (22).
 //!
-//! Two choices remain, each with a caller outside the tests: the service-time
-//! variance of the source queues (the variance ablation switches the Draper–Ghosh term
-//! off) and the routing discipline the torus model assumes (the scenario layer selects
-//! the adaptive one for adaptive torus specs).
+//! One choice remains: the routing discipline the torus model assumes (the scenario
+//! layer selects the adaptive one for adaptive torus specs). The tree model reads no
+//! option.
 
 /// Routing discipline assumed by the torus channel-load model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,22 +34,9 @@ pub enum TorusRouting {
     },
 }
 
-/// Variance model for the source-queue service time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VarianceApproximation {
-    /// The Draper–Ghosh approximation of Eq. (22): `σ = S − M·t_cn`.
-    #[default]
-    DraperGhosh,
-    /// Zero variance (deterministic service) — the M/D/1 limit, used by the
-    /// variance-approximation ablation.
-    None,
-}
-
 /// The settable choices of the analytical model; the default reproduces the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ModelOptions {
-    /// Service-time variance model for the source queues.
-    pub variance: VarianceApproximation,
     /// Routing discipline of the torus model (ignored by the tree model, whose
     /// deterministic NCA loads also describe randomized up*/down* routing in
     /// the mean — randomization only redistributes load across symmetric
@@ -58,12 +45,6 @@ pub struct ModelOptions {
 }
 
 impl ModelOptions {
-    /// Disables the Draper–Ghosh variance term (M/D/1 source queues).
-    pub fn without_variance(mut self) -> Self {
-        self.variance = VarianceApproximation::None;
-        self
-    }
-
     /// Switches the torus model to minimal-adaptive routing with the given
     /// number of adaptive virtual channels per link.
     pub fn with_adaptive_torus(mut self, adaptive_vcs: usize) -> Self {
@@ -79,17 +60,12 @@ mod tests {
     #[test]
     fn defaults_reproduce_paper_reading() {
         let o = ModelOptions::default();
-        assert_eq!(o.variance, VarianceApproximation::DraperGhosh);
         assert_eq!(o.torus_routing, TorusRouting::Deterministic);
     }
 
     #[test]
     fn builders_flip_the_right_flags() {
-        let o = ModelOptions::default().without_variance();
-        assert_eq!(o.variance, VarianceApproximation::None);
-        assert_eq!(o.torus_routing, TorusRouting::Deterministic);
         let o = ModelOptions::default().with_adaptive_torus(2);
         assert_eq!(o.torus_routing, TorusRouting::AdaptiveMinimal { adaptive_vcs: 2 });
-        assert_eq!(o.variance, VarianceApproximation::DraperGhosh);
     }
 }

@@ -168,10 +168,6 @@ pub struct ClusterRates {
     pub per_node_icn1_rate: f64,
     /// Per-node rate of messages injected into ECN1, `P_o^{(i)}·λ_g`.
     pub per_node_ecn1_rate: f64,
-    /// Per-node message generation rate of this cluster. Equals the system-wide `λ_g`
-    /// for the paper's model; the processor-heterogeneity extension scales it per
-    /// cluster.
-    pub generation_rate: f64,
 }
 
 /// Rate quantities of one ordered cluster pair `(i, v)` for the inter-cluster journey.
@@ -199,6 +195,8 @@ pub struct SystemRates {
     pub icn2_average_distance: f64,
     /// ICN2 tree levels `n_c`.
     pub icn2_levels: usize,
+    /// The per-node generation rate `λ_g`, equal in every cluster (the paper's
+    /// assumption 3).
     generation_rate: f64,
     /// Aggregate external traffic *into* each cluster, `Σ_{u≠v} N_u λ_u q(u,v)`.
     /// `None` on the uniform path, where inflow equals outflow by symmetry and
@@ -206,10 +204,6 @@ pub struct SystemRates {
     external_in: Option<Vec<f64>>,
     /// The destination mix behind the rates; `None` for uniform traffic.
     mix: Option<DestinationMix>,
-    /// The per-cluster generation-rate scale the rates were computed with
-    /// (all ones for the paper's model), kept so [`SystemRates::rebind`] can
-    /// re-derive every rate-dependent quantity at a new `λ_g`.
-    scale: Vec<f64>,
     /// The rate class of every cluster (see [`SystemRates::rate_class`]).
     class_of: Vec<usize>,
     /// The number of distinct rate classes.
@@ -217,38 +211,15 @@ pub struct SystemRates {
 }
 
 impl SystemRates {
-    /// Computes every per-cluster rate for the given system and traffic.
-    pub fn compute(system: &MultiClusterSystem, traffic: &TrafficConfig) -> Result<Self> {
-        let scale = vec![1.0; system.num_clusters()];
-        Self::compute_scaled(system, traffic, &scale, &HopCache::build(system)?)
-    }
-
-    /// Computes the rates with a per-cluster scaling of the generation rate: cluster
-    /// `i` generates `scale[i]·λ_g` messages per node per time unit. The paper's model
-    /// uses a scale of 1 everywhere; the processor-heterogeneity extension scales by
-    /// relative processing power. The average distances (Eqs. 8–9) are read from
-    /// `hops`, the system's own [`HopCache`].
-    pub fn compute_scaled(
+    /// Computes every per-cluster rate for the given system and traffic. The
+    /// average distances (Eqs. 8–9) are read from `hops`, the system's own
+    /// [`HopCache`].
+    pub fn compute(
         system: &MultiClusterSystem,
         traffic: &TrafficConfig,
-        scale: &[f64],
         hops: &HopCache,
     ) -> Result<Self> {
         traffic.validate().map_err(ModelError::from)?;
-        if scale.len() != system.num_clusters() {
-            return Err(ModelError::InvalidConfiguration {
-                reason: format!(
-                    "rate scale has {} entries but the system has {} clusters",
-                    scale.len(),
-                    system.num_clusters()
-                ),
-            });
-        }
-        if scale.iter().any(|s| !s.is_finite() || *s < 0.0) {
-            return Err(ModelError::InvalidConfiguration {
-                reason: "rate scales must be finite and non-negative".into(),
-            });
-        }
         let icn2_average_distance = hops.icn2().average_distance();
 
         // The uniform pattern keeps the paper's published formulas verbatim
@@ -277,10 +248,9 @@ impl SystemRates {
                 eta_icn1: 0.0,
                 per_node_icn1_rate: 0.0,
                 per_node_ecn1_rate: 0.0,
-                generation_rate: 0.0,
             });
         }
-        let (class_of, classes) = rate_classes(&clusters, scale, mix.is_some());
+        let (class_of, classes) = rate_classes(&clusters, mix.is_some());
         let mut rates = SystemRates {
             clusters,
             icn2_average_distance,
@@ -288,7 +258,6 @@ impl SystemRates {
             generation_rate: 0.0,
             external_in: None,
             mix,
-            scale: scale.to_vec(),
             class_of,
             classes,
         };
@@ -302,15 +271,13 @@ impl SystemRates {
     /// probabilities, hop distances, destination mix, rate classes).
     pub fn rebind(&mut self, generation_rate: f64) {
         self.generation_rate = generation_rate;
-        for (c, &s) in self.clusters.iter_mut().zip(&self.scale) {
-            let lambda_g = generation_rate * s;
+        for c in &mut self.clusters {
             let p_o = c.outgoing_probability;
-            c.lambda_icn1 = c.nodes as f64 * (1.0 - p_o) * lambda_g;
+            c.lambda_icn1 = c.nodes as f64 * (1.0 - p_o) * generation_rate;
             c.eta_icn1 =
                 c.average_distance * c.lambda_icn1 / (4.0 * c.levels as f64 * c.nodes as f64);
-            c.per_node_icn1_rate = (1.0 - p_o) * lambda_g;
-            c.per_node_ecn1_rate = p_o * lambda_g;
-            c.generation_rate = lambda_g;
+            c.per_node_icn1_rate = (1.0 - p_o) * generation_rate;
+            c.per_node_ecn1_rate = p_o * generation_rate;
         }
         let clusters = &self.clusters;
         self.external_in = self.mix.as_ref().map(|mix| {
@@ -319,7 +286,7 @@ impl SystemRates {
                     clusters
                         .iter()
                         .filter(|c| c.cluster != v)
-                        .map(|c| c.nodes as f64 * c.generation_rate * mix.to(c.cluster, v))
+                        .map(|c| c.nodes as f64 * generation_rate * mix.to(c.cluster, v))
                         .sum()
                 })
                 .collect()
@@ -353,9 +320,9 @@ impl SystemRates {
         let b = &self.clusters[v];
         let ni = a.nodes as f64;
         let nv = b.nodes as f64;
-        let out_i = ni * a.outgoing_probability * a.generation_rate;
+        let out_i = ni * a.outgoing_probability * self.generation_rate;
         let in_v = match &self.external_in {
-            None => nv * b.outgoing_probability * b.generation_rate,
+            None => nv * b.outgoing_probability * self.generation_rate,
             Some(external_in) => external_in[v],
         };
         let lambda_ecn1 = out_i + in_v;
@@ -369,8 +336,8 @@ impl SystemRates {
     ///
     /// Two clusters share a class when every field of theirs that
     /// [`SystemRates::pair`] and the intra- and inter-cluster latencies read
-    /// is bit-equal (node count, tree depth, outgoing probability, average
-    /// distance and generation-rate scale), so their latencies and the rates
+    /// is bit-equal (node count, tree depth, outgoing probability and average
+    /// distance), so their latencies and the rates
     /// of their pairs are bit-identical at every `λ_g` and the model solves
     /// each class, and each ordered pair of classes, once. Under a
     /// non-uniform destination mix a pair also reads the destination's
@@ -396,18 +363,12 @@ impl SystemRates {
 /// Groups clusters into rate classes (see [`SystemRates::rate_class`]),
 /// numbered in order of first appearance; returns each cluster's class and the
 /// class count.
-fn rate_classes(clusters: &[ClusterRates], scale: &[f64], mixed: bool) -> (Vec<usize>, usize) {
+fn rate_classes(clusters: &[ClusterRates], mixed: bool) -> (Vec<usize>, usize) {
     if mixed {
         return ((0..clusters.len()).collect(), clusters.len());
     }
     let key = |c: &ClusterRates| {
-        (
-            c.nodes,
-            c.levels,
-            c.outgoing_probability.to_bits(),
-            c.average_distance.to_bits(),
-            scale[c.cluster].to_bits(),
-        )
+        (c.nodes, c.levels, c.outgoing_probability.to_bits(), c.average_distance.to_bits())
     };
     let mut representatives: Vec<usize> = Vec::new();
     let class_of = clusters
@@ -468,7 +429,7 @@ mod tests {
 
     fn rates_for(system: &MultiClusterSystem, rate: f64) -> SystemRates {
         let traffic = TrafficConfig::uniform(32, 256.0, rate).unwrap();
-        SystemRates::compute(system, &traffic).unwrap()
+        SystemRates::compute(system, &traffic, &HopCache::build(system).unwrap()).unwrap()
     }
 
     #[test]
@@ -595,7 +556,8 @@ mod tests {
             .unwrap()
             .with_pattern(TrafficPattern::Hotspot { hotspot: 0, fraction: 0.4 })
             .unwrap();
-        let rates = SystemRates::compute(&sys, &traffic).unwrap();
+        let hops = HopCache::build(&sys).unwrap();
+        let rates = SystemRates::compute(&sys, &traffic, &hops).unwrap();
         assert!(rates.mix.is_some());
         // Journeys *into* the hot cluster see more ECN1/ICN2 traffic than
         // journeys out of it toward a cold cluster.
@@ -605,7 +567,7 @@ mod tests {
         assert!(into_hot.lambda_icn2 > out_of_hot.lambda_icn2);
         // Uniform rates keep the published symmetric form and report no mix.
         let uniform = TrafficConfig::uniform(32, 256.0, 1e-4).unwrap();
-        let u = SystemRates::compute(&sys, &uniform).unwrap();
+        let u = SystemRates::compute(&sys, &uniform, &hops).unwrap();
         assert!(u.mix.is_none());
         assert!(u.destination_weights(0).is_none());
         assert!((u.pair(0, 2).lambda_ecn1 - u.pair(2, 0).lambda_ecn1).abs() < 1e-18);

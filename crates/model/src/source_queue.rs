@@ -7,7 +7,6 @@
 //! (Eq. 22): mean `S`, standard deviation `S − M·t_cn`, clamped at zero. The wait
 //! itself is the Pollaczek–Khinchine formula the concentrator shares, `mg1::waiting_time`.
 
-use crate::options::{ModelOptions, VarianceApproximation};
 use crate::{check_nonnegative, mg1, ModelError, Result, SaturatedComponent};
 
 /// Which network's injection channel the queue feeds (only used for error reporting).
@@ -38,18 +37,12 @@ pub struct SourceQueueInput {
     pub cluster: Option<usize>,
 }
 
-/// Computes the mean source-queue waiting time `W` (Eq. 23 / Eq. 30) under the given
-/// variance model.
-pub fn waiting_time(input: &SourceQueueInput, options: &ModelOptions) -> Result<f64> {
-    let variance = match options.variance {
-        VarianceApproximation::DraperGhosh => {
-            let minimum = check_nonnegative("minimum_latency", input.minimum_latency)?;
-            let sigma = (input.network_latency - minimum).max(0.0);
-            sigma * sigma
-        }
-        VarianceApproximation::None => 0.0,
-    };
-    mg1::waiting_time(input.per_node_rate, input.network_latency, variance)?.map_err(
+/// Computes the mean source-queue waiting time `W` (Eq. 23 / Eq. 30) with the
+/// Draper–Ghosh service-time variance of Eq. (22).
+pub fn waiting_time(input: &SourceQueueInput) -> Result<f64> {
+    let minimum = check_nonnegative("minimum_latency", input.minimum_latency)?;
+    let sigma = (input.network_latency - minimum).max(0.0);
+    mg1::waiting_time(input.per_node_rate, input.network_latency, sigma * sigma)?.map_err(
         |utilization| ModelError::Saturated {
             component: match input.kind {
                 SourceQueueKind::Intra => SaturatedComponent::IntraSourceQueue,
@@ -78,7 +71,7 @@ mod tests {
 
     #[test]
     fn zero_rate_means_zero_waiting() {
-        let w = waiting_time(&input(0.0, 100.0), &ModelOptions::default()).unwrap();
+        let w = waiting_time(&input(0.0, 100.0)).unwrap();
         assert_eq!(w, 0.0);
     }
 
@@ -90,42 +83,25 @@ mod tests {
         let sigma: f64 = s - 8.832;
         let rho = lambda * s;
         let expected = rho * s * (1.0 + sigma * sigma / (s * s)) / (2.0 * (1.0 - rho));
-        let w = waiting_time(&input(lambda, s), &ModelOptions::default()).unwrap();
+        let w = waiting_time(&input(lambda, s)).unwrap();
         assert!((w - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn variance_option_lowers_waiting() {
-        let with = waiting_time(&input(1e-3, 100.0), &ModelOptions::default()).unwrap();
-        let without =
-            waiting_time(&input(1e-3, 100.0), &ModelOptions::default().without_variance()).unwrap();
-        assert!(without < with, "removing variance halves the P-K numerator");
-        // Deterministic service: W = ρ·S / (2(1-ρ)).
-        let rho = 1e-3 * 100.0;
-        assert!((without - rho * 100.0 / (2.0 * (1.0 - rho))).abs() < 1e-9);
     }
 
     #[test]
     fn draper_ghosh_sigma_is_clamped() {
         // A latency at or below its minimum leaves no variance: the wait is the
-        // deterministic-service one, bit for bit.
-        let options = ModelOptions::default();
-        let deterministic = options.without_variance();
+        // deterministic-service (M/D/1) one, bit for bit.
         for latency in [8.832, 5.0] {
-            let inp = input(1e-3, latency);
+            let deterministic = mg1::waiting_time(1e-3, latency, 0.0).unwrap().unwrap();
             assert_eq!(
-                waiting_time(&inp, &options).unwrap().to_bits(),
-                waiting_time(&inp, &deterministic).unwrap().to_bits()
+                waiting_time(&input(1e-3, latency)).unwrap().to_bits(),
+                deterministic.to_bits()
             );
         }
-        // The minimum latency is an input of the variance only.
+        // The minimum latency must be a valid non-negative time.
         for minimum in [-1.0, f64::NAN] {
             let inp = SourceQueueInput { minimum_latency: minimum, ..input(1e-3, 100.0) };
-            assert!(matches!(
-                waiting_time(&inp, &options),
-                Err(ModelError::InvalidConfiguration { .. })
-            ));
-            assert!(waiting_time(&inp, &deterministic).is_ok());
+            assert!(matches!(waiting_time(&inp), Err(ModelError::InvalidConfiguration { .. })));
         }
     }
 
@@ -133,7 +109,7 @@ mod tests {
     fn saturation_reports_component_and_cluster() {
         let mut inp = input(0.02, 100.0); // ρ = 2
         inp.cluster = Some(5);
-        let err = waiting_time(&inp, &ModelOptions::default()).unwrap_err();
+        let err = waiting_time(&inp).unwrap_err();
         match err {
             ModelError::Saturated { component, cluster, utilization } => {
                 assert_eq!(component, SaturatedComponent::IntraSourceQueue);
@@ -143,7 +119,7 @@ mod tests {
             other => panic!("unexpected error {other:?}"),
         }
         inp.kind = SourceQueueKind::Inter;
-        let err = waiting_time(&inp, &ModelOptions::default()).unwrap_err();
+        let err = waiting_time(&inp).unwrap_err();
         assert!(matches!(
             err,
             ModelError::Saturated { component: SaturatedComponent::InterSourceQueue, .. }
@@ -153,18 +129,10 @@ mod tests {
     #[test]
     fn invalid_inputs_are_reported() {
         let inp = input(-1.0, 100.0);
-        assert!(matches!(
-            waiting_time(&inp, &ModelOptions::default()),
-            Err(ModelError::InvalidConfiguration { .. })
-        ));
+        assert!(matches!(waiting_time(&inp), Err(ModelError::InvalidConfiguration { .. })));
         for latency in [-5.0, f64::NAN, f64::INFINITY] {
             let inp = input(1e-3, latency);
-            for options in [ModelOptions::default(), ModelOptions::default().without_variance()] {
-                assert!(matches!(
-                    waiting_time(&inp, &options),
-                    Err(ModelError::InvalidConfiguration { .. })
-                ));
-            }
+            assert!(matches!(waiting_time(&inp), Err(ModelError::InvalidConfiguration { .. })));
         }
     }
 }

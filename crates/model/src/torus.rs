@@ -610,16 +610,13 @@ impl TorusModel {
         // Injection source queue: every message of a node passes through its one
         // injection channel, which stays busy for the message's entire network
         // latency — the M/G/1 of Eqs. (19)–(23) with the Draper–Ghosh variance.
-        let source_wait = source_queue::waiting_time(
-            &SourceQueueInput {
-                kind: SourceQueueKind::Injection,
-                per_node_rate: lambda,
-                network_latency: network,
-                minimum_latency: self.times.message_node_time(),
-                cluster: None,
-            },
-            &self.options,
-        )?;
+        let source_wait = source_queue::waiting_time(&SourceQueueInput {
+            kind: SourceQueueKind::Injection,
+            per_node_rate: lambda,
+            network_latency: network,
+            minimum_latency: self.times.message_node_time(),
+            cluster: None,
+        })?;
 
         let total = source_wait + network + tail;
         let intra = source_wait + journeys.intra + tail_of(d_intra);
@@ -1545,19 +1542,5 @@ mod tests {
         assert!(ada.network < det.network);
         assert!(ada.hotspot_total.unwrap() < det.hotspot_total.unwrap());
         assert!(ada.escape_fraction.unwrap() > 0.0);
-    }
-
-    #[test]
-    fn variance_option_lowers_the_source_wait() {
-        let torus = TorusSystem::new(4, 2).unwrap();
-        let traffic = TrafficConfig::uniform(16, 256.0, 4e-3).unwrap();
-        let with =
-            TorusModel::new(&torus, &traffic, ModelOptions::default()).unwrap().evaluate().unwrap();
-        let without = TorusModel::new(&torus, &traffic, ModelOptions::default().without_variance())
-            .unwrap()
-            .evaluate()
-            .unwrap();
-        assert!(without.source_wait < with.source_wait);
-        assert_eq!(with.network, without.network);
     }
 }

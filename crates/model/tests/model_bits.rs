@@ -1,10 +1,11 @@
 //! Bit-level pins of the tree model's arithmetic.
 //!
 //! Every case evaluates `AnalyticalModel::evaluate` on one organization,
-//! destination pattern, option set and rate, and renders the outcome as one
-//! line: the exact bits of `total_latency` plus an FNV-1a fold of every
-//! cluster's intra/inter totals, concentrator wait and mean latency — or, past
-//! the knee, the exact `ModelError` (component, utilisation bits, cluster).
+//! destination pattern and rate (tagged `default`, the paper's one reading),
+//! and renders the outcome as one line: the exact bits of `total_latency`
+//! plus an FNV-1a fold of every cluster's intra/inter totals, concentrator
+//! wait and mean latency — or, past the knee, the exact `ModelError`
+//! (component, utilisation bits, cluster).
 //! The expected lines were captured from an evaluation that solved every
 //! cluster and every ordered cluster pair separately, so this is the oracle
 //! that keeps the class tables (and anything else that rearranges the
@@ -76,35 +77,11 @@ fn actual() -> String {
     let mut lines = Vec::new();
     for (org, system) in organizations() {
         for (pattern_name, pattern) in patterns(&system) {
-            for (options_name, options) in [
-                ("default", ModelOptions::default()),
-                ("without_variance", ModelOptions::default().without_variance()),
-            ] {
-                for rate in RATES {
-                    let model =
-                        AnalyticalModel::with_options(&system, &traffic(pattern, rate), options)
-                            .unwrap();
-                    lines.push(format!(
-                        "{org} {pattern_name} {options_name} {}",
-                        render(rate, &model)
-                    ));
-                }
+            for rate in RATES {
+                let model = AnalyticalModel::new(&system, &traffic(pattern, rate)).unwrap();
+                lines.push(format!("{org} {pattern_name} default {}", render(rate, &model)));
             }
         }
-    }
-    // Per-cluster rate scaling breaks the size classes apart: clusters of one
-    // size no longer share their journeys.
-    let system = organizations::table1_org_b();
-    let scale: Vec<f64> = (0..system.num_clusters()).map(|i| 0.5 + 0.25 * (i % 4) as f64).collect();
-    for rate in RATES {
-        let model = AnalyticalModel::with_rate_scaling(
-            &system,
-            &traffic(TrafficPattern::Uniform, rate),
-            &scale,
-            ModelOptions::default(),
-        )
-        .unwrap();
-        lines.push(format!("B uniform rate_scaled {}", render(rate, &model)));
     }
     lines.join("\n")
 }
@@ -124,20 +101,6 @@ A uniform default 1.2e-3 saturated Channel 4004d8c9782f3b1e Some(0)
 A uniform default 3e-3 saturated Channel 3ff396fbfaf79368 Some(0)
 A uniform default 1e-2 saturated Channel 3ff1f9a7a5519da6 Some(0)
 A uniform default 3e-2 saturated Channel 401151d771eea8cc Some(0)
-A uniform without_variance 2.5e-6 ok 4033b76765131a45 6f9ce4900cf5fe75
-A uniform without_variance 1e-5 ok 4033ecc507b43da5 1960b9c705664905
-A uniform without_variance 4e-5 ok 4034cbf96eb823ea 4d0822b42715697d
-A uniform without_variance 1e-4 ok 4036c0e53dc9ade9 7034c7023b1cb625
-A uniform without_variance 2e-4 ok 403ae7b281d84f87 d6cedfb0f620fd75
-A uniform without_variance 3e-4 ok 404086a4095118f0 02e03bae32c62d6d
-A uniform without_variance 4e-4 ok 404621a85a8d7ebd 363443f259ac531d
-A uniform without_variance 5e-4 ok 40551d2865a2be09 7e1069f6c91e1e8d
-A uniform without_variance 6e-4 saturated Concentrator 3ff1336ff83f5dbf Some(0)
-A uniform without_variance 8e-4 saturated Channel 3ff7c12a2125ed1f Some(0)
-A uniform without_variance 1.2e-3 saturated Channel 4004d8c9782f3b1e Some(0)
-A uniform without_variance 3e-3 saturated Channel 3ff396fbfaf79368 Some(0)
-A uniform without_variance 1e-2 saturated Channel 3ff1f9a7a5519da6 Some(0)
-A uniform without_variance 3e-2 saturated Channel 401151d771eea8cc Some(0)
 A hotspot default 2.5e-6 ok 403410663451e845 b89a4c8dd70d7b91
 A hotspot default 1e-5 ok 40346dd40c00b710 c738412e5dd1734f
 A hotspot default 4e-5 ok 403606bb423407a8 a387c7cf2fa99c46
@@ -152,20 +115,6 @@ A hotspot default 1.2e-3 saturated Channel 3fff3362d40a0d55 Some(0)
 A hotspot default 3e-3 saturated Concentrator 3ff13ef3d731c921 Some(0)
 A hotspot default 1e-2 saturated Concentrator 3ff3234e915454c3 Some(0)
 A hotspot default 3e-2 saturated Channel 400effb02ce1338a Some(0)
-A hotspot without_variance 2.5e-6 ok 40341061b5d8a276 215f5d9ef653720a
-A hotspot without_variance 1e-5 ok 40346dc164b0c422 654760dac7ffe175
-A hotspot without_variance 4e-5 ok 403606646bc04c87 fa454b433714685c
-A hotspot without_variance 1e-4 ok 403a2d5ccefdd636 898b3237a2d0ce3a
-A hotspot without_variance 2e-4 ok 40465b879a8885a0 a99fdc429a727004
-A hotspot without_variance 3e-4 saturated Channel 3ff5929d569308ce Some(0)
-A hotspot without_variance 4e-4 saturated Channel 4000cd86b4f41602 Some(0)
-A hotspot without_variance 5e-4 saturated Channel 400627c42f6002b5 Some(0)
-A hotspot without_variance 6e-4 saturated Channel 400b93eebcaa6c3d Some(0)
-A hotspot without_variance 8e-4 saturated Channel 3ff004e574f2c3c1 Some(0)
-A hotspot without_variance 1.2e-3 saturated Channel 3fff3362d40a0d55 Some(0)
-A hotspot without_variance 3e-3 saturated Concentrator 3ff13ef3d731c921 Some(0)
-A hotspot without_variance 1e-2 saturated Concentrator 3ff3234e915454c3 Some(0)
-A hotspot without_variance 3e-2 saturated Channel 400effb02ce1338a Some(0)
 B uniform default 2.5e-6 ok 4035de93c4307d5c 232c8de70a03c97d
 B uniform default 1e-5 ok 4036053cb4ff0c18 a2dd9cf4cafe4737
 B uniform default 4e-5 ok 4036a3fff03ddcf0 7a4097caeb8ea449
@@ -180,20 +129,6 @@ B uniform default 1.2e-3 saturated Channel 3ff469d249ea59d4 Some(0)
 B uniform default 3e-3 saturated Channel 4002453627514bfc Some(0)
 B uniform default 1e-2 saturated Channel 40193f83a90314ee Some(0)
 B uniform default 3e-2 saturated Channel 403a149b6069138c Some(0)
-B uniform without_variance 2.5e-6 ok 4035de8f706d7339 861f61bc36771881
-B uniform without_variance 1e-5 ok 4036052b11f65724 3d2dbc5a5966574c
-B uniform without_variance 4e-5 ok 4036a3b3e15cd6b6 f2ac602daffcaefd
-B uniform without_variance 1e-4 ok 4037f5f81e3653a3 c8ac801c3f89363a
-B uniform without_variance 2e-4 ok 403a72c61fe54ef2 302e91fe35ef3e93
-B uniform without_variance 3e-4 ok 403d615da63eefa3 dd17f2edd2883047
-B uniform without_variance 4e-4 ok 404073196c300f48 e89fac1a14a718cc
-B uniform without_variance 5e-4 ok 40429c5ba8a0d46c 212ce047461bdb9d
-B uniform without_variance 6e-4 ok 404559858d9993b2 a52fb719e006fa1d
-B uniform without_variance 8e-4 ok 404e28f53de9d4b6 a743d5106eca8bf4
-B uniform without_variance 1.2e-3 saturated Channel 3ff469d249ea59d4 Some(0)
-B uniform without_variance 3e-3 saturated Channel 4002453627514bfc Some(0)
-B uniform without_variance 1e-2 saturated Channel 40193f83a90314ee Some(0)
-B uniform without_variance 3e-2 saturated Channel 403a149b6069138c Some(0)
 B hotspot default 2.5e-6 ok 403626f6550fa62f 11fd70e2b08129d9
 B hotspot default 1e-5 ok 40365dc0cf9bda68 898445085224f691
 B hotspot default 4e-5 ok 403742bca5af972d 4c667adb9226c75a
@@ -208,20 +143,6 @@ B hotspot default 1.2e-3 saturated Channel 40173d39064194b3 Some(0)
 B hotspot default 3e-3 saturated Channel 3ff987887532e700 Some(0)
 B hotspot default 1e-2 saturated Channel 401674ecd119b1f6 Some(0)
 B hotspot default 3e-2 saturated Channel 40367674a3769ab0 Some(0)
-B hotspot without_variance 2.5e-6 ok 403626f1fff095e6 3b47313a98a20093
-B hotspot without_variance 1e-5 ok 40365daf0126e40b 56c3bd511b836465
-B hotspot without_variance 4e-5 ok 4037426d2339f0ba 23ffe9e0835c63a2
-B hotspot without_variance 1e-4 ok 40394221444933e9 33682294bbd2336a
-B hotspot without_variance 2e-4 ok 403d73ad20e5e9e3 f8958e734b7a0129
-B hotspot without_variance 3e-4 ok 4041bdf8b8d1d7e2 eebedca6f35887b8
-B hotspot without_variance 4e-4 ok 4046f73deed848f6 811fd98de1555b2b
-B hotspot without_variance 5e-4 saturated Channel 3ff4115dfbae4de5 Some(0)
-B hotspot without_variance 6e-4 saturated Channel 3ffe473511a4f77b Some(0)
-B hotspot without_variance 8e-4 saturated Channel 400a2d1f43893e3a Some(0)
-B hotspot without_variance 1.2e-3 saturated Channel 40173d39064194b3 Some(0)
-B hotspot without_variance 3e-3 saturated Channel 3ff987887532e700 Some(0)
-B hotspot without_variance 1e-2 saturated Channel 401674ecd119b1f6 Some(0)
-B hotspot without_variance 3e-2 saturated Channel 40367674a3769ab0 Some(0)
 medium uniform default 2.5e-6 ok 4033f75da63e4d99 652ad9a3b5041881
 medium uniform default 1e-5 ok 403403cec078bed3 510959ab097a6b75
 medium uniform default 4e-5 ok 4034360da5e0d186 92ff91985911c415
@@ -236,20 +157,6 @@ medium uniform default 1.2e-3 ok 403f6a68b8f2a793 1c3fe2d355fbca85
 medium uniform default 3e-3 saturated Concentrator 3ff0ba4fcd53467d Some(0)
 medium uniform default 1e-2 saturated Channel 3ff0ddf5b88ca982 Some(0)
 medium uniform default 3e-2 saturated Channel 4012c028a0f31c72 Some(0)
-medium uniform without_variance 2.5e-6 ok 4033f759eccb5a15 2e60084e246fc495
-medium uniform without_variance 1e-5 ok 403403bfc701e242 913c2483b3cf72bd
-medium uniform without_variance 4e-5 ok 403435d0813af4e6 1db7aa9c1add0d79
-medium uniform without_variance 1e-4 ok 40349c4953c29360 1d779b91162e64a1
-medium uniform without_variance 2e-4 ok 40354e6bb216eda9 595e269ca23463d1
-medium uniform without_variance 3e-4 ok 40360a83cd246a0d 7ae2696c542c704d
-medium uniform without_variance 4e-4 ok 4036d195a8722d04 b0da16b727c2d17d
-medium uniform without_variance 5e-4 ok 4037a4ce527be1be c5a724ea32eb64d1
-medium uniform without_variance 6e-4 ok 4038858ce5a1e706 485e026ce94698dd
-medium uniform without_variance 8e-4 ok 403a765b4ec05c75 6e28738086dd6cd1
-medium uniform without_variance 1.2e-3 ok 403f5a6974611a5a a03026c023a80aad
-medium uniform without_variance 3e-3 saturated Concentrator 3ff0ba4fcd53467d Some(0)
-medium uniform without_variance 1e-2 saturated Channel 3ff0ddf5b88ca982 Some(0)
-medium uniform without_variance 3e-2 saturated Channel 4012c028a0f31c72 Some(0)
 medium hotspot default 2.5e-6 ok 40342b379a86b22e 7271092e91c364ea
 medium hotspot default 1e-5 ok 40343ad7cab34bba c9687dea89fc8f66
 medium hotspot default 4e-5 ok 40347a2702830ba1 10dbb137432eef89
@@ -264,20 +171,6 @@ medium hotspot default 1.2e-3 ok 4043246d4fc5096a a5c30f76c4978111
 medium hotspot default 3e-3 saturated Channel 3ffd80a92ced76a6 Some(0)
 medium hotspot default 1e-2 saturated Concentrator 3ff2512a732d6dc0 Some(0)
 medium hotspot default 3e-2 saturated Channel 40109f7f62d5b541 Some(0)
-medium hotspot without_variance 2.5e-6 ok 40342b33e15749a8 ccfdd6005c83016e
-medium hotspot without_variance 1e-5 ok 40343ac8cc31d984 a0639bf1e2ae7e8a
-medium hotspot without_variance 4e-5 ok 403479e964990ae8 1aa5df7cf45181ac
-medium hotspot without_variance 1e-4 ok 4034fc2a6775b27f 4b9a23d90fe38fae
-medium hotspot without_variance 2e-4 ok 4035e219e1f6dd1c 7476e9a42daf91f5
-medium hotspot without_variance 3e-4 ok 4036da0f76736446 1658f38f88d3d54c
-medium hotspot without_variance 4e-4 ok 4037e6c81460d620 a45976a2c8c1c2d3
-medium hotspot without_variance 5e-4 ok 40390baecced2af8 55bfc8043a1809dd
-medium hotspot without_variance 6e-4 ok 403a4d1be2b2282c 1204860fb67bdc7b
-medium hotspot without_variance 8e-4 ok 403d3df2cbe5e3c6 abfab5493f492ce7
-medium hotspot without_variance 1.2e-3 ok 4043197c7fd09df0 a221f7b0599084d1
-medium hotspot without_variance 3e-3 saturated Channel 3ffd80a92ced76a6 Some(0)
-medium hotspot without_variance 1e-2 saturated Concentrator 3ff2512a732d6dc0 Some(0)
-medium hotspot without_variance 3e-2 saturated Channel 40109f7f62d5b541 Some(0)
 small_test uniform default 2.5e-6 ok 4031f83820a9ddcd 6f17a5d46e1459ed
 small_test uniform default 1e-5 ok 4031fb842f52d786 5b58c64f0508f04e
 small_test uniform default 4e-5 ok 403208bf6623c524 ca744de156a8957b
@@ -292,20 +185,6 @@ small_test uniform default 1.2e-3 ok 403444ddc141b01d a2ff8c81e1fc0d71
 small_test uniform default 3e-3 ok 40391aaeee99abf0 590048296b287c42
 small_test uniform default 1e-2 saturated Concentrator 3ff3967e4e4ba1b8 Some(0)
 small_test uniform default 3e-2 saturated Concentrator 3ffcf7ccd18916d3 Some(0)
-small_test uniform without_variance 2.5e-6 ok 4031f8352cccc9ba 0261a80c379cf1a4
-small_test uniform without_variance 1e-5 ok 4031fb785cc070f2 e50d259f830dde6d
-small_test uniform without_variance 4e-5 ok 4032088fe9d91894 6882a109e5ce8aca
-small_test uniform without_variance 1e-4 ok 403222f36aebba4a c7c96fe34fdc2a30
-small_test uniform without_variance 2e-4 ok 40324f8d1f384b67 7577d0a76299306f
-small_test uniform without_variance 3e-4 ok 40327cf2c517bc0c eebfdfca0b31940e
-small_test uniform without_variance 4e-4 ok 4032ab2b529703b0 539375abd1d2367a
-small_test uniform without_variance 5e-4 ok 4032da3e1581f7d3 dfc50fc57182b24e
-small_test uniform without_variance 6e-4 ok 40330a32b904b239 0f6aae3c43fd8213
-small_test uniform without_variance 8e-4 ok 40336ce24655ca64 a7a757adaa195b25
-small_test uniform without_variance 1.2e-3 ok 40343e57c9413e8c a8cdcfa85c64914c
-small_test uniform without_variance 3e-3 ok 403905d5c519f50a 8699f5feeecefcb6
-small_test uniform without_variance 1e-2 saturated Concentrator 3ff3967e4e4ba1b8 Some(0)
-small_test uniform without_variance 3e-2 saturated Concentrator 3ffcf7ccd18916d3 Some(0)
 small_test hotspot default 2.5e-6 ok 40321b89f1e242c6 75accf7d5bea7efb
 small_test hotspot default 1e-5 ok 40321f145e8c69ea 40187b7d70baf072
 small_test hotspot default 4e-5 ok 40322d4b34975582 803ce2728dde97d1
@@ -320,34 +199,6 @@ small_test hotspot default 1.2e-3 ok 40349c8c7e411619 e69ee8aebefaef17
 small_test hotspot default 3e-3 ok 403a2b2aeb5e7898 8a92c12d18ac74f1
 small_test hotspot default 1e-2 saturated Concentrator 3ff6f09b7df288ef Some(0)
 small_test hotspot default 3e-2 saturated Concentrator 3ffa7c28fa16f04c Some(0)
-small_test hotspot without_variance 2.5e-6 ok 40321b86e6af8518 0f2bf2b64235687a
-small_test hotspot without_variance 1e-5 ok 40321f082de6951d 0d1717920695fb41
-small_test hotspot without_variance 4e-5 ok 40322d1a341dee92 520c5169e2f5c825
-small_test hotspot without_variance 1e-4 ok 4032497cf61afc5e 4ecf7973a0a00905
-small_test hotspot without_variance 2e-4 ok 4032798a60e06616 4ec9157ab4defb58
-small_test hotspot without_variance 3e-4 ok 4032aa8d389fa462 a1f04a4949cc779d
-small_test hotspot without_variance 4e-4 ok 4032dc8edb588efd 72b0b3c6c6edc29f
-small_test hotspot without_variance 5e-4 ok 40330f992df97a63 1b8ceb911be3ef38
-small_test hotspot without_variance 6e-4 ok 403343b6a667ad1e 3cda839b23bff8ae
-small_test hotspot without_variance 8e-4 ok 4033af57f7e39052 e4a0bef46f424422
-small_test hotspot without_variance 1.2e-3 ok 40349596690e86c2 a42e289596b01220
-small_test hotspot without_variance 3e-3 ok 403a1395d84a0966 5a04f79c99654bcb
-small_test hotspot without_variance 1e-2 saturated Concentrator 3ff6f09b7df288ef Some(0)
-small_test hotspot without_variance 3e-2 saturated Concentrator 3ffa7c28fa16f04c Some(0)
-B uniform rate_scaled 2.5e-6 ok 4035dd82a698679d 353fc0e34bb1bdb8
-B uniform rate_scaled 1e-5 ok 403600f28ab1cde2 eb7f49060013c622
-B uniform rate_scaled 4e-5 ok 4036927b1909a95f 83f7b741f53fa1c4
-B uniform rate_scaled 1e-4 ok 4037c93305e5dd56 480c42c880784bbf
-B uniform rate_scaled 2e-4 ok 403a138a64accedd a83bdb3c08c4e9c0
-B uniform rate_scaled 3e-4 ok 403ccac5906d3fcc 3b35444d817a6555
-B uniform rate_scaled 4e-4 ok 40400b4b21c2ed92 6de8f2a17bbb56bc
-B uniform rate_scaled 5e-4 ok 40421c2c20d1c070 fd37684fd314cb7e
-B uniform rate_scaled 6e-4 ok 4044d44951790056 d444b1616c685bab
-B uniform rate_scaled 8e-4 saturated Channel 3ff1087bca488486 Some(11)
-B uniform rate_scaled 1.2e-3 saturated Channel 3ffe583d54c121b2 Some(0)
-B uniform rate_scaled 3e-3 saturated Channel 3ff019c0fc2df4ba Some(0)
-B uniform rate_scaled 1e-2 saturated Channel 400b23deca66143b Some(0)
-B uniform rate_scaled 3e-2 saturated Channel 402b2f2e1b811268 Some(0)
 ";
 
 #[test]

@@ -1,10 +1,9 @@
 //! Per-cluster configuration.
 //!
 //! A cluster is characterised by the arity of its two networks (ICN1 and ECN1 are both
-//! m-port `n_i`-trees with the same `m` across the whole system) and — for the
-//! processor-heterogeneity extension of the model — the processing power of its nodes.
-//! The paper's cluster-size-heterogeneity study keeps the processing power equal
-//! everywhere (assumption 3) and varies only `n_i`.
+//! m-port `n_i`-trees with the same `m` across the whole system). The paper's
+//! cluster-size-heterogeneity study assumes equal processing power in every cluster
+//! (assumption 3) and varies only `n_i`, so a cluster carries no processor speed.
 
 use crate::{Result, SystemError};
 
@@ -16,37 +15,18 @@ pub struct ClusterSpec {
     /// Tree level count `n_i` of the cluster's networks; the cluster therefore has
     /// `N_i = 2(m/2)^{n_i}` nodes.
     pub levels: usize,
-    /// Relative processing power `τ_i` of the cluster's nodes. The paper's model
-    /// assumes this is 1.0 for every cluster (assumption 3); other values are only
-    /// meaningful to the processor-heterogeneity extension.
-    pub processing_power: f64,
 }
 
 impl ClusterSpec {
-    /// Creates a cluster with the given network arity and unit processing power.
+    /// Creates a cluster with the given network arity.
     pub fn new(ports: usize, levels: usize) -> Result<Self> {
-        Self::with_processing_power(ports, levels, 1.0)
-    }
-
-    /// Creates a cluster with an explicit relative processing power.
-    pub fn with_processing_power(
-        ports: usize,
-        levels: usize,
-        processing_power: f64,
-    ) -> Result<Self> {
         if ports < 2 || !ports.is_multiple_of(2) {
             return Err(SystemError::InvalidPortCount { m: ports });
         }
         if levels == 0 {
             return Err(SystemError::InvalidClusterLevels { cluster: 0, n: levels });
         }
-        if !(processing_power.is_finite() && processing_power > 0.0) {
-            return Err(SystemError::InvalidParameter {
-                name: "processing_power",
-                value: processing_power,
-            });
-        }
-        Ok(ClusterSpec { ports, levels, processing_power })
+        Ok(ClusterSpec { ports, levels })
     }
 
     /// Number of processing nodes in the cluster, `N_i = 2(m/2)^{n_i}` (paper Eq. 1).
@@ -88,15 +68,5 @@ mod tests {
         assert!(ClusterSpec::new(5, 2).is_err());
         assert!(ClusterSpec::new(0, 2).is_err());
         assert!(ClusterSpec::new(8, 0).is_err());
-        assert!(ClusterSpec::with_processing_power(8, 2, 0.0).is_err());
-        assert!(ClusterSpec::with_processing_power(8, 2, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn processing_power_defaults_to_one() {
-        let c = ClusterSpec::new(8, 2).unwrap();
-        assert_eq!(c.processing_power, 1.0);
-        let c = ClusterSpec::with_processing_power(8, 2, 2.5).unwrap();
-        assert_eq!(c.processing_power, 2.5);
     }
 }

@@ -1,49 +1,26 @@
-//! Heterogeneity study: what cluster-size heterogeneity does to message latency, and
-//! what the processor-heterogeneity extension adds.
+//! Heterogeneity study: what cluster-size heterogeneity does to message latency.
 //!
 //! The paper's core argument is that heterogeneity must be modelled explicitly. This
 //! example compares, at equal total size:
 //!   1. a homogeneous multi-cluster system,
-//!   2. the paper's heterogeneous Org B (cluster-size heterogeneity),
-//!   3. Org B with additionally heterogeneous processor speeds (the extension of the
-//!      authors' companion work, implemented in `mcnet-model`).
+//!   2. the paper's heterogeneous Org B (cluster-size heterogeneity).
 //!
 //! Run with: `cargo run --release --example heterogeneity_study`
 
-use mcnet::model::processor_heterogeneity::evaluate_with_processor_heterogeneity;
-use mcnet::model::{AnalyticalModel, ModelOptions};
-use mcnet::system::{organizations, ClusterSpec, MultiClusterSystem, TrafficConfig};
+use mcnet::model::AnalyticalModel;
+use mcnet::system::{organizations, TrafficConfig};
 
 fn main() {
     let hetero = organizations::table1_org_b();
     let homo = organizations::homogeneous_equivalent(&hetero).expect("equivalent exists");
 
-    // Org B with processor heterogeneity: the large clusters get slower processors and
-    // the small clusters faster ones (a common procurement pattern: newer, faster
-    // nodes arrive in smaller batches).
-    let mixed_speed: MultiClusterSystem = {
-        let clusters: Vec<ClusterSpec> = hetero
-            .clusters()
-            .iter()
-            .map(|c| {
-                let power = match c.levels {
-                    3 => 1.5, // 16-node clusters: fast nodes
-                    4 => 1.0,
-                    _ => 0.75, // 64-node clusters: older, slower nodes
-                };
-                ClusterSpec::with_processing_power(c.ports, c.levels, power).expect("valid spec")
-            })
-            .collect();
-        MultiClusterSystem::new(clusters).expect("valid system")
-    };
-
     println!("Latency vs offered traffic (M = 32 flits, L_m = 256 bytes)\n");
     println!(
-        "| λ_g      | homogeneous {} | size-heterogeneous {} | + processor heterogeneity |",
+        "| λ_g      | homogeneous {} | size-heterogeneous {} |",
         homo.summary(),
         hetero.summary()
     );
-    println!("|----------|---------------|----------------------|---------------------------|");
+    println!("|----------|---------------|----------------------|");
     for i in 1..=8 {
         let rate = 1e-4 * i as f64;
         let traffic = TrafficConfig::uniform(32, 256.0, rate).expect("valid traffic");
@@ -53,22 +30,12 @@ fn main() {
             AnalyticalModel::new(&homo, &traffic).expect("model builds").total_latency();
         let hetero_latency =
             AnalyticalModel::new(&hetero, &traffic).expect("model builds").total_latency();
-        let mixed_latency =
-            evaluate_with_processor_heterogeneity(&mixed_speed, &traffic, ModelOptions::default())
-                .ok()
-                .map(|r| r.total_latency);
-        println!(
-            "| {rate:.1e} | {:>13} | {:>20} | {:>25} |",
-            fmt(homo_latency),
-            fmt(hetero_latency),
-            fmt(mixed_latency)
-        );
+        println!("| {rate:.1e} | {:>13} | {:>20} |", fmt(homo_latency), fmt(hetero_latency));
     }
 
     println!(
         "\nReading: at the same total node count, the heterogeneous organization behaves\n\
          measurably differently from the homogeneous one — the gap the heterogeneity-aware\n\
-         model exists to capture — and skewing the generation rates towards the small\n\
-         clusters (processor heterogeneity) shifts the saturation point again."
+         model exists to capture."
     );
 }

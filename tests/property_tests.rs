@@ -2,7 +2,7 @@
 //! crates, using randomly generated (but always valid) configurations.
 
 use mcnet::model::source_queue::{self, SourceQueueInput, SourceQueueKind};
-use mcnet::model::{AnalyticalModel, ModelError, ModelOptions};
+use mcnet::model::{AnalyticalModel, ModelError};
 use mcnet::sim::routes::RouteTable;
 use mcnet::sim::FabricBackend;
 use mcnet::system::{ClusterSpec, MultiClusterSystem, TrafficConfig};
@@ -71,9 +71,8 @@ proptest! {
         rho1 in 0.05f64..0.45,
         rho2 in 0.5f64..0.95,
     ) {
-        // A source queue with service mean S and Draper–Ghosh σ = S − M·t_cn,
-        // with and without that variance.
-        let wait = |rho: f64, options: &ModelOptions| {
+        // A source queue with service mean S and Draper–Ghosh σ = S − M·t_cn.
+        let wait = |rho: f64| {
             let input = SourceQueueInput {
                 kind: SourceQueueKind::Injection,
                 per_node_rate: rho / latency,
@@ -81,13 +80,11 @@ proptest! {
                 minimum_latency: minimum_fraction * latency,
                 cluster: None,
             };
-            source_queue::waiting_time(&input, options).unwrap()
+            source_queue::waiting_time(&input).unwrap()
         };
-        for options in [ModelOptions::default(), ModelOptions::default().without_variance()] {
-            let (low, high) = (wait(rho1, &options), wait(rho2, &options));
-            prop_assert!(low >= 0.0);
-            prop_assert!(high > low);
-        }
+        let (low, high) = (wait(rho1), wait(rho2));
+        prop_assert!(low >= 0.0);
+        prop_assert!(high > low);
     }
 
     #[test]
@@ -109,31 +106,6 @@ proptest! {
         if let Some(l_high) = l_high {
             prop_assert!(l_high > l_low);
         }
-    }
-
-    #[test]
-    fn model_options_never_change_the_zero_load_limit(levels in system_params()) {
-        // At vanishing load the variance option converges to the same
-        // contention-free latency.
-        let clusters: Vec<ClusterSpec> =
-            levels.iter().map(|&n| ClusterSpec::new(4, n).unwrap()).collect();
-        let system = MultiClusterSystem::new(clusters).unwrap();
-        let traffic = TrafficConfig::uniform(16, 256.0, 1e-9).unwrap();
-        let defaults = AnalyticalModel::with_options(&system, &traffic, ModelOptions::default())
-            .unwrap()
-            .evaluate()
-            .unwrap()
-            .total_latency;
-        let no_var = AnalyticalModel::with_options(
-            &system,
-            &traffic,
-            ModelOptions::default().without_variance(),
-        )
-        .unwrap()
-        .evaluate()
-        .unwrap()
-        .total_latency;
-        prop_assert!((defaults - no_var).abs() < 1e-6);
     }
 
     #[test]
